@@ -38,7 +38,7 @@ from .harness import (
     sample_verify,
     tightness_scan,
 )
-from .solver import find_hamiltonian_cycle, non_hamiltonicity_witness
+from .solver import find_hamiltonian_cycle, non_hamiltonicity_witness, witness_to_payload
 from .thresholds import (
     ThresholdProfile,
     classify_rounding,
@@ -106,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--shards", type=int, default=None)
-    p.add_argument("--long-run", action="store_true")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("facts", help="exact-arithmetic scans")
@@ -134,46 +133,25 @@ def _cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for token in text.replace(",", " ").split():
-        a, _, b = token.partition("-")
-        out.append((int(a), int(b)))
-    return tuple(out)
-
-
 def _cmd_construct(args) -> int:
     if args.spec:
         with open(args.spec, encoding="ascii") as handle:
-            spec = FamilySpec.from_text(handle.read())
+            text = handle.read()
     else:
         if not args.family:
             raise GraphError("construct needs --family or --spec")
-        options = {}
+        lines = [f"family: {args.family}"]
+        for key in ("k", "m", "sizes"):
+            if getattr(args, key) is not None:
+                lines.append(f"{key}: {getattr(args, key)}")
         for item in args.option:
-            key, _, value = item.partition("=")
-            if not _:
+            key, sep, value = item.partition("=")
+            # Each option must become exactly one spec line, and not a comment.
+            if not sep or item.splitlines() != [item] or key.strip().startswith("#"):
                 raise GraphError(f"option {item!r} is not KEY=VALUE")
-            options[key.strip()] = value.strip()
-        spec = FamilySpec(
-            variant=args.family,
-            k=args.k,
-            m=args.m,
-            sizes=tuple(int(s) for s in args.sizes.replace(",", " ").split())
-            if args.sizes
-            else None,
-            yy_missing=_parse_pairs(options.pop("yy_missing", "")),
-            xk_missing=tuple(
-                int(t) for t in options.pop("xk_missing", "").replace(",", " ").split()
-            ),
-            y_prime=int(options.pop("y_prime")) if "y_prime" in options else None,
-            y_dprime=int(options.pop("y_dprime")) if "y_dprime" in options else None,
-            x_prime=int(options.pop("x_prime")) if "x_prime" in options else None,
-            yy_edges=_parse_pairs(options.pop("yy_edges", "")),
-            xy_edge=options.pop("xy_edge", "false").lower() in ("true", "1", "yes"),
-        )
-        if options:
-            raise GraphError(f"unknown construct options: {sorted(options)}")
+            lines.append(f"{key}: {value}")
+        text = "\n".join(lines)
+    spec = FamilySpec.from_text(text)
     graph = spec.build()
     text = export_dot(graph) if args.format == "dot" else encode(graph)
     if args.out:
@@ -193,9 +171,7 @@ def _cmd_check(args) -> int:
             witness = non_hamiltonicity_witness(graph)
             detail = ""
             if witness is not None:
-                from .harness import _witness_payload
-
-                detail = f" witness={_witness_payload(witness)}"
+                detail = f" witness={witness_to_payload(witness)}"
             print(f"ham: none{detail}")
         else:
             print("ham: " + ",".join(str(v) for v in cycle.vertices))
@@ -246,9 +222,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_characterize(args) -> int:
     shards = args.shards if args.shards is not None else max(args.jobs, 1)
-    report = characterization_check(
-        args.n, args.k, shards=shards, jobs=args.jobs, long_run=args.long_run
-    )
+    report = characterization_check(args.n, args.k, shards=shards, jobs=args.jobs)
     report.write(args.out)
     classified: dict[str, int] = {}
     for entry in report.exceptional:

@@ -239,12 +239,18 @@ def build_family_F3(
 # -- family specs --------------------------------------------------------------
 
 
+_SPEC_KEYS = frozenset(
+    "family k m sizes yy_missing xk_missing y_prime y_dprime x_prime yy_edges xy_edge".split()
+)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A parameterised description of one family member.
 
     Serialises to a small key/value text document (one ``key: value`` line
-    per non-default field) consumed by the CLI ``construct`` command.
+    per non-default field) consumed by the CLI ``construct`` command.  Parsing
+    rejects unknown and repeated keys.
     """
 
     variant: str
@@ -319,7 +325,12 @@ class FamilySpec:
             if ":" not in line:
                 raise GraphError(f"malformed family spec line: {line!r}")
             key, value = line.split(":", 1)
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _SPEC_KEYS:
+                raise GraphError(f"unknown family spec key {key!r}")
+            if key in values:
+                raise GraphError(f"repeated family spec key {key!r}")
+            values[key] = value.strip()
         if "family" not in values:
             raise GraphError("family spec must declare 'family'")
 

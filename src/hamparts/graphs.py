@@ -339,7 +339,6 @@ def vertex_connectivity(g: KPartiteGraph) -> int:
     """Exact vertex connectivity; n-1 for complete graphs."""
     if g.n < 2:
         raise GraphError("vertex_connectivity needs at least 2 vertices")
-    full = (1 << g.n) - 1
     nonadjacent = [
         (u, v)
         for u in range(g.n)
@@ -348,7 +347,6 @@ def vertex_connectivity(g: KPartiteGraph) -> int:
     ]
     if not nonadjacent:
         return g.n - 1
-    del full
     best = g.n - 1
     for u, v in nonadjacent:
         best = min(best, _local_vertex_connectivity(g, u, v))
@@ -435,7 +433,6 @@ def graph6_decode(text: str) -> tuple[int, list[tuple[int, int]]]:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError(f"graph6 body has {len(body)} bytes, expected {need}")
-    bits = 0
     for byte in body:
         if not 63 <= byte <= 126:
             raise GraphError(f"invalid graph6 byte {byte}")
@@ -447,7 +444,6 @@ def graph6_decode(text: str) -> tuple[int, list[tuple[int, int]]]:
             if (byte >> (5 - index % 6)) & 1:
                 edges.append((i, j))
             index += 1
-    del bits
     return n, edges
 
 

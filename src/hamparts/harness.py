@@ -33,14 +33,12 @@ from .graphs import (
     is_independent,
 )
 from .solver import (
-    BipartiteDegreeOne,
-    ExhaustiveSearch,
-    IndependentSetTooLarge,
-    SmallCut,
     _ham_search,
     find_hamiltonian_cycle,
     non_hamiltonicity_witness,
     witness_certifies,
+    witness_from_payload,
+    witness_to_payload,
 )
 from .thresholds import (
     _ceil_div,
@@ -53,8 +51,8 @@ from .thresholds import (
 )
 
 SCHEMA_VERSION = 1
-EXHAUSTIVE_MAX_N = 9
-CHARACTERIZATION_NS = (8, 12)
+# 2^24 edge subsets: the (8, 4) sweep, the largest one that finishes in minutes.
+EXHAUSTIVE_MAX_PAIRS = 24
 
 
 @dataclass
@@ -96,6 +94,10 @@ class VerificationReport:
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
         payload = json.loads(text)
+        if payload["schema_version"] != SCHEMA_VERSION:
+            raise ValueError(
+                f"report schema_version {payload['schema_version']!r} is not {SCHEMA_VERSION}"
+            )
         return cls(
             kind=payload["kind"],
             params=payload["params"],
@@ -123,22 +125,6 @@ def cross_pairs(n: int, k: int) -> list[tuple[int, int]]:
         for v in range(u + 1, n)
         if part_of[u] != part_of[v]
     ]
-
-
-def _witness_payload(witness) -> dict:
-    if isinstance(witness, IndependentSetTooLarge):
-        return {"type": "independent_set", "vertices": sorted(witness.vertices)}
-    if isinstance(witness, SmallCut):
-        return {"type": "small_cut", "vertices": sorted(witness.vertices)}
-    if isinstance(witness, BipartiteDegreeOne):
-        return {
-            "type": "bipartite_degree_one",
-            "a_side": sorted(witness.a_side),
-            "vertex": witness.vertex,
-        }
-    if isinstance(witness, ExhaustiveSearch):
-        return {"type": "exhaustive_search", "nodes": witness.nodes}
-    return {"type": "none"}
 
 
 def _enumerate_shard(
@@ -269,6 +255,30 @@ def _expectation_mode(n: int, k: int, floor: int) -> str:
     return "assert_hamiltonian"
 
 
+def _record_non_hamiltonian(
+    g: KPartiteGraph,
+    mode: str,
+    counters: dict,
+    counterexamples: list,
+    exceptional: list,
+) -> None:
+    """Append g's entry, with its witness, to the list ``mode`` selects; in
+    characterize mode the entry also carries g's family classification."""
+    witness = non_hamiltonicity_witness(g)
+    if witness is not None:
+        counters["witnesses_found"] += 1
+    entry = {
+        "graph": encode(g),
+        "witness": witness_to_payload(witness) if witness else None,
+    }
+    if mode == "characterize":
+        classify = g.n == 2 * g.k and g.n <= 16
+        entry["classification"] = recognize(g) if classify else None
+        exceptional.append(entry)
+    else:
+        counterexamples.append(entry)
+
+
 def _finish_exhaustive(
     n: int,
     k: int,
@@ -278,7 +288,6 @@ def _finish_exhaustive(
     shard_results: list[dict],
     kind: str,
     started: float,
-    classify: bool,
 ) -> VerificationReport:
     counters = {
         "graphs_enumerated": sum(r["space"] for r in shard_results),
@@ -294,23 +303,10 @@ def _finish_exhaustive(
     mode = _expectation_mode(n, k, floor)
     counterexamples = []
     exceptional = []
-    for sid, adj in non_ham:
-        g = KPartiteGraph(part_of, adj)
-        witness = non_hamiltonicity_witness(g)
-        if witness is not None:
-            counters["witnesses_found"] += 1
-        entry = {
-            "graph": encode(g),
-            "witness": _witness_payload(witness) if witness else None,
-        }
-        if mode == "characterize":
-            if classify and n == 2 * k and n % 4 == 0:
-                entry["classification"] = recognize(g)
-            else:
-                entry["classification"] = None
-            exceptional.append(entry)
-        else:
-            counterexamples.append(entry)
+    for _, adj in non_ham:
+        _record_non_hamiltonian(
+            KPartiteGraph(part_of, adj), mode, counters, counterexamples, exceptional
+        )
     report = VerificationReport(
         kind=kind,
         params={
@@ -342,23 +338,9 @@ def _self_check(report: VerificationReport) -> bool:
             return False
         witness = entry.get("witness")
         if witness is not None and witness["type"] != "exhaustive_search":
-            rebuilt = _witness_from_payload(witness)
-            if rebuilt is not None and not witness_certifies(g, rebuilt):
+            if not witness_certifies(g, witness_from_payload(witness)):
                 return False
     return True
-
-
-def _witness_from_payload(payload: dict):
-    kind = payload.get("type")
-    if kind == "small_cut":
-        return SmallCut(frozenset(payload["vertices"]))
-    if kind == "independent_set":
-        return IndependentSetTooLarge(frozenset(payload["vertices"]))
-    if kind == "bipartite_degree_one":
-        return BipartiteDegreeOne(frozenset(payload["a_side"]), payload["vertex"])
-    if kind == "exhaustive_search":
-        return ExhaustiveSearch(payload["nodes"])
-    return None
 
 
 def exhaustive_verify(
@@ -369,9 +351,7 @@ def exhaustive_verify(
     shards: int = 1,
     shard_id: int | None = None,
     jobs: int = 1,
-    max_n: int = EXHAUSTIVE_MAX_N,
     _kind: str = "exhaustive",
-    _classify: bool = True,
 ) -> VerificationReport:
     """Enumerate every balanced k-partite graph with min degree >= the floor
     and assert Hamiltonicity (or collect the exceptional graphs when the
@@ -379,8 +359,13 @@ def exhaustive_verify(
     started = time.monotonic()
     if k < 2 or n % k != 0 or n < 3:
         raise ValueError(f"need k >= 2, k | n, n >= 3; got n={n} k={k}")
-    if n > max_n:
-        raise SizeGuardError(f"exhaustive enumeration guarded at n <= {max_n}, got {n}")
+    m = n // k
+    pairs = n * (n - 1) // 2 - k * (m * (m - 1) // 2)
+    if pairs > EXHAUSTIVE_MAX_PAIRS:
+        raise SizeGuardError(
+            f"exhaustive enumeration guarded at 2^{EXHAUSTIVE_MAX_PAIRS} edge subsets; "
+            f"(n, k) = ({n}, {k}) has {pairs} cross pairs, so 2^{pairs} subsets"
+        )
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
     if shard_id is not None and not 0 <= shard_id < shards:
@@ -388,43 +373,29 @@ def exhaustive_verify(
     floor = required_degree(n, k) if degree_floor is None else degree_floor
     if shard_id is not None:
         results = [_run_exhaustive_shard((n, k, floor, shards, shard_id))]
-        return _finish_exhaustive(
-            n, k, floor, shards, shard_id, results, _kind, started, _classify
-        )
+        return _finish_exhaustive(n, k, floor, shards, shard_id, results, _kind, started)
     shard_args = [(n, k, floor, shards, i) for i in range(shards)]
     if jobs > 1 and shards > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, shards)) as pool:
             results = list(pool.map(_run_exhaustive_shard, shard_args))
     else:
         results = [_run_exhaustive_shard(args) for args in shard_args]
-    return _finish_exhaustive(
-        n, k, floor, shards, None, results, _kind, started, _classify
-    )
+    return _finish_exhaustive(n, k, floor, shards, None, results, _kind, started)
 
 
 def characterization_check(
-    n: int, k: int, *, shards: int = 1, jobs: int = 1, long_run: bool = False
+    n: int, k: int, *, shards: int = 1, jobs: int = 1
 ) -> VerificationReport:
     """Enumerate min degree >= n/2 - 1 graphs in the n = 2k exception regime
     and classify every non-Hamiltonian one; unrecognized graphs are
-    violations."""
+    violations.  Only (8, 4) is run: n = 12 has 2^60 edge subsets."""
     if n != 2 * k or n % 4 != 0:
         raise ValueError(f"characterization regime needs n = 2k with 4 | n, got n={n} k={k}")
-    allowed = CHARACTERIZATION_NS if long_run else CHARACTERIZATION_NS[:1]
-    if n not in allowed:
-        raise SizeGuardError(
-            f"characterization guarded at n in {allowed}, got {n}"
-        )
-    report = exhaustive_verify(
-        n,
-        k,
-        theorem_threshold(n, k),
-        shards=shards,
-        jobs=jobs,
-        max_n=max(allowed),
-        _kind="characterization",
+    if n != 8:
+        raise SizeGuardError(f"characterization guarded at n = 8, got {n}")
+    return exhaustive_verify(
+        n, k, theorem_threshold(n, k), shards=shards, jobs=jobs, _kind="characterization"
     )
-    return report
 
 
 def sample_verify(
@@ -468,7 +439,6 @@ def sample_verify(
     }
     counterexamples = []
     exceptional = []
-    classify_ok = n == 2 * k and n % 4 == 0 and n <= 16
     for trial in range(trials):
         p = grid[trial % len(grid)]
         adj = None
@@ -490,18 +460,7 @@ def sample_verify(
         if find_hamiltonian_cycle(g) is not None:
             counters["hamiltonian_found"] += 1
             continue
-        witness = non_hamiltonicity_witness(g)
-        if witness is not None:
-            counters["witnesses_found"] += 1
-        entry = {
-            "graph": encode(g),
-            "witness": _witness_payload(witness) if witness else None,
-        }
-        if mode == "characterize":
-            entry["classification"] = recognize(g) if classify_ok else None
-            exceptional.append(entry)
-        else:
-            counterexamples.append(entry)
+        _record_non_hamiltonian(g, mode, counters, counterexamples, exceptional)
     report = VerificationReport(
         kind="sample",
         params={

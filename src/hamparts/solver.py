@@ -67,6 +67,37 @@ class ExhaustiveSearch:
 NonHamWitness = Union[SmallCut, IndependentSetTooLarge, BipartiteDegreeOne, ExhaustiveSearch]
 
 
+def witness_to_payload(witness: NonHamWitness) -> dict:
+    """The JSON-ready form of a witness, as reports record it."""
+    if isinstance(witness, IndependentSetTooLarge):
+        return {"type": "independent_set", "vertices": sorted(witness.vertices)}
+    if isinstance(witness, SmallCut):
+        return {"type": "small_cut", "vertices": sorted(witness.vertices)}
+    if isinstance(witness, BipartiteDegreeOne):
+        return {
+            "type": "bipartite_degree_one",
+            "a_side": sorted(witness.a_side),
+            "vertex": witness.vertex,
+        }
+    if isinstance(witness, ExhaustiveSearch):
+        return {"type": "exhaustive_search", "nodes": witness.nodes}
+    raise TypeError(f"unknown witness type {type(witness)!r}")
+
+
+def witness_from_payload(payload: dict) -> NonHamWitness:
+    """Inverse of ``witness_to_payload``."""
+    kind = payload.get("type")
+    if kind == "small_cut":
+        return SmallCut(frozenset(payload["vertices"]))
+    if kind == "independent_set":
+        return IndependentSetTooLarge(frozenset(payload["vertices"]))
+    if kind == "bipartite_degree_one":
+        return BipartiteDegreeOne(frozenset(payload["a_side"]), payload["vertex"])
+    if kind == "exhaustive_search":
+        return ExhaustiveSearch(payload["nodes"])
+    raise ValueError(f"unknown witness payload type {kind!r}")
+
+
 def verify_cycle(g: KPartiteGraph, cert: CycleCertificate) -> bool:
     """True iff the certificate is a genuine cycle of g: distinct in-range
     vertices, length at least 3, consecutively adjacent with wraparound."""
@@ -316,12 +347,6 @@ def _bipartite_degree_one_witness(g: KPartiteGraph) -> BipartiteDegreeOne | None
     if g.n % 2 != 0:
         return None
     half = g.n // 2
-    meta = g.meta or {}
-    if "x_side" in meta and "y_prime" in meta:
-        a = frozenset(meta["x_side"])
-        candidate = BipartiteDegreeOne(a, meta["y_prime"])
-        if witness_certifies(g, candidate):
-            return candidate
     for mask in _independent_part_unions(g):
         if mask.bit_count() != half:
             continue

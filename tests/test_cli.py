@@ -67,6 +67,43 @@ def test_construct_rejects_unknown_option(capsys):
     )
     assert code == 2
     assert "bogus" in err
+    # --option takes the spec-file keys, so it may not repeat a flag's key.
+    code, _, err = run_cli(
+        capsys, "construct", "--family", "F1", "--k", "4", "--option", "k=5"
+    )
+    assert code == 2
+    assert "repeated family spec key 'k'" in err
+    for item in ("novalue", "#k=5", "x_prime=1\nk: 5"):
+        code, _, err = run_cli(
+            capsys, "construct", "--family", "F3", "--k", "4", "--option", item
+        )
+        assert code == 2
+        assert "is not KEY=VALUE" in err
+
+
+def test_construct_option_matches_spec(capsys, tmp_path):
+    spec = tmp_path / "member.spec"
+    spec.write_text("family: F3\nk: 4\ny_dprime: 5\nyy_edges: 4-7 5-7\nxy_edge: true\n")
+    _, from_spec, _ = run_cli(capsys, "construct", "--spec", str(spec))
+    code, from_flags, _ = run_cli(
+        capsys, "construct", "--family", "F3", "--k", "4", "--option", "y_dprime=5",
+        "--option", "yy_edges=4-7,5-7", "--option", "xy_edge=true",
+    )
+    assert code == 0
+    assert from_flags == from_spec
+
+
+def test_construct_spec_rejects_bad_keys(capsys, tmp_path):
+    spec = tmp_path / "member.spec"
+    for text, key in (
+        ("family: F3\nk: 4\ny_dprim: 5\n", "y_dprim"),
+        ("family: F3\nk: 4\nk: 6\n", "k"),
+    ):
+        spec.write_text(text)
+        code, out, err = run_cli(capsys, "construct", "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
 
 
 def test_check_f2(capsys, tmp_path):
@@ -76,7 +113,7 @@ def test_check_f2(capsys, tmp_path):
         capsys, "check", "--in", str(path), "--ham", "--alpha", "--kappa"
     )
     assert code == 0
-    assert "ham: none" in out
+    assert "ham: none witness={'type': 'exhaustive_search', 'nodes': " in out
     assert "alpha: 3" in out
     assert "kappa: 2" in out
 
@@ -147,11 +184,14 @@ def test_verify_sample(capsys, tmp_path):
 
 
 def test_verify_guard_exit_code(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys, "verify", "--n", "12", "--k", "4", "--exhaustive",
-        "--out", str(tmp_path / "r.json"),
-    )
-    assert code == 3
+    for n, k in (("12", "4"), ("8", "8"), ("9", "9")):
+        code, _, err = run_cli(
+            capsys, "verify", "--n", n, "--k", k, "--exhaustive",
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 3
+        assert "edge subsets" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_shard_flag(capsys, tmp_path):

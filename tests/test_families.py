@@ -306,6 +306,10 @@ def test_spec_rejects_malformed():
         FamilySpec.from_text("k: 4")
     with pytest.raises(GraphError):
         FamilySpec.from_text("family: F\nk: four")
+    with pytest.raises(GraphError, match="unknown family spec key 'y_dprim'"):
+        FamilySpec.from_text("family: F3\nk: 4\ny_dprim: 5")
+    with pytest.raises(GraphError, match="repeated family spec key 'k'"):
+        FamilySpec.from_text("family: F3\nk: 4\nk: 6")
     with pytest.raises(GraphError):
         FamilySpec(variant="F9").build()
 

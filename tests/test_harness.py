@@ -1,11 +1,11 @@
 """Harness: exhaustive sweeps, sharding, sampling, tightness, reports."""
 
 import json
-import random
 from itertools import permutations
 
 import pytest
 
+from hamparts import harness
 from hamparts.families import build_family_F
 from hamparts.graphs import SizeGuardError, blocks_partition, decode, encode
 from hamparts.harness import (
@@ -111,9 +111,16 @@ def test_exhaustive_jobs_consistent():
     assert solo.counters == multi.counters
 
 
-def test_exhaustive_guards_and_validation():
-    with pytest.raises(SizeGuardError):
-        exhaustive_verify(12, 4)
+def test_exhaustive_guards_and_validation(monkeypatch):
+    def refuse(args):
+        raise AssertionError(f"guarded sweep {args} started enumerating")
+
+    monkeypatch.setattr(harness, "_run_exhaustive_shard", refuse)
+    # The guard bounds the edge-subset count at 2^24, the (8, 4) sweep:
+    # (8, 8) has 2^28 subsets and (9, 9) has 2^36, though both have n <= 9.
+    for n, k in ((12, 4), (8, 8), (9, 9), (9, 3)):
+        with pytest.raises(SizeGuardError, match=r"2\^24 edge subsets"):
+            exhaustive_verify(n, k)
     with pytest.raises(ValueError):
         exhaustive_verify(8, 3)
     with pytest.raises(ValueError):
@@ -161,8 +168,6 @@ def test_sample_verify_16_8_regimes():
 def test_sample_verify_oracle_agreement():
     # Every sampled graph the harness calls Hamiltonian must really be so.
     report = sample_verify(8, 2, 100, seed=13, degree_floor=2)
-    rng = random.Random(13)
-    del rng
     for entry in report.exceptional + report.counterexamples:
         g = decode(entry["graph"])
         assert not perm_oracle_hamiltonian(g)
@@ -185,8 +190,10 @@ def test_characterization_8_4_single_shard():
 def test_characterization_validation():
     with pytest.raises(ValueError):
         characterization_check(8, 2)
-    with pytest.raises(SizeGuardError):
-        characterization_check(12, 6)  # needs long_run
+    # Only (8, 4) is swept: (4, 2) lies below it and n = 12 has 2^60 subsets.
+    for n, k in ((4, 2), (12, 6)):
+        with pytest.raises(SizeGuardError):
+            characterization_check(n, k)
 
 
 def test_tightness_scan_small():
@@ -223,3 +230,10 @@ def test_report_write_read(tmp_path):
     back = VerificationReport.from_json(path.read_text())
     assert back.counters == report.counters
     assert back.schema_version == 1
+
+
+def test_report_rejects_unknown_schema_version():
+    payload = json.loads(exhaustive_verify(6, 3).to_json())
+    payload["schema_version"] = 2
+    with pytest.raises(ValueError, match="schema_version"):
+        VerificationReport.from_json(json.dumps(payload))

@@ -1,5 +1,6 @@
 """Solver: Hamiltonicity decisions, longest cycles, witnesses."""
 
+import json
 import random
 
 import pytest
@@ -23,6 +24,8 @@ from hamparts.solver import (
     non_hamiltonicity_witness,
     verify_cycle,
     witness_certifies,
+    witness_from_payload,
+    witness_to_payload,
 )
 from _util import perm_oracle_hamiltonian, random_graph, random_kpartite
 
@@ -208,6 +211,27 @@ def test_witness_checkers_reject_bogus():
         g, BipartiteDegreeOne(frozenset({0, 1, 2}), 4)
     )
     assert not witness_certifies(g, ExhaustiveSearch(nodes=10))
+
+
+def test_witness_payload_round_trip():
+    witnesses = [
+        SmallCut(frozenset({3, 0})),
+        IndependentSetTooLarge(frozenset({4, 1, 2})),
+        BipartiteDegreeOne(frozenset({0, 1, 2, 3}), 6),
+        ExhaustiveSearch(nodes=98),
+    ]
+    for witness in witnesses:
+        payload = witness_to_payload(witness)
+        assert witness_from_payload(payload) == witness
+        assert witness_from_payload(json.loads(json.dumps(payload))) == witness
+    assert witness_to_payload(SmallCut(frozenset({3, 0}))) == {
+        "type": "small_cut",
+        "vertices": [0, 3],
+    }
+    with pytest.raises(TypeError):
+        witness_to_payload(None)
+    with pytest.raises(ValueError):
+        witness_from_payload({"type": "none"})
 
 
 def test_witness_soundness_on_random_corpus():
