@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shards", type=int, default=None)
     p.add_argument("--shard", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("characterize", help="classify exceptional graphs at n = 2k")
@@ -122,6 +122,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_flags(args, mode: str, keys: tuple[str, ...], reason: str) -> None:
+    """Refuse the flags among ``keys`` that were given but that ``mode`` ignores."""
+    given = [f"--{key}" for key in keys if getattr(args, key) not in (None, [])]
+    if given:
+        raise GraphError(f"{mode} takes no {', '.join(given)}; {reason}")
+
+
 def _cmd_threshold(args) -> int:
     profile = ThresholdProfile.compute(args.n, args.k)
     print(f"n={profile.n} k={profile.k} m={profile.m}")
@@ -135,6 +142,9 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.spec:
+        _refuse_flags(
+            args, "--spec", ("family", "k", "m", "sizes", "option"), "put them in the spec file"
+        )
         with open(args.spec, encoding="ascii") as handle:
             text = handle.read()
     else:
@@ -199,18 +209,22 @@ def _cmd_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.sample is not None:
+        _refuse_flags(
+            args, "--sample", ("shards", "shard", "jobs"), "they split exhaustive sweeps"
+        )
         report = sample_verify(
             args.n, args.k, args.sample, args.seed, degree_floor=args.floor
         )
     else:
-        shards = args.shards if args.shards is not None else max(args.jobs, 1)
+        jobs = args.jobs if args.jobs is not None else 1
+        shards = args.shards if args.shards is not None else max(jobs, 1)
         report = exhaustive_verify(
             args.n,
             args.k,
             args.floor,
             shards=shards,
             shard_id=args.shard,
-            jobs=args.jobs,
+            jobs=jobs,
         )
     report.write(args.out)
     counters = " ".join(f"{key}={value}" for key, value in sorted(report.counters.items()))

@@ -243,6 +243,8 @@ _SPEC_KEYS = frozenset(
     "family k m sizes yy_missing xk_missing y_prime y_dprime x_prime yy_edges xy_edge".split()
 )
 
+_SPEC_FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -250,7 +252,8 @@ class FamilySpec:
 
     Serialises to a small key/value text document (one ``key: value`` line
     per non-default field) consumed by the CLI ``construct`` command.  Parsing
-    rejects unknown and repeated keys.
+    rejects unknown and repeated keys, and an ``xy_edge`` other than
+    true/false/1/0/yes/no in any case.
     """
 
     variant: str
@@ -333,6 +336,11 @@ class FamilySpec:
             values[key] = value.strip()
         if "family" not in values:
             raise GraphError("family spec must declare 'family'")
+        xy_edge = values.get("xy_edge", "false").lower()
+        if xy_edge not in _SPEC_FLAGS:
+            raise GraphError(
+                f"family spec key 'xy_edge' must be true/false/1/0/yes/no, got {xy_edge!r}"
+            )
 
         def pairs(text_value: str) -> tuple[tuple[int, int], ...]:
             out = []
@@ -356,7 +364,7 @@ class FamilySpec:
                 y_dprime=int(values["y_dprime"]) if "y_dprime" in values else None,
                 x_prime=int(values["x_prime"]) if "x_prime" in values else None,
                 yy_edges=pairs(values.get("yy_edges", "")),
-                xy_edge=values.get("xy_edge", "false").lower() in ("true", "1", "yes"),
+                xy_edge=_SPEC_FLAGS[xy_edge],
             )
         except ValueError as exc:
             raise GraphError(f"malformed family spec: {exc}") from exc

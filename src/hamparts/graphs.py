@@ -274,6 +274,7 @@ def maximum_independent_set(g: KPartiteGraph, *, max_n: int = 64) -> frozenset[i
 
 def connected_components(g: KPartiteGraph, removed: int = 0) -> list[int]:
     """Component masks of the graph with the ``removed`` vertex mask deleted."""
+    adj = g.adj
     remaining = ((1 << g.n) - 1) & ~removed
     components = []
     while remaining:
@@ -282,8 +283,10 @@ def connected_components(g: KPartiteGraph, removed: int = 0) -> list[int]:
         frontier = low
         while frontier:
             grown = 0
-            for v in _bits(frontier):
-                grown |= g.adj[v]
+            while frontier:
+                bit = frontier & -frontier
+                grown |= adj[bit.bit_length() - 1]
+                frontier ^= bit
             frontier = grown & remaining & ~seen
             seen |= frontier
         components.append(seen)

@@ -8,6 +8,13 @@ graph is disconnected, or (c) an independent union of parts is too large to
 fit in the remaining stretch of the cycle.  Tie-breaking is by vertex id
 everywhere, so results are reproducible run to run.
 
+Prunes (a) and (b) are checked incrementally, from what changed since the
+parent node: (a) only for the unvisited neighbours of the previous endpoint,
+whose counts are the parent's candidate-ordering keys, and (b) only until the
+sweep reaches those neighbours.  The incremental (a) needs loop-free adjacency
+rows, which ``KPartiteGraph`` guarantees.  The tree searched, its node count
+and the cycle found are those of the full checks at every node.
+
 Non-Hamiltonicity is reported through checkable witnesses wherever a cheap
 certificate exists; exhaustive search is the fallback at small n only.
 """
@@ -116,16 +123,19 @@ def _independent_part_unions(g: KPartiteGraph) -> list[int]:
     pairwise non-adjacent along the cycle, so no such union may exceed half
     of any remaining stretch.
     """
-    k = g.k
+    k, adj, part_masks = g.k, g.adj, g.part_masks
     crossing = [0] * k
     for p in range(k):
-        mask = g.part_masks[p]
-        for v in _bits(mask):
-            row = g.adj[v]
-            for q in range(k):
-                if row & g.part_masks[q]:
-                    crossing[p] |= 1 << q
-    order = sorted(range(k), key=lambda p: -g.part_masks[p].bit_count())
+        reach = 0
+        rest = part_masks[p]
+        while rest:
+            low = rest & -rest
+            reach |= adj[low.bit_length() - 1]
+            rest ^= low
+        for q in range(k):
+            if reach & part_masks[q]:
+                crossing[p] |= 1 << q
+    order = sorted(range(k), key=lambda p: -part_masks[p].bit_count())
     unions = set()
     for start in range(k):
         chosen = 1 << start
@@ -137,8 +147,10 @@ def _independent_part_unions(g: KPartiteGraph) -> list[int]:
             chosen |= bit
             blocked |= crossing[p]
         mask = 0
-        for p in _bits(chosen):
-            mask |= g.part_masks[p]
+        while chosen:
+            low = chosen & -chosen
+            mask |= part_masks[low.bit_length() - 1]
+            chosen ^= low
         unions.add(mask)
     return sorted(unions)
 
@@ -148,58 +160,96 @@ def _ham_search(
     adj: tuple[int, ...],
     unions: list[int],
 ) -> tuple[tuple[int, ...] | None, int]:
-    """Core search.  Returns (cycle vertex order or None, nodes expanded)."""
+    """Core search.  Returns (cycle vertex order or None, nodes expanded).
+
+    A node with endpoint u and unvisited set U is pruned when (a) some vertex
+    of U has fewer than two usable neighbours in U + {u, start}, or start has
+    none left in U; (b) U + {u} is disconnected; (c) a part union has more
+    than (|U| + 1) // 2 vertices in U.  Two prunes are incremental, because a
+    child is expanded only when its parent passed every prune:
+
+    - (a) Since ``adj`` is loop-free, a child with endpoint v has the usable
+      set U + {start}, which is its parent's minus u, so only the parent's
+      other candidates can fail it, with exactly the counts the parent sorts
+      them by.  The parent settles (a) for all its children from those
+      counts; the root checks every vertex once.
+    - (b) The child's region is its parent's connected region minus u, and a
+      connected graph stays connected without u iff u's neighbours stay in
+      one component.  So the sweep stops once it has reached all of them.
+
+    Pruned children count as expanded nodes whichever way they are pruned,
+    so ``nodes`` is the size of the full search tree.
+    """
+    if n < 3:
+        return None, 0
     full = (1 << n) - 1
     start = min(range(n), key=lambda v: (adj[v].bit_count(), v))
+    # (a) at the root: all usable, so every other vertex needs degree two.
+    for w in range(n):
+        if w != start and adj[w].bit_count() < 2:
+            return None, 1
     sbit = 1 << start
     adj_start = adj[start]
     path = [start]
     nodes = 0
 
-    def extend(u: int, visited: int) -> bool:
+    def extend(u: int, visited: int, prev_row: int) -> bool:
         nonlocal nodes
         nodes += 1
         if visited == full:
             return bool(adj[u] & sbit)
         unvisited = full ^ visited
-        ubit = 1 << u
-        # (a) every unvisited vertex still needs two usable neighbours, and
-        # the start vertex needs a future way back in.
+        # (a) for the start vertex: it needs a future way back in.
         if not adj_start & unvisited:
             return False
-        for w in _bits(unvisited):
-            usable = (unvisited ^ (1 << w)) | ubit | sbit
-            if (adj[w] & usable).bit_count() < 2:
-                return False
-        # (b) the unvisited region plus the current endpoint must be connected.
+        # (b) the unvisited region plus the current endpoint must be
+        # connected: reach every region neighbour of the previous endpoint.
+        ubit = 1 << u
         target = unvisited | ubit
-        seen = ubit
-        frontier = ubit
-        while frontier:
+        need = prev_row & target
+        seen = frontier = ubit
+        while need & ~seen:
+            if not frontier:
+                return False
             grown = 0
-            for x in _bits(frontier):
-                grown |= adj[x]
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = grown & target & ~seen
             seen |= frontier
-        if seen != target:
-            return False
         # (c) independent part unions must fit in the remaining stretch.
         cap = (unvisited.bit_count() + 1) // 2
         for mask in unions:
             if (mask & unvisited).bit_count() > cap:
                 return False
-        cands = sorted(
-            _bits(adj[u] & unvisited),
-            key=lambda v: ((adj[v] & (unvisited | sbit)).bit_count(), v),
-        )
-        for v in cands:
+        # Candidates, fewest remaining options first, ties by vertex id.
+        remaining = unvisited | sbit
+        cands = []
+        rest = adj[u] & unvisited
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            cands.append(((adj[v] & remaining).bit_count(), v))
+            rest ^= low
+        cands.sort()
+        # (a) for the children: each child fails it iff some other candidate
+        # has fewer than two options, and those sort first.
+        if len(cands) > 1 and cands[1][0] < 2:
+            nodes += len(cands)
+            return False
+        row = adj[u]
+        for options, v in cands:
             path.append(v)
-            if extend(v, visited | (1 << v)):
+            if extend(v, visited | (1 << v), row):
                 return True
             path.pop()
+            if options < 2:
+                nodes += len(cands) - 1
+                return False
         return False
 
-    if n >= 3 and extend(start, sbit):
+    if extend(start, sbit, full):
         return tuple(path), nodes
     return None, nodes
 

@@ -106,6 +106,22 @@ def test_construct_spec_rejects_bad_keys(capsys, tmp_path):
         assert repr(key) in err
 
 
+def test_construct_spec_refuses_member_flags(capsys, tmp_path):
+    spec = tmp_path / "f3.spec"
+    spec.write_text("family: F3\nk: 4\n")
+    code, out, err = run_cli(
+        capsys, "construct", "--spec", str(spec), "--k", "9", "--option", "bogus=1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--k, --option" in err
+    for flags in (["--family", "F1"], ["--m", "2"], ["--sizes", "3,2"]):
+        code, out, err = run_cli(capsys, "construct", "--spec", str(spec), *flags)
+        assert code == 2
+        assert out == ""
+        assert flags[0] in err
+
+
 def test_check_f2(capsys, tmp_path):
     path = tmp_path / "f2.kpart"
     path.write_text(encode(build_F2()) + "\n")
@@ -181,6 +197,24 @@ def test_verify_sample(capsys, tmp_path):
     payload = json.loads(out_path.read_text())
     assert payload["kind"] == "sample"
     assert payload["params"]["seed"] == 5
+
+
+def test_verify_sample_refuses_shard_flags(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code, _, err = run_cli(
+        capsys, "verify", "--n", "8", "--k", "4", "--sample", "5", "--shards", "4",
+        "--shard", "9", "--jobs", "3", "--out", str(out_path),
+    )
+    assert code == 2
+    assert "--shards, --shard, --jobs" in err
+    for flag in ("--shards", "--shard", "--jobs"):
+        code, _, err = run_cli(
+            capsys, "verify", "--n", "8", "--k", "4", "--sample", "5", flag, "1",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert flag in err
+    assert not out_path.exists()
 
 
 def test_verify_guard_exit_code(capsys, tmp_path):

@@ -310,6 +310,13 @@ def test_spec_rejects_malformed():
         FamilySpec.from_text("family: F3\nk: 4\ny_dprim: 5")
     with pytest.raises(GraphError, match="repeated family spec key 'k'"):
         FamilySpec.from_text("family: F3\nk: 4\nk: 6")
+    for value in ("ture", "", "on", "2"):
+        with pytest.raises(GraphError, match="'xy_edge'"):
+            FamilySpec.from_text(f"family: F3\nk: 4\nxy_edge: {value}")
+    for value, flag in (("TRUE", True), ("Yes", True), ("1", True),
+                        ("False", False), ("no", False), ("0", False)):
+        spec = FamilySpec.from_text(f"family: F3\nk: 4\nxy_edge: {value}")
+        assert spec.xy_edge is flag
     with pytest.raises(GraphError):
         FamilySpec(variant="F9").build()
 

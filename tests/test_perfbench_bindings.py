@@ -1,6 +1,9 @@
 """The benchmark's traced run wraps program entry points by name; every
-binding it wraps must exist, and restoring must put the originals back."""
+binding it wraps must exist, and restoring must put the originals back.  The
+benchmark's reduced self-test must pass against the program as it is."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 from hamparts import conditions, harness, solver
@@ -28,3 +31,16 @@ def test_traced_run_bindings_resolve(monkeypatch):
     finally:
         tracer.restore()
     assert [dict(vars(module)) for module in modules] == before
+
+
+def test_perfbench_selftest_passes():
+    # The self-test imports the program from src/ beside perfbench/ and checks
+    # its frozen answers, the metric names and that the gates trip.
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]

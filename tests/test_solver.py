@@ -1,5 +1,6 @@
 """Solver: Hamiltonicity decisions, longest cycles, witnesses."""
 
+import hashlib
 import json
 import random
 
@@ -26,6 +27,8 @@ from hamparts.solver import (
     witness_certifies,
     witness_from_payload,
     witness_to_payload,
+    _ham_search,
+    _independent_part_unions,
 )
 from _util import perm_oracle_hamiltonian, random_graph, random_kpartite
 
@@ -95,6 +98,50 @@ def test_solver_matches_oracle_on_partite_corpus():
             continue
         g = random_kpartite(rng, n, k, rng.choice([0.4, 0.6, 0.8]))
         assert (find_hamiltonian_cycle(g) is not None) == perm_oracle_hamiltonian(g)
+
+
+def _sparse_kpartite(rng, n, k, cross_degree, floor):
+    """Balanced k-partite graph with expected cross degree ``cross_degree``,
+    redrawn until its minimum degree reaches ``floor``."""
+    p = cross_degree / (n - n // k)
+    while True:
+        g = random_kpartite(rng, n, k, p)
+        if g.min_degree() >= floor:
+            return g
+
+
+def _search_tree_population():
+    """Seeded graphs whose search trees the digest below freezes: every
+    balanced (n, k) with 6 <= n <= 20, sparse (some below the degree floor)
+    and dense; the F2 member; and sparse n = 24 graphs drawn the way the
+    decide-sparse benchmark draws its population."""
+    rng = random.Random(20261018)
+    graphs = [build_F2()]
+    for n in range(6, 21):
+        for k in [k for k in range(2, n + 1) if n % k == 0]:
+            graphs.extend(_sparse_kpartite(rng, n, k, 3.0, 2) for _ in range(3))
+            graphs.append(_sparse_kpartite(rng, n, k, 2.5, 0))
+            graphs.extend(random_kpartite(rng, n, k, 0.6) for _ in range(2))
+    for i in range(30):
+        graphs.append(_sparse_kpartite(rng, 24, (4, 6, 8)[i % 3], 3.0, 2))
+    return graphs
+
+
+# SHA-256 of the (order, nodes) pairs of the reference search.  Any change to
+# the start vertex, a prune, a tie-break or the candidate order changes it.
+SEARCH_TREE_DIGEST = "76a78131bfca452092eef3765af5238877b4ff9c1591247695a6704fcab36f0c"
+
+
+def test_search_tree_is_frozen():
+    results = [
+        _ham_search(g.n, g.adj, _independent_part_unions(g))
+        for g in _search_tree_population()
+    ]
+    hamiltonian = sum(order is not None for order, _ in results)
+    assert len(results) == 277 and hamiltonian == 178
+    assert sum(nodes for _, nodes in results) == 17_593
+    payload = json.dumps([[order and list(order), nodes] for order, nodes in results])
+    assert hashlib.sha256(payload.encode()).hexdigest() == SEARCH_TREE_DIGEST
 
 
 def test_longest_cycle_values():
