@@ -217,7 +217,7 @@ def _cmd_verify(args) -> int:
         )
     else:
         jobs = args.jobs if args.jobs is not None else 1
-        shards = args.shards if args.shards is not None else max(jobs, 1)
+        shards = args.shards if args.shards is not None else jobs
         report = exhaustive_verify(
             args.n,
             args.k,
@@ -235,7 +235,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
-    shards = args.shards if args.shards is not None else max(args.jobs, 1)
+    shards = args.shards if args.shards is not None else args.jobs
     report = characterization_check(args.n, args.k, shards=shards, jobs=args.jobs)
     report.write(args.out)
     classified: dict[str, int] = {}

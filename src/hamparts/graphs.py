@@ -68,10 +68,13 @@ class KPartiteGraph:
                 raise GraphError(f"self-loop at vertex {v}")
             if row & part_masks[part_of[v]]:
                 raise GraphError(f"intra-part edge at vertex {v}")
-        for v in range(n):
-            for u in _bits(adj[v]):
+        for v, row in enumerate(adj):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
                 if not (adj[u] >> v) & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
         self.n = n
         self.k = k
         self.part_of = part_of

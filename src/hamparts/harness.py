@@ -366,6 +366,8 @@ def exhaustive_verify(
             f"exhaustive enumeration guarded at 2^{EXHAUSTIVE_MAX_PAIRS} edge subsets; "
             f"(n, k) = ({n}, {k}) has {pairs} cross pairs, so 2^{pairs} subsets"
         )
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
     if shard_id is not None and not 0 <= shard_id < shards:

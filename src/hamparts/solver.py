@@ -111,9 +111,15 @@ def verify_cycle(g: KPartiteGraph, cert: CycleCertificate) -> bool:
     vs = cert.vertices
     if len(vs) < 3 or len(set(vs)) != len(vs):
         return False
-    if any(not 0 <= v < g.n for v in vs):
+    if min(vs) < 0 or max(vs) >= g.n:
         return False
-    return all(g.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
+    adj = g.adj
+    prev = vs[-1]
+    for v in vs:
+        if not (adj[prev] >> v) & 1:
+            return False
+        prev = v
+    return True
 
 
 def _independent_part_unions(g: KPartiteGraph) -> list[int]:
@@ -121,35 +127,56 @@ def _independent_part_unions(g: KPartiteGraph) -> list[int]:
 
     Used by the cardinality prune: vertices of an independent set must be
     pairwise non-adjacent along the cycle, so no such union may exceed half
-    of any remaining stretch.
+    of any remaining stretch.  The greedy adds parts largest first, ties by
+    part index; it works on part positions in that order, so adding the next
+    part is taking the lowest position still available.
     """
-    k, adj, part_masks = g.k, g.adj, g.part_masks
-    crossing = [0] * k
-    for p in range(k):
-        reach = 0
-        rest = part_masks[p]
-        while rest:
-            low = rest & -rest
-            reach |= adj[low.bit_length() - 1]
-            rest ^= low
-        for q in range(k):
-            if reach & part_masks[q]:
-                crossing[p] |= 1 << q
+    k, n, adj, part_of, part_masks = g.k, g.n, g.adj, g.part_of, g.part_masks
     order = sorted(range(k), key=lambda p: -part_masks[p].bit_count())
+    if order == list(range(k)):
+        masks, position = part_masks, part_of
+    else:
+        rank = [0] * k
+        for i, p in enumerate(order):
+            rank[p] = i
+        masks = [part_masks[p] for p in order]
+        position = [rank[p] for p in part_of]
+    # crossing[i]: the positions of the parts that the part at position i
+    # has edges into.  With one vertex per part, in vertex order, that is
+    # the vertex's adjacency row.
+    singletons = k == n and part_of == tuple(range(n))
+    if singletons:
+        crossing = adj
+    else:
+        crossing = []
+        for mask in masks:
+            reach = 0
+            while mask:
+                low = mask & -mask
+                reach |= adj[low.bit_length() - 1]
+                mask ^= low
+            bits = 0
+            while reach:
+                low = reach & -reach
+                bits |= 1 << position[low.bit_length() - 1]
+                reach ^= low
+            crossing.append(bits)
+    every = (1 << k) - 1
     unions = set()
     for start in range(k):
         chosen = 1 << start
-        blocked = crossing[start]
-        for p in order:
-            bit = 1 << p
-            if chosen & bit or blocked & bit:
-                continue
-            chosen |= bit
-            blocked |= crossing[p]
+        available = every & ~chosen & ~crossing[start]
+        while available:
+            low = available & -available
+            chosen |= low
+            available &= ~(low | crossing[low.bit_length() - 1])
+        if singletons:
+            unions.add(chosen)
+            continue
         mask = 0
         while chosen:
             low = chosen & -chosen
-            mask |= part_masks[low.bit_length() - 1]
+            mask |= masks[low.bit_length() - 1]
             chosen ^= low
         unions.add(mask)
     return sorted(unions)

@@ -228,6 +228,19 @@ def test_verify_guard_exit_code(capsys, tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_sweeps_refuse_nonpositive_jobs(capsys, tmp_path):
+    out_path = tmp_path / "r.json"
+    for argv in (
+        ("verify", "--n", "6", "--k", "3", "--exhaustive", "--jobs", "-4"),
+        ("verify", "--n", "6", "--k", "3", "--exhaustive", "--jobs", "0", "--shards", "2"),
+        ("characterize", "--n", "8", "--k", "4", "--jobs", "0"),
+    ):
+        code, _, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 2
+        assert "jobs must be positive" in err
+    assert not out_path.exists()
+
+
 def test_verify_shard_flag(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(

@@ -1,9 +1,13 @@
 """Condition checkers: bipartite degree test, dominating cycles, diagnostics."""
 
+import hashlib
+import json
 import random
+from itertools import combinations
 
 import pytest
 
+from hamparts import conditions
 from hamparts.conditions import (
     HOLDS,
     NOT_APPLICABLE,
@@ -17,11 +21,14 @@ from hamparts.families import build_F2, build_family_F3
 from hamparts.graphs import (
     CycleCertificate,
     GraphError,
+    KPartiteGraph,
+    blocks_partition,
     build_graph,
     complete_kpartite,
     induced_bipartite,
 )
-from hamparts.solver import find_hamiltonian_cycle, longest_cycle
+from hamparts.harness import _enumerate_shard
+from hamparts.solver import find_hamiltonian_cycle, longest_cycle, verify_cycle
 from _util import random_kpartite
 
 
@@ -135,6 +142,79 @@ def test_domcycle_lemma_random_sample():
         if outcome.status == HOLDS:
             applicable += 1
     assert applicable > 30
+
+
+# SHA-256 of the JSON list of lemma statuses over every graph on 6 vertices
+# with minimum degree >= 3, in enumeration order, as the check returned them
+# before it reused cycles.
+SWEEP_6_STATUS_DIGEST = "a82e7e5077c336a49dbf1a5b6e769e55a6ef519d33408a7cbdfaef547cab6194"
+
+
+def test_domcycle_lemma_status_ignores_cycle_reuse():
+    rows = []
+    _enumerate_shard(6, 6, 3, 1, 0, lambda sid, adj: rows.append(tuple(adj)))
+    assert len(rows) == 1_858
+    graphs = [KPartiteGraph(blocks_partition(6, 6), adj) for adj in rows]
+
+    def statuses(order, cold=False):
+        got = {}
+        for i in order:
+            if cold:
+                conditions._recent_cycles.clear()
+            got[i] = check_domcycle_lemma(graphs[i]).status
+        return [got[i] for i in range(len(graphs))]
+
+    forward = statuses(range(len(graphs)))
+    payload = json.dumps(forward)
+    assert hashlib.sha256(payload.encode()).hexdigest() == SWEEP_6_STATUS_DIGEST
+    assert statuses(reversed(range(len(graphs)))) == forward
+    assert statuses(range(len(graphs)), cold=True) == forward
+
+
+def test_domcycle_lemma_reuses_cycles_of_same_order_only(monkeypatch):
+    found = []
+    verified = []
+
+    def find_spy(g):
+        found.append(g.n)
+        return find_hamiltonian_cycle(g)
+
+    def verify_spy(g, cycle):
+        verified.append((g.n, len(cycle)))
+        return verify_cycle(g, cycle)
+
+    monkeypatch.setattr(conditions, "find_hamiltonian_cycle", find_spy)
+    monkeypatch.setattr(conditions, "verify_cycle", verify_spy)
+    conditions._recent_cycles.clear()
+    # The n = 7 cycle is never offered to the n = 6 octahedron, which is
+    # searched; the octahedron's 6-cycle, which lies in K7, is never offered
+    # to K7, which reuses its own cycle.
+    k7, octahedron = complete_kpartite(7, 1), complete_kpartite(3, 2)
+    for g in (k7, k7, octahedron, k7):
+        assert check_domcycle_lemma(g).status == HOLDS
+    assert found == [7, 6]
+    assert verified == [(7, 7), (7, 7)]
+
+
+def test_domcycle_lemma_miss_after_hamiltonian_gets_cold_status():
+    left = list(combinations((0, 1, 2, 3), 2))
+    right = list(combinations((3, 4, 5, 6), 2))
+    k34 = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5, 6)]
+    cases = [
+        # Two K4 sharing vertex 3: degree 3 meets (7 + 2) / 3, but 3 is a
+        # cut vertex.  Every Hamiltonian cycle of the first graph uses 2-4.
+        (build_graph(7, 7, range(7), left + right + [(2, 4)]),
+         build_graph(7, 7, range(7), left + right), NOT_APPLICABLE),
+        # K_{3,4} has no Hamiltonian cycle; its longest cycles dominate.
+        (build_graph(7, 7, range(7), k34 + [(3, 4)]),
+         build_graph(7, 7, range(7), k34), HOLDS),
+        (complete_kpartite(4, 2), build_F2(), NOT_APPLICABLE),
+    ]
+    for hamiltonian, other, cold in cases:
+        conditions._recent_cycles.clear()
+        assert check_domcycle_lemma(other).status == cold
+        assert check_domcycle_lemma(hamiltonian).status == HOLDS
+        assert check_domcycle_lemma(other).status == cold
 
 
 def test_successor_profile_c5_plus_outside():

@@ -62,6 +62,22 @@ def test_build_rejects_out_of_range():
         build_graph(4, 2, (0, 0, 1, 1), [(0, 9)])
 
 
+def test_graph_rejects_asymmetric_adjacency():
+    # The first asymmetric pair in vertex order, then neighbour order, is
+    # named; row checks (range, loops, intra-part) come before any pair.
+    cases = [
+        ((0, 1, 2), (0b010, 0, 0), "asymmetric adjacency between 1 and 0"),
+        ((0, 1, 2, 3), (0b1100, 0b0001, 0, 0b0001), "asymmetric adjacency between 2 and 0"),
+        ((0, 1, 2, 3), (0b0110, 0b0001, 0b1000, 0b0100), "asymmetric adjacency between 2 and 0"),
+        ((0, 0, 1, 1), (0b1000, 0b0100, 0, 0b0001), "asymmetric adjacency between 2 and 1"),
+        ((0, 1, 2), (0b010, 0b1000, 0), "vertex 1 has an out-of-range neighbour"),
+    ]
+    for part_of, adj, message in cases:
+        with pytest.raises(GraphError) as excinfo:
+            KPartiteGraph(part_of, adj)
+        assert str(excinfo.value) == message
+
+
 def test_build_rejects_unbalanced():
     with pytest.raises(GraphError, match="unbalanced"):
         build_graph(4, 2, (0, 0, 0, 1), [])

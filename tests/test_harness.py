@@ -125,6 +125,11 @@ def test_exhaustive_guards_and_validation(monkeypatch):
         exhaustive_verify(8, 3)
     with pytest.raises(ValueError):
         exhaustive_verify(6, 3, shards=2, shard_id=5)
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            exhaustive_verify(6, 3, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            characterization_check(8, 4, jobs=jobs)
 
 
 def test_sample_verify_deterministic():

@@ -11,8 +11,11 @@ from hamparts.graphs import (
     CycleCertificate,
     GraphError,
     SizeGuardError,
+    KPartiteGraph,
+    blocks_partition,
     build_graph,
     complete_kpartite,
+    induced_bipartite,
 )
 from hamparts.solver import (
     BipartiteDegreeOne,
@@ -142,6 +145,58 @@ def test_search_tree_is_frozen():
     assert sum(nodes for _, nodes in results) == 17_593
     payload = json.dumps([[order and list(order), nodes] for order, nodes in results])
     assert hashlib.sha256(payload.encode()).hexdigest() == SEARCH_TREE_DIGEST
+
+
+def _partite_on(rng, part_of, p):
+    """Random graph on the given partition, each cross pair an edge with
+    probability p."""
+    n = len(part_of)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if part_of[u] != part_of[v] and rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return KPartiteGraph(part_of, adj)
+
+
+def _part_union_population():
+    """Seeded graphs whose part unions the digest below freezes: for every
+    balanced (n, k) with 3 <= n <= 14, graphs on the block partition and on
+    a shuffled one (singleton parts in shuffled order at k = n), bipartite
+    graphs from ``induced_bipartite`` with uneven sides, and graphs on a
+    partition with random part sizes."""
+    rng = random.Random(20261019)
+    graphs = []
+    for n in range(3, 15):
+        for k in [k for k in range(2, n + 1) if n % k == 0]:
+            for _ in range(2):
+                p = rng.choice([0.3, 0.6, 0.9])
+                graphs.append(random_kpartite(rng, n, k, p))
+                shuffled = list(blocks_partition(n, k))
+                rng.shuffle(shuffled)
+                graphs.append(_partite_on(rng, tuple(shuffled), p))
+                a_side = rng.sample(range(n), rng.randint(1, n - 1))
+                b_side = [v for v in range(n) if v not in a_side]
+                graphs.append(induced_bipartite(random_kpartite(rng, n, k, 0.7), a_side, b_side))
+                parts = rng.randint(2, n)
+                sizes = list(range(parts)) + [rng.randrange(parts) for _ in range(n - parts)]
+                rng.shuffle(sizes)
+                graphs.append(_partite_on(rng, tuple(sizes), p))
+    return graphs
+
+
+# SHA-256 of the sorted part unions of the reference greedy, which scans
+# the parts largest first with ties by part index.
+PART_UNION_DIGEST = "b0c8f72fba051610859717627260733ab5ff6a5c72bffe801e8431e6162f52f6"
+
+
+def test_part_unions_are_frozen():
+    graphs = _part_union_population()
+    assert len(graphs) == 208
+    assert sum(not g.is_balanced for g in graphs) == 81
+    payload = json.dumps([_independent_part_unions(g) for g in graphs])
+    assert hashlib.sha256(payload.encode()).hexdigest() == PART_UNION_DIGEST
 
 
 def test_longest_cycle_values():
