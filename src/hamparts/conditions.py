@@ -22,6 +22,8 @@ from .graphs import (
     is_independent,
 )
 from .solver import (
+    ENUMERATE_SIZE_LIMIT,
+    _cut_witness,
     enumerate_longest_cycles,
     find_hamiltonian_cycle,
     verify_cycle,
@@ -92,32 +94,6 @@ class DomCycleOutcome:
     counter_cycle: CycleCertificate | None = None
 
 
-def _two_connected(g: KPartiteGraph) -> bool:
-    """Connected with no cut vertex (cheaper than full connectivity).
-
-    Sweeps the whole graph, then the graph minus each vertex in turn, and
-    stops at the first region that the sweep from its lowest vertex does not
-    cover.
-    """
-    n, adj = g.n, g.adj
-    if n < 3:
-        return False
-    full = (1 << n) - 1
-    for region in (full, *(full ^ (1 << v) for v in range(n))):
-        seen = frontier = region & -region
-        while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grown & region & ~seen
-            seen |= frontier
-        if seen != region:
-            return False
-    return True
-
-
 # Hamiltonian cycles the lemma check found lately, most recently used first:
 # n -> [(edge mask, cycle)], at most _RECENT_CYCLES entries per n.  The edge
 # mask sets bit u * n + v for each cycle edge u -> v, the bit that edge has
@@ -159,7 +135,7 @@ def _recent_cycle_in(g: KPartiteGraph) -> bool:
     return False
 
 
-def check_domcycle_lemma(g: KPartiteGraph, *, size_limit: int = 14) -> DomCycleOutcome:
+def check_domcycle_lemma(g: KPartiteGraph) -> DomCycleOutcome:
     """Every longest cycle of a 2-connected graph with min degree >= (n+2)/3
     should be strongly dominating; this checks that claim on one graph.
 
@@ -173,13 +149,13 @@ def check_domcycle_lemma(g: KPartiteGraph, *, size_limit: int = 14) -> DomCycleO
     2-connected and every longest cycle spans it, and HOLDS follows with no
     hypothesis skipped.  The status never depends on which cycles are kept.
     """
-    if g.n > size_limit:
-        raise SizeGuardError(f"lemma check guarded at n <= {size_limit}, got {g.n}")
+    if g.n > ENUMERATE_SIZE_LIMIT:
+        raise SizeGuardError(f"lemma check guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {g.n}")
     if g.n < 3 or 3 * g.min_degree() < g.n + 2:
         return DomCycleOutcome(NOT_APPLICABLE)
     if _recent_cycle_in(g):
         return DomCycleOutcome(HOLDS)
-    if not _two_connected(g):
+    if _cut_witness(g) is not None:
         return DomCycleOutcome(NOT_APPLICABLE)
     # A Hamiltonian graph is immediate: every longest cycle spans the graph,
     # leaving nothing outside.

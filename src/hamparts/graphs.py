@@ -93,9 +93,6 @@ class KPartiteGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return _bits(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in _bits(self.adj[u] >> (u + 1)):
@@ -295,10 +292,6 @@ def connected_components(g: KPartiteGraph, removed: int = 0) -> list[int]:
         components.append(seen)
         remaining &= ~seen
     return components
-
-
-def is_connected(g: KPartiteGraph) -> bool:
-    return len(connected_components(g)) <= 1
 
 
 def _local_vertex_connectivity(g: KPartiteGraph, s: int, t: int) -> int:

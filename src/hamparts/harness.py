@@ -4,13 +4,19 @@ The exhaustive sweep enumerates every labeled balanced k-partite graph on the
 canonical block partition whose minimum degree meets a floor.  Cross-part
 vertex pairs are ordered lexicographically and toggled like a binary counter
 (pair 0 is the most significant bit); a subtree is skipped as soon as some
-vertex can no longer reach the floor with the toggles that remain.  Shards
-fix the high-order bits of that counter, so shards partition the subset space
-exactly and their counters merge by addition.
+vertex can no longer reach the floor with the toggles that remain.  One
+recursion walks the whole counter; a shard owns the subsets whose high-order
+bits, read as a number, equal its id modulo the shard count, and the
+recursion leaves a subtree as soon as it has decided those bits for another
+shard.  So shards partition the subset space exactly and their counters merge
+by addition.  The walk tries "pair present" before "pair absent" at every
+pair; reports list non-Hamiltonian graphs by subset id, so they do not depend
+on that order.
 
-Reports serialize to JSON with a schema version; apart from the
-``wall_time_seconds`` field they are byte-identical across repeat runs with
-equal parameters and seed.
+Every report builder ends in ``_finish_report``, which runs the self-check and
+stamps the wall time.  Reports serialize to JSON with a schema version; apart
+from the ``wall_time_seconds`` field they are byte-identical across repeat
+runs with equal parameters and seed.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .graphs import (
     is_independent,
 )
 from .solver import (
+    HAM_SIZE_LIMIT,
     _ham_search,
     find_hamiltonian_cycle,
     non_hamiltonicity_witness,
@@ -53,6 +60,8 @@ from .thresholds import (
 SCHEMA_VERSION = 1
 # 2^24 edge subsets: the (8, 4) sweep, the largest one that finishes in minutes.
 EXHAUSTIVE_MAX_PAIRS = 24
+# Draws per sampled trial before it counts as infeasible.
+SAMPLE_MAX_RETRIES = 200
 
 
 @dataclass
@@ -139,7 +148,9 @@ def _enumerate_shard(
     shard.  Returns (edge subsets covered, graphs visited)."""
     pairs = cross_pairs(n, k)
     total_pairs = len(pairs)
-    prefix_bits = min((shards - 1).bit_length(), total_pairs) if shards > 1 else 0
+    prefix_bits = min((shards - 1).bit_length(), total_pairs)
+    suffix_bits = total_pairs - prefix_bits
+    space = len(range(shard_id, 1 << prefix_bits, shards)) << suffix_bits
     # rem_after[i][v]: pairs with index > i incident to v.
     rem = [0] * n
     rem_after = [None] * (total_pairs + 1)
@@ -150,6 +161,9 @@ def _enumerate_shard(
         rem[u] += 1
         rem[v] += 1
         rem_after[i] = tuple(rem)
+    if any(rem_after[0][v] < floor for v in range(n)):
+        # No graph on this partition can meet the floor; space still counted.
+        return space, 0
     pair_bit = [1 << (total_pairs - 1 - i) for i in range(total_pairs)]
     ubits = [1 << u for u, _ in pairs]
     vbits = [1 << v for _, v in pairs]
@@ -160,6 +174,10 @@ def _enumerate_shard(
 
     def rec(i: int, sid: int) -> None:
         nonlocal visited
+        # The shard owns the subsets whose first prefix_bits pairs, read as
+        # a number, are shard_id modulo shards.
+        if i == prefix_bits and (sid >> suffix_bits) % shards != shard_id:
+            return
         if i == total_pairs:
             visited += 1
             visit(sid, adj)
@@ -178,44 +196,7 @@ def _enumerate_shard(
         if deg[u] + nxt[u] >= floor and deg[v] + nxt[v] >= floor:
             rec(i + 1, sid)
 
-    if any(rem_after[0][v] < floor for v in range(n)):
-        # No graph on this partition can meet the floor; space still counted.
-        prefixes = range(1 << prefix_bits)
-        owned = sum(1 for p in prefixes if p % shards == shard_id)
-        return owned << (total_pairs - prefix_bits), 0
-
-    space = 0
-    for prefix in range(1 << prefix_bits):
-        if shards > 1 and prefix % shards != shard_id:
-            continue
-        space += 1 << (total_pairs - prefix_bits)
-        # Apply the fixed high-order decisions for this prefix.
-        feasible = True
-        applied = []
-        sid = 0
-        for i in range(prefix_bits):
-            u, v = pairs[i]
-            present = (prefix >> (prefix_bits - 1 - i)) & 1
-            if present:
-                adj[u] |= vbits[i]
-                adj[v] |= ubits[i]
-                deg[u] += 1
-                deg[v] += 1
-                applied.append(i)
-                sid |= pair_bit[i]
-            else:
-                nxt = rem_after[i + 1]
-                if deg[u] + nxt[u] < floor or deg[v] + nxt[v] < floor:
-                    feasible = False
-                    break
-        if feasible:
-            rec(prefix_bits, sid)
-        for i in applied:
-            u, v = pairs[i]
-            adj[u] &= ~vbits[i]
-            adj[v] &= ~ubits[i]
-            deg[u] -= 1
-            deg[v] -= 1
+    rec(0, 0)
     return space, visited
 
 
@@ -322,6 +303,11 @@ def _finish_exhaustive(
         counterexamples=counterexamples,
         exceptional=exceptional,
     )
+    return _finish_report(report, started)
+
+
+def _finish_report(report: VerificationReport, started: float) -> VerificationReport:
+    """Record the self-check verdict and the wall time since ``started``."""
     report.self_check_ok = _self_check(report)
     report.wall_time_seconds = round(time.monotonic() - started, 6)
     return report
@@ -343,6 +329,11 @@ def _self_check(report: VerificationReport) -> bool:
     return True
 
 
+def _check_pair(n: int, k: int) -> None:
+    if k < 2 or n % k != 0 or n < 3:
+        raise ValueError(f"need k >= 2, k | n, n >= 3; got n={n} k={k}")
+
+
 def exhaustive_verify(
     n: int,
     k: int,
@@ -357,8 +348,7 @@ def exhaustive_verify(
     and assert Hamiltonicity (or collect the exceptional graphs when the
     floor sits exactly at the threshold inside an exception regime)."""
     started = time.monotonic()
-    if k < 2 or n % k != 0 or n < 3:
-        raise ValueError(f"need k >= 2, k | n, n >= 3; got n={n} k={k}")
+    _check_pair(n, k)
     m = n // k
     pairs = n * (n - 1) // 2 - k * (m * (m - 1) // 2)
     if pairs > EXHAUSTIVE_MAX_PAIRS:
@@ -373,16 +363,14 @@ def exhaustive_verify(
     if shard_id is not None and not 0 <= shard_id < shards:
         raise ValueError(f"shard_id must lie in [0, {shards}), got {shard_id}")
     floor = required_degree(n, k) if degree_floor is None else degree_floor
-    if shard_id is not None:
-        results = [_run_exhaustive_shard((n, k, floor, shards, shard_id))]
-        return _finish_exhaustive(n, k, floor, shards, shard_id, results, _kind, started)
-    shard_args = [(n, k, floor, shards, i) for i in range(shards)]
-    if jobs > 1 and shards > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, shards)) as pool:
+    ids = range(shards) if shard_id is None else [shard_id]
+    shard_args = [(n, k, floor, shards, i) for i in ids]
+    if jobs > 1 and len(shard_args) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(shard_args))) as pool:
             results = list(pool.map(_run_exhaustive_shard, shard_args))
     else:
         results = [_run_exhaustive_shard(args) for args in shard_args]
-    return _finish_exhaustive(n, k, floor, shards, None, results, _kind, started)
+    return _finish_exhaustive(n, k, floor, shards, shard_id, results, _kind, started)
 
 
 def characterization_check(
@@ -407,21 +395,19 @@ def sample_verify(
     seed: int,
     *,
     degree_floor: int | None = None,
-    max_retries: int = 200,
-    size_limit: int = 40,
 ) -> VerificationReport:
     """Random near-threshold graphs conditioned on the degree floor; asserts
     Hamiltonicity (or classifies, in the exception-at-threshold mode).
 
     Each cross-part pair is included independently with probability p, where
     p sweeps a small grid placing the expected degree at floor, floor+1 and
-    floor+2; rejection sampling enforces the floor, with bounded retries.
+    floor+2; rejection sampling enforces the floor, with at most
+    ``SAMPLE_MAX_RETRIES`` draws per trial.
     """
     started = time.monotonic()
-    if k < 2 or n % k != 0 or n < 3:
-        raise ValueError(f"need k >= 2, k | n, n >= 3; got n={n} k={k}")
-    if n > size_limit:
-        raise SizeGuardError(f"sampling guarded at n <= {size_limit}, got {n}")
+    _check_pair(n, k)
+    if n > HAM_SIZE_LIMIT:
+        raise SizeGuardError(f"sampling guarded at n <= {HAM_SIZE_LIMIT}, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     floor = required_degree(n, k) if degree_floor is None else degree_floor
@@ -444,7 +430,7 @@ def sample_verify(
     for trial in range(trials):
         p = grid[trial % len(grid)]
         adj = None
-        for _ in range(max_retries):
+        for _ in range(SAMPLE_MAX_RETRIES):
             counters["graphs_enumerated"] += 1
             candidate = [0] * n
             for u, v in pairs:
@@ -478,9 +464,7 @@ def sample_verify(
         counterexamples=counterexamples,
         exceptional=exceptional,
     )
-    report.self_check_ok = _self_check(report)
-    report.wall_time_seconds = round(time.monotonic() - started, 6)
-    return report
+    return _finish_report(report, started)
 
 
 def tightness_scan(
@@ -545,9 +529,7 @@ def tightness_scan(
         counters=counters,
         counterexamples=counterexamples,
     )
-    report.self_check_ok = _self_check(report)
-    report.wall_time_seconds = round(time.monotonic() - started, 6)
-    return report
+    return _finish_report(report, started)
 
 
 def facts_report(k_max: int, m_max: int) -> VerificationReport:
@@ -583,9 +565,8 @@ def facts_report(k_max: int, m_max: int) -> VerificationReport:
         counters=counters,
         counterexamples=counterexamples,
     )
-    report.self_check_ok = True
-    report.wall_time_seconds = round(time.monotonic() - started, 6)
-    return report
+    # No fact entry carries a graph, so the self-check passes trivially.
+    return _finish_report(report, started)
 
 
 __all__ = [

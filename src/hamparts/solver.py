@@ -282,10 +282,8 @@ def _ham_search(
 
 
 def _decide_hamiltonian(g: KPartiteGraph) -> tuple[tuple[int, ...] | None, int]:
-    if g.min_degree() < 2:
-        return None, 0
-    if len(connected_components(g)) > 1:
-        return None, 0
+    # The search's root refutes a graph with a vertex of degree < 2, or a
+    # disconnected one, within two nodes.
     return _ham_search(g.n, g.adj, _independent_part_unions(g))
 
 
@@ -412,11 +410,28 @@ def enumerate_longest_cycles(
 
 
 def _cut_witness(g: KPartiteGraph) -> SmallCut | None:
-    if len(connected_components(g)) > 1:
-        return SmallCut(frozenset())
-    for v in range(g.n):
-        if len(connected_components(g, removed=1 << v)) > 1:
-            return SmallCut(frozenset({v}))
+    """A cut of g: no vertices if g is disconnected, else its lowest cut
+    vertex; None if there is neither.
+
+    Sweeps the whole graph, then the graph minus each vertex in ascending
+    order, and stops at the first region that the sweep from its lowest
+    vertex does not cover.
+    """
+    n, adj = g.n, g.adj
+    full = (1 << n) - 1
+    for v in range(-1, n):
+        region = full if v < 0 else full ^ (1 << v)
+        seen = frontier = region & -region
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & region & ~seen
+            seen |= frontier
+        if seen != region:
+            return SmallCut(frozenset() if v < 0 else frozenset({v}))
     return None
 
 
@@ -434,18 +449,14 @@ def _bipartite_degree_one_witness(g: KPartiteGraph) -> BipartiteDegreeOne | None
     return None
 
 
-def non_hamiltonicity_witness(
-    g: KPartiteGraph,
-    *,
-    alpha_limit: int = ALPHA_WITNESS_LIMIT,
-    search_limit: int = HAM_SIZE_LIMIT,
-) -> NonHamWitness | None:
+def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
     """Cheapest available evidence that g has no Hamiltonian cycle.
 
     Tries certificates in order: a designated independent set from family
     metadata (free), a small cut, an oversized independent set by exact
-    search at small n, an independent half with a degree-<=1 vertex opposite
-    it, and finally exhaustive search at small n.  Returns None when g is
+    search up to ``ALPHA_WITNESS_LIMIT`` vertices, an independent half with a
+    degree-<=1 vertex opposite it, and finally exhaustive search up to
+    ``HAM_SIZE_LIMIT`` vertices.  Returns None when g is
     Hamiltonian or no certificate is found within the guards.
     """
     meta = g.meta or {}
@@ -457,14 +468,14 @@ def non_hamiltonicity_witness(
     witness = _cut_witness(g)
     if witness is not None:
         return witness
-    if g.n <= alpha_limit:
+    if g.n <= ALPHA_WITNESS_LIMIT:
         size, mask = _max_independent(g.adj, (1 << g.n) - 1)
         if 2 * size > g.n:
             return IndependentSetTooLarge(frozenset(_bits(mask)))
     witness = _bipartite_degree_one_witness(g)
     if witness is not None:
         return witness
-    if g.n <= search_limit and g.n >= 3:
+    if 3 <= g.n <= HAM_SIZE_LIMIT:
         order, nodes = _decide_hamiltonian(g)
         if order is None:
             return ExhaustiveSearch(nodes)

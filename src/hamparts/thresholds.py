@@ -86,16 +86,14 @@ class ThresholdProfile:
     @classmethod
     def compute(cls, n: int, k: int) -> "ThresholdProfile":
         _validate_pair(n, k)
-        d = theorem_threshold(n, k)
-        exc = is_exception(n, k)
         return cls(
             n=n,
             k=k,
             m=n // k,
-            theorem_threshold=d,
+            theorem_threshold=theorem_threshold(n, k),
             cfgjl_bound=cfgjl_bound(n, k),
-            is_exception=exc,
-            required_degree=d + (1 if exc else 0),
+            is_exception=is_exception(n, k),
+            required_degree=required_degree(n, k),
         )
 
 
@@ -179,9 +177,6 @@ class FactReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def counts(self) -> int:
-        return sum(self.checked.values())
 
 
 def check_appendix_facts(k_max: int, m_max: int) -> FactReport:

@@ -225,6 +225,12 @@ def test_verify_guard_exit_code(capsys, tmp_path):
         )
         assert code == 3
         assert "edge subsets" in err
+    code, _, err = run_cli(
+        capsys, "verify", "--n", "44", "--k", "4", "--sample", "1",
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert code == 3
+    assert "sampling guarded at n <= 40" in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -22,6 +22,7 @@ from hamparts.graphs import (
     CycleCertificate,
     GraphError,
     KPartiteGraph,
+    SizeGuardError,
     blocks_partition,
     build_graph,
     complete_kpartite,
@@ -129,6 +130,11 @@ def test_domcycle_lemma_low_degree_not_applicable():
         5, 5, (0, 1, 2, 3, 4), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
     )
     assert check_domcycle_lemma(g).status == NOT_APPLICABLE
+
+
+def test_domcycle_lemma_size_guard():
+    with pytest.raises(SizeGuardError, match="lemma check guarded at n <= 14"):
+        check_domcycle_lemma(complete_kpartite(15, 1))
 
 
 def test_domcycle_lemma_random_sample():

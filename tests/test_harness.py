@@ -1,5 +1,7 @@
 """Harness: exhaustive sweeps, sharding, sampling, tightness, reports."""
 
+import dataclasses
+import hashlib
 import json
 from itertools import permutations
 
@@ -95,14 +97,75 @@ def test_exhaustive_8_2_at_threshold_collects_exceptional():
 
 
 def test_exhaustive_shards_partition_counters():
-    full = exhaustive_verify(6, 3)
-    for shards in (2, 3, 4, 8):
+    # (4, 2) has 4 cross pairs, so 20 shards leave shards 16..19 no prefix;
+    # no graph meets floor 5 at (6, 3), whose cross degree is 4.
+    cases = [(6, 3, None, shards) for shards in (2, 3, 4, 8)]
+    cases += [(4, 2, 1, 20), (6, 3, 5, 3), (6, 3, 5, 20)]
+    for n, k, floor, shards in cases:
+        full = exhaustive_verify(n, k, floor)
         merged = {}
         for shard_id in range(shards):
-            part = exhaustive_verify(6, 3, shards=shards, shard_id=shard_id)
+            part = exhaustive_verify(n, k, floor, shards=shards, shard_id=shard_id)
             for key, value in part.counters.items():
                 merged[key] = merged.get(key, 0) + value
-        assert merged == full.counters, shards
+        assert merged == full.counters, (n, k, floor, shards)
+
+
+# Each report's JSON with the timing field zeroed, SHA-256 over the reports
+# of a row joined by newlines; taken before the sweep harness was reduced to
+# one enumeration recursion, one shard dispatch and one report finisher.
+FROZEN_REPORTS = [
+    ("exhaustive 6,3 floor 2", lambda: [exhaustive_verify(6, 3, 2)], "683b6a284c3e672fb4531029c730374707ab68f439142ba8cd8553ce68b61522"),
+    ("exhaustive 6,3 floor 3", lambda: [exhaustive_verify(6, 3, 3)], "f38176972b4b7c932ad476e9e684e8a5359c6a31d01355ff773af75eea673036"),
+    ("exhaustive 8,2 floor 2", lambda: [exhaustive_verify(8, 2, 2)], "eaac74f0f8bb7b98427293ef7b71e081197977360de74cc8f215bee3884e6a70"),
+    ("exhaustive 8,2 floor 3", lambda: [exhaustive_verify(8, 2, 3)], "1d84bd7255b7827c5bc4ec475738075aeadbf613a9ae6a254522e7ebef8d3bfc"),
+    (
+        "exhaustive 6,3, each of 3 shards",
+        lambda: [exhaustive_verify(6, 3, shards=3, shard_id=i) for i in range(3)],
+        "c869e312ec03faca1b452b9846073bb1c1ca7d20b1edd77a66da816716498d1b",
+    ),
+    (
+        "exhaustive 6,3, 3 shards merged, serial and pooled",
+        lambda: [exhaustive_verify(6, 3, shards=3, jobs=jobs) for jobs in (1, 2)],
+        "f6171eddab37b882f23f8cdc1d7fa14542c0286cde7a3a48e26f081f580ebf2b",
+    ),
+    (
+        # 16 prefixes over 20 shards: shards 16..19 own none.
+        "exhaustive 4,2 floor 1, each of 20 shards",
+        lambda: [exhaustive_verify(4, 2, 1, shards=20, shard_id=i) for i in range(20)],
+        "604f153c84bfe18e7d750fe004bc29f77c5fed7c2d1e60bee31210ac7af79420",
+    ),
+    (
+        # The cross degree is 4, so no graph meets floor 5.
+        "exhaustive 6,3 floor 5, whole and each of 3 shards",
+        lambda: [exhaustive_verify(6, 3, 5)]
+        + [exhaustive_verify(6, 3, 5, shards=3, shard_id=i) for i in range(3)],
+        "fe2bb1e23b662fec2b7fba41ca374d7ed1f9470b1a0e9c38fc685be80e1d4f27",
+    ),
+    (
+        "characterization 8,4, shard 63 of 64",
+        lambda: [exhaustive_verify(8, 4, 3, shards=64, shard_id=63, _kind="characterization")],
+        "afd8f7105cba8085d5d36f3ba849b2e630a61bbbdcb092a9616400b20dfb4448",
+    ),
+    ("sample 8,2", lambda: [sample_verify(8, 2, 100, seed=13, degree_floor=2)], "d1bca6246fc01ffb5ff8ff947e1e9943b5727be6829b0a545ae589d5891de25d"),
+    ("sample 8,4", lambda: [sample_verify(8, 4, 400, seed=3, degree_floor=3)], "998cee04d9591a611f4fb8684704cf7b58a36cf8136190398ef344abadd61b31"),
+    ("tightness 8,4", lambda: [tightness_scan(8, 4)], "647cdcbc8ddc773c1d26fbeff9be5c974a04d582f3cf832f36204d46cb15fd2b"),
+    ("facts 40,15", lambda: [facts_report(40, 15)], "1c9a5b7662a4d3789daf5eea712b18e7e451a1461dd7b1e91242baa67fa232e7"),
+]
+
+
+def _reports_digest(reports):
+    text = "\n".join(
+        dataclasses.replace(report, wall_time_seconds=0.0).to_json() for report in reports
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reports_are_frozen():
+    changed = [
+        name for name, run, expected in FROZEN_REPORTS if _reports_digest(run()) != expected
+    ]
+    assert changed == []
 
 
 def test_exhaustive_jobs_consistent():
@@ -130,6 +193,11 @@ def test_exhaustive_guards_and_validation(monkeypatch):
             exhaustive_verify(6, 3, jobs=jobs)
         with pytest.raises(ValueError, match="jobs must be positive"):
             characterization_check(8, 4, jobs=jobs)
+
+
+def test_sample_verify_size_guard():
+    with pytest.raises(SizeGuardError, match="sampling guarded at n <= 40"):
+        sample_verify(44, 4, 1, 0)
 
 
 def test_sample_verify_deterministic():
