@@ -15,12 +15,18 @@ Four families witness that the degree threshold cannot be lowered:
 
 Each builder documents its fixed vertex layout; generators are deterministic,
 so equal parameters produce identical encodings.
+
+``recognize`` anchors F1 and F3 on the structure that refutes them.  F1's
+hub c leaves the rest of its clique as a (k-1)-vertex component of g - c;
+F3's independent half X and throttled vertex y' are the solver's bipartite
+degree-one witness.  An anchor is confirmed only by rebuilding the member
+with its builder and comparing under the vertex map, so a wrong anchor can
+only miss.  F2 is tested by a part-respecting isomorphism search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, fields
 
 from .graphs import (
     GraphError,
@@ -29,8 +35,12 @@ from .graphs import (
     _bits,
     blocks_partition,
     build_graph,
+    connected_components,
 )
+from .solver import _bipartite_degree_one_witness
 from .thresholds import _ceil_div
+
+RECOGNIZE_SIZE_LIMIT = 16
 
 
 # -- family F ----------------------------------------------------------------
@@ -239,6 +249,14 @@ def build_family_F3(
 # -- family specs --------------------------------------------------------------
 
 
+# Each variant's builder and the spec fields it takes, in argument order.
+_BUILDERS = {
+    "F": (build_family_F, ("k", "m", "sizes")),
+    "F1": (build_family_F1, ("k", "yy_missing", "xk_missing")),
+    "F2": (build_F2, ()),
+    "F3": (build_family_F3, ("k", "y_prime", "y_dprime", "x_prime", "yy_edges", "xy_edge")),
+}
+
 _SPEC_KEYS = frozenset(
     "family k m sizes yy_missing xk_missing y_prime y_dprime x_prime yy_edges xy_edge".split()
 )
@@ -253,7 +271,8 @@ class FamilySpec:
     Serialises to a small key/value text document (one ``key: value`` line
     per non-default field) consumed by the CLI ``construct`` command.  Parsing
     rejects unknown and repeated keys, and an ``xy_edge`` other than
-    true/false/1/0/yes/no in any case.
+    true/false/1/0/yes/no in any case.  ``build`` refuses a non-default
+    field that its variant's builder does not take.
     """
 
     variant: str
@@ -269,28 +288,17 @@ class FamilySpec:
     xy_edge: bool = False
 
     def build(self) -> KPartiteGraph:
-        if self.variant == "F":
-            if self.k is None or self.m is None:
-                raise GraphError("family F needs k and m")
-            return build_family_F(self.k, self.m, self.sizes)
-        if self.variant == "F1":
-            if self.k is None:
-                raise GraphError("family F1 needs k")
-            return build_family_F1(self.k, self.yy_missing, self.xk_missing)
-        if self.variant == "F2":
-            return build_F2()
-        if self.variant == "F3":
-            if self.k is None:
-                raise GraphError("family F3 needs k")
-            return build_family_F3(
-                self.k,
-                self.y_prime,
-                self.y_dprime,
-                self.x_prime,
-                self.yy_edges,
-                self.xy_edge,
-            )
-        raise GraphError(f"unknown family variant {self.variant!r}")
+        if self.variant not in _BUILDERS:
+            raise GraphError(f"unknown family variant {self.variant!r}")
+        builder, takes = _BUILDERS[self.variant]
+        for spec_field in fields(self)[1:]:
+            value = getattr(self, spec_field.name)
+            if spec_field.name not in takes and value != spec_field.default:
+                raise GraphError(f"family {self.variant} does not take {spec_field.name!r}")
+        for name in ("k", "m"):
+            if name in takes and getattr(self, name) is None:
+                raise GraphError(f"family {self.variant} needs {name}")
+        return builder(*(getattr(self, name) for name in takes))
 
     def to_text(self) -> str:
         lines = [f"family: {self.variant}"]
@@ -437,39 +445,7 @@ def partition_respecting_isomorphic(g: KPartiteGraph, h: KPartiteGraph) -> bool:
     return any(try_assignment(image) for image in part_maps(0, list(range(h.k)), []))
 
 
-def _clique_transversals(g: KPartiteGraph, c: int):
-    """All transversal cliques through c whose non-c members have degree
-    exactly k-1 and are adjacent to c."""
-    k = g.k
-    cpart = g.part_of[c]
-    candidate_lists = []
-    for p in range(k):
-        if p == cpart:
-            continue
-        vs = [
-            v
-            for v in g.part_members(p)
-            if g.has_edge(v, c) and g.degree(v) == k - 1
-        ]
-        if not vs:
-            return
-        candidate_lists.append(vs)
-    chosen: list[int] = []
-
-    def extend(i: int):
-        if i == len(candidate_lists):
-            yield tuple(chosen)
-            return
-        for v in candidate_lists[i]:
-            if all(g.has_edge(v, u) for u in chosen):
-                chosen.append(v)
-                yield from extend(i + 1)
-                chosen.pop()
-
-    yield from extend(0)
-
-
-def _confirm_f1(g: KPartiteGraph, c: int, clique: frozenset[int]) -> bool:
+def _confirm_f1(g: KPartiteGraph, c: int, clique: int) -> bool:
     k = g.k
     cpart = g.part_of[c]
     part_order = [p for p in range(k) if p != cpart] + [cpart]
@@ -477,8 +453,8 @@ def _confirm_f1(g: KPartiteGraph, c: int, clique: frozenset[int]) -> bool:
     vmap: dict[int, int] = {}
     for p in range(k):
         members = g.part_members(p)
-        in_clique = [v for v in members if v in clique]
-        outside = [v for v in members if v not in clique]
+        in_clique = [v for v in members if clique >> v & 1]
+        outside = [v for v in members if not clique >> v & 1]
         if len(in_clique) != 1 or len(outside) != 1:
             return False
         vmap[in_clique[0]] = new_index[p]
@@ -500,24 +476,15 @@ def _confirm_f1(g: KPartiteGraph, c: int, clique: frozenset[int]) -> bool:
     return _relabelled_equal(g, built, vmap)
 
 
-def _match_f1(g: KPartiteGraph) -> tuple[int, frozenset[int]] | None:
-    k = g.k
-    for c in range(g.n):
-        for transversal in _clique_transversals(g, c):
-            clique = frozenset(transversal) | {c}
-            rest = [v for v in range(g.n) if v not in clique]
-            pool_base = set(rest) | {c}
-            ok = True
-            for y in rest:
-                reached = sum(
-                    1 for w in pool_base if w != y and g.has_edge(y, w)
-                )
-                if reached < k - 1:
-                    ok = False
-                    break
-            if ok and _confirm_f1(g, c, clique):
-                return c, clique
-    return None
+def _is_f1(g: KPartiteGraph) -> bool:
+    """Anchor F1 on its hub c: the rest of its clique is a (k-1)-vertex
+    component of g - c.  The other side need not stay connected."""
+    return any(
+        _confirm_f1(g, c, piece | 1 << c)
+        for c in range(g.n)
+        for piece in connected_components(g, removed=1 << c)
+        if piece.bit_count() == g.k - 1
+    )
 
 
 def _confirm_f3(
@@ -572,62 +539,43 @@ def _confirm_f3(
     return _relabelled_equal(g, built, vmap)
 
 
-def _match_f3(g: KPartiteGraph) -> tuple | None:
-    k = g.k
-    half = k // 2
-    full = (1 << g.n) - 1
-    for x_parts in combinations(range(k), half):
-        x_mask = 0
-        for p in x_parts:
-            x_mask |= g.part_masks[p]
-        if any(g.adj[v] & x_mask for v in _bits(x_mask)):
-            continue
-        y_mask = full ^ x_mask
-        ys = list(_bits(y_mask))
-        for y1 in ys:
-            row = g.adj[y1] & x_mask
-            if row.bit_count() != 1:
-                continue
-            xp = row.bit_length() - 1
-            missing = []
-            for y in ys:
-                if y == y1:
-                    continue
-                gap = x_mask & ~g.adj[y]
-                if gap:
-                    missing.extend((x, y) for x in _bits(gap))
-                    if len(missing) > 1:
-                        break
-            if len(missing) > 1:
-                continue
-            if missing:
-                mx, my = missing[0]
-                if mx != xp:
-                    continue
-                ydd, xy_flag = my, False
-            else:
-                ydd = next(y for y in ys if y != y1)
-                xy_flag = True
-            own_part = g.part_masks[g.part_of[y1]]
-            if g.adj[y1] & y_mask != y_mask & ~own_part:
-                continue
-            if _confirm_f3(g, x_parts, y1, ydd, xp, xy_flag):
-                return x_parts, y1, ydd, xp
-    return None
+def _is_f3(g: KPartiteGraph) -> bool:
+    """Anchor F3 on its bipartite degree-one witness: in every member, X is
+    the only independent union of k/2 parts and y' the only vertex outside
+    it with at most one X-neighbour."""
+    witness = _bipartite_degree_one_witness(g)
+    if witness is None:
+        return False
+    y1 = witness.vertex
+    x_mask = sum(1 << v for v in witness.a_side)
+    row = g.adj[y1] & x_mask
+    if not row:
+        return False
+    ys = [y for y in range(g.n) if not x_mask >> y & 1 and y != y1]
+    # The missing X-Y edges away from y', one entry per edge, by Y-end: at
+    # most the one at y''.  With none, xy_edge restored it, and any Y-vertex
+    # other than y' can stand for y''.
+    missing = [y for y in ys for _ in _bits(x_mask & ~g.adj[y])]
+    if len(missing) > 1:
+        return False
+    ydd = missing[0] if missing else ys[0]
+    x_parts = tuple(sorted({g.part_of[v] for v in witness.a_side}))
+    return _confirm_f3(g, x_parts, y1, ydd, row.bit_length() - 1, not missing)
 
 
-def recognize(g: KPartiteGraph, *, max_n: int = 16) -> str | None:
+def recognize(g: KPartiteGraph) -> str | None:
     """Classify g as a member of F1, F2, or F3 (up to part-respecting
-    isomorphism), or None.  Only defined in the n = 2k, 4 | n regime."""
+    isomorphism), or None.  Only defined in the n = 2k, 4 | n regime, and
+    guarded at n <= ``RECOGNIZE_SIZE_LIMIT``."""
     n, k = g.n, g.k
     if n != 2 * k or n % 4 != 0:
         raise GraphError(f"recognizer requires n = 2k with 4 | n, got n={n} k={k}")
-    if n > max_n:
-        raise SizeGuardError(f"recognizer guarded at n <= {max_n}, got {n}")
-    if _match_f1(g) is not None:
+    if n > RECOGNIZE_SIZE_LIMIT:
+        raise SizeGuardError(f"recognizer guarded at n <= {RECOGNIZE_SIZE_LIMIT}, got {n}")
+    if _is_f1(g):
         return "F1"
     if n == 8 and partition_respecting_isomorphic(g, build_F2()):
         return "F2"
-    if _match_f3(g) is not None:
+    if _is_f3(g):
         return "F3"
     return None

@@ -219,6 +219,8 @@ def is_independent(g: KPartiteGraph, vertices: Iterable[int]) -> bool:
 
 # -- exact maximum independent set -----------------------------------------
 
+ALPHA_SIZE_LIMIT = 64
+
 
 def _max_independent(adj: tuple[int, ...], avail: int) -> tuple[int, int]:
     """(size, witness mask) of a maximum independent subset of ``avail``."""
@@ -253,18 +255,21 @@ def _max_independent(adj: tuple[int, ...], avail: int) -> tuple[int, int]:
     return without_size, without_mask
 
 
-def independence_number(g: KPartiteGraph, *, max_n: int = 64) -> int:
-    """Exact maximum independent set size, guarded at ``max_n`` vertices."""
-    if g.n > max_n:
-        raise SizeGuardError(f"independence_number guarded at n <= {max_n}, got {g.n}")
+def independence_number(g: KPartiteGraph) -> int:
+    """Exact maximum independent set size, guarded at ``ALPHA_SIZE_LIMIT``
+    vertices."""
+    if g.n > ALPHA_SIZE_LIMIT:
+        raise SizeGuardError(f"independence_number guarded at n <= {ALPHA_SIZE_LIMIT}, got {g.n}")
     size, _ = _max_independent(g.adj, (1 << g.n) - 1)
     return size
 
 
-def maximum_independent_set(g: KPartiteGraph, *, max_n: int = 64) -> frozenset[int]:
+def maximum_independent_set(g: KPartiteGraph) -> frozenset[int]:
     """A maximum independent set witnessing :func:`independence_number`."""
-    if g.n > max_n:
-        raise SizeGuardError(f"maximum_independent_set guarded at n <= {max_n}, got {g.n}")
+    if g.n > ALPHA_SIZE_LIMIT:
+        raise SizeGuardError(
+            f"maximum_independent_set guarded at n <= {ALPHA_SIZE_LIMIT}, got {g.n}"
+        )
     _, mask = _max_independent(g.adj, (1 << g.n) - 1)
     return frozenset(_bits(mask))
 
@@ -482,6 +487,8 @@ def decode(text: str) -> KPartiteGraph:
     n, edges = graph6_decode(g6)
     part_of = [-1] * n
     for p, members in enumerate(part_lists):
+        if not members:
+            raise GraphError(f"part {p} is empty")
         for v in members:
             if not 0 <= v < n:
                 raise GraphError(f"part {p} lists out-of-range vertex {v}")

@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .families import build_family_F, recognize
+from .families import RECOGNIZE_SIZE_LIMIT, build_family_F, recognize
 from .graphs import (
     GraphError,
     KPartiteGraph,
@@ -253,7 +253,7 @@ def _record_non_hamiltonian(
         "witness": witness_to_payload(witness) if witness else None,
     }
     if mode == "characterize":
-        classify = g.n == 2 * g.k and g.n <= 16
+        classify = g.n == 2 * g.k and g.n <= RECOGNIZE_SIZE_LIMIT
         entry["classification"] = recognize(g) if classify else None
         exceptional.append(entry)
     else:

@@ -287,14 +287,13 @@ def _decide_hamiltonian(g: KPartiteGraph) -> tuple[tuple[int, ...] | None, int]:
     return _ham_search(g.n, g.adj, _independent_part_unions(g))
 
 
-def find_hamiltonian_cycle(
-    g: KPartiteGraph, *, size_limit: int = HAM_SIZE_LIMIT
-) -> CycleCertificate | None:
-    """A Hamiltonian cycle of g, or None if there is none.  Exact."""
+def find_hamiltonian_cycle(g: KPartiteGraph) -> CycleCertificate | None:
+    """A Hamiltonian cycle of g, or None if there is none.  Exact; guarded
+    at n <= ``HAM_SIZE_LIMIT``."""
     if g.n < 3:
         raise GraphError(f"a cycle needs at least 3 vertices, got n={g.n}")
-    if g.n > size_limit:
-        raise SizeGuardError(f"hamiltonian search guarded at n <= {size_limit}, got {g.n}")
+    if g.n > HAM_SIZE_LIMIT:
+        raise SizeGuardError(f"hamiltonian search guarded at n <= {HAM_SIZE_LIMIT}, got {g.n}")
     order, _ = _decide_hamiltonian(g)
     if order is None:
         return None
@@ -377,12 +376,11 @@ def _longest_search(
     return best_len, best, found
 
 
-def longest_cycle(
-    g: KPartiteGraph, *, size_limit: int = LONGEST_SIZE_LIMIT
-) -> CycleCertificate:
-    """A maximum-length cycle of g; raises GraphError on acyclic input."""
-    if g.n > size_limit:
-        raise SizeGuardError(f"longest cycle guarded at n <= {size_limit}, got {g.n}")
+def longest_cycle(g: KPartiteGraph) -> CycleCertificate:
+    """A maximum-length cycle of g; raises GraphError on acyclic input.
+    Guarded at n <= ``LONGEST_SIZE_LIMIT``."""
+    if g.n > LONGEST_SIZE_LIMIT:
+        raise SizeGuardError(f"longest cycle guarded at n <= {LONGEST_SIZE_LIMIT}, got {g.n}")
     length, order, _ = _longest_search(g)
     if order is None or length < 3:
         raise GraphError("graph contains no cycle")
@@ -391,13 +389,12 @@ def longest_cycle(
     return cert
 
 
-def enumerate_longest_cycles(
-    g: KPartiteGraph, *, size_limit: int = ENUMERATE_SIZE_LIMIT
-) -> list[CycleCertificate]:
-    """All distinct longest cycles, up to rotation and reflection."""
-    if g.n > size_limit:
+def enumerate_longest_cycles(g: KPartiteGraph) -> list[CycleCertificate]:
+    """All distinct longest cycles, up to rotation and reflection.  Guarded
+    at n <= ``ENUMERATE_SIZE_LIMIT``."""
+    if g.n > ENUMERATE_SIZE_LIMIT:
         raise SizeGuardError(
-            f"longest cycle enumeration guarded at n <= {size_limit}, got {g.n}"
+            f"longest cycle enumeration guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {g.n}"
         )
     length, order, _ = _longest_search(g)
     if order is None or length < 3:

@@ -106,6 +106,22 @@ def test_construct_spec_rejects_bad_keys(capsys, tmp_path):
         assert repr(key) in err
 
 
+def test_construct_refuses_fields_outside_variant(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "construct", "--family", "F2", "--k", "9", "--m", "3",
+        "--option", "yy_edges=0-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "family F2 does not take 'k'" in err
+    spec = tmp_path / "f3.spec"
+    spec.write_text("family: F3\nk: 4\nyy_missing: 0-1\n")
+    code, out, err = run_cli(capsys, "construct", "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert "family F3 does not take 'yy_missing'" in err
+
+
 def test_construct_spec_refuses_member_flags(capsys, tmp_path):
     spec = tmp_path / "f3.spec"
     spec.write_text("family: F3\nk: 4\n")

@@ -1,6 +1,8 @@
 """Extremal families: construction invariants, recognition, determinism."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from hamparts.families import (
 from hamparts.graphs import (
     GraphError,
     KPartiteGraph,
+    SizeGuardError,
     connected_components,
     complete_kpartite,
     degree_between,
@@ -204,8 +207,8 @@ def test_recognize_self():
     assert recognize(build_F2()) == "F2"
     assert recognize(build_family_F1(4)) == "F1"
     assert recognize(build_family_F3(4)) == "F3"
-    assert recognize(build_family_F3(6), max_n=16) == "F3"
-    assert recognize(build_family_F1(6), max_n=16) == "F1"
+    assert recognize(build_family_F3(6)) == "F3"
+    assert recognize(build_family_F1(6)) == "F1"
 
 
 def test_recognize_complete_graph_none():
@@ -268,6 +271,98 @@ def test_recognize_f1_relabelled():
     assert recognize(relabelled) == "F1"
 
 
+def test_recognize_size_guard():
+    # n must be a multiple of 4, so n = 20 is the first size past the limit.
+    assert recognize(build_family_F1(8)) == "F1"
+    with pytest.raises(SizeGuardError, match=r"n <= 16, got 20$"):
+        recognize(build_family_F1(10))
+
+
+def _relabelled(rng, g):
+    """g under a random vertex permutation and a random part permutation."""
+    sigma = list(range(g.n))
+    rng.shuffle(sigma)
+    tau = list(range(g.k))
+    rng.shuffle(tau)
+    part_of = [0] * g.n
+    adj = [0] * g.n
+    for v in range(g.n):
+        part_of[sigma[v]] = tau[g.part_of[v]]
+        for u in range(g.n):
+            if g.has_edge(v, u):
+                adj[sigma[v]] |= 1 << sigma[u]
+    return KPartiteGraph(part_of, adj)
+
+
+def _toggled(rng, g, count):
+    """g with ``count`` distinct cross-part pairs flipped."""
+    pairs = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if g.part_of[u] != g.part_of[v]
+    ]
+    adj = list(g.adj)
+    for u, v in rng.sample(pairs, count):
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    return KPartiteGraph(g.part_of, adj)
+
+
+def _random_f1(rng, k):
+    # Each y_i off the hub's part loses at most one neighbour: a y-y edge
+    # shared with one other y_j, or its hub edge.
+    order = list(range(k - 1))
+    rng.shuffle(order)
+    yy, xk = [], []
+    while order:
+        i = order.pop()
+        r = rng.random()
+        if order and r < 0.4:
+            j = order.pop()
+            yy.append((min(i, j), max(i, j)))
+        elif r < 0.7:
+            xk.append(i)
+    return build_family_F1(k, tuple(yy), tuple(sorted(xk)))
+
+
+def _random_f3(rng, k):
+    n = 2 * k
+    y_prime = rng.choice((n - 2, n - 1))
+    y_dprime = rng.choice([y for y in range(k, n) if y != y_prime])
+    pairs = [
+        (u, v)
+        for u in range(k, n)
+        for v in range(u + 1, n)
+        if u // 2 != v // 2 and y_prime not in (u, v)
+    ]
+    yy = tuple(p for p in pairs if rng.random() < 0.5)
+    return build_family_F3(k, y_prime, y_dprime, rng.randrange(k), yy, rng.random() < 0.5)
+
+
+def test_recognize_is_frozen():
+    # F1, F2 and F3 members at k = 4, 6, 8, randomly relabelled part to part,
+    # each also with one and with two cross-part pairs toggled; the K4 + K4
+    # member of F1 is disconnected.  The digest was taken on the recognizer
+    # that searched transversal cliques and candidate halves.
+    rng = random.Random(20190704)
+    members = [build_family_F1(4, xk_missing=(0, 1, 2))]
+    for k in (4, 6, 8):
+        members.extend(_random_f1(rng, k) for _ in range(30))
+        members.extend(_random_f3(rng, k) for _ in range(30))
+    members.extend(build_F2() for _ in range(20))
+    labels = []
+    for member in members:
+        g = _relabelled(rng, member)
+        graphs = [g]
+        graphs.extend(_toggled(rng, g, 1) for _ in range(3))
+        graphs.extend(_toggled(rng, g, 2) for _ in range(3))
+        labels.extend(recognize(h) for h in graphs)
+    assert Counter(labels) == {None: 1109, "F3": 154, "F1": 124, "F2": 20}
+    digest = hashlib.sha256(" ".join(map(str, labels)).encode()).hexdigest()
+    assert digest == "0ca0aa0df39b8e74a20b57bb1c220339a54b6517482936643b025481c0057ee4"
+
+
 def test_partition_respecting_isomorphism_negative():
     assert not partition_respecting_isomorphic(build_F2(), complete_kpartite(4, 2))
     assert partition_respecting_isomorphic(build_F2(), build_F2())
@@ -319,6 +414,18 @@ def test_spec_rejects_malformed():
         assert spec.xy_edge is flag
     with pytest.raises(GraphError):
         FamilySpec(variant="F9").build()
+    # A field the variant's builder does not take is refused by name.
+    for text, key in (
+        ("family: F3\nk: 4\nyy_missing: 0-1", "yy_missing"),
+        ("family: F2\nk: 9\nm: 3\nyy_edges: 0-1", "k"),
+        ("family: F\nk: 4\nm: 2\nxy_edge: yes", "xy_edge"),
+        ("family: F1\nk: 4\nsizes: 3 2", "sizes"),
+    ):
+        spec = FamilySpec.from_text(text)
+        with pytest.raises(GraphError, match=f"family {spec.variant} does not take {key!r}"):
+            spec.build()
+    with pytest.raises(GraphError, match="family F needs m"):
+        FamilySpec(variant="F", k=4).build()
 
 
 def test_family_f_large_member_certificate_only():

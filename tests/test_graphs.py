@@ -144,9 +144,16 @@ def test_independence_witness_is_independent():
 
 
 def test_independence_guard():
-    g = complete_kpartite(2, 2)
-    with pytest.raises(SizeGuardError):
-        independence_number(g, max_n=3)
+    # Both independence searches refuse 65 vertices, naming the limit, and
+    # solve 64 isolated singleton parts.
+    def edgeless(n):
+        return KPartiteGraph(range(n), [0] * n)
+
+    for search in (independence_number, maximum_independent_set):
+        with pytest.raises(SizeGuardError, match=r"n <= 64, got 65$"):
+            search(edgeless(65))
+    assert independence_number(edgeless(64)) == 64
+    assert maximum_independent_set(edgeless(64)) == frozenset(range(64))
 
 
 def test_complete_kpartite_alpha_is_part_size():
@@ -236,6 +243,11 @@ def test_decode_rejects_malformed():
         decode("kpart 1: 0 5\nA?")  # out-of-range vertex in a part list
     with pytest.raises(GraphError):
         decode("kpart 2: 0, 1\nA")  # truncated graph6 body
+    # An empty part is refused by index, trailing or not.
+    with pytest.raises(GraphError, match="part 2 is empty"):
+        decode("kpart 3: 0 1, 2 3,\nC?")
+    with pytest.raises(GraphError, match="part 1 is empty"):
+        decode("kpart 3: 0 1, , 2 3\nC?")
 
 
 def test_export_dot_k22():

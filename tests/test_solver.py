@@ -63,10 +63,21 @@ def test_small_n_rejected():
         find_hamiltonian_cycle(g)
 
 
+def _cycle_graph(n):
+    return build_graph(n, n, range(n), [(v, (v + 1) % n) for v in range(n)])
+
+
 def test_size_guard():
-    g = complete_kpartite(2, 3)
-    with pytest.raises(SizeGuardError):
-        find_hamiltonian_cycle(g, size_limit=5)
+    # Each cycle search refuses one vertex past its limit, naming the limit,
+    # and decides the n-cycle at the limit.
+    for limit, search in (
+        (40, find_hamiltonian_cycle),
+        (20, longest_cycle),
+        (14, enumerate_longest_cycles),
+    ):
+        with pytest.raises(SizeGuardError, match=rf"n <= {limit}, got {limit + 1}$"):
+            search(_cycle_graph(limit + 1))
+        assert search(_cycle_graph(limit))
 
 
 def test_verify_cycle():
