@@ -94,24 +94,30 @@ class DomCycleOutcome:
     counter_cycle: CycleCertificate | None = None
 
 
+# The outcomes that carry no cycle; frozen, so every call can share them.
+_HOLDS = DomCycleOutcome(HOLDS)
+_NOT_APPLICABLE = DomCycleOutcome(NOT_APPLICABLE)
+
+
 # Hamiltonian cycles the lemma check found lately, most recently used first:
 # n -> [(edge mask, cycle)], at most _RECENT_CYCLES entries per n.  The edge
-# mask sets bit u * n + v for each cycle edge u -> v, the bit that edge has
-# when all adjacency rows are packed into one int, row u shifted by u * n.
-# Sweeps pass near-identical graphs in a row, so a recent cycle often lies
-# in the next graph too.
+# mask sets bit u * stride + v for each cycle edge u -> v, the bit that edge
+# has in ``KPartiteGraph.packed`` (the stride depends on n alone).  Sweeps
+# pass near-identical graphs in a row, so a recent cycle often lies in the
+# next graph too.
 _RECENT_CYCLES = 16
 _recent_cycles: dict[int, list[tuple[int, CycleCertificate]]] = {}
 
 
-def _remember_cycle(n: int, cycle: CycleCertificate) -> None:
+def _remember_cycle(g: KPartiteGraph, cycle: CycleCertificate) -> None:
+    stride = g.stride
     vs = cycle.vertices
     mask = 0
     prev = vs[-1]
     for v in vs:
-        mask |= 1 << (prev * n + v)
+        mask |= 1 << (prev * stride + v)
         prev = v
-    recent = _recent_cycles.setdefault(n, [])
+    recent = _recent_cycles.setdefault(g.n, [])
     recent.insert(0, (mask, cycle))
     del recent[_RECENT_CYCLES:]
 
@@ -119,14 +125,10 @@ def _remember_cycle(n: int, cycle: CycleCertificate) -> None:
 def _recent_cycle_in(g: KPartiteGraph) -> bool:
     """True iff a recently found cycle is a Hamiltonian cycle of g, checked
     by ``verify_cycle``; that cycle becomes the most recently used."""
-    n = g.n
-    recent = _recent_cycles.get(n)
+    recent = _recent_cycles.get(g.n)
     if not recent:
         return False
-    packed = 0
-    for v, row in enumerate(g.adj):
-        packed |= row << (v * n)
-    missing = ~packed
+    missing = ~g.packed
     for i, (mask, cycle) in enumerate(recent):
         if not mask & missing and verify_cycle(g, cycle):
             if i:
@@ -144,29 +146,32 @@ def check_domcycle_lemma(g: KPartiteGraph) -> DomCycleOutcome:
     (no violation is expected to exist).
 
     Hamiltonian cycles found by earlier calls are tried first: the last 16
-    per vertex count, most recently used first.  One that lies in g and
-    passes ``verify_cycle`` is a Hamiltonian cycle of g, so g (n >= 3) is
+    per vertex count, most recently used first, each kept as a mask over
+    ``g.packed`` (bit u * g.stride + v per cycle edge u -> v), so one AND
+    tells whether its edges all lie in g.  One that does and passes
+    ``verify_cycle`` is a Hamiltonian cycle of g, so g (n >= 3) is
     2-connected and every longest cycle spans it, and HOLDS follows with no
     hypothesis skipped.  The status never depends on which cycles are kept.
+    HOLDS and NOT_APPLICABLE return shared outcome instances.
     """
     if g.n > ENUMERATE_SIZE_LIMIT:
         raise SizeGuardError(f"lemma check guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {g.n}")
     if g.n < 3 or 3 * g.min_degree() < g.n + 2:
-        return DomCycleOutcome(NOT_APPLICABLE)
+        return _NOT_APPLICABLE
     if _recent_cycle_in(g):
-        return DomCycleOutcome(HOLDS)
+        return _HOLDS
     if _cut_witness(g) is not None:
-        return DomCycleOutcome(NOT_APPLICABLE)
+        return _NOT_APPLICABLE
     # A Hamiltonian graph is immediate: every longest cycle spans the graph,
     # leaving nothing outside.
     cycle = find_hamiltonian_cycle(g)
     if cycle is not None:
-        _remember_cycle(g.n, cycle)
-        return DomCycleOutcome(HOLDS)
+        _remember_cycle(g, cycle)
+        return _HOLDS
     for cycle in enumerate_longest_cycles(g):
         if not is_strongly_dominating(g, cycle):
             return DomCycleOutcome(VIOLATED, cycle)
-    return DomCycleOutcome(HOLDS)
+    return _HOLDS
 
 
 @dataclass(frozen=True)

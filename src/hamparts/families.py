@@ -180,6 +180,11 @@ def build_F2() -> KPartiteGraph:
     return build_graph(8, 4, _F2_PART_OF, _F2_EDGES, meta)
 
 
+# The F2 that ``recognize`` compares against; callers of build_F2 get their
+# own graph.
+_F2 = build_F2()
+
+
 # -- family F3 ---------------------------------------------------------------
 
 
@@ -574,7 +579,7 @@ def recognize(g: KPartiteGraph) -> str | None:
         raise SizeGuardError(f"recognizer guarded at n <= {RECOGNIZE_SIZE_LIMIT}, got {n}")
     if _is_f1(g):
         return "F1"
-    if n == 8 and partition_respecting_isomorphic(g, build_F2()):
+    if n == 8 and partition_respecting_isomorphic(g, _F2):
         return "F2"
     if _is_f3(g):
         return "F3"

@@ -4,12 +4,21 @@ Vertices are 0..n-1.  Each vertex carries a part index and a neighbourhood
 stored as a Python int bitmask, so neighbourhood intersections, degree counts
 and reachability sweeps are word-parallel.  Graphs are immutable after
 construction; every derived graph is a new value.
+
+The constructor validates every graph on one packed int: row v shifted by
+v * stride, where the stride is n rounded up to a power of two.  A range
+test, one AND against the packed self-loops and intra-part pairs, and a
+bit-matrix transpose in log2(stride) delta swaps decide validity; what is
+derived from the partition alone is memoized per ``part_of``.  The per-row
+and per-pair loops run only on rejected rows, and only to name the first
+defect in the error message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from operator import lshift
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 
 class GraphError(ValueError):
@@ -27,6 +36,99 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# What the constructor derives from a valid partition alone, for recently
+# seen partitions: part_of -> (k, part masks, stride, shifts, intra, swaps).
+# ``shifts`` holds v * stride for each vertex v, ``intra`` the packed bits of
+# every self-loop and intra-part edge, ``swaps`` the transpose's rounds.  The
+# oldest entry is dropped once the memo is full.
+_LAYOUT_MEMO_SIZE = 32
+_layouts: dict[tuple[int, ...], tuple] = {}
+
+
+def _transpose_swaps(stride: int) -> tuple[tuple[int, int], ...]:
+    """Delta swaps that transpose a stride x stride bit matrix packed row by
+    row, ``stride`` bits per row (Warren, Hacker's Delight, section 7-3).
+
+    The round for block size j swaps, in every aligned 2j x 2j block, the
+    upper-right j x j block (rows r with bit j clear, columns c with bit j
+    set) with the lower-left one, j * (stride - 1) bits further up.  Each
+    round's mask comes from the previous one in a constant number of
+    big-int operations.
+    """
+    row = (1 << stride) - 1
+    j = stride // 2
+    upper_rows = (1 << j * stride) - 1
+    right_cols = ((1 << stride * stride) - 1) // row * (row ^ (row >> j))
+    swaps = []
+    while j:
+        swaps.append((j * (stride - 1), upper_rows & right_cols))
+        j //= 2
+        upper_rows ^= upper_rows << (j * stride)
+        right_cols ^= right_cols >> j
+    return tuple(swaps)
+
+
+def _new_layout(part_of: tuple[int, ...]) -> tuple:
+    """Validate a partition, derive its layout and memoize it."""
+    k = max(part_of) + 1
+    if min(part_of) < 0:
+        raise GraphError("negative part index")
+    part_masks = [0] * k
+    for v, p in enumerate(part_of):
+        part_masks[p] |= 1 << v
+    if 0 in part_masks:
+        raise GraphError("part indices must be contiguous and nonempty")
+    n = len(part_of)
+    stride = 1 << (n - 1).bit_length()
+    shifts = tuple(range(0, n * stride, stride))
+    intra = 0
+    for p, shift in zip(part_of, shifts):
+        intra |= part_masks[p] << shift
+    layout = (k, tuple(part_masks), stride, shifts, intra, _transpose_swaps(stride))
+    if len(_layouts) >= _LAYOUT_MEMO_SIZE:
+        del _layouts[next(iter(_layouts))]
+    _layouts[part_of] = layout
+    return layout
+
+
+def _packed_rows(adj: tuple[int, ...], shifts, intra: int, swaps) -> int | None:
+    """The rows packed at the layout's stride if they form a valid graph,
+    else None.  Rows are valid when each is a nonnegative int below 2**n,
+    the packed matrix misses ``intra``, and it equals its own transpose."""
+    if min(adj) < 0 or max(adj) >> len(adj):
+        return None
+    packed = sum(map(lshift, adj, shifts))
+    if packed & intra:
+        return None
+    transposed = packed
+    for shift, mask in swaps:
+        delta = (transposed ^ (transposed >> shift)) & mask
+        transposed ^= delta ^ (delta << shift)
+    return packed if transposed == packed else None
+
+
+def _name_defect(part_of: tuple[int, ...], adj: tuple[int, ...], part_masks) -> NoReturn:
+    """Raise the GraphError naming the first defect of rows that failed
+    :func:`_packed_rows`: row checks in vertex order, then the first
+    asymmetric pair in vertex order, then neighbour order."""
+    full = (1 << len(adj)) - 1
+    for v, row in enumerate(adj):
+        if row < 0 or row & ~full:
+            raise GraphError(f"vertex {v} has an out-of-range neighbour")
+        if row & (1 << v):
+            raise GraphError(f"self-loop at vertex {v}")
+        if row & part_masks[part_of[v]]:
+            raise GraphError(f"intra-part edge at vertex {v}")
+    for v, row in enumerate(adj):
+        while row:
+            low = row & -row
+            u = low.bit_length() - 1
+            if not (adj[u] >> v) & 1:
+                raise GraphError(f"asymmetric adjacency between {u} and {v}")
+            row ^= low
+    raise RuntimeError("packed row check rejected rows that have no defect")
+
+
 class KPartiteGraph:
     """A k-partite graph with an explicit vertex partition.
 
@@ -35,9 +137,15 @@ class KPartiteGraph:
     vertices of the same part.  ``build_graph`` additionally enforces that all
     parts have equal size; graphs produced by subgraph operations (such as
     ``induced_bipartite``) may be unbalanced.
+
+    ``packed`` holds every row in one int, row v shifted by v * ``stride``,
+    where ``stride`` is n rounded up to a power of two: edge u -> v is bit
+    u * stride + v.  The constructor validates the rows on ``packed`` (see
+    :func:`_packed_rows`); only when that fails do the per-row and
+    per-pair loops of :func:`_name_defect` run, to name the first defect.
     """
 
-    __slots__ = ("n", "k", "part_of", "adj", "part_masks", "meta")
+    __slots__ = ("n", "k", "part_of", "adj", "part_masks", "packed", "stride", "meta")
 
     def __init__(
         self,
@@ -52,34 +160,19 @@ class KPartiteGraph:
             raise GraphError("graph must have at least one vertex")
         if len(adj) != n:
             raise GraphError(f"adjacency has {len(adj)} rows for {n} vertices")
-        k = max(part_of) + 1
-        if min(part_of) < 0:
-            raise GraphError("negative part index")
-        part_masks = [0] * k
-        for v, p in enumerate(part_of):
-            part_masks[p] |= 1 << v
-        if any(mask == 0 for mask in part_masks):
-            raise GraphError("part indices must be contiguous and nonempty")
-        full = (1 << n) - 1
-        for v, row in enumerate(adj):
-            if row < 0 or row & ~full:
-                raise GraphError(f"vertex {v} has an out-of-range neighbour")
-            if row & (1 << v):
-                raise GraphError(f"self-loop at vertex {v}")
-            if row & part_masks[part_of[v]]:
-                raise GraphError(f"intra-part edge at vertex {v}")
-        for v, row in enumerate(adj):
-            while row:
-                low = row & -row
-                u = low.bit_length() - 1
-                if not (adj[u] >> v) & 1:
-                    raise GraphError(f"asymmetric adjacency between {u} and {v}")
-                row ^= low
+        k, part_masks, stride, shifts, intra, swaps = (
+            _layouts.get(part_of) or _new_layout(part_of)
+        )
+        packed = _packed_rows(adj, shifts, intra, swaps)
+        if packed is None:
+            _name_defect(part_of, adj, part_masks)
         self.n = n
         self.k = k
         self.part_of = part_of
         self.adj = adj
-        self.part_masks = tuple(part_masks)
+        self.part_masks = part_masks
+        self.packed = packed
+        self.stride = stride
         self.meta = dict(meta) if meta else None
 
     # -- basic queries ----------------------------------------------------

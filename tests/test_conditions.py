@@ -196,8 +196,10 @@ def test_domcycle_lemma_reuses_cycles_of_same_order_only(monkeypatch):
     # searched; the octahedron's 6-cycle, which lies in K7, is never offered
     # to K7, which reuses its own cycle.
     k7, octahedron = complete_kpartite(7, 1), complete_kpartite(3, 2)
-    for g in (k7, k7, octahedron, k7):
-        assert check_domcycle_lemma(g).status == HOLDS
+    outcomes = [check_domcycle_lemma(g) for g in (k7, k7, octahedron, k7)]
+    # HOLDS carries no cycle, so every call returns the one shared outcome.
+    assert all(outcome is outcomes[0] for outcome in outcomes)
+    assert outcomes[0].status == HOLDS
     assert found == [7, 6]
     assert verified == [(7, 7), (7, 7)]
 

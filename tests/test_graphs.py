@@ -1,6 +1,8 @@
 """Graph core: construction, queries, connectivity, serialization."""
 
+import hashlib
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -11,6 +13,7 @@ from hamparts.graphs import (
     GraphError,
     KPartiteGraph,
     SizeGuardError,
+    blocks_partition,
     build_graph,
     complete_kpartite,
     decode,
@@ -76,6 +79,79 @@ def test_graph_rejects_asymmetric_adjacency():
         with pytest.raises(GraphError) as excinfo:
             KPartiteGraph(part_of, adj)
         assert str(excinfo.value) == message
+
+
+_ROW_DEFECTS = ("negative", "out_of_range", "self_loop", "intra", "one_sided")
+
+
+def _add_defect(rng, defect, part_of, adj):
+    n = len(adj)
+    v = rng.randrange(n)
+    if defect == "negative":
+        adj[v] = ~adj[v]
+    elif defect == "out_of_range":
+        adj[v] |= 1 << rng.randrange(n, 2 * n + 2)
+    elif defect == "self_loop":
+        adj[v] |= 1 << v
+    elif defect == "intra":
+        mates = [u for u in range(n) if u != v and part_of[u] == part_of[v]]
+        if mates:
+            u = rng.choice(mates)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    else:  # one_sided: add or drop one direction of a cross-part edge
+        others = [u for u in range(n) if part_of[u] != part_of[v]]
+        if others:
+            adj[v] ^= 1 << rng.choice(others)
+
+
+def _constructor_inputs():
+    """Seeded (part_of, adj) inputs over strides 1 to 256: a valid graph on a
+    balanced, an unbalanced and an unsorted partition, each row defect alone
+    and in pairs, plus empty parts and row-count mismatches."""
+    rng = random.Random(7)
+    yield (), ()
+    for n in [*range(1, 41), 72, 130]:
+        k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        balanced = list(blocks_partition(n, k))
+        unsorted = rng.sample(balanced, n)
+        parts = rng.randint(1, n)
+        unbalanced = list(range(parts)) + [rng.randrange(parts) for _ in range(n - parts)]
+        rng.shuffle(unbalanced)
+        for part_of in (balanced, unbalanced, unsorted):
+            p = rng.random()
+            adj = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if part_of[u] != part_of[v] and rng.random() < p:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+            yield part_of, adj
+            for combo in [(d,) for d in _ROW_DEFECTS] + list(combinations(_ROW_DEFECTS, 2)):
+                bad = list(adj)
+                for defect in combo:
+                    _add_defect(rng, defect, part_of, bad)
+                yield part_of, bad
+            yield [q + 1 for q in part_of], adj
+            yield [q - 1 for q in part_of], adj
+            yield part_of, adj[:-1]
+            yield part_of, adj + [0]
+
+
+def test_constructor_verdicts_are_frozen():
+    # Each input's verdict is "accepted" or the exact GraphError text; the
+    # digest was taken from the per-row, per-pair validation loops.
+    verdicts = []
+    for part_of, adj in _constructor_inputs():
+        try:
+            KPartiteGraph(part_of, adj)
+            verdicts.append("accepted")
+        except GraphError as exc:
+            verdicts.append(str(exc))
+    assert len(verdicts) == 2521
+    assert verdicts.count("accepted") == 199
+    digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+    assert digest == "6cdbd01a8ced2c5904f9a5c21168a64ba7b3b1396d251e4291dbdc7484d1939e"
 
 
 def test_build_rejects_unbalanced():
