@@ -3,7 +3,8 @@
 Vertices are 0..n-1.  Each vertex carries a part index and a neighbourhood
 stored as a Python int bitmask, so neighbourhood intersections, degree counts
 and reachability sweeps are word-parallel.  Graphs are immutable after
-construction; every derived graph is a new value.
+construction, apart from the solver's cached decision; every derived graph is
+a new value.
 
 The constructor validates every graph on one packed int: row v shifted by
 v * stride, where the stride is n rounded up to a power of two.  A range
@@ -37,10 +38,13 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 # What the constructor derives from a valid partition alone, for recently
-# seen partitions: part_of -> (k, part masks, stride, shifts, intra, swaps).
+# seen partitions: part_of -> (key, k, part masks, stride, shifts, intra,
+# swaps).  ``key`` is the part_of tuple last checked against the entry,
 # ``shifts`` holds v * stride for each vertex v, ``intra`` the packed bits of
-# every self-loop and intra-part edge, ``swaps`` the transpose's rounds.  The
-# oldest entry is dropped once the memo is full.
+# every self-loop and intra-part edge, ``swaps`` the transpose's rounds.  A
+# tuple of other numbers can equal an int tuple (0.0 == 0), so only a call
+# that passes ``key`` itself skips the int check.  The oldest entry is
+# dropped once the memo is full.
 _LAYOUT_MEMO_SIZE = 32
 _layouts: dict[tuple[int, ...], tuple] = {}
 
@@ -68,8 +72,15 @@ def _transpose_swaps(stride: int) -> tuple[tuple[int, int], ...]:
     return tuple(swaps)
 
 
-def _new_layout(part_of: tuple[int, ...]) -> tuple:
-    """Validate a partition, derive its layout and memoize it."""
+def _layout(part_of: tuple[int, ...]) -> tuple:
+    """Validate a partition, derive its layout or take it from the memo,
+    and memoize it with ``part_of`` as its key."""
+    if {*map(type, part_of)} != {int}:
+        raise GraphError("part indices must be ints")
+    layout = _layouts.get(part_of)
+    if layout is not None:
+        layout = _layouts[part_of] = (part_of, *layout[1:])
+        return layout
     k = max(part_of) + 1
     if min(part_of) < 0:
         raise GraphError("negative part index")
@@ -84,7 +95,7 @@ def _new_layout(part_of: tuple[int, ...]) -> tuple:
     intra = 0
     for p, shift in zip(part_of, shifts):
         intra |= part_masks[p] << shift
-    layout = (k, tuple(part_masks), stride, shifts, intra, _transpose_swaps(stride))
+    layout = (part_of, k, tuple(part_masks), stride, shifts, intra, _transpose_swaps(stride))
     if len(_layouts) >= _LAYOUT_MEMO_SIZE:
         del _layouts[next(iter(_layouts))]
     _layouts[part_of] = layout
@@ -143,9 +154,16 @@ class KPartiteGraph:
     u * stride + v.  The constructor validates the rows on ``packed`` (see
     :func:`_packed_rows`); only when that fails do the per-row and
     per-pair loops of :func:`_name_defect` run, to name the first defect.
+
+    ``decision`` is None until the solver first decides Hamiltonicity of this
+    object; it then holds that search's result, (cycle order or None, nodes
+    expanded), so later calls on the same object do not search again.  It is
+    derived from ``adj`` alone and takes no part in equality or hashing.
     """
 
-    __slots__ = ("n", "k", "part_of", "adj", "part_masks", "packed", "stride", "meta")
+    __slots__ = (
+        "n", "k", "part_of", "adj", "part_masks", "packed", "stride", "meta", "decision"
+    )
 
     def __init__(
         self,
@@ -160,9 +178,10 @@ class KPartiteGraph:
             raise GraphError("graph must have at least one vertex")
         if len(adj) != n:
             raise GraphError(f"adjacency has {len(adj)} rows for {n} vertices")
-        k, part_masks, stride, shifts, intra, swaps = (
-            _layouts.get(part_of) or _new_layout(part_of)
-        )
+        layout = _layouts.get(part_of)
+        if layout is None or layout[0] is not part_of:
+            layout = _layout(part_of)
+        _, k, part_masks, stride, shifts, intra, swaps = layout
         packed = _packed_rows(adj, shifts, intra, swaps)
         if packed is None:
             _name_defect(part_of, adj, part_masks)
@@ -174,6 +193,7 @@ class KPartiteGraph:
         self.packed = packed
         self.stride = stride
         self.meta = dict(meta) if meta else None
+        self.decision = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -346,6 +366,36 @@ def _max_independent(adj: tuple[int, ...], avail: int) -> tuple[int, int]:
     if with_size >= without_size:
         return with_size, with_mask
     return without_size, without_mask
+
+
+def _has_independent(adj: tuple[int, ...], avail: int, need: int) -> bool:
+    """Whether ``avail`` holds an independent set of ``need`` vertices.
+
+    Branches as :func:`_max_independent` does, but stops with False once
+    fewer than ``need`` vertices remain available, and with True once
+    ``need`` have been chosen.
+    """
+    if need <= 0:
+        return True
+    size = avail.bit_count()
+    if size < need:
+        return False
+    best_v = -1
+    best_d = -1
+    degrees = 0
+    for v in _bits(avail):
+        d = (adj[v] & avail).bit_count()
+        degrees += d
+        if d > best_d:
+            best_d = d
+            best_v = v
+    if best_d <= 1:
+        # A matching plus isolated vertices: all but one endpoint per edge.
+        return size - degrees // 2 >= need
+    bit = 1 << best_v
+    if _has_independent(adj, avail & ~adj[best_v] & ~bit, need - 1):
+        return True
+    return _has_independent(adj, avail ^ bit, need)
 
 
 def independence_number(g: KPartiteGraph) -> int:

@@ -30,6 +30,7 @@ from .graphs import (
     KPartiteGraph,
     SizeGuardError,
     _bits,
+    _has_independent,
     _max_independent,
     connected_components,
     is_independent,
@@ -282,9 +283,14 @@ def _ham_search(
 
 
 def _decide_hamiltonian(g: KPartiteGraph) -> tuple[tuple[int, ...] | None, int]:
+    """g's search result, (cycle order or None, nodes expanded): searched on
+    the first call for this object and kept in ``g.decision``."""
     # The search's root refutes a graph with a vertex of degree < 2, or a
     # disconnected one, within two nodes.
-    return _ham_search(g.n, g.adj, _independent_part_unions(g))
+    decision = g.decision
+    if decision is None:
+        decision = g.decision = _ham_search(g.n, g.adj, _independent_part_unions(g))
+    return decision
 
 
 def find_hamiltonian_cycle(g: KPartiteGraph) -> CycleCertificate | None:
@@ -450,11 +456,17 @@ def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
     """Cheapest available evidence that g has no Hamiltonian cycle.
 
     Tries certificates in order: a designated independent set from family
-    metadata (free), a small cut, an oversized independent set by exact
-    search up to ``ALPHA_WITNESS_LIMIT`` vertices, an independent half with a
-    degree-<=1 vertex opposite it, and finally exhaustive search up to
+    metadata (free), a small cut, an oversized independent set up to
+    ``ALPHA_WITNESS_LIMIT`` vertices, an independent half with a degree-<=1
+    vertex opposite it, and finally exhaustive search up to
     ``HAM_SIZE_LIMIT`` vertices.  Returns None when g is
     Hamiltonian or no certificate is found within the guards.
+
+    The independent-set step first asks whether more than n/2 independent
+    vertices exist, a search that stops at the answer, and computes a
+    maximum independent set only when they do.  The exhaustive step reuses
+    g's own decision when ``find_hamiltonian_cycle`` has already searched
+    this object; :func:`witness_certifies` searches afresh.
     """
     meta = g.meta or {}
     designated = meta.get("independent_set")
@@ -465,10 +477,10 @@ def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
     witness = _cut_witness(g)
     if witness is not None:
         return witness
-    if g.n <= ALPHA_WITNESS_LIMIT:
-        size, mask = _max_independent(g.adj, (1 << g.n) - 1)
-        if 2 * size > g.n:
-            return IndependentSetTooLarge(frozenset(_bits(mask)))
+    full = (1 << g.n) - 1
+    if g.n <= ALPHA_WITNESS_LIMIT and _has_independent(g.adj, full, g.n // 2 + 1):
+        _, mask = _max_independent(g.adj, full)
+        return IndependentSetTooLarge(frozenset(_bits(mask)))
     witness = _bipartite_degree_one_witness(g)
     if witness is not None:
         return witness
@@ -483,7 +495,8 @@ def witness_certifies(g: KPartiteGraph, witness: NonHamWitness) -> bool:
     """Independently check a witness against its host graph.
 
     All variants except ExhaustiveSearch are polynomial-time certificates;
-    ExhaustiveSearch is re-checked by running the decision search again.
+    ExhaustiveSearch is re-checked by a new run of the decision search, which
+    neither reads nor fills ``g.decision``.
     """
     if isinstance(witness, SmallCut):
         removed = 0
@@ -515,6 +528,6 @@ def witness_certifies(g: KPartiteGraph, witness: NonHamWitness) -> bool:
             a_mask |= 1 << v
         return (g.adj[witness.vertex] & a_mask).bit_count() <= 1
     if isinstance(witness, ExhaustiveSearch):
-        order, _ = _decide_hamiltonian(g)
+        order, _ = _ham_search(g.n, g.adj, _independent_part_unions(g))
         return order is None
     raise TypeError(f"unknown witness type {type(witness)!r}")

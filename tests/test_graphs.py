@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamparts import graphs
 from hamparts.graphs import (
     GraphError,
     KPartiteGraph,
@@ -22,6 +23,8 @@ from hamparts.graphs import (
     export_dot,
     graph6_decode,
     graph6_encode,
+    _has_independent,
+    _max_independent,
     independence_number,
     induced_bipartite,
     is_independent,
@@ -154,6 +157,19 @@ def test_constructor_verdicts_are_frozen():
     assert digest == "6cdbd01a8ced2c5904f9a5c21168a64ba7b3b1396d251e4291dbdc7484d1939e"
 
 
+@pytest.mark.parametrize("parts", [(0.0, 1.0), [0, 1.0], (False, True), (0.0, 1)])
+def test_part_indices_must_be_ints_whatever_was_built_before(monkeypatch, parts):
+    # Non-int indices can equal an int partition's memo key (0.0 == 0).
+    monkeypatch.setattr(graphs, "_layouts", {})
+    with pytest.raises(GraphError, match="part indices must be ints"):
+        KPartiteGraph(parts, (2, 1))
+    g = KPartiteGraph((0, 1), (2, 1))
+    assert g.part_of == (0, 1) and g.k == 2
+    with pytest.raises(GraphError, match="part indices must be ints"):
+        KPartiteGraph(parts, (2, 1))
+    assert KPartiteGraph([0, 1], (2, 1)) == g
+
+
 def test_build_rejects_unbalanced():
     with pytest.raises(GraphError, match="unbalanced"):
         build_graph(4, 2, (0, 0, 0, 1), [])
@@ -208,6 +224,19 @@ def test_independence_number_against_brute_force():
     for n, k, p in [(14, 7, 0.4), (16, 4, 0.5), (16, 16, 0.6)]:
         g = random_kpartite(rng, n, k, p)
         assert independence_number(g) == brute_independence_number(g)
+
+
+def test_bounded_independence_test_agrees_with_exact_alpha():
+    rng = random.Random(8)
+    for trial in range(150):
+        n = rng.randint(1, 16)
+        k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        g = random_kpartite(rng, n, k, rng.choice([0.1, 0.3, 0.5, 0.7]))
+        full = (1 << n) - 1
+        alpha = _max_independent(g.adj, full)[0]
+        assert _has_independent(g.adj, full, n // 2 + 1) == (2 * alpha > n)
+        need = rng.randint(0, n + 1)
+        assert _has_independent(g.adj, full, need) == (alpha >= need)
 
 
 def test_independence_witness_is_independent():

@@ -3,9 +3,11 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from hamparts import solver
 from hamparts.families import build_F2, build_family_F, build_family_F1, build_family_F3
 from hamparts.graphs import (
     CycleCertificate,
@@ -345,6 +347,82 @@ def test_witness_payload_round_trip():
         witness_to_payload(None)
     with pytest.raises(ValueError):
         witness_from_payload({"type": "none"})
+
+
+def _count_searches(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _ham_search(*args)
+
+    monkeypatch.setattr(solver, "_ham_search", counted)
+    return calls
+
+
+def test_one_search_per_graph_before_certification(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    g = build_F2()
+    assert find_hamiltonian_cycle(g) is None
+    witness = non_hamiltonicity_witness(g)
+    assert isinstance(witness, ExhaustiveSearch)
+    assert len(calls) == 1
+    # Certification searches afresh, every time.
+    assert witness_certifies(g, witness)
+    assert witness_certifies(g, witness)
+    assert len(calls) == 3
+    # A new object, even an equal one, is searched again.
+    assert find_hamiltonian_cycle(g.with_meta(None)) is None
+    assert len(calls) == 4
+
+
+def test_certification_ignores_the_stored_decision(monkeypatch):
+    g = complete_kpartite(2, 3)
+    g.decision = (None, 1)
+    calls = _count_searches(monkeypatch)
+    assert not witness_certifies(g, ExhaustiveSearch(1))
+    assert len(calls) == 1
+    assert g.decision == (None, 1)
+
+
+def _witness_population():
+    """Seeded graphs whose verdicts and witnesses the digest below freezes:
+    the F, F1, F2 and F3 members, every balanced (n, k) with 3 <= n <= 12 at
+    three densities, and 200 sparse n = 24 graphs drawn the way the
+    decide-sparse benchmark draws its population."""
+    rng = random.Random(20261020)
+    graphs = [build_F2(), build_family_F(3, 2), build_family_F1(4), build_family_F3(4)]
+    for n in range(3, 13):
+        for k in [k for k in range(2, n + 1) if n % k == 0]:
+            for p in (0.3, 0.5, 0.7):
+                graphs.append(random_kpartite(rng, n, k, p))
+    for i in range(200):
+        graphs.append(_sparse_kpartite(rng, 24, (4, 6, 8)[i % 3], 3.0, 2))
+    return graphs
+
+
+# SHA-256 of each graph's cycle (or None) from find_hamiltonian_cycle, then
+# its witness payload (or None) from non_hamiltonicity_witness.
+WITNESS_DIGEST = "511069021f525adec689e7560f15ceac683ea00593d7ab9b59cf1492f1c940e0"
+
+
+def test_witnesses_are_frozen():
+    rows = []
+    for g in _witness_population():
+        cycle = find_hamiltonian_cycle(g)
+        witness = non_hamiltonicity_witness(g)
+        rows.append([cycle and list(cycle.vertices), witness and witness_to_payload(witness)])
+    assert len(rows) == 270
+    assert sum(cycle is not None for cycle, _ in rows) == 143
+    kinds = Counter(payload["type"] for _, payload in rows if payload)
+    assert kinds == {
+        "exhaustive_search": 71,
+        "small_cut": 52,
+        "independent_set": 3,
+        "bipartite_degree_one": 1,
+    }
+    payload = json.dumps(rows)
+    assert hashlib.sha256(payload.encode()).hexdigest() == WITNESS_DIGEST
 
 
 def test_witness_soundness_on_random_corpus():
