@@ -116,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tightness", help="scan the threshold-minus-one family")
     p.add_argument("--k-max", type=int, default=12)
     p.add_argument("--m-max", type=int, default=6)
-    p.add_argument("--solver-limit", type=int, default=12)
     p.add_argument("--out", default=None)
 
     return parser
@@ -263,7 +262,7 @@ def _cmd_facts(args) -> int:
 
 
 def _cmd_tightness(args) -> int:
-    report = tightness_scan(args.k_max, args.m_max, solver_limit=args.solver_limit)
+    report = tightness_scan(args.k_max, args.m_max)
     if args.out:
         report.write(args.out)
     counters = " ".join(f"{key}={value}" for key, value in sorted(report.counters.items()))

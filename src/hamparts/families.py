@@ -262,22 +262,61 @@ _BUILDERS = {
     "F3": (build_family_F3, ("k", "y_prime", "y_dprime", "x_prime", "yy_edges", "xy_edge")),
 }
 
-_SPEC_KEYS = frozenset(
-    "family k m sizes yy_missing xk_missing y_prime y_dprime x_prime yy_edges xy_edge".split()
-)
-
 _SPEC_FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(token) for token in text.replace(",", " ").split())
+
+
+def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
+    out = []
+    for token in text.replace(",", " ").split():
+        a, _, b = token.partition("-")
+        out.append((int(a), int(b)))
+    return tuple(out)
+
+
+def _parse_flag(text: str) -> bool:
+    flag = text.lower()
+    if flag not in _SPEC_FLAGS:
+        raise GraphError(
+            f"family spec key 'xy_edge' must be true/false/1/0/yes/no, got {flag!r}"
+        )
+    return _SPEC_FLAGS[flag]
+
+
+_INT = (str, int)
+_INTS = (lambda values: " ".join(str(v) for v in values), _parse_ints)
+_PAIRS = (lambda pairs: " ".join(f"{a}-{b}" for a, b in pairs), _parse_pairs)
+
+# (format, parse) for each FamilySpec field after ``variant``, whose spec key
+# is ``family``.  A ValueError from a parse is a malformed value.
+_SPEC_CODECS = {
+    "k": _INT,
+    "m": _INT,
+    "sizes": _INTS,
+    "yy_missing": _PAIRS,
+    "xk_missing": _INTS,
+    "y_prime": _INT,
+    "y_dprime": _INT,
+    "x_prime": _INT,
+    "yy_edges": _PAIRS,
+    "xy_edge": (lambda flag: "true", _parse_flag),
+}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A parameterised description of one family member.
 
-    Serialises to a small key/value text document (one ``key: value`` line
-    per non-default field) consumed by the CLI ``construct`` command.  Parsing
-    rejects unknown and repeated keys, and an ``xy_edge`` other than
-    true/false/1/0/yes/no in any case.  ``build`` refuses a non-default
-    field that its variant's builder does not take.
+    Serialises to a small key/value text document consumed by the CLI
+    ``construct`` command: a ``family: <variant>`` line, then one
+    ``key: value`` line per non-default field, keyed by the field's name and
+    written by its ``_SPEC_CODECS`` entry.  So the fields are the document's
+    keys.  Parsing rejects unknown and repeated keys, and an ``xy_edge``
+    other than true/false/1/0/yes/no in any case.  ``build`` refuses a
+    non-default field that its variant's builder does not take.
     """
 
     variant: str
@@ -307,32 +346,17 @@ class FamilySpec:
 
     def to_text(self) -> str:
         lines = [f"family: {self.variant}"]
-        if self.k is not None:
-            lines.append(f"k: {self.k}")
-        if self.m is not None:
-            lines.append(f"m: {self.m}")
-        if self.sizes is not None:
-            lines.append("sizes: " + " ".join(str(s) for s in self.sizes))
-        if self.yy_missing:
-            lines.append(
-                "yy_missing: " + " ".join(f"{i}-{j}" for i, j in self.yy_missing)
-            )
-        if self.xk_missing:
-            lines.append("xk_missing: " + " ".join(str(i) for i in self.xk_missing))
-        if self.y_prime is not None:
-            lines.append(f"y_prime: {self.y_prime}")
-        if self.y_dprime is not None:
-            lines.append(f"y_dprime: {self.y_dprime}")
-        if self.x_prime is not None:
-            lines.append(f"x_prime: {self.x_prime}")
-        if self.yy_edges:
-            lines.append("yy_edges: " + " ".join(f"{u}-{v}" for u, v in self.yy_edges))
-        if self.xy_edge:
-            lines.append("xy_edge: true")
+        for spec_field in fields(self)[1:]:
+            value = getattr(self, spec_field.name)
+            if value != spec_field.default:
+                text = _SPEC_CODECS[spec_field.name][0](value)
+                lines.append(f"{spec_field.name}: {text}")
         return "\n".join(lines)
 
     @classmethod
     def from_text(cls, text: str) -> "FamilySpec":
+        spec_fields = fields(cls)[1:]
+        keys = {"family"} | {spec_field.name for spec_field in spec_fields}
         values: dict[str, str] = {}
         for line in text.splitlines():
             line = line.strip()
@@ -342,45 +366,29 @@ class FamilySpec:
                 raise GraphError(f"malformed family spec line: {line!r}")
             key, value = line.split(":", 1)
             key = key.strip()
-            if key not in _SPEC_KEYS:
+            if key not in keys:
                 raise GraphError(f"unknown family spec key {key!r}")
             if key in values:
                 raise GraphError(f"repeated family spec key {key!r}")
             values[key] = value.strip()
         if "family" not in values:
             raise GraphError("family spec must declare 'family'")
-        xy_edge = values.get("xy_edge", "false").lower()
-        if xy_edge not in _SPEC_FLAGS:
-            raise GraphError(
-                f"family spec key 'xy_edge' must be true/false/1/0/yes/no, got {xy_edge!r}"
-            )
-
-        def pairs(text_value: str) -> tuple[tuple[int, int], ...]:
-            out = []
-            for token in text_value.replace(",", " ").split():
-                a, _, b = token.partition("-")
-                out.append((int(a), int(b)))
-            return tuple(out)
-
-        def ints(text_value: str) -> tuple[int, ...]:
-            return tuple(int(tok) for tok in text_value.replace(",", " ").split())
-
-        try:
-            return cls(
-                variant=values["family"],
-                k=int(values["k"]) if "k" in values else None,
-                m=int(values["m"]) if "m" in values else None,
-                sizes=ints(values["sizes"]) if "sizes" in values else None,
-                yy_missing=pairs(values.get("yy_missing", "")),
-                xk_missing=ints(values.get("xk_missing", "")),
-                y_prime=int(values["y_prime"]) if "y_prime" in values else None,
-                y_dprime=int(values["y_dprime"]) if "y_dprime" in values else None,
-                x_prime=int(values["x_prime"]) if "x_prime" in values else None,
-                yy_edges=pairs(values.get("yy_edges", "")),
-                xy_edge=_SPEC_FLAGS[xy_edge],
-            )
-        except ValueError as exc:
-            raise GraphError(f"malformed family spec: {exc}") from exc
+        # A bad flag raises its GraphError at once; a malformed number is
+        # reported only once every flag has passed, and the first one wins.
+        parsed = {}
+        malformed = None
+        for spec_field in spec_fields:
+            if spec_field.name in values:
+                parse = _SPEC_CODECS[spec_field.name][1]
+                try:
+                    parsed[spec_field.name] = parse(values[spec_field.name])
+                except GraphError:
+                    raise
+                except ValueError as exc:
+                    malformed = malformed or exc
+        if malformed is not None:
+            raise GraphError(f"malformed family spec: {malformed}") from malformed
+        return cls(variant=values["family"], **parsed)
 
 
 # -- recognition ---------------------------------------------------------------

@@ -420,23 +420,27 @@ def maximum_independent_set(g: KPartiteGraph) -> frozenset[int]:
 # -- connectivity ------------------------------------------------------------
 
 
+def _reach(adj: tuple[int, ...], seed: int, region: int) -> int:
+    """Vertices of ``region`` reachable from the ``seed`` mask, a subset of
+    ``region``, through ``region``."""
+    seen = frontier = seed
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & region & ~seen
+        seen |= frontier
+    return seen
+
+
 def connected_components(g: KPartiteGraph, removed: int = 0) -> list[int]:
     """Component masks of the graph with the ``removed`` vertex mask deleted."""
-    adj = g.adj
     remaining = ((1 << g.n) - 1) & ~removed
     components = []
     while remaining:
-        low = remaining & -remaining
-        seen = low
-        frontier = low
-        while frontier:
-            grown = 0
-            while frontier:
-                bit = frontier & -frontier
-                grown |= adj[bit.bit_length() - 1]
-                frontier ^= bit
-            frontier = grown & remaining & ~seen
-            seen |= frontier
+        seen = _reach(g.adj, remaining & -remaining, remaining)
         components.append(seen)
         remaining &= ~seen
     return components

@@ -25,7 +25,7 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .families import RECOGNIZE_SIZE_LIMIT, build_family_F, recognize
@@ -49,6 +49,7 @@ from .solver import (
 )
 from .thresholds import (
     _ceil_div,
+    _validate_pair,
     check_appendix_facts,
     is_exception,
     required_degree,
@@ -62,11 +63,18 @@ SCHEMA_VERSION = 1
 EXHAUSTIVE_MAX_PAIRS = 24
 # Draws per sampled trial before it counts as infeasible.
 SAMPLE_MAX_RETRIES = 200
+# Tightness members up to this many vertices are also refuted by the solver.
+TIGHTNESS_SOLVER_LIMIT = 12
 
 
 @dataclass
 class VerificationReport:
-    """Machine-readable outcome of one verification run."""
+    """Machine-readable outcome of one verification run.
+
+    The fields are the report's JSON keys: ``to_json`` writes every one and
+    ``from_json`` reads back those present, so a new field needs no codec
+    change.
+    """
 
     kind: str
     params: dict
@@ -86,19 +94,11 @@ class VerificationReport:
             return all(entry.get("classification") for entry in self.exceptional)
         return True
 
-    def to_json(self, *, indent: int | None = 2) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "artifact_version": self.artifact_version,
-            "kind": self.kind,
-            "params": self.params,
-            "counters": self.counters,
-            "counterexamples": self.counterexamples,
-            "exceptional": self.exceptional,
-            "self_check_ok": self.self_check_ok,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        # A shallow field dict: the values are JSON already, and asdict's deep
+        # copy of a large report would raise peak memory for nothing.
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
@@ -107,17 +107,7 @@ class VerificationReport:
             raise ValueError(
                 f"report schema_version {payload['schema_version']!r} is not {SCHEMA_VERSION}"
             )
-        return cls(
-            kind=payload["kind"],
-            params=payload["params"],
-            counters=payload["counters"],
-            counterexamples=payload["counterexamples"],
-            exceptional=payload["exceptional"],
-            self_check_ok=payload.get("self_check_ok"),
-            wall_time_seconds=payload.get("wall_time_seconds", 0.0),
-            schema_version=payload["schema_version"],
-            artifact_version=payload["artifact_version"],
-        )
+        return cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
 
     def write(self, path) -> None:
         with open(path, "w", encoding="ascii") as handle:
@@ -329,11 +319,6 @@ def _self_check(report: VerificationReport) -> bool:
     return True
 
 
-def _check_pair(n: int, k: int) -> None:
-    if k < 2 or n % k != 0 or n < 3:
-        raise ValueError(f"need k >= 2, k | n, n >= 3; got n={n} k={k}")
-
-
 def exhaustive_verify(
     n: int,
     k: int,
@@ -348,7 +333,7 @@ def exhaustive_verify(
     and assert Hamiltonicity (or collect the exceptional graphs when the
     floor sits exactly at the threshold inside an exception regime)."""
     started = time.monotonic()
-    _check_pair(n, k)
+    _validate_pair(n, k)
     m = n // k
     pairs = n * (n - 1) // 2 - k * (m * (m - 1) // 2)
     if pairs > EXHAUSTIVE_MAX_PAIRS:
@@ -405,7 +390,7 @@ def sample_verify(
     ``SAMPLE_MAX_RETRIES`` draws per trial.
     """
     started = time.monotonic()
-    _check_pair(n, k)
+    _validate_pair(n, k)
     if n > HAM_SIZE_LIMIT:
         raise SizeGuardError(f"sampling guarded at n <= {HAM_SIZE_LIMIT}, got {n}")
     if trials < 1:
@@ -467,12 +452,11 @@ def sample_verify(
     return _finish_report(report, started)
 
 
-def tightness_scan(
-    k_max: int, m_max: int, *, solver_limit: int = 12
-) -> VerificationReport:
+def tightness_scan(k_max: int, m_max: int) -> VerificationReport:
     """Build the canonical threshold-minus-one family member for every (k, m)
     and verify its degree and its oversized-independent-set certificate; the
-    solver double-checks non-Hamiltonicity up to ``solver_limit`` vertices."""
+    solver double-checks non-Hamiltonicity up to ``TIGHTNESS_SOLVER_LIMIT``
+    vertices."""
     started = time.monotonic()
     if k_max < 2 or m_max < 1:
         raise ValueError("k_max must be >= 2 and m_max >= 1")
@@ -509,7 +493,7 @@ def tightness_scan(
                 failures.append("independent-set certificate invalid")
             else:
                 counters["certificates_valid"] += 1
-            if n <= solver_limit:
+            if n <= TIGHTNESS_SOLVER_LIMIT:
                 if find_hamiltonian_cycle(g) is not None:
                     failures.append("solver found a Hamiltonian cycle")
                 else:
@@ -523,7 +507,7 @@ def tightness_scan(
         params={
             "k_max": k_max,
             "m_max": m_max,
-            "solver_limit": solver_limit,
+            "solver_limit": TIGHTNESS_SOLVER_LIMIT,
             "seed": None,
         },
         counters=counters,

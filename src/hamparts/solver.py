@@ -21,7 +21,7 @@ certificate exists; exhaustive search is the fallback at small n only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .graphs import (
@@ -32,6 +32,7 @@ from .graphs import (
     _bits,
     _has_independent,
     _max_independent,
+    _reach,
     connected_components,
     is_independent,
 )
@@ -75,35 +76,37 @@ class ExhaustiveSearch:
 NonHamWitness = Union[SmallCut, IndependentSetTooLarge, BipartiteDegreeOne, ExhaustiveSearch]
 
 
+# Each witness class under the payload ``type`` that names it.
+_WITNESS_TYPES = {
+    "small_cut": SmallCut,
+    "independent_set": IndependentSetTooLarge,
+    "bipartite_degree_one": BipartiteDegreeOne,
+    "exhaustive_search": ExhaustiveSearch,
+}
+_WITNESS_NAMES = {cls: name for name, cls in _WITNESS_TYPES.items()}
+
+
 def witness_to_payload(witness: NonHamWitness) -> dict:
-    """The JSON-ready form of a witness, as reports record it."""
-    if isinstance(witness, IndependentSetTooLarge):
-        return {"type": "independent_set", "vertices": sorted(witness.vertices)}
-    if isinstance(witness, SmallCut):
-        return {"type": "small_cut", "vertices": sorted(witness.vertices)}
-    if isinstance(witness, BipartiteDegreeOne):
-        return {
-            "type": "bipartite_degree_one",
-            "a_side": sorted(witness.a_side),
-            "vertex": witness.vertex,
-        }
-    if isinstance(witness, ExhaustiveSearch):
-        return {"type": "exhaustive_search", "nodes": witness.nodes}
-    raise TypeError(f"unknown witness type {type(witness)!r}")
+    """The JSON-ready form of a witness, as reports record it: its ``type``
+    name, then each dataclass field in declaration order, with vertex sets
+    as sorted lists."""
+    name = _WITNESS_NAMES.get(type(witness))
+    if name is None:
+        raise TypeError(f"unknown witness type {type(witness)!r}")
+    payload = {"type": name}
+    for f in fields(witness):
+        value = getattr(witness, f.name)
+        payload[f.name] = sorted(value) if isinstance(value, frozenset) else value
+    return payload
 
 
 def witness_from_payload(payload: dict) -> NonHamWitness:
     """Inverse of ``witness_to_payload``."""
-    kind = payload.get("type")
-    if kind == "small_cut":
-        return SmallCut(frozenset(payload["vertices"]))
-    if kind == "independent_set":
-        return IndependentSetTooLarge(frozenset(payload["vertices"]))
-    if kind == "bipartite_degree_one":
-        return BipartiteDegreeOne(frozenset(payload["a_side"]), payload["vertex"])
-    if kind == "exhaustive_search":
-        return ExhaustiveSearch(payload["nodes"])
-    raise ValueError(f"unknown witness payload type {kind!r}")
+    cls = _WITNESS_TYPES.get(payload.get("type"))
+    if cls is None:
+        raise ValueError(f"unknown witness payload type {payload.get('type')!r}")
+    values = [payload[f.name] for f in fields(cls)]
+    return cls(*(frozenset(value) if isinstance(value, list) else value for value in values))
 
 
 def verify_cycle(g: KPartiteGraph, cert: CycleCertificate) -> bool:
@@ -311,19 +314,6 @@ def find_hamiltonian_cycle(g: KPartiteGraph) -> CycleCertificate | None:
 # -- longest cycles -----------------------------------------------------------
 
 
-def _open_reachable(adj: tuple[int, ...], u: int, open_mask: int) -> int:
-    """Vertices of ``open_mask`` reachable from u through ``open_mask``."""
-    seen = adj[u] & open_mask
-    frontier = seen
-    while frontier:
-        grown = 0
-        for x in _bits(frontier):
-            grown |= adj[x]
-        frontier = grown & open_mask & ~seen
-        seen |= frontier
-    return seen
-
-
 def _longest_search(
     g: KPartiteGraph, *, target: int | None = None
 ) -> tuple[int, tuple[int, ...] | None, set[tuple[int, ...]]]:
@@ -367,7 +357,7 @@ def _longest_search(
                     if best_len == n:
                         return True
             open_mask = allowed & ~visited
-            bound = plen + _open_reachable(adj, u, open_mask).bit_count()
+            bound = plen + _reach(adj, adj[u] & open_mask, open_mask).bit_count()
             if bound < best_len or (not collect and bound == best_len):
                 return False
             for v in _bits(adj[u] & open_mask):
@@ -424,16 +414,7 @@ def _cut_witness(g: KPartiteGraph) -> SmallCut | None:
     full = (1 << n) - 1
     for v in range(-1, n):
         region = full if v < 0 else full ^ (1 << v)
-        seen = frontier = region & -region
-        while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grown & region & ~seen
-            seen |= frontier
-        if seen != region:
+        if _reach(adj, region & -region, region) != region:
             return SmallCut(frozenset() if v < 0 else frozenset({v}))
     return None
 

@@ -129,7 +129,7 @@ def test_criterion_05_characterization_8_4():
 
 def test_criterion_06_tightness():
     started = time.monotonic()
-    report = tightness_scan(12, 6, solver_limit=12)
+    report = tightness_scan(12, 6)
     ok = report.counterexamples == [] and report.counters["infeasible_specs"] == 0
     ok = ok and report.counters["members_checked"] == report.counters["certificates_valid"]
     ok = ok and report.counters["solver_confirmed"] > 0

@@ -428,6 +428,87 @@ def test_spec_rejects_malformed():
         FamilySpec(variant="F", k=4).build()
 
 
+
+def _spec_values(rng):
+    """Seeded FamilySpec values: each field at its default about half the
+    time, otherwise at a drawn value, including k=0 and sizes=()."""
+    def number():
+        return rng.choice([0, 1, 4, 7, 13, -2])
+
+    def ints():
+        return tuple(rng.randrange(12) for _ in range(rng.randrange(4)))
+
+    def pairs():
+        return tuple(
+            (rng.randrange(12), rng.randrange(12)) for _ in range(rng.randrange(1, 4))
+        )
+
+    draws = {
+        "k": number, "m": number, "sizes": ints, "yy_missing": pairs,
+        "xk_missing": lambda: ints() or (3,), "y_prime": number, "y_dprime": number,
+        "x_prime": number, "yy_edges": pairs, "xy_edge": lambda: True,
+    }
+    specs = []
+    for _ in range(600):
+        chosen = {key: draw() for key, draw in draws.items() if rng.random() < 0.5}
+        specs.append(FamilySpec(variant=rng.choice(["F", "F1", "F2", "F3", "G"]), **chosen))
+    return specs
+
+
+def _spec_documents(rng):
+    """Seeded spec documents, valid and malformed: good and bad values,
+    unknown and repeated keys, comments, blank and colon-free lines, and
+    documents with several defects at once."""
+    good = {
+        "family": ["F", "F1", "F2", "F3"], "k": ["4", " 6 ", "0"], "m": ["2", "3"],
+        "sizes": ["3 2", "3,2", ""], "yy_missing": ["0-1", "0-1, 2-3", ""],
+        "xk_missing": ["2", "0 1", ""], "y_prime": ["6"], "y_dprime": ["5"],
+        "x_prime": ["1"], "yy_edges": ["4-7 5-7", "4-7,5-6"],
+        "xy_edge": ["true", "TRUE", "Yes", "1", "no", "False", "0"],
+    }
+    bad = {
+        "k": ["four", "", "4.0"], "m": ["x", ""], "sizes": ["3 two"],
+        "yy_missing": ["0", "0-", "a-b", "1-2-3"], "xk_missing": ["z"],
+        "y_prime": ["", "six"], "y_dprime": ["-"], "x_prime": ["1 2"],
+        "yy_edges": ["4_7", "4-7 x"], "xy_edge": ["ture", "", "on", "2"],
+    }
+    junk = ["# a comment", "", "   ", "no colon here", "y_dprim: 5", "variant: F",
+            "Family: F", ": 4"]
+    documents = []
+    for _ in range(1500):
+        lines = []
+        for key in good:
+            if key == "family" and rng.random() < 0.9 or rng.random() < 0.4:
+                pool = bad.get(key) if rng.random() < 0.15 else None
+                lines.append(f"{key}: {rng.choice(pool or good[key])}")
+        if lines and rng.random() < 0.1:
+            lines.append(rng.choice(lines))
+        if rng.random() < 0.15:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(junk))
+        rng.shuffle(lines)
+        documents.append("\n".join(lines))
+    return documents
+
+
+# SHA-256 over to_text of every _spec_values spec, then the from_text
+# verdict (spec repr, or exception type and text) of every _spec_documents
+# document; taken before the spec codec was derived from FamilySpec's fields.
+SPEC_TEXT_DIGEST = "05e1ceb136c427299dda9676c25c096f23f1c797b20bb8b4dc7636637a41d70b"
+
+
+def test_spec_text_is_frozen():
+    rng = random.Random(20261018)
+    rows = [spec.to_text() for spec in _spec_values(rng)]
+    for text in _spec_documents(rng):
+        try:
+            rows.append(repr(FamilySpec.from_text(text)))
+        except GraphError as exc:
+            rows.append(f"{type(exc).__name__}: {exc}")
+    rejected = sum(row.startswith("GraphError: ") for row in rows)
+    assert 300 < rejected < 1200
+    digest = hashlib.sha256("\n\x00".join(rows).encode()).hexdigest()
+    assert digest == SPEC_TEXT_DIGEST
+
 def test_family_f_large_member_certificate_only():
     # Certificate-style verification scales far past the solver guard.
     g = build_family_F(100, 5)
