@@ -13,6 +13,13 @@ by addition.  The walk tries "pair present" before "pair absent" at every
 pair; reports list non-Hamiltonian graphs by subset id, so they do not depend
 on that order.
 
+A run is cut finer than its shards into work units: the prefixes of at least
+``UNIT_BITS`` bits that extend a prefix owned by a requested shard, each
+enumerated as one shard of ``2 ** unit_bits``.  Shard sizes differ by an
+order of magnitude, so the pool gets the units largest first (by the number
+of pairs a prefix fixes present), and its workers finish close together.  A
+whole run's units are the whole prefix space, however many shards it names.
+
 Every report builder ends in ``_finish_report``, which runs the self-check and
 stamps the wall time.  Reports serialize to JSON with a schema version; apart
 from the ``wall_time_seconds`` field they are byte-identical across repeat
@@ -22,6 +29,7 @@ runs with equal parameters and seed.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -61,6 +69,9 @@ from .thresholds import (
 SCHEMA_VERSION = 1
 # 2^24 edge subsets: the (8, 4) sweep, the largest one that finishes in minutes.
 EXHAUSTIVE_MAX_PAIRS = 24
+# Work units are prefixes of at least this many pairs: 64 units at (8, 4),
+# where 8 shards hold from 25k to 346k graphs each.
+UNIT_BITS = 6
 # Draws per sampled trial before it counts as infeasible.
 SAMPLE_MAX_RETRIES = 200
 # Tightness members up to this many vertices are also refuted by the solver.
@@ -190,9 +201,32 @@ def _enumerate_shard(
     return space, visited
 
 
+def _work_units(n: int, k: int, floor: int, shards: int, shard_id: int | None) -> list:
+    """Worker arguments ``(n, k, floor, shards, shard_id, unit_bits, unit)``
+    for every work unit of the run, largest first: a prefix with more pairs
+    present has at least as many completions that meet the floor."""
+    pairs = len(cross_pairs(n, k))
+    prefix_bits = min((shards - 1).bit_length(), pairs)
+    unit_bits = min(max(prefix_bits, UNIT_BITS), pairs)
+    spread = unit_bits - prefix_bits
+    if shard_id is None:
+        units = range(1 << unit_bits)
+    else:
+        units = [
+            prefix << spread | low
+            for prefix in range(shard_id, 1 << prefix_bits, shards)
+            for low in range(1 << spread)
+        ]
+    return [
+        (n, k, floor, shards, (unit >> spread) % shards, unit_bits, unit)
+        for unit in sorted(units, key=lambda unit: (-unit.bit_count(), unit))
+    ]
+
+
 def _run_exhaustive_shard(args) -> dict:
-    """Worker: enumerate one shard, decide Hamiltonicity of every graph."""
-    n, k, floor, shards, shard_id = args
+    """Worker: enumerate one work unit, decide Hamiltonicity of every graph.
+    ``args[4]`` names the shard the unit belongs to."""
+    n, k, floor, _, _, unit_bits, unit = args
     part_of = blocks_partition(n, k)
     part_masks = [0] * k
     for v, p in enumerate(part_of):
@@ -211,7 +245,7 @@ def _run_exhaustive_shard(args) -> dict:
         else:
             ham_count += 1
 
-    space, visited = _enumerate_shard(n, k, floor, shards, shard_id, visit)
+    space, visited = _enumerate_shard(n, k, floor, 1 << unit_bits, unit, visit)
     return {
         "space": space,
         "meeting_floor": visited,
@@ -348,13 +382,13 @@ def exhaustive_verify(
     if shard_id is not None and not 0 <= shard_id < shards:
         raise ValueError(f"shard_id must lie in [0, {shards}), got {shard_id}")
     floor = required_degree(n, k) if degree_floor is None else degree_floor
-    ids = range(shards) if shard_id is None else [shard_id]
-    shard_args = [(n, k, floor, shards, i) for i in ids]
-    if jobs > 1 and len(shard_args) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(shard_args))) as pool:
-            results = list(pool.map(_run_exhaustive_shard, shard_args))
+    units = _work_units(n, k, floor, shards, shard_id)
+    workers = min(jobs, len(units), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_exhaustive_shard, units))
     else:
-        results = [_run_exhaustive_shard(args) for args in shard_args]
+        results = [_run_exhaustive_shard(args) for args in units]
     return _finish_exhaustive(n, k, floor, shards, shard_id, results, _kind, started)
 
 

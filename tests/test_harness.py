@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 
 from hamparts import harness
+from hamparts.cli import main as cli_main
 from hamparts.families import build_family_F
 from hamparts.graphs import SizeGuardError, blocks_partition, decode, encode
 from hamparts.harness import (
@@ -111,9 +112,112 @@ def test_exhaustive_shards_partition_counters():
         assert merged == full.counters, (n, k, floor, shards)
 
 
+def test_work_units_visit_each_subset_of_their_shard_once():
+    pairs = cross_pairs(6, 3)
+    degrees = []
+    for sid in range(1 << len(pairs)):
+        deg = [0] * 6
+        for i, (u, v) in enumerate(pairs):
+            if (sid >> (len(pairs) - 1 - i)) & 1:
+                deg[u] += 1
+                deg[v] += 1
+        degrees.append(min(deg))
+    for floor in (2, 3, 5):
+        meeting = [sid for sid, low in enumerate(degrees) if low >= floor]
+        for shards in (1, 2, 3, 8, 20):
+            suffix_bits = len(pairs) - min((shards - 1).bit_length(), len(pairs))
+            whole = []
+            for shard_id in range(shards):
+                units = harness._work_units(6, 3, floor, shards, shard_id)
+                assert all(args[:5] == (6, 3, floor, shards, shard_id) for args in units)
+                sizes = [args[6].bit_count() for args in units]
+                assert sizes == sorted(sizes, reverse=True)
+                seen, space = [], 0
+                for args in units:
+                    unit_bits, unit = args[5:]
+                    covered, _ = harness._enumerate_shard(
+                        6, 3, floor, 1 << unit_bits, unit, lambda sid, adj: seen.append(sid)
+                    )
+                    space += covered
+                owned = [sid for sid in meeting if (sid >> suffix_bits) % shards == shard_id]
+                assert sorted(seen) == owned, (floor, shards, shard_id)
+                assert space == sum(
+                    1 for sid in range(len(degrees)) if (sid >> suffix_bits) % shards == shard_id
+                )
+                whole += units
+            assert sorted(whole) == sorted(harness._work_units(6, 3, floor, shards, None))
+
+
+def test_whole_run_units_are_bounded_by_the_subset_space(monkeypatch):
+    calls = []
+    worker = harness._run_exhaustive_shard
+
+    def counted(args):
+        calls.append(args)
+        return worker(args)
+
+    monkeypatch.setattr(harness, "_run_exhaustive_shard", counted)
+    full = exhaustive_verify(4, 2, 1)
+    # (4, 2) has 4 cross pairs: 2^40 shards still make 16 units, one per subset.
+    calls.clear()
+    assert exhaustive_verify(4, 2, 1, shards=2**40).counters == full.counters
+    assert len(calls) == 16
+    calls.clear()
+    empty = exhaustive_verify(4, 2, 1, shards=2**40, shard_id=2**39)
+    assert calls == [] and set(empty.counters.values()) == {0}
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch, capsys, tmp_path):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size and runs the work in this process, so no
+        worker is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    serial = exhaustive_verify(6, 3).counters
+    cases = [
+        # (cpu_count, run, pool size or None for a serial run)
+        (3, lambda: exhaustive_verify(6, 3, jobs=1000), 3),
+        (3, lambda: exhaustive_verify(6, 3, jobs=2), 2),
+        (None, lambda: exhaustive_verify(6, 3, jobs=1000), None),
+        # (4, 2) has 16 units.
+        (64, lambda: exhaustive_verify(4, 2, 1, jobs=1000), 16),
+        # One shard's units spread over the pool too.
+        (3, lambda: exhaustive_verify(6, 3, shards=3, shard_id=1, jobs=2), 2),
+    ]
+    for cpus, run, size in cases:
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        run()
+        assert sizes == ([] if size is None else [size])
+    # --shards defaults to --jobs, so this CLI run asks for 1000 shards too.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    sizes.clear()
+    out_path = tmp_path / "r.json"
+    argv = ["verify", "--n", "6", "--k", "3", "--exhaustive", "--jobs", "1000"]
+    assert cli_main([*argv, "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert sizes == [3]
+    assert json.loads(out_path.read_text())["counters"] == serial
+
+
 # Each report's JSON with the timing field zeroed, SHA-256 over the reports
 # of a row joined by newlines; taken before the sweep harness was reduced to
-# one enumeration recursion, one shard dispatch and one report finisher.
+# one enumeration recursion, one shard dispatch and one report finisher.  A
+# pooled row shares its digest with the serial row above it.
 FROZEN_REPORTS = [
     ("exhaustive 6,3 floor 2", lambda: [exhaustive_verify(6, 3, 2)], "683b6a284c3e672fb4531029c730374707ab68f439142ba8cd8553ce68b61522"),
     ("exhaustive 6,3 floor 3", lambda: [exhaustive_verify(6, 3, 3)], "f38176972b4b7c932ad476e9e684e8a5359c6a31d01355ff773af75eea673036"),
@@ -125,6 +229,11 @@ FROZEN_REPORTS = [
         "c869e312ec03faca1b452b9846073bb1c1ca7d20b1edd77a66da816716498d1b",
     ),
     (
+        "exhaustive 6,3, each of 3 shards, pooled",
+        lambda: [exhaustive_verify(6, 3, shards=3, shard_id=i, jobs=2) for i in range(3)],
+        "c869e312ec03faca1b452b9846073bb1c1ca7d20b1edd77a66da816716498d1b",
+    ),
+    (
         "exhaustive 6,3, 3 shards merged, serial and pooled",
         lambda: [exhaustive_verify(6, 3, shards=3, jobs=jobs) for jobs in (1, 2)],
         "f6171eddab37b882f23f8cdc1d7fa14542c0286cde7a3a48e26f081f580ebf2b",
@@ -133,6 +242,12 @@ FROZEN_REPORTS = [
         # 16 prefixes over 20 shards: shards 16..19 own none.
         "exhaustive 4,2 floor 1, each of 20 shards",
         lambda: [exhaustive_verify(4, 2, 1, shards=20, shard_id=i) for i in range(20)],
+        "604f153c84bfe18e7d750fe004bc29f77c5fed7c2d1e60bee31210ac7af79420",
+    ),
+    (
+        # A shard holds at most one unit here, so no pool is started.
+        "exhaustive 4,2 floor 1, each of 20 shards, pooled",
+        lambda: [exhaustive_verify(4, 2, 1, shards=20, shard_id=i, jobs=2) for i in range(20)],
         "604f153c84bfe18e7d750fe004bc29f77c5fed7c2d1e60bee31210ac7af79420",
     ),
     (
