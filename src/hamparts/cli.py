@@ -200,7 +200,13 @@ def _cmd_check(args) -> int:
     if args.dominating:
         if not args.cycle:
             raise GraphError("--dominating needs --cycle")
-        cert = CycleCertificate(tuple(int(t) for t in args.cycle.split(",")))
+        try:
+            vertices = tuple(int(t) for t in args.cycle.split(","))
+        except ValueError as exc:
+            raise GraphError(
+                f"--cycle must be comma-separated vertex ids, got {args.cycle!r}"
+            ) from exc
+        cert = CycleCertificate(vertices)
         verdict = is_strongly_dominating(graph, cert)
         print(f"dominating: {'true' if verdict else 'false'}")
     return EXIT_OK

@@ -36,6 +36,7 @@ from .graphs import (
     blocks_partition,
     build_graph,
     connected_components,
+    cross_pairs,
 )
 from .solver import _bipartite_degree_one_witness
 from .thresholds import _ceil_div
@@ -93,12 +94,7 @@ def build_family_F(k: int, m: int, sizes: tuple[int, ...] | None = None) -> KPar
         for v in range(i * m, i * m + size):
             carved[v] = 1
             independent.append(v)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if part_of[u] != part_of[v] and not (carved[u] and carved[v])
-    ]
+    edges = [(u, v) for u, v in cross_pairs(n, k) if not (carved[u] and carved[v])]
     meta = {"family": "F", "independent_set": tuple(independent)}
     return build_graph(n, k, part_of, edges, meta)
 

@@ -292,17 +292,21 @@ def blocks_partition(n: int, k: int) -> tuple[int, ...]:
     return tuple(v // m for v in range(n))
 
 
-def complete_kpartite(k: int, m: int) -> KPartiteGraph:
-    """Complete balanced k-partite graph on n = m*k vertices."""
-    n = m * k
+def cross_pairs(n: int, k: int) -> list[tuple[int, int]]:
+    """Cross-part vertex pairs of the block partition, lexicographic order."""
     part_of = blocks_partition(n, k)
-    edges = [
+    return [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
         if part_of[u] != part_of[v]
     ]
-    return build_graph(n, k, part_of, edges)
+
+
+def complete_kpartite(k: int, m: int) -> KPartiteGraph:
+    """Complete balanced k-partite graph on n = m*k vertices."""
+    n = m * k
+    return build_graph(n, k, blocks_partition(n, k), cross_pairs(n, k))
 
 
 def _mask(vertices: Iterable[int], n: int) -> int:
@@ -335,10 +339,16 @@ def is_independent(g: KPartiteGraph, vertices: Iterable[int]) -> bool:
 ALPHA_SIZE_LIMIT = 64
 
 
-def _max_independent(adj: tuple[int, ...], avail: int) -> tuple[int, int]:
-    """(size, witness mask) of a maximum independent subset of ``avail``."""
-    if avail == 0:
-        return 0, 0
+def _max_independent(adj: tuple[int, ...], avail: int, floor: int = 0) -> tuple[int, int]:
+    """(size, witness mask) of the first maximum independent subset of
+    ``avail`` when it has more than ``floor`` vertices, else ``(floor, 0)``.
+
+    Branches on a vertex of largest degree, "with" before "without".  The
+    "without" branch only looks for a set larger than the "with" one, and no
+    branch is searched with ``floor`` or fewer vertices available.
+    """
+    if avail.bit_count() <= floor:
+        return floor, 0
     best_v = -1
     best_d = -1
     for v in _bits(avail):
@@ -357,45 +367,17 @@ def _max_independent(adj: tuple[int, ...], avail: int) -> tuple[int, int]:
             chosen |= low
             rest ^= low
             rest &= ~adj[v]
-        return chosen.bit_count(), chosen
+        size = chosen.bit_count()
+        return (size, chosen) if size > floor else (floor, 0)
     bit = 1 << best_v
-    with_size, with_mask = _max_independent(adj, avail & ~adj[best_v] & ~bit)
-    with_size += 1
-    with_mask |= bit
-    without_size, without_mask = _max_independent(adj, avail ^ bit)
-    if with_size >= without_size:
-        return with_size, with_mask
-    return without_size, without_mask
-
-
-def _has_independent(adj: tuple[int, ...], avail: int, need: int) -> bool:
-    """Whether ``avail`` holds an independent set of ``need`` vertices.
-
-    Branches as :func:`_max_independent` does, but stops with False once
-    fewer than ``need`` vertices remain available, and with True once
-    ``need`` have been chosen.
-    """
-    if need <= 0:
-        return True
-    size = avail.bit_count()
-    if size < need:
-        return False
-    best_v = -1
-    best_d = -1
-    degrees = 0
-    for v in _bits(avail):
-        d = (adj[v] & avail).bit_count()
-        degrees += d
-        if d > best_d:
-            best_d = d
-            best_v = v
-    if best_d <= 1:
-        # A matching plus isolated vertices: all but one endpoint per edge.
-        return size - degrees // 2 >= need
-    bit = 1 << best_v
-    if _has_independent(adj, avail & ~adj[best_v] & ~bit, need - 1):
-        return True
-    return _has_independent(adj, avail ^ bit, need)
+    best = 0
+    size, mask = _max_independent(adj, avail & ~adj[best_v] & ~bit, floor - 1)
+    if size >= floor:
+        floor, best = size + 1, mask | bit
+    size, mask = _max_independent(adj, avail ^ bit, floor)
+    if size > floor:
+        return size, mask
+    return floor, best
 
 
 def independence_number(g: KPartiteGraph) -> int:

@@ -3,22 +3,24 @@
 The exhaustive sweep enumerates every labeled balanced k-partite graph on the
 canonical block partition whose minimum degree meets a floor.  Cross-part
 vertex pairs are ordered lexicographically and toggled like a binary counter
-(pair 0 is the most significant bit); a subtree is skipped as soon as some
-vertex can no longer reach the floor with the toggles that remain.  One
-recursion walks the whole counter; a shard owns the subsets whose high-order
-bits, read as a number, equal its id modulo the shard count, and the
-recursion leaves a subtree as soon as it has decided those bits for another
-shard.  So shards partition the subset space exactly and their counters merge
-by addition.  The walk tries "pair present" before "pair absent" at every
-pair; reports list non-Hamiltonian graphs by subset id, so they do not depend
-on that order.
+(pair 0 is the most significant bit).  One recursion walks the counter below
+a fixed prefix: it applies the prefix first, then tries "pair present" before
+"pair absent" at every remaining pair.  Each vertex keeps one slack count,
+its present degree plus its undecided pairs minus the floor; "absent" is
+taken only while both endpoints have slack left, so no subtree that cannot
+meet the floor is entered.  Reports list non-Hamiltonian graphs by subset
+id, so they do not depend on that order.
 
-A run is cut finer than its shards into work units: the prefixes of at least
-``UNIT_BITS`` bits that extend a prefix owned by a requested shard, each
-enumerated as one shard of ``2 ** unit_bits``.  Shard sizes differ by an
-order of magnitude, so the pool gets the units largest first (by the number
-of pairs a prefix fixes present), and its workers finish close together.  A
-whole run's units are the whole prefix space, however many shards it names.
+A shard owns the subsets whose high-order bits, read as a number, equal its
+id modulo the shard count, so shards partition the subset space exactly and
+their counters merge by addition.  A run is cut finer than its shards into
+work units: the prefixes of at least ``UNIT_BITS`` bits that extend a prefix
+owned by a requested shard, each walked by the recursion on its own.  Only
+``_work_units`` knows which shard owns which prefix.  Shard sizes differ by
+an order of magnitude, so the pool gets the units largest first (by the
+number of pairs a prefix fixes present), and its workers finish close
+together.  A whole run's units are the whole prefix space, however many
+shards it names.
 
 Every report builder ends in ``_finish_report``, which runs the self-check and
 stamps the wall time.  Reports serialize to JSON with a schema version; apart
@@ -42,6 +44,7 @@ from .graphs import (
     KPartiteGraph,
     SizeGuardError,
     blocks_partition,
+    cross_pairs,
     decode,
     encode,
     is_independent,
@@ -126,79 +129,65 @@ class VerificationReport:
             handle.write("\n")
 
 
-def cross_pairs(n: int, k: int) -> list[tuple[int, int]]:
-    """Cross-part vertex pairs of the block partition, lexicographic order."""
-    part_of = blocks_partition(n, k)
-    return [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if part_of[u] != part_of[v]
-    ]
-
-
 def _enumerate_shard(
     n: int,
     k: int,
     floor: int,
-    shards: int,
-    shard_id: int,
+    units: int,
+    unit: int,
     visit,
 ) -> tuple[int, int]:
-    """Run ``visit(subset_id, adj)`` for every floor-satisfying graph in the
-    shard.  Returns (edge subsets covered, graphs visited)."""
+    """Run ``visit(subset_id, adj)`` for every floor-satisfying graph whose
+    first log2(``units``) pairs, read as a number, equal ``unit``; ``units``
+    is a power of two no larger than the subset space.  Returns (edge subsets
+    covered, graphs visited)."""
     pairs = cross_pairs(n, k)
     total_pairs = len(pairs)
-    prefix_bits = min((shards - 1).bit_length(), total_pairs)
+    prefix_bits = (units - 1).bit_length()
     suffix_bits = total_pairs - prefix_bits
-    space = len(range(shard_id, 1 << prefix_bits, shards)) << suffix_bits
-    # rem_after[i][v]: pairs with index > i incident to v.
-    rem = [0] * n
-    rem_after = [None] * (total_pairs + 1)
-    rem_after[total_pairs] = tuple(rem)
-    for i in range(total_pairs - 1, -1, -1):
-        u, v = pairs[i]
-        rem = list(rem_after[i + 1])
-        rem[u] += 1
-        rem[v] += 1
-        rem_after[i] = tuple(rem)
-    if any(rem_after[0][v] < floor for v in range(n)):
-        # No graph on this partition can meet the floor; space still counted.
-        return space, 0
     pair_bit = [1 << (total_pairs - 1 - i) for i in range(total_pairs)]
     ubits = [1 << u for u, _ in pairs]
     vbits = [1 << v for _, v in pairs]
-
+    first = unit << suffix_bits
     adj = [0] * n
-    deg = [0] * n
+    # slack[v]: v's present degree plus its undecided pairs, minus the floor.
+    slack = [-floor] * n
+    for u, v in pairs:
+        slack[u] += 1
+        slack[v] += 1
+    for i, (u, v) in enumerate(pairs[:prefix_bits]):
+        if first & pair_bit[i]:
+            adj[u] |= vbits[i]
+            adj[v] |= ubits[i]
+        else:
+            slack[u] -= 1
+            slack[v] -= 1
+    if min(slack) < 0:
+        # No completion of the unit's prefix meets the floor.
+        return 1 << suffix_bits, 0
     visited = 0
 
     def rec(i: int, sid: int) -> None:
         nonlocal visited
-        # The shard owns the subsets whose first prefix_bits pairs, read as
-        # a number, are shard_id modulo shards.
-        if i == prefix_bits and (sid >> suffix_bits) % shards != shard_id:
-            return
         if i == total_pairs:
             visited += 1
             visit(sid, adj)
             return
         u, v = pairs[i]
-        nxt = rem_after[i + 1]
         adj[u] |= vbits[i]
         adj[v] |= ubits[i]
-        deg[u] += 1
-        deg[v] += 1
         rec(i + 1, sid | pair_bit[i])
         adj[u] &= ~vbits[i]
         adj[v] &= ~ubits[i]
-        deg[u] -= 1
-        deg[v] -= 1
-        if deg[u] + nxt[u] >= floor and deg[v] + nxt[v] >= floor:
+        if slack[u] > 0 and slack[v] > 0:
+            slack[u] -= 1
+            slack[v] -= 1
             rec(i + 1, sid)
+            slack[u] += 1
+            slack[v] += 1
 
-    rec(0, 0)
-    return space, visited
+    rec(prefix_bits, first)
+    return 1 << suffix_bits, visited
 
 
 def _work_units(n: int, k: int, floor: int, shards: int, shard_id: int | None) -> list:

@@ -30,7 +30,6 @@ from .graphs import (
     KPartiteGraph,
     SizeGuardError,
     _bits,
-    _has_independent,
     _max_independent,
     _reach,
     connected_components,
@@ -443,9 +442,9 @@ def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
     ``HAM_SIZE_LIMIT`` vertices.  Returns None when g is
     Hamiltonian or no certificate is found within the guards.
 
-    The independent-set step first asks whether more than n/2 independent
-    vertices exist, a search that stops at the answer, and computes a
-    maximum independent set only when they do.  The exhaustive step reuses
+    The independent-set step is one search for a maximum independent set
+    that is bounded below by n/2, so it gives up on every branch that cannot
+    beat that bound.  The exhaustive step reuses
     g's own decision when ``find_hamiltonian_cycle`` has already searched
     this object; :func:`witness_certifies` searches afresh.
     """
@@ -458,10 +457,10 @@ def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
     witness = _cut_witness(g)
     if witness is not None:
         return witness
-    full = (1 << g.n) - 1
-    if g.n <= ALPHA_WITNESS_LIMIT and _has_independent(g.adj, full, g.n // 2 + 1):
-        _, mask = _max_independent(g.adj, full)
-        return IndependentSetTooLarge(frozenset(_bits(mask)))
+    if g.n <= ALPHA_WITNESS_LIMIT:
+        _, mask = _max_independent(g.adj, (1 << g.n) - 1, g.n // 2)
+        if mask:
+            return IndependentSetTooLarge(frozenset(_bits(mask)))
     witness = _bipartite_degree_one_witness(g)
     if witness is not None:
         return witness

@@ -161,6 +161,18 @@ def test_check_dominating(capsys, tmp_path):
     assert "dominating: false" in out
 
 
+def test_check_names_the_flag_of_a_malformed_list(capsys, tmp_path):
+    path = tmp_path / "f2.kpart"
+    path.write_text(encode(build_F2()) + "\n")
+    cases = [
+        (["--dominating", "--cycle", "0,1,x"], "--cycle must be comma-separated vertex ids, got '0,1,x'"),
+        (["--chvatal", "--sides", "0,x"], "--sides must be 'U,V' part ids, got '0,x'"),
+    ]
+    for flags, message in cases:
+        code, out, err = run_cli(capsys, "check", "--in", str(path), *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), flags
+
+
 def test_check_chvatal(capsys, tmp_path):
     from hamparts.graphs import complete_kpartite
 

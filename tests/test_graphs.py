@@ -23,7 +23,6 @@ from hamparts.graphs import (
     export_dot,
     graph6_decode,
     graph6_encode,
-    _has_independent,
     _max_independent,
     independence_number,
     induced_bipartite,
@@ -233,10 +232,14 @@ def test_bounded_independence_test_agrees_with_exact_alpha():
         k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
         g = random_kpartite(rng, n, k, rng.choice([0.1, 0.3, 0.5, 0.7]))
         full = (1 << n) - 1
-        alpha = _max_independent(g.adj, full)[0]
-        assert _has_independent(g.adj, full, n // 2 + 1) == (2 * alpha > n)
-        need = rng.randint(0, n + 1)
-        assert _has_independent(g.adj, full, need) == (alpha >= need)
+        exact = _max_independent(g.adj, full)
+        alpha = exact[0]
+        # Above a floor the bounded search finds the unbounded search's set;
+        # otherwise it reports (floor, 0).
+        for floor in (n // 2, rng.randint(0, n + 1) - 1):
+            expected = exact if alpha > floor else (floor, 0)
+            assert _max_independent(g.adj, full, floor) == expected
+        assert (_max_independent(g.adj, full, n // 2)[1] != 0) == (2 * alpha > n)
 
 
 def test_independence_witness_is_independent():

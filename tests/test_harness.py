@@ -148,6 +148,26 @@ def test_work_units_visit_each_subset_of_their_shard_once():
             assert sorted(whole) == sorted(harness._work_units(6, 3, floor, shards, None))
 
 
+# SHA-256 over the ordered "sid adj..." lines of the calls below, taken before
+# the recursion was rewritten around one slack count per vertex.  The lemma
+# cache's hit rate on the domlemma benchmark depends on this order.
+VISIT_ORDER_DIGEST = "5aa3c17e793f85afe6d8acee422adee05899518579627d0a51a9bcaced31cb1f"
+
+
+def test_visit_order_is_frozen():
+    lines = []
+
+    def visit(sid, adj):
+        lines.append(f"{sid} {' '.join(map(str, adj))}")
+
+    calls = [(6, 6, 3, 1, 0)]
+    calls += [(6, 3, floor, 64, unit) for floor in (2, 3) for unit in range(64)]
+    for call in calls:
+        harness._enumerate_shard(*call, visit)
+    assert len(lines) == 2681
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VISIT_ORDER_DIGEST
+
+
 def test_whole_run_units_are_bounded_by_the_subset_space(monkeypatch):
     calls = []
     worker = harness._run_exhaustive_shard
