@@ -327,7 +327,8 @@ def _finish_report(report: VerificationReport, started: float) -> VerificationRe
 
 
 def _self_check(report: VerificationReport) -> bool:
-    """Re-decode and re-solve every recorded graph; statuses must reproduce."""
+    """Re-decode and re-solve every recorded graph and certify its witness,
+    if it has one; statuses must reproduce."""
     for entry in report.counterexamples + report.exceptional:
         graph_text = entry.get("graph")
         if graph_text is None:
@@ -336,9 +337,8 @@ def _self_check(report: VerificationReport) -> bool:
         if g.n >= 3 and find_hamiltonian_cycle(g) is not None:
             return False
         witness = entry.get("witness")
-        if witness is not None and witness["type"] != "exhaustive_search":
-            if not witness_certifies(g, witness_from_payload(witness)):
-                return False
+        if witness is not None and not witness_certifies(g, witness_from_payload(witness)):
+            return False
     return True
 
 

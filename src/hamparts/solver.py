@@ -16,11 +16,16 @@ rows, which ``KPartiteGraph`` guarantees.  The tree searched, its node count
 and the cycle found are those of the full checks at every node.
 
 Non-Hamiltonicity is reported through checkable witnesses wherever a cheap
-certificate exists; exhaustive search is the fallback at small n only.
+certificate exists; exhaustive search is the fallback, guarded at n <=
+``HAM_SIZE_LIMIT``.  An exhaustive refutation is certified by a second
+decider with a different algorithm: a search over edges that forces and
+deletes them (degree-2 forcing and subcycle exclusion, after Vandegriend &
+Culberson), which shares no code with the path search.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -295,19 +300,162 @@ def _decide_hamiltonian(g: KPartiteGraph) -> tuple[tuple[int, ...] | None, int]:
     return decision
 
 
+def _guard_ham_size(n: int) -> None:
+    if n > HAM_SIZE_LIMIT:
+        raise SizeGuardError(f"hamiltonian search guarded at n <= {HAM_SIZE_LIMIT}, got {n}")
+
+
 def find_hamiltonian_cycle(g: KPartiteGraph) -> CycleCertificate | None:
     """A Hamiltonian cycle of g, or None if there is none.  Exact; guarded
     at n <= ``HAM_SIZE_LIMIT``."""
     if g.n < 3:
         raise GraphError(f"a cycle needs at least 3 vertices, got n={g.n}")
-    if g.n > HAM_SIZE_LIMIT:
-        raise SizeGuardError(f"hamiltonian search guarded at n <= {HAM_SIZE_LIMIT}, got {g.n}")
+    _guard_ham_size(g.n)
     order, _ = _decide_hamiltonian(g)
     if order is None:
         return None
     cert = CycleCertificate(order)
     assert verify_cycle(g, cert)
     return cert
+
+
+# -- second decider -----------------------------------------------------------
+
+
+def _forced_edge_search(
+    n: int, adj: tuple[int, ...], independent: Sequence[int]
+) -> tuple[int, ...] | None:
+    """A Hamiltonian cycle's vertex order, or None if there is none.
+
+    An exact decider that shares no code with ``_ham_search``: it branches
+    on edges, not on path extensions (Vandegriend & Culberson, JAIR 1998).
+    Every edge is available, forced into the cycle, or deleted.  Each node
+    propagates to a fixed point: a vertex left with two available edges has
+    both forced, a vertex with two forced edges loses its other edges, a
+    vertex with fewer than two available edges is a contradiction, and an
+    edge that would close a forced path of fewer than n vertices is deleted.
+    A node is also pruned when some mask I of ``independent``, which must
+    hold pairwise non-adjacent vertices, is offered fewer than 2|I| cycle
+    edges: each vertex outside I gives at most two.  It then branches
+    "force, then delete" on the lowest unforced edge of the lowest vertex
+    with fewer than two forced edges and the fewest available ones.  The
+    branch stack is an explicit list, since its depth can reach the edge
+    count.
+    """
+    if n < 3:
+        return None
+    avail = list(adj)
+    forced = [0] * n
+    # For a forced-path endpoint: the other endpoint and the path's edge
+    # count.  A vertex on no forced edge is its own one-vertex path.
+    other = list(range(n))
+    length = [0] * n
+    queue: list[int] = []
+    closing: list[tuple[int, int]] = []
+
+    def force(u: int, w: int) -> bool:
+        """Force u-w; False on a contradiction or when it closes the cycle
+        (then recorded in ``closing``)."""
+        bw = 1 << w
+        if not avail[u] & bw or forced[u].bit_count() == 2 or forced[w].bit_count() == 2:
+            return False
+        a, b = other[u], other[w]
+        if a == w:
+            if length[u] == n - 1:
+                closing.append((u, w))
+            return False
+        forced[u] |= bw
+        forced[w] |= 1 << u
+        edges = length[u] + length[w] + 1
+        other[a], other[b] = b, a
+        length[a] = length[b] = edges
+        queue.append(u)
+        queue.append(w)
+        if 1 < edges < n - 1 and avail[a] >> b & 1:
+            avail[a] &= ~(1 << b)
+            avail[b] &= ~(1 << a)
+            queue.append(a)
+            queue.append(b)
+        return True
+
+    def propagate() -> bool:
+        """Apply the rules until nothing changes; False on a contradiction
+        or a closed cycle, leaving ``queue`` empty either way."""
+        while queue:
+            v = queue.pop()
+            row = avail[v]
+            options = row.bit_count()
+            if options < 2:
+                queue.clear()
+                return False
+            loose = row & ~forced[v]
+            if not loose:
+                continue
+            if forced[v].bit_count() == 2:
+                avail[v] = forced[v]
+                vbit = 1 << v
+                while loose:
+                    low = loose & -loose
+                    x = low.bit_length() - 1
+                    avail[x] &= ~vbit
+                    queue.append(x)
+                    loose ^= low
+            elif options == 2:
+                while loose:
+                    low = loose & -loose
+                    if not force(v, low.bit_length() - 1):
+                        queue.clear()
+                        return False
+                    loose ^= low
+        # The vertices next to I, once and twice over: each of them offers
+        # I one cycle edge, or two.
+        for mask in independent:
+            once = twice = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                row = avail[low.bit_length() - 1]
+                twice |= once & row
+                once |= row
+                rest ^= low
+            if once.bit_count() + twice.bit_count() < 2 * mask.bit_count():
+                return False
+        return True
+
+    stack = []
+    queue.extend(range(n))
+    alive = propagate()
+    while True:
+        if alive:
+            v = min(
+                (u for u in range(n) if forced[u].bit_count() < 2),
+                key=lambda u: avail[u].bit_count(),
+            )
+            loose = avail[v] & ~forced[v]
+            w = (loose & -loose).bit_length() - 1
+            stack.append(((avail[:], forced[:], other[:], length[:]), v, w))
+            alive = force(v, w) and propagate()
+            continue
+        if closing:
+            break
+        if not stack:
+            return None
+        saved, v, w = stack.pop()
+        avail[:], forced[:], other[:], length[:] = saved
+        avail[v] &= ~(1 << w)
+        avail[w] &= ~(1 << v)
+        queue.extend((v, w))
+        alive = propagate()
+    u, w = closing[0]
+    forced[u] |= 1 << w
+    forced[w] |= 1 << u
+    order = [0]
+    came_from, here = 0, 0
+    for _ in range(n - 1):
+        step = forced[here] & ~came_from
+        came_from, here = 1 << here, (step & -step).bit_length() - 1
+        order.append(here)
+    return tuple(order)
 
 
 # -- longest cycles -----------------------------------------------------------
@@ -446,7 +594,7 @@ def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
     that is bounded below by n/2, so it gives up on every branch that cannot
     beat that bound.  The exhaustive step reuses
     g's own decision when ``find_hamiltonian_cycle`` has already searched
-    this object; :func:`witness_certifies` searches afresh.
+    this object; :func:`witness_certifies` checks it with a second decider.
     """
     meta = g.meta or {}
     designated = meta.get("independent_set")
@@ -474,9 +622,11 @@ def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
 def witness_certifies(g: KPartiteGraph, witness: NonHamWitness) -> bool:
     """Independently check a witness against its host graph.
 
-    All variants except ExhaustiveSearch are polynomial-time certificates;
-    ExhaustiveSearch is re-checked by a new run of the decision search, which
-    neither reads nor fills ``g.decision``.
+    All variants except ExhaustiveSearch are polynomial-time certificates.
+    ExhaustiveSearch is checked by a second decider with a different
+    algorithm, :func:`_forced_edge_search`, which neither reads nor fills
+    ``g.decision``; like ``find_hamiltonian_cycle``, that check is guarded at
+    n <= ``HAM_SIZE_LIMIT``.
     """
     if isinstance(witness, SmallCut):
         removed = 0
@@ -508,6 +658,7 @@ def witness_certifies(g: KPartiteGraph, witness: NonHamWitness) -> bool:
             a_mask |= 1 << v
         return (g.adj[witness.vertex] & a_mask).bit_count() <= 1
     if isinstance(witness, ExhaustiveSearch):
-        order, _ = _ham_search(g.n, g.adj, _independent_part_unions(g))
-        return order is None
+        _guard_ham_size(g.n)
+        unions = [mask for mask in _independent_part_unions(g) if is_independent(g, _bits(mask))]
+        return _forced_edge_search(g.n, g.adj, unions) is None
     raise TypeError(f"unknown witness type {type(witness)!r}")

@@ -7,9 +7,9 @@ from itertools import permutations
 
 import pytest
 
-from hamparts import harness
+from hamparts import harness, solver
 from hamparts.cli import main as cli_main
-from hamparts.families import build_family_F
+from hamparts.families import build_F2, build_family_F
 from hamparts.graphs import SizeGuardError, blocks_partition, decode, encode
 from hamparts.harness import (
     VerificationReport,
@@ -20,7 +20,7 @@ from hamparts.harness import (
     sample_verify,
     tightness_scan,
 )
-from hamparts.solver import find_hamiltonian_cycle
+from hamparts.solver import find_hamiltonian_cycle, non_hamiltonicity_witness, witness_to_payload
 from _util import perm_oracle_hamiltonian
 
 
@@ -393,6 +393,18 @@ def test_characterization_8_4_single_shard():
     for entry in report.exceptional:
         assert entry["classification"] in ("F1", "F2", "F3")
     assert report.ok and report.self_check_ok
+
+
+def test_self_check_certifies_exhaustive_witnesses(monkeypatch):
+    # F2's recorded witness is an exhaustive search; the self-check accepts it
+    # only while the second decider refutes the graph too.
+    g = build_F2()
+    entry = {"graph": encode(g), "witness": witness_to_payload(non_hamiltonicity_witness(g))}
+    assert entry["witness"]["type"] == "exhaustive_search"
+    report = VerificationReport(kind="characterization", params={}, exceptional=[entry])
+    assert harness._self_check(report)
+    monkeypatch.setattr(solver, "_forced_edge_search", lambda n, adj, independent: (0,))
+    assert not harness._self_check(report)
 
 
 def test_characterization_validation():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from hamparts.graphs import (
     complete_kpartite,
     induced_bipartite,
 )
+from hamparts.harness import _enumerate_shard
 from hamparts.solver import (
     BipartiteDegreeOne,
     ExhaustiveSearch,
@@ -32,6 +34,7 @@ from hamparts.solver import (
     witness_certifies,
     witness_from_payload,
     witness_to_payload,
+    _forced_edge_search,
     _ham_search,
     _independent_part_unions,
 )
@@ -350,13 +353,17 @@ def test_witness_payload_round_trip():
 
 
 def _count_searches(monkeypatch):
-    calls = []
+    """Calls of the decision search and of the second decider, by name."""
+    calls = {}
+    for name in ("_ham_search", "_forced_edge_search"):
+        calls[name] = []
+        search = getattr(solver, name)
 
-    def counted(*args):
-        calls.append(args)
-        return _ham_search(*args)
+        def counted(*args, name=name, search=search):
+            calls[name].append(args)
+            return search(*args)
 
-    monkeypatch.setattr(solver, "_ham_search", counted)
+        monkeypatch.setattr(solver, name, counted)
     return calls
 
 
@@ -366,14 +373,18 @@ def test_one_search_per_graph_before_certification(monkeypatch):
     assert find_hamiltonian_cycle(g) is None
     witness = non_hamiltonicity_witness(g)
     assert isinstance(witness, ExhaustiveSearch)
-    assert len(calls) == 1
-    # Certification searches afresh, every time.
+    assert len(calls["_ham_search"]) == 1
+    assert len(calls["_forced_edge_search"]) == 0
+    # Certification runs the second decider afresh, every time, and never
+    # the decision search.
     assert witness_certifies(g, witness)
     assert witness_certifies(g, witness)
-    assert len(calls) == 3
+    assert len(calls["_ham_search"]) == 1
+    assert len(calls["_forced_edge_search"]) == 2
     # A new object, even an equal one, is searched again.
     assert find_hamiltonian_cycle(g.with_meta(None)) is None
-    assert len(calls) == 4
+    assert len(calls["_ham_search"]) == 2
+    assert len(calls["_forced_edge_search"]) == 2
 
 
 def test_certification_ignores_the_stored_decision(monkeypatch):
@@ -381,8 +392,17 @@ def test_certification_ignores_the_stored_decision(monkeypatch):
     g.decision = (None, 1)
     calls = _count_searches(monkeypatch)
     assert not witness_certifies(g, ExhaustiveSearch(1))
-    assert len(calls) == 1
+    assert len(calls["_ham_search"]) == 0
+    assert len(calls["_forced_edge_search"]) == 1
     assert g.decision == (None, 1)
+
+
+def test_exhaustive_certification_is_size_guarded():
+    g = complete_kpartite(2, 21)
+    with pytest.raises(SizeGuardError, match=r"hamiltonian search guarded at n <= 40, got 42"):
+        witness_certifies(g, ExhaustiveSearch(1))
+    with pytest.raises(SizeGuardError, match=r"hamiltonian search guarded at n <= 40, got 42"):
+        find_hamiltonian_cycle(g)
 
 
 def _witness_population():
@@ -440,3 +460,88 @@ def test_witness_soundness_on_random_corpus():
             assert witness_certifies(g, witness)
             found += 1
     assert found > 50
+
+
+def _deciders_agree(g):
+    """Whether g is refuted, after checking that the second decider, with and
+    without the capacity prune, agrees with the decision search and returns
+    genuine cycles."""
+    unions = _independent_part_unions(g)
+    order, _ = _ham_search(g.n, g.adj, unions)
+    for independent in (unions, ()):
+        cycle = _forced_edge_search(g.n, g.adj, independent)
+        assert (cycle is None) == (order is None), (g, independent)
+        if cycle is not None:
+            assert len(cycle) == g.n and verify_cycle(g, CycleCertificate(cycle))
+    return order is None
+
+
+def test_second_decider_agrees_on_small_sweeps():
+    part_of = blocks_partition(6, 3)
+    counts = []
+    for floor in range(5):
+        graphs = []
+        _enumerate_shard(6, 3, floor, 1, 0, lambda sid, adj: graphs.append(tuple(adj)))
+        refuted = sum(_deciders_agree(KPartiteGraph(part_of, adj)) for adj in graphs)
+        counts.append((len(graphs), refuted))
+    assert counts == [(4096, 3511), (2902, 2317), (772, 187), (51, 0), (1, 0)]
+    part_of = blocks_partition(8, 2)
+    graphs = []
+    _enumerate_shard(8, 2, 2, 1, 0, lambda sid, adj: graphs.append(tuple(adj)))
+    refuted = sum(_deciders_agree(KPartiteGraph(part_of, adj)) for adj in graphs)
+    assert (len(graphs), refuted) == (7343, 750)
+
+
+def test_second_decider_agrees_on_seeded_graphs():
+    population = _witness_population()
+    assert sum(_deciders_agree(g) for g in population) == 270 - 143
+    rng = random.Random(20261101)
+    refuted = 0
+    for _ in range(2000):
+        n = rng.randint(3, 12)
+        k = rng.choice([k for k in range(2, n + 1) if n % k == 0])
+        refuted += _deciders_agree(random_kpartite(rng, n, k, rng.choice((0.2, 0.35, 0.5, 0.7))))
+    assert refuted == 1345
+
+
+def _non_tough(s, c):
+    """An s-clique joined to s + 1 disjoint c-cliques: removing the s-clique
+    leaves s + 1 components, so no Hamiltonian cycle."""
+    n = s + (s + 1) * c
+    edges = [(u, v) for u in range(s) for v in range(u + 1, n)]
+    for j in range(s + 1):
+        base = s + j * c
+        edges += [(base + a, base + b) for a in range(c) for b in range(a + 1, c)]
+    return build_graph(n, n, tuple(range(n)), edges)
+
+
+def test_second_decider_refutes_dense_non_tough_graphs():
+    for s, c in ((2, 3), (4, 2)):
+        g = _non_tough(s, c)
+        assert g.n in (11, 14) and g.min_degree() >= c - 1 + s
+        assert _forced_edge_search(g.n, g.adj, _independent_part_unions(g)) is None
+        assert witness_certifies(g, ExhaustiveSearch(1))
+
+
+def test_capacity_prune_refutes_two_parts_without_edges_between_them():
+    rng = random.Random(30)
+    g = random_kpartite(rng, 30, 3, 0.9)
+    adj = list(g.adj)
+    for u in range(10):
+        for v in range(10, 20):
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+    g = KPartiteGraph(g.part_of, adj)
+    # Parts 0 and 1 form an independent set of 20 vertices, and the 10
+    # vertices of part 2 offer it at most 20 of the 40 cycle edges it needs.
+    assert (1 << 20) - 1 in _independent_part_unions(g)
+    started = time.perf_counter()
+    assert witness_certifies(g, ExhaustiveSearch(1))
+    assert time.perf_counter() - started < 1.0
+
+
+def test_second_decider_rejects_claims_on_hamiltonian_graphs():
+    sparse = [g for g in _witness_population()[-20:] if find_hamiltonian_cycle(g) is not None]
+    assert len(sparse) >= 5
+    for g in [cycle_graph(40), complete_kpartite(4, 10), *sparse]:
+        assert not witness_certifies(g, ExhaustiveSearch(1))
