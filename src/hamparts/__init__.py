@@ -50,7 +50,6 @@ from .families import (
     build_family_F1,
     build_family_F3,
     default_sizes,
-    partition_respecting_isomorphic,
     recognize,
 )
 from .solver import (

@@ -16,12 +16,12 @@ Four families witness that the degree threshold cannot be lowered:
 Each builder documents its fixed vertex layout; generators are deterministic,
 so equal parameters produce identical encodings.
 
-``recognize`` anchors F1 and F3 on the structure that refutes them.  F1's
-hub c leaves the rest of its clique as a (k-1)-vertex component of g - c;
-F3's independent half X and throttled vertex y' are the solver's bipartite
+``recognize`` anchors every family on structure; no isomorphism search is
+left.  F1's hub c leaves the rest of its clique as a (k-1)-vertex component
+of g - c; F2's one part joined to all others leaves a matching; F3's
+independent half X and throttled vertex y' are the solver's bipartite
 degree-one witness.  An anchor is confirmed only by rebuilding the member
-with its builder and comparing under the vertex map, so a wrong anchor can
-only miss.  F2 is tested by a part-respecting isomorphism search.
+(F2 once) and comparing under the vertex map, so it can only miss.
 """
 
 from __future__ import annotations
@@ -176,9 +176,31 @@ def build_F2() -> KPartiteGraph:
     return build_graph(8, 4, _F2_PART_OF, _F2_EDGES, meta)
 
 
-# The F2 that ``recognize`` compares against; callers of build_F2 get their
-# own graph.
+def _f2_keys(g: KPartiteGraph) -> dict:
+    """Key g's vertices by their place around its hub part, the one part
+    joined to every vertex outside it: a hub vertex by its rank in its part,
+    any other by the ranks, among the non-hub parts, of its own part and of
+    its one neighbour off the hub.  Returns key -> vertex, so two vertices
+    with one key leave too few keys; empty if the hub or a neighbour is not
+    unique."""
+    outside = [((1 << g.n) - 1) & ~mask for mask in g.part_masks]
+    hubs = [p for p in range(g.k) if all(g.adj[v] == outside[p] for v in g.part_members(p))]
+    if len(hubs) != 1:
+        return {}
+    rank = {p: i for i, p in enumerate(p for p in range(g.k) if p != hubs[0])}
+    keys = dict(enumerate(g.part_members(hubs[0])))
+    for v in _bits(outside[hubs[0]]):
+        partner = g.adj[v] & outside[hubs[0]]
+        if partner.bit_count() != 1:
+            return {}
+        keys[rank[g.part_of[v]], rank[g.part_of[partner.bit_length() - 1]]] = v
+    return keys
+
+
+# The F2 that ``recognize`` compares against, and its keys; callers of
+# build_F2 get their own graph.
 _F2 = build_F2()
+_F2_KEYS = _f2_keys(_F2)
 
 
 # -- family F3 ---------------------------------------------------------------
@@ -407,53 +429,6 @@ def _relabelled_equal(g: KPartiteGraph, h: KPartiteGraph, vmap: dict[int, int]) 
     return True
 
 
-def partition_respecting_isomorphic(g: KPartiteGraph, h: KPartiteGraph) -> bool:
-    """Backtracking isomorphism search restricted to part-to-part bijections."""
-    if g.n != h.n or g.k != h.k:
-        return False
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
-        return False
-    g_parts = [g.part_members(p) for p in range(g.k)]
-    h_parts = [h.part_members(p) for p in range(h.k)]
-    g_order = [v for p in range(g.k) for v in g_parts[p]]
-
-    def try_assignment(part_image: list[int]) -> bool:
-        vmap: dict[int, int] = {}
-        used: set[int] = set()
-
-        def place(i: int) -> bool:
-            if i == len(g_order):
-                return True
-            v = g_order[i]
-            for hv in h_parts[part_image[g.part_of[v]]]:
-                if hv in used or h.degree(hv) != g.degree(v):
-                    continue
-                if any(h.has_edge(hv, vmap[u]) != g.has_edge(v, u) for u in vmap):
-                    continue
-                vmap[v] = hv
-                used.add(hv)
-                if place(i + 1):
-                    return True
-                del vmap[v]
-                used.discard(hv)
-            return False
-
-        return place(0)
-
-    def part_maps(idx: int, remaining: list[int], image: list[int]):
-        if idx == g.k:
-            yield list(image)
-            return
-        for i, hp in enumerate(remaining):
-            if len(h_parts[hp]) != len(g_parts[idx]):
-                continue
-            image.append(hp)
-            yield from part_maps(idx + 1, remaining[:i] + remaining[i + 1:], image)
-            image.pop()
-
-    return any(try_assignment(image) for image in part_maps(0, list(range(h.k)), []))
-
-
 def _confirm_f1(g: KPartiteGraph, c: int, clique: int) -> bool:
     k = g.k
     cpart = g.part_of[c]
@@ -572,6 +547,14 @@ def _is_f3(g: KPartiteGraph) -> bool:
     return _confirm_f3(g, x_parts, y1, ydd, row.bit_length() - 1, not missing)
 
 
+def _is_f2(g: KPartiteGraph) -> bool:
+    """Anchor F2 on its hub part; its keys give the vertex map onto F2."""
+    keys = _f2_keys(g)
+    if keys.keys() != _F2_KEYS.keys():
+        return False
+    return _relabelled_equal(g, _F2, {v: _F2_KEYS[key] for key, v in keys.items()})
+
+
 def recognize(g: KPartiteGraph) -> str | None:
     """Classify g as a member of F1, F2, or F3 (up to part-respecting
     isomorphism), or None.  Only defined in the n = 2k, 4 | n regime, and
@@ -583,7 +566,7 @@ def recognize(g: KPartiteGraph) -> str | None:
         raise SizeGuardError(f"recognizer guarded at n <= {RECOGNIZE_SIZE_LIMIT}, got {n}")
     if _is_f1(g):
         return "F1"
-    if n == 8 and partition_respecting_isomorphic(g, _F2):
+    if n == 8 and _is_f2(g):
         return "F2"
     if _is_f3(g):
         return "F3"

@@ -61,6 +61,7 @@ from .solver import (
 from .thresholds import (
     _ceil_div,
     _validate_pair,
+    _validate_range,
     check_appendix_facts,
     is_exception,
     required_degree,
@@ -117,6 +118,8 @@ class VerificationReport:
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
         payload = json.loads(text)
+        if not isinstance(payload, dict) or "schema_version" not in payload:
+            raise ValueError("report must be a JSON object with a schema_version")
         if payload["schema_version"] != SCHEMA_VERSION:
             raise ValueError(
                 f"report schema_version {payload['schema_version']!r} is not {SCHEMA_VERSION}"
@@ -481,8 +484,7 @@ def tightness_scan(k_max: int, m_max: int) -> VerificationReport:
     solver double-checks non-Hamiltonicity up to ``TIGHTNESS_SOLVER_LIMIT``
     vertices."""
     started = time.monotonic()
-    if k_max < 2 or m_max < 1:
-        raise ValueError("k_max must be >= 2 and m_max >= 1")
+    _validate_range(k_max, m_max)
     counters = {
         "members_checked": 0,
         "certificates_valid": 0,

@@ -110,6 +110,9 @@ def witness_from_payload(payload: dict) -> NonHamWitness:
     if cls is None:
         raise ValueError(f"unknown witness payload type {payload.get('type')!r}")
     values = [payload[f.name] for f in fields(cls)]
+    for f, value in zip(fields(cls), values):
+        if f.type.startswith("frozenset") and not isinstance(value, list):
+            raise ValueError(f"witness payload field {f.name!r} must be a list, got {value!r}")
     return cls(*(frozenset(value) if isinstance(value, list) else value for value in values))
 
 

@@ -32,6 +32,13 @@ def _half_period(k: int) -> int:
     return 2 * _ceil_div(k + 1, 2)
 
 
+def _validate_range(k_max: int, m_max: int) -> None:
+    if k_max < 2:
+        raise ValueError(f"k_max must be at least 2, got {k_max}")
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
+
+
 def _validate_pair(n: int, k: int, *, min_n: int = 3) -> None:
     if k < 2:
         raise ValueError(f"k must be at least 2, got k={k}")
@@ -186,11 +193,7 @@ def check_appendix_facts(k_max: int, m_max: int) -> FactReport:
     any violation is recorded with its (n, k).  Facts that depend on k alone
     are recorded with n = None.
     """
-    if k_max < 2:
-        raise ValueError(f"k_max must be at least 2, got {k_max}")
-    if m_max < 1:
-        raise ValueError(f"m_max must be at least 1, got {m_max}")
-
+    _validate_range(k_max, m_max)
     report = FactReport(k_max=k_max, m_max=m_max)
 
     def note(name: str, holds: bool, n: int | None, k: int) -> None:
@@ -292,8 +295,7 @@ def check_appendix_facts(k_max: int, m_max: int) -> FactReport:
 
 def scan_eq4_identity(k_max: int, m_max: int) -> list[tuple[int, int]]:
     """All (n, k) with k <= k_max, m <= m_max where the floor identity fails."""
-    if k_max < 2 or m_max < 1:
-        raise ValueError("k_max must be >= 2 and m_max >= 1")
+    _validate_range(k_max, m_max)
     return [
         (m * k, k)
         for k in range(2, k_max + 1)
@@ -304,8 +306,7 @@ def scan_eq4_identity(k_max: int, m_max: int) -> list[tuple[int, int]]:
 
 def scan_domcycle_threshold(k_max: int, m_max: int) -> list[tuple[int, int]]:
     """All (n, k) in range with 3 <= k <= n/2 where D(n, k) < (n+2)/3."""
-    if k_max < 2 or m_max < 1:
-        raise ValueError("k_max must be >= 2 and m_max >= 1")
+    _validate_range(k_max, m_max)
     failures = []
     for k in range(3, k_max + 1):
         for m in range(2, m_max + 1):

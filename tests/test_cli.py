@@ -298,6 +298,9 @@ def test_tightness_command(capsys):
     code, out, _ = run_cli(capsys, "tightness", "--k-max", "6", "--m-max", "3")
     assert code == 0
     assert "all members tight" in out
+    code, _, err = run_cli(capsys, "tightness", "--k-max", "1", "--m-max", "3")
+    assert code == 2
+    assert err == "error: k_max must be at least 2, got 1\n"
 
 
 def test_characterize_command_guard(capsys, tmp_path):

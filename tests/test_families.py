@@ -1,6 +1,7 @@
 """Extremal families: construction invariants, recognition, determinism."""
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -13,7 +14,6 @@ from hamparts.families import (
     build_family_F1,
     build_family_F3,
     default_sizes,
-    partition_respecting_isomorphic,
     recognize,
 )
 from hamparts.graphs import (
@@ -363,9 +363,50 @@ def test_recognize_is_frozen():
     assert digest == "0ca0aa0df39b8e74a20b57bb1c220339a54b6517482936643b025481c0057ee4"
 
 
-def test_partition_respecting_isomorphism_negative():
-    assert not partition_respecting_isomorphic(build_F2(), complete_kpartite(4, 2))
-    assert partition_respecting_isomorphic(build_F2(), build_F2())
+def _f2_two_switches(g):
+    """Every degree-preserving 2-switch of g: edges ab and cd become ac and
+    bd, or ad and bc, where both new pairs are cross-part non-edges."""
+    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+    switched = []
+    for (a, b), (c, d) in itertools.combinations(edges, 2):
+        if len({a, b, c, d}) < 4:
+            continue
+        for new_pairs in (((a, c), (b, d)), ((a, d), (b, c))):
+            if any(g.has_edge(u, v) or g.part_of[u] == g.part_of[v] for u, v in new_pairs):
+                continue
+            adj = list(g.adj)
+            for u, v in ((a, b), (c, d)) + new_pairs:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            switched.append(KPartiteGraph(g.part_of, adj))
+    return switched
+
+
+def test_recognize_f2_is_frozen():
+    # F2 under each of the 24 part permutations, each with a seeded vertex
+    # relabelling, then every 2-switch of F2: these share its degree
+    # sequence.  The digest was taken on the recognizer that tested F2 by a
+    # part-respecting isomorphism search.
+    rng = random.Random(20261018)
+    f2 = build_F2()
+    labels = []
+    for tau in itertools.permutations(range(f2.k)):
+        sigma = list(range(f2.n))
+        rng.shuffle(sigma)
+        part_of = [0] * f2.n
+        adj = [0] * f2.n
+        for v in range(f2.n):
+            part_of[sigma[v]] = tau[f2.part_of[v]]
+            for u in range(f2.n):
+                if f2.has_edge(v, u):
+                    adj[sigma[v]] |= 1 << sigma[u]
+        labels.append(recognize(KPartiteGraph(part_of, adj)))
+    switched = _f2_two_switches(f2)
+    assert len(switched) == 3
+    labels.extend(recognize(g) for g in switched)
+    assert Counter(labels) == {"F2": 27}
+    digest = hashlib.sha256(" ".join(map(str, labels)).encode()).hexdigest()
+    assert digest == "8086ccd6d046740d6f9246b89238a1e02dd7efceace02c093ceb970d1f96d301"
 
 
 # -- specs ---------------------------------------------------------------

@@ -21,6 +21,7 @@ from hamparts.harness import (
     tightness_scan,
 )
 from hamparts.solver import find_hamiltonian_cycle, non_hamiltonicity_witness, witness_to_payload
+from hamparts.thresholds import check_appendix_facts, scan_domcycle_threshold, scan_eq4_identity
 from _util import perm_oracle_hamiltonian
 
 
@@ -458,3 +459,17 @@ def test_report_rejects_unknown_schema_version():
     payload["schema_version"] = 2
     with pytest.raises(ValueError, match="schema_version"):
         VerificationReport.from_json(json.dumps(payload))
+    # Neither a non-object payload nor a missing version gets past the parser.
+    del payload["schema_version"]
+    for text in (json.dumps(payload), "[]", "3", '"report"', "null"):
+        with pytest.raises(ValueError, match="JSON object with a schema_version"):
+            VerificationReport.from_json(text)
+
+
+def test_scan_ranges_are_checked_once():
+    for scan in (check_appendix_facts, scan_eq4_identity, scan_domcycle_threshold,
+                 tightness_scan):
+        with pytest.raises(ValueError, match=r"^k_max must be at least 2, got 1$"):
+            scan(1, 3)
+        with pytest.raises(ValueError, match=r"^m_max must be at least 1, got 0$"):
+            scan(4, 0)

@@ -350,6 +350,14 @@ def test_witness_payload_round_trip():
         witness_to_payload(None)
     with pytest.raises(ValueError):
         witness_from_payload({"type": "none"})
+    # A set field that is not a list is refused by name, not decoded.
+    for payload, name in (
+        ({"type": "small_cut", "vertices": 3}, "vertices"),
+        ({"type": "independent_set", "vertices": "0 2 4"}, "vertices"),
+        ({"type": "bipartite_degree_one", "a_side": {"0": 1}, "vertex": 6}, "a_side"),
+    ):
+        with pytest.raises(ValueError, match=f"field '{name}' must be a list"):
+            witness_from_payload(payload)
 
 
 def _count_searches(monkeypatch):
