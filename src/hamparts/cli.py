@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--shards", type=int, default=None)
+    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("facts", help="exact-arithmetic scans")
@@ -221,15 +221,13 @@ def _cmd_verify(args) -> int:
             args.n, args.k, args.sample, args.seed, degree_floor=args.floor
         )
     else:
-        jobs = args.jobs if args.jobs is not None else 1
-        shards = args.shards if args.shards is not None else jobs
         report = exhaustive_verify(
             args.n,
             args.k,
             args.floor,
-            shards=shards,
+            shards=args.shards if args.shards is not None else 1,
             shard_id=args.shard,
-            jobs=jobs,
+            jobs=args.jobs if args.jobs is not None else 1,
         )
     report.write(args.out)
     counters = " ".join(f"{key}={value}" for key, value in sorted(report.counters.items()))
@@ -240,8 +238,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
-    shards = args.shards if args.shards is not None else args.jobs
-    report = characterization_check(args.n, args.k, shards=shards, jobs=args.jobs)
+    report = characterization_check(args.n, args.k, shards=args.shards, jobs=args.jobs)
     report.write(args.out)
     classified: dict[str, int] = {}
     for entry in report.exceptional:

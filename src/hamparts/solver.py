@@ -105,15 +105,27 @@ def witness_to_payload(witness: NonHamWitness) -> dict:
 
 
 def witness_from_payload(payload: dict) -> NonHamWitness:
-    """Inverse of ``witness_to_payload``."""
+    """Inverse of ``witness_to_payload``.  Raises ValueError, naming the
+    field, on a payload that is not an object or has a missing or mistyped
+    field; a ``bool`` is not an int."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"witness payload must be a JSON object, got {payload!r}")
     cls = _WITNESS_TYPES.get(payload.get("type"))
     if cls is None:
         raise ValueError(f"unknown witness payload type {payload.get('type')!r}")
-    values = [payload[f.name] for f in fields(cls)]
-    for f, value in zip(fields(cls), values):
-        if f.type.startswith("frozenset") and not isinstance(value, list):
+    values = []
+    for f in fields(cls):
+        if f.name not in payload:
+            raise ValueError(f"witness payload field {f.name!r} is missing")
+        value = payload[f.name]
+        is_set = f.type.startswith("frozenset")
+        if is_set and not isinstance(value, list):
             raise ValueError(f"witness payload field {f.name!r} must be a list, got {value!r}")
-    return cls(*(frozenset(value) if isinstance(value, list) else value for value in values))
+        if any(type(item) is not int for item in (value if is_set else [value])):
+            kind = "a list of ints" if is_set else "an int"
+            raise ValueError(f"witness payload field {f.name!r} must be {kind}, got {value!r}")
+        values.append(frozenset(value) if is_set else value)
+    return cls(*values)
 
 
 def verify_cycle(g: KPartiteGraph, cert: CycleCertificate) -> bool:
@@ -138,58 +150,23 @@ def _independent_part_unions(g: KPartiteGraph) -> list[int]:
 
     Used by the cardinality prune: vertices of an independent set must be
     pairwise non-adjacent along the cycle, so no such union may exceed half
-    of any remaining stretch.  The greedy adds parts largest first, ties by
-    part index; it works on part positions in that order, so adding the next
-    part is taking the lowest position still available.
+    of any remaining stretch.  From each start part, the greedy scans the
+    parts largest first, ties by part index, and adds each part with no edge
+    into the parts chosen so far.
     """
-    k, n, adj, part_of, part_masks = g.k, g.n, g.adj, g.part_of, g.part_masks
-    order = sorted(range(k), key=lambda p: -part_masks[p].bit_count())
-    if order == list(range(k)):
-        masks, position = part_masks, part_of
-    else:
-        rank = [0] * k
-        for i, p in enumerate(order):
-            rank[p] = i
-        masks = [part_masks[p] for p in order]
-        position = [rank[p] for p in part_of]
-    # crossing[i]: the positions of the parts that the part at position i
-    # has edges into.  With one vertex per part, in vertex order, that is
-    # the vertex's adjacency row.
-    singletons = k == n and part_of == tuple(range(n))
-    if singletons:
-        crossing = adj
-    else:
-        crossing = []
-        for mask in masks:
-            reach = 0
-            while mask:
-                low = mask & -mask
-                reach |= adj[low.bit_length() - 1]
-                mask ^= low
-            bits = 0
-            while reach:
-                low = reach & -reach
-                bits |= 1 << position[low.bit_length() - 1]
-                reach ^= low
-            crossing.append(bits)
-    every = (1 << k) - 1
+    part_masks = g.part_masks
+    reach = [0] * g.k
+    for p, row in zip(g.part_of, g.adj):
+        reach[p] |= row
+    order = sorted(range(g.k), key=lambda p: -part_masks[p].bit_count())
     unions = set()
-    for start in range(k):
-        chosen = 1 << start
-        available = every & ~chosen & ~crossing[start]
-        while available:
-            low = available & -available
-            chosen |= low
-            available &= ~(low | crossing[low.bit_length() - 1])
-        if singletons:
-            unions.add(chosen)
-            continue
-        mask = 0
-        while chosen:
-            low = chosen & -chosen
-            mask |= masks[low.bit_length() - 1]
-            chosen ^= low
-        unions.add(mask)
+    for start in order:
+        chosen, blocked = part_masks[start], reach[start]
+        for p in order:
+            if not part_masks[p] & (chosen | blocked):
+                chosen |= part_masks[p]
+                blocked |= reach[p]
+        unions.add(chosen)
     return sorted(unions)
 
 

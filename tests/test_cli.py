@@ -288,6 +288,33 @@ def test_verify_shard_flag(capsys, tmp_path):
     assert payload["counters"]["graphs_enumerated"] == 1024
 
 
+def test_jobs_never_change_the_report(capsys, tmp_path):
+    # --shards defaults to 1 whatever --jobs is, so a pooled report equals
+    # the serial one apart from its wall time.
+    reports = []
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"jobs{jobs}.json"
+        code, _, _ = run_cli(
+            capsys, "verify", "--n", "6", "--k", "3", "--exhaustive",
+            "--jobs", jobs, "--out", str(out_path),
+        )
+        assert code == 0
+        payload = json.loads(out_path.read_text())
+        del payload["wall_time_seconds"]
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    assert reports[0]["params"]["shards"] == 1
+    # Without --shards, --shard 1 is outside the one shard's range.
+    out_path = tmp_path / "shard.json"
+    code, _, err = run_cli(
+        capsys, "verify", "--n", "6", "--k", "3", "--exhaustive", "--shard", "1",
+        "--jobs", "2", "--out", str(out_path),
+    )
+    assert code == 2
+    assert "shard_id must lie in [0, 1), got 1" in err
+    assert not out_path.exists()
+
+
 def test_facts_command(capsys):
     code, out, _ = run_cli(capsys, "facts", "--k-max", "20", "--m-max", "8")
     assert code == 0

@@ -19,6 +19,8 @@ from hamparts.graphs import (
     build_graph,
     complete_kpartite,
     induced_bipartite,
+    is_independent,
+    _bits,
 )
 from hamparts.harness import _enumerate_shard
 from hamparts.solver import (
@@ -215,6 +217,23 @@ def test_part_unions_are_frozen():
     assert hashlib.sha256(payload.encode()).hexdigest() == PART_UNION_DIGEST
 
 
+def test_part_unions_are_maximal_independent_covers():
+    for g in _part_union_population():
+        unions = _independent_part_unions(g)
+        covered = 0
+        for mask in unions:
+            inside = [p for p in g.part_masks if p & mask]
+            assert sum(inside) == mask, "a union is made of whole parts"
+            assert is_independent(g, _bits(mask))
+            reach = 0
+            for v in _bits(mask):
+                reach |= g.adj[v]
+            for p in g.part_masks:
+                assert p & mask or p & reach, "a part outside a union has an edge into it"
+            covered |= mask
+        assert covered == (1 << g.n) - 1, "every part lies in some union"
+
+
 def test_longest_cycle_values():
     assert len(longest_cycle(build_F2())) == 6
     assert len(longest_cycle(complete_kpartite(2, 2))) == 4
@@ -357,6 +376,26 @@ def test_witness_payload_round_trip():
         ({"type": "bipartite_degree_one", "a_side": {"0": 1}, "vertex": 6}, "a_side"),
     ):
         with pytest.raises(ValueError, match=f"field '{name}' must be a list"):
+            witness_from_payload(payload)
+    # A payload that is not an object, a missing field, a set element that
+    # is not an int and an int field that is not an int are refused too.
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        witness_from_payload(["small_cut", [0]])
+    for payload, match in (
+        ({"type": "small_cut"}, "field 'vertices' is missing"),
+        ({"type": "bipartite_degree_one", "vertex": 6}, "field 'a_side' is missing"),
+        ({"type": "exhaustive_search"}, "field 'nodes' is missing"),
+        ({"type": "small_cut", "vertices": ["a"]}, "field 'vertices' must be a list of ints"),
+        ({"type": "independent_set", "vertices": [0, 2.0]}, "field 'vertices' must be a list of ints"),
+        ({"type": "small_cut", "vertices": [True]}, "field 'vertices' must be a list of ints"),
+        (
+            {"type": "bipartite_degree_one", "a_side": [0, 1, 2, 3], "vertex": "6"},
+            "field 'vertex' must be an int",
+        ),
+        ({"type": "exhaustive_search", "nodes": "9"}, "field 'nodes' must be an int"),
+        ({"type": "exhaustive_search", "nodes": True}, "field 'nodes' must be an int"),
+    ):
+        with pytest.raises(ValueError, match=match):
             witness_from_payload(payload)
 
 
