@@ -22,10 +22,16 @@ number of pairs a prefix fixes present), and its workers finish close
 together.  A whole run's units are the whole prefix space, however many
 shards it names.
 
-Every report builder ends in ``_finish_report``, which runs the self-check and
-stamps the wall time.  Reports serialize to JSON with a schema version; apart
-from the ``wall_time_seconds`` field they are byte-identical across repeat
-runs with equal parameters and seed.
+The exhaustive and the sampled sweep both hand their non-Hamiltonian graphs,
+in report order, to ``_finish_sweep``: it computes each witness, builds each
+entry (an exceptional one with its classification at the floor of an
+exception regime, a counterexample anywhere else) and writes the sweep
+params.  Every report builder ends in ``_finish_report``, which runs the
+self-check and stamps the wall time.  The self-check re-solves each recorded
+graph, certifies its witness and requires an exhaustive search's node count
+to reproduce.  Reports serialize to JSON with a schema version; apart from
+the ``wall_time_seconds`` field they are byte-identical across repeat runs
+with equal parameters and seed.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .graphs import (
 )
 from .solver import (
     HAM_SIZE_LIMIT,
+    ExhaustiveSearch,
     _ham_search,
     find_hamiltonian_cycle,
     non_hamiltonicity_witness,
@@ -227,53 +234,68 @@ def _run_exhaustive_shard(args) -> dict:
     # their masks feed the solver's cardinality prune with no per-graph cost.
     unions = sorted(set(part_masks))
     non_ham: list[tuple[int, tuple[int, ...]]] = []
-    ham_count = 0
 
     def visit(sid: int, adj: list[int]) -> None:
-        nonlocal ham_count
         order, _ = _ham_search(n, tuple(adj), unions)
         if order is None:
             non_ham.append((sid, tuple(adj)))
-        else:
-            ham_count += 1
 
     space, visited = _enumerate_shard(n, k, floor, 1 << unit_bits, unit, visit)
-    return {
-        "space": space,
-        "meeting_floor": visited,
-        "hamiltonian": ham_count,
-        "non_hamiltonian": non_ham,
-    }
+    return {"space": space, "meeting_floor": visited, "non_hamiltonian": non_ham}
 
 
-def _expectation_mode(n: int, k: int, floor: int) -> str:
-    if is_exception(n, k) and floor == theorem_threshold(n, k):
-        return "characterize"
-    return "assert_hamiltonian"
-
-
-def _record_non_hamiltonian(
-    g: KPartiteGraph,
-    mode: str,
+def _finish_sweep(
+    kind: str,
+    n: int,
+    k: int,
+    floor: int,
     counters: dict,
-    counterexamples: list,
-    exceptional: list,
-) -> None:
-    """Append g's entry, with its witness, to the list ``mode`` selects; in
-    characterize mode the entry also carries g's family classification."""
-    witness = non_hamiltonicity_witness(g)
-    if witness is not None:
-        counters["witnesses_found"] += 1
-    entry = {
-        "graph": encode(g),
-        "witness": witness_to_payload(witness) if witness else None,
-    }
-    if mode == "characterize":
-        classify = g.n == 2 * g.k and g.n <= RECOGNIZE_SIZE_LIMIT
-        entry["classification"] = recognize(g) if classify else None
-        exceptional.append(entry)
-    else:
-        counterexamples.append(entry)
+    non_hamiltonian,
+    started: float,
+    *,
+    shards: int = 1,
+    shard_id: int | None = None,
+    seed: int | None = None,
+    trials: int | None = None,
+) -> VerificationReport:
+    """The report of a sweep whose non-Hamiltonian graphs, in report order,
+    are ``non_hamiltonian``; ``counters`` holds the sweep's own counts and
+    gains ``hamiltonian_found`` and ``witnesses_found``.
+
+    Each graph's entry carries its witness.  In an exception regime at the
+    theorem's floor the entries are ``exceptional`` and carry the graph's
+    family classification (None off n = 2k or beyond recognition's reach);
+    anywhere else they are counterexamples."""
+    characterize = is_exception(n, k) and floor == theorem_threshold(n, k)
+    classify = characterize and n == 2 * k and n <= RECOGNIZE_SIZE_LIMIT
+    entries = []
+    for g in non_hamiltonian:
+        witness = non_hamiltonicity_witness(g)
+        entry = {
+            "graph": encode(g),
+            "witness": witness_to_payload(witness) if witness else None,
+        }
+        if characterize:
+            entry["classification"] = recognize(g) if classify else None
+        entries.append(entry)
+    counters["hamiltonian_found"] = counters["graphs_above_threshold"] - len(entries)
+    counters["witnesses_found"] = sum(entry["witness"] is not None for entry in entries)
+    report = VerificationReport(
+        kind=kind,
+        params={
+            "n": n,
+            "k": k,
+            "degree_floor": floor,
+            "shards": shards,
+            "shard_id": shard_id,
+            "seed": seed,
+            "trials": trials,
+        },
+        counters=counters,
+        counterexamples=[] if characterize else entries,
+        exceptional=entries if characterize else [],
+    )
+    return _finish_report(report, started)
 
 
 def _finish_exhaustive(
@@ -289,37 +311,17 @@ def _finish_exhaustive(
     counters = {
         "graphs_enumerated": sum(r["space"] for r in shard_results),
         "graphs_above_threshold": sum(r["meeting_floor"] for r in shard_results),
-        "hamiltonian_found": sum(r["hamiltonian"] for r in shard_results),
-        "witnesses_found": 0,
     }
     non_ham = sorted(
         (item for r in shard_results for item in r["non_hamiltonian"]),
         key=lambda item: item[0],
     )
     part_of = blocks_partition(n, k)
-    mode = _expectation_mode(n, k, floor)
-    counterexamples = []
-    exceptional = []
-    for _, adj in non_ham:
-        _record_non_hamiltonian(
-            KPartiteGraph(part_of, adj), mode, counters, counterexamples, exceptional
-        )
-    report = VerificationReport(
-        kind=kind,
-        params={
-            "n": n,
-            "k": k,
-            "degree_floor": floor,
-            "shards": shards,
-            "shard_id": shard_id,
-            "seed": None,
-            "trials": None,
-        },
-        counters=counters,
-        counterexamples=counterexamples,
-        exceptional=exceptional,
+    # A generator: each graph object lives only while its entry is made.
+    graphs = (KPartiteGraph(part_of, adj) for _, adj in non_ham)
+    return _finish_sweep(
+        kind, n, k, floor, counters, graphs, started, shards=shards, shard_id=shard_id
     )
-    return _finish_report(report, started)
 
 
 def _finish_report(report: VerificationReport, started: float) -> VerificationReport:
@@ -331,7 +333,8 @@ def _finish_report(report: VerificationReport, started: float) -> VerificationRe
 
 def _self_check(report: VerificationReport) -> bool:
     """Re-decode and re-solve every recorded graph and certify its witness,
-    if it has one; statuses must reproduce."""
+    if it has one; statuses must reproduce, and so must an exhaustive
+    search's node count."""
     for entry in report.counterexamples + report.exceptional:
         graph_text = entry.get("graph")
         if graph_text is None:
@@ -339,8 +342,13 @@ def _self_check(report: VerificationReport) -> bool:
         g = decode(graph_text)
         if g.n >= 3 and find_hamiltonian_cycle(g) is not None:
             return False
-        witness = entry.get("witness")
-        if witness is not None and not witness_certifies(g, witness_from_payload(witness)):
+        payload = entry.get("witness")
+        if payload is None:
+            continue
+        witness = witness_from_payload(payload)
+        if isinstance(witness, ExhaustiveSearch) and g.decision != (None, witness.nodes):
+            return False
+        if not witness_certifies(g, witness):
             return False
     return True
 
@@ -422,22 +430,14 @@ def sample_verify(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     floor = required_degree(n, k) if degree_floor is None else degree_floor
-    mode = _expectation_mode(n, k, floor)
     part_of = blocks_partition(n, k)
     pairs = cross_pairs(n, k)
     m = n // k
     cross_degree = n - m
     grid = [min(1.0, (floor + bump) / cross_degree) for bump in (0, 1, 2)]
     rng = random.Random(seed)
-    counters = {
-        "graphs_enumerated": 0,
-        "graphs_above_threshold": 0,
-        "hamiltonian_found": 0,
-        "witnesses_found": 0,
-        "infeasible_trials": 0,
-    }
-    counterexamples = []
-    exceptional = []
+    counters = {"graphs_enumerated": 0, "graphs_above_threshold": 0, "infeasible_trials": 0}
+    non_ham = []
     for trial in range(trials):
         p = grid[trial % len(grid)]
         adj = None
@@ -456,26 +456,11 @@ def sample_verify(
             continue
         counters["graphs_above_threshold"] += 1
         g = KPartiteGraph(part_of, adj)
-        if find_hamiltonian_cycle(g) is not None:
-            counters["hamiltonian_found"] += 1
-            continue
-        _record_non_hamiltonian(g, mode, counters, counterexamples, exceptional)
-    report = VerificationReport(
-        kind="sample",
-        params={
-            "n": n,
-            "k": k,
-            "degree_floor": floor,
-            "shards": 1,
-            "shard_id": None,
-            "seed": seed,
-            "trials": trials,
-        },
-        counters=counters,
-        counterexamples=counterexamples,
-        exceptional=exceptional,
+        if find_hamiltonian_cycle(g) is None:
+            non_ham.append(g)
+    return _finish_sweep(
+        "sample", n, k, floor, counters, non_ham, started, seed=seed, trials=trials
     )
-    return _finish_report(report, started)
 
 
 def tightness_scan(k_max: int, m_max: int) -> VerificationReport:

@@ -237,8 +237,9 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, capsys, tmp_path):
 
 # Each report's JSON with the timing field zeroed, SHA-256 over the reports
 # of a row joined by newlines; taken before the sweep harness was reduced to
-# one enumeration recursion, one shard dispatch and one report finisher.  A
-# pooled row shares its digest with the serial row above it.
+# one enumeration recursion, one shard dispatch and one report finisher, and
+# "sample 8,4 floor 2" before both sweeps built their entries in one routine.
+# A pooled row shares its digest with the serial row above it.
 FROZEN_REPORTS = [
     ("exhaustive 6,3 floor 2", lambda: [exhaustive_verify(6, 3, 2)], "683b6a284c3e672fb4531029c730374707ab68f439142ba8cd8553ce68b61522"),
     ("exhaustive 6,3 floor 3", lambda: [exhaustive_verify(6, 3, 3)], "f38176972b4b7c932ad476e9e684e8a5359c6a31d01355ff773af75eea673036"),
@@ -285,6 +286,8 @@ FROZEN_REPORTS = [
     ),
     ("sample 8,2", lambda: [sample_verify(8, 2, 100, seed=13, degree_floor=2)], "d1bca6246fc01ffb5ff8ff947e1e9943b5727be6829b0a545ae589d5891de25d"),
     ("sample 8,4", lambda: [sample_verify(8, 4, 400, seed=3, degree_floor=3)], "998cee04d9591a611f4fb8684704cf7b58a36cf8136190398ef344abadd61b31"),
+    # Off the exception floor: 59 counterexamples, none exceptional.
+    ("sample 8,4 floor 2", lambda: [sample_verify(8, 4, 300, seed=5, degree_floor=2)], "048650314cac535864afbd7514801038b74dcb125bb84640d350d42e99b63709"),
     ("tightness 8,4", lambda: [tightness_scan(8, 4)], "647cdcbc8ddc773c1d26fbeff9be5c974a04d582f3cf832f36204d46cb15fd2b"),
     ("facts 40,15", lambda: [facts_report(40, 15)], "1c9a5b7662a4d3789daf5eea712b18e7e451a1461dd7b1e91242baa67fa232e7"),
 ]
@@ -405,6 +408,20 @@ def test_self_check_certifies_exhaustive_witnesses(monkeypatch):
     report = VerificationReport(kind="characterization", params={}, exceptional=[entry])
     assert harness._self_check(report)
     monkeypatch.setattr(solver, "_forced_edge_search", lambda n, adj, independent: (0,))
+    assert not harness._self_check(report)
+
+
+def test_self_check_reproduces_search_nodes():
+    # The second decider ignores an exhaustive witness's node count, so the
+    # self-check compares it with the count of its own re-solve.
+    report = exhaustive_verify(8, 2, 2)
+    assert report.self_check_ok
+    entry = next(
+        entry
+        for entry in report.exceptional
+        if entry["witness"] and entry["witness"]["type"] == "exhaustive_search"
+    )
+    entry["witness"]["nodes"] = 10**9
     assert not harness._self_check(report)
 
 
