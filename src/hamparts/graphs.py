@@ -345,17 +345,31 @@ def _max_independent(adj: tuple[int, ...], avail: int, floor: int = 0) -> tuple[
 
     Branches on a vertex of largest degree, "with" before "without".  The
     "without" branch only looks for a set larger than the "with" one, and no
-    branch is searched with ``floor`` or fewer vertices available.
+    branch is searched that cannot beat ``floor``: an independent set holds
+    at most one end of each edge of a matching, so it has at most |avail|
+    minus the matching's size vertices.  A greedy matching, taken in the
+    sweep that finds the branch vertex, gives that bound; a branch within
+    it returns ``(floor, 0)``, as its search would have.
     """
-    if avail.bit_count() <= floor:
+    bound = avail.bit_count()
+    if bound <= floor:
         return floor, 0
     best_v = -1
     best_d = -1
+    # ``bound`` drops by one for each edge of a greedy matching.
+    unmatched = avail
     for v in _bits(avail):
-        d = (adj[v] & avail).bit_count()
+        row = adj[v] & avail
+        d = row.bit_count()
         if d > best_d:
             best_d = d
             best_v = v
+        mates = row & unmatched
+        if mates and unmatched >> v & 1:
+            unmatched ^= (1 << v) | (mates & -mates)
+            bound -= 1
+    if bound <= floor:
+        return floor, 0
     if best_d <= 1:
         # The available vertices induce a matching plus isolated vertices:
         # one endpoint per edge, everything else entirely.

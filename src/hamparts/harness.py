@@ -40,7 +40,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from . import __version__
@@ -385,6 +384,10 @@ def exhaustive_verify(
     units = _work_units(n, k, floor, shards, shard_id)
     workers = min(jobs, len(units), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: the pool modules are a quarter of the package's
+        # import time, and a serial run never needs them.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_exhaustive_shard, units))
     else:

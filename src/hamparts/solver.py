@@ -13,7 +13,16 @@ parent node: (a) only for the unvisited neighbours of the previous endpoint,
 whose counts are the parent's candidate-ordering keys, and (b) only until the
 sweep reaches those neighbours.  The incremental (a) needs loop-free adjacency
 rows, which ``KPartiteGraph`` guarantees.  The tree searched, its node count
-and the cycle found are those of the full checks at every node.
+and the cycle found are those of the full checks at every node.  Prune (c) is
+skipped while half the remaining stretch holds the largest union.
+
+Because the prunes equal the full checks, a node's subtree depends on its
+state alone: the endpoint and the visited set, not the path that reached it
+(the observation behind Held & Karp's 1962 dynamic program).  So the search
+records the size of each failed child's subtree of more than one node under
+that state and, when the state comes up again, adds the recorded size
+instead of searching it again.  The record lives in one call and is made
+when first needed, so a search that never backtracks pays nothing for it.
 
 Non-Hamiltonicity is reported through checkable witnesses wherever a cheap
 certificate exists; exhaustive search is the fallback, guarded at n <=
@@ -193,7 +202,11 @@ def _ham_search(
       one component.  So the sweep stops once it has reached all of them.
 
     Pruned children count as expanded nodes whichever way they are pruned,
-    so ``nodes`` is the size of the full search tree.
+    so ``nodes`` is the size of the full search tree.  With the prunes a
+    function of the node's state, a failed child's subtree size, when above
+    one node, is kept in ``dead`` under the key ``v << n | visited``
+    (endpoint and visited set), and a repeat of that state adds the size
+    instead of searching it.
     """
     if n < 3:
         return None, 0
@@ -205,11 +218,24 @@ def _ham_search(
             return None, 1
     sbit = 1 << start
     adj_start = adj[start]
+    # A plain loop: cheaper than max() over a few unions, once per search.
+    widest = 0
+    for mask in unions:
+        if mask.bit_count() > widest:
+            widest = mask.bit_count()
     path = [start]
     nodes = 0
+    # Made on the first record: most sweep searches never fail a child.
+    dead: dict[int, int] | None = None
 
     def extend(u: int, visited: int, prev_row: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, dead
+        if dead is not None:
+            # A state that failed before: add its subtree, this node included.
+            size = dead.get(u << n | visited)
+            if size is not None:
+                nodes += size
+                return False
         nodes += 1
         if visited == full:
             return bool(adj[u] & sbit)
@@ -235,9 +261,10 @@ def _ham_search(
             seen |= frontier
         # (c) independent part unions must fit in the remaining stretch.
         cap = (unvisited.bit_count() + 1) // 2
-        for mask in unions:
-            if (mask & unvisited).bit_count() > cap:
-                return False
+        if cap < widest:
+            for mask in unions:
+                if (mask & unvisited).bit_count() > cap:
+                    return False
         # Candidates, fewest remaining options first, ties by vertex id.
         remaining = unvisited | sbit
         cands = []
@@ -255,18 +282,29 @@ def _ham_search(
             return False
         row = adj[u]
         for options, v in cands:
+            child = visited | (1 << v)
+            before = nodes
             path.append(v)
-            if extend(v, visited | (1 << v), row):
+            if extend(v, child, row):
                 return True
             path.pop()
+            # A one-node subtree is its own prune, as cheap to repeat as to
+            # look up; leaving those out spares most small searches a record.
+            if nodes - before > 1:
+                if dead is None:
+                    dead = {}
+                dead[v << n | child] = nodes - before
             if options < 2:
                 nodes += len(cands) - 1
                 return False
         return False
 
-    if extend(start, sbit, full):
-        return tuple(path), nodes
-    return None, nodes
+    found = extend(start, sbit, full)
+    # ``extend`` refers to itself through its own cell.  Clearing the cells
+    # frees it and the record now; left to the cycle collector, the garbage
+    # of one search per graph kept it busy.
+    extend = dead = None
+    return (tuple(path) if found else None), nodes
 
 
 def _decide_hamiltonian(g: KPartiteGraph) -> tuple[tuple[int, ...] | None, int]:
@@ -572,7 +610,7 @@ def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
 
     The independent-set step is one search for a maximum independent set
     that is bounded below by n/2, so it gives up on every branch that cannot
-    beat that bound.  The exhaustive step reuses
+    beat that bound, by size or by a matching.  The exhaustive step reuses
     g's own decision when ``find_hamiltonian_cycle`` has already searched
     this object; :func:`witness_certifies` checks it with a second decider.
     """

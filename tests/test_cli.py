@@ -1,7 +1,12 @@
 """CLI: subcommand output, file formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hamparts
 from hamparts.cli import main
 from hamparts.families import build_F2
 from hamparts.graphs import encode
@@ -336,3 +341,13 @@ def test_characterize_command_guard(capsys, tmp_path):
         "--out", str(tmp_path / "r.json"),
     )
     assert code == 3
+
+
+def test_cli_import_leaves_the_pool_modules_out():
+    # Only a sweep that runs a pool imports it.  CI runs the same check
+    # against the installed package.
+    paths = [str(Path(hamparts.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    check = 'import sys, hamparts.cli; sys.exit("concurrent.futures" in sys.modules)'
+    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()

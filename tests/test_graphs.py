@@ -1,6 +1,7 @@
 """Graph core: construction, queries, connectivity, serialization."""
 
 import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -240,6 +241,42 @@ def test_bounded_independence_test_agrees_with_exact_alpha():
             expected = exact if alpha > floor else (floor, 0)
             assert _max_independent(g.adj, full, floor) == expected
         assert (_max_independent(g.adj, full, n // 2)[1] != 0) == (2 * alpha > n)
+
+
+def _independent_set_population():
+    """Seeded graphs whose bounded independent-set searches the digest below
+    freezes: for every n from 3 to 28, general graphs at three densities, two
+    sparse k-partite graphs at expected cross degree 3 (the density of the
+    decide-sparse benchmark) and a dense k-partite graph."""
+    rng = random.Random(20261022)
+    graphs = []
+    for n in range(3, 29):
+        ks = [d for d in range(2, n + 1) if n % d == 0]
+        for p in (0.15, 0.3, 0.5):
+            graphs.append(random_graph(rng, n, p))
+        for _ in range(2):
+            k = rng.choice(ks)
+            graphs.append(random_kpartite(rng, n, k, min(1.0, 3.0 / (n - n // k))))
+        graphs.append(random_kpartite(rng, n, rng.choice(ks), 0.5))
+    return graphs
+
+
+# SHA-256 of the (size, mask) pairs of the reference bounded search at every
+# floor from 0 to n // 2 on each graph above.
+INDEPENDENT_SET_DIGEST = "5e920052edbfb3b36a7a42e0dc62730209eb315bd7b1339b6f893830af434fc7"
+
+
+def test_bounded_independent_sets_are_frozen():
+    rows = []
+    for g in _independent_set_population():
+        full = (1 << g.n) - 1
+        rows.extend(list(_max_independent(g.adj, full, floor)) for floor in range(g.n // 2 + 1))
+        if g.n <= 12:
+            assert independence_number(g) == brute_independence_number(g)
+    assert len(rows) == 1326
+    assert sum(mask != 0 for _, mask in rows) == 1020
+    payload = json.dumps(rows)
+    assert hashlib.sha256(payload.encode()).hexdigest() == INDEPENDENT_SET_DIGEST
 
 
 def test_independence_witness_is_independent():

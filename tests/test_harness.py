@@ -1,5 +1,6 @@
 """Harness: exhaustive sweeps, sharding, sampling, tightness, reports."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -207,7 +208,8 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, capsys, tmp_path):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # exhaustive_verify imports the pool class when it needs a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = exhaustive_verify(6, 3).counters
     cases = [
         # (cpu_count, run, pool size or None for a serial run)
@@ -224,7 +226,7 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, capsys, tmp_path):
         sizes.clear()
         run()
         assert sizes == ([] if size is None else [size])
-    # --shards defaults to --jobs, so this CLI run asks for 1000 shards too.
+    # --shards defaults to 1, and that one shard's work units fill the pool.
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     sizes.clear()
     out_path = tmp_path / "r.json"

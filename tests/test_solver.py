@@ -165,6 +165,37 @@ def test_search_tree_is_frozen():
     assert hashlib.sha256(payload.encode()).hexdigest() == SEARCH_TREE_DIGEST
 
 
+# The first twelve seeds above 27 whose graph, drawn as below, has a search
+# tree of 8,000 nodes or more.
+HEAVY_TREE_SEEDS = (107, 615, 818, 901, 1037, 1164, 1351, 1449, 1509, 1516, 1530, 1569)
+
+
+def _heavy_tree_population():
+    """Sparse n = 24 graphs drawn the way the decide-sparse benchmark draws
+    its population, one from each ``random.Random(seed)``: seeds 0-27 and
+    the heavy seeds above.  Seed 26 alone has a tree of 323,284 nodes."""
+    seeds = [*range(28), *HEAVY_TREE_SEEDS]
+    return [_sparse_kpartite(random.Random(s), 24, (4, 6, 8)[s % 3], 3.0, 2) for s in seeds]
+
+
+# SHA-256 of the (order, nodes) pairs of the reference search on the heavy
+# population.  Repeated search states occur in these trees, so a node count
+# that a shortcut gets wrong for a repeated state changes it.
+HEAVY_TREE_DIGEST = "88e1520dc1e47f9427a1a7906cec33782d3d47413d480278e648da9c6981570c"
+
+
+def test_heavy_search_trees_are_frozen():
+    results = [
+        _ham_search(g.n, g.adj, _independent_part_unions(g)) for g in _heavy_tree_population()
+    ]
+    assert len(results) == 40
+    assert sum(order is not None for order, _ in results) == 17
+    assert sum(nodes >= 8_000 for _, nodes in results) == 13
+    assert sum(nodes for _, nodes in results) == 567_663
+    payload = json.dumps([[order and list(order), nodes] for order, nodes in results])
+    assert hashlib.sha256(payload.encode()).hexdigest() == HEAVY_TREE_DIGEST
+
+
 def _partite_on(rng, part_of, p):
     """Random graph on the given partition, each cross pair an edge with
     probability p."""
