@@ -201,7 +201,7 @@ class KPartiteGraph:
         return self.adj[v].bit_count()
 
     def min_degree(self) -> int:
-        return min(row.bit_count() for row in self.adj)
+        return min(map(int.bit_count, self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -212,7 +212,7 @@ class KPartiteGraph:
                 yield (u, u + 1 + v)
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def part_members(self, p: int) -> tuple[int, ...]:
         return tuple(_bits(self.part_masks[p]))

@@ -154,9 +154,8 @@ def _enumerate_shard(
     total_pairs = len(pairs)
     prefix_bits = (units - 1).bit_length()
     suffix_bits = total_pairs - prefix_bits
-    pair_bit = [1 << (total_pairs - 1 - i) for i in range(total_pairs)]
-    ubits = [1 << u for u, _ in pairs]
-    vbits = [1 << v for _, v in pairs]
+    # rows[i]: pair i as (u, v, 1 << u, 1 << v, its bit in a subset id).
+    rows = [(u, v, 1 << u, 1 << v, 1 << (total_pairs - 1 - i)) for i, (u, v) in enumerate(pairs)]
     first = unit << suffix_bits
     adj = [0] * n
     # slack[v]: v's present degree plus its undecided pairs, minus the floor.
@@ -164,31 +163,41 @@ def _enumerate_shard(
     for u, v in pairs:
         slack[u] += 1
         slack[v] += 1
-    for i, (u, v) in enumerate(pairs[:prefix_bits]):
-        if first & pair_bit[i]:
-            adj[u] |= vbits[i]
-            adj[v] |= ubits[i]
+    for u, v, ubit, vbit, bit in rows[:prefix_bits]:
+        if first & bit:
+            adj[u] |= vbit
+            adj[v] |= ubit
         else:
             slack[u] -= 1
             slack[v] -= 1
     if min(slack) < 0:
         # No completion of the unit's prefix meets the floor.
         return 1 << suffix_bits, 0
+    if not suffix_bits:
+        visit(first, adj)
+        return 1, 1
+    last = total_pairs - 1
     visited = 0
 
     def rec(i: int, sid: int) -> None:
+        # Decides pair i, present first; the frame that decides the last
+        # pair visits both of its completions itself.
         nonlocal visited
-        if i == total_pairs:
+        u, v, ubit, vbit, bit = rows[i]
+        adj[u] |= vbit
+        adj[v] |= ubit
+        if i == last:
             visited += 1
-            visit(sid, adj)
-            return
-        u, v = pairs[i]
-        adj[u] |= vbits[i]
-        adj[v] |= ubits[i]
-        rec(i + 1, sid | pair_bit[i])
-        adj[u] &= ~vbits[i]
-        adj[v] &= ~ubits[i]
+            visit(sid | bit, adj)
+        else:
+            rec(i + 1, sid | bit)
+        adj[u] ^= vbit
+        adj[v] ^= ubit
         if slack[u] > 0 and slack[v] > 0:
+            if i == last:
+                visited += 1
+                visit(sid, adj)
+                return
             slack[u] -= 1
             slack[v] -= 1
             rec(i + 1, sid)

@@ -480,22 +480,22 @@ def _forced_edge_search(
 
 
 def _longest_search(
-    g: KPartiteGraph, *, target: int | None = None
+    g: KPartiteGraph, *, collect: bool = False
 ) -> tuple[int, tuple[int, ...] | None, set[tuple[int, ...]]]:
-    """Branch-and-bound longest-cycle search.
+    """Branch-and-bound longest-cycle search, one pass.
 
-    With ``target`` set, collects every cycle of exactly that length instead
-    (canonicalised up to rotation and reflection); otherwise returns one
-    longest cycle.  Cycles are rooted at their minimum vertex, so each one is
-    generated from a single anchor, once per direction.
+    Returns (longest length, one longest cycle, set()).  With ``collect``
+    set it returns (longest length, None, every longest cycle) instead: the
+    set holds every cycle of the best length seen so far (canonicalised up to
+    rotation and reflection), cleared whenever a longer cycle turns up, and
+    the search prunes only below that length, so no longest cycle is lost.
+    Cycles are rooted at their minimum vertex, so each one is generated from
+    a single anchor, once per direction.
     """
     n, adj = g.n, g.adj
     best_len = 0
     best: tuple[int, ...] | None = None
     found: set[tuple[int, ...]] = set()
-    collect = target is not None
-    if collect:
-        best_len = target
 
     for anchor in range(n):
         remaining = n - anchor
@@ -512,6 +512,9 @@ def _longest_search(
             plen = len(path)
             if plen >= 3 and (adj[u] >> anchor) & 1:
                 if collect:
+                    if plen > best_len:
+                        best_len = plen
+                        found.clear()
                     if plen == best_len:
                         seq = tuple(path)
                         mirror = (anchor,) + tuple(reversed(seq[1:]))
@@ -557,10 +560,9 @@ def enumerate_longest_cycles(g: KPartiteGraph) -> list[CycleCertificate]:
         raise SizeGuardError(
             f"longest cycle enumeration guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {g.n}"
         )
-    length, order, _ = _longest_search(g)
-    if order is None or length < 3:
+    _, _, found = _longest_search(g, collect=True)
+    if not found:
         raise GraphError("graph contains no cycle")
-    _, _, found = _longest_search(g, target=length)
     return [CycleCertificate(seq) for seq in sorted(found)]
 
 

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -223,6 +223,80 @@ def test_domcycle_lemma_miss_after_hamiltonian_gets_cold_status():
         assert check_domcycle_lemma(other).status == cold
         assert check_domcycle_lemma(hamiltonian).status == HOLDS
         assert check_domcycle_lemma(other).status == cold
+
+
+def _spy_on_miss_path(monkeypatch):
+    """Wraps the three steps a cache miss can take; returns the list each
+    call appends its step's name to."""
+    calls = []
+    for name in ("find_hamiltonian_cycle", "_cut_witness", "enumerate_longest_cycles"):
+        step = getattr(conditions, name)
+
+        def spy(g, name=name, step=step):
+            calls.append(name)
+            return step(g)
+
+        monkeypatch.setattr(conditions, name, spy)
+    return calls
+
+
+def test_domcycle_lemma_hamiltonian_miss_skips_cut_sweep(monkeypatch):
+    calls = _spy_on_miss_path(monkeypatch)
+    rng = random.Random(909)
+    graphs = [complete_kpartite(7, 1), complete_kpartite(3, 2), complete_kpartite(4, 2)]
+    graphs += [random_kpartite(rng, n, n, 0.8) for n in range(5, 10) for _ in range(4)]
+    hamiltonian_misses = 0
+    for g in graphs:
+        conditions._recent_cycles.clear()
+        calls.clear()
+        outcome = check_domcycle_lemma(g)
+        if calls and find_hamiltonian_cycle(g) is not None:
+            hamiltonian_misses += 1
+            assert outcome.status == HOLDS
+            assert calls == ["find_hamiltonian_cycle"]
+    assert hamiltonian_misses >= 10
+
+
+def test_domcycle_lemma_cut_vertex_reads_not_applicable(monkeypatch):
+    calls = _spy_on_miss_path(monkeypatch)
+    # Two K4 sharing vertex 3: degree 3 meets (7 + 2) / 3, but 3 is a cut
+    # vertex, so the graph is not Hamiltonian.
+    left = list(combinations((0, 1, 2, 3), 2))
+    right = list(combinations((3, 4, 5, 6), 2))
+    conditions._recent_cycles.clear()
+    assert check_domcycle_lemma(build_graph(7, 7, range(7), left + right)).status == NOT_APPLICABLE
+    assert calls == ["find_hamiltonian_cycle", "_cut_witness"]
+
+
+def test_domcycle_lemma_non_hamiltonian_two_connected_enumerates(monkeypatch):
+    calls = _spy_on_miss_path(monkeypatch)
+    # K_{3,4} is 2-connected with degree 3 >= (7 + 2) / 3 and no Hamiltonian
+    # cycle; its longest cycles are enumerated and dominate.
+    k34 = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5, 6)]
+    conditions._recent_cycles.clear()
+    assert check_domcycle_lemma(build_graph(7, 7, range(7), k34)).status == HOLDS
+    assert calls == ["find_hamiltonian_cycle", "_cut_witness", "enumerate_longest_cycles"]
+
+
+def test_domcycle_lemma_keeps_the_most_recent_cycles_only():
+    k7 = complete_kpartite(7, 1)
+    orders = [(0, *p) for p in permutations(range(1, 7)) if p[0] < p[-1]]
+    cycles = [CycleCertificate(order) for order in orders[: conditions._RECENT_CYCLES + 1]]
+    conditions._recent_cycles.clear()
+    for cycle in cycles:
+        conditions._remember_cycle(k7, cycle)
+    kept = [cycle for _, cycle in conditions._recent_cycles[7]]
+    assert kept == cycles[:0:-1]
+
+    def alone(cycle):
+        vs = cycle.vertices
+        return build_graph(7, 7, range(7), zip(vs, vs[1:] + vs[:1]))
+
+    # A graph that is one cycle holds no other: the oldest is gone, the
+    # second oldest is still found.
+    assert not conditions._recent_cycle_in(alone(cycles[0]))
+    assert conditions._recent_cycle_in(alone(cycles[1]))
+    conditions._recent_cycles.clear()
 
 
 def test_successor_profile_c5_plus_outside():

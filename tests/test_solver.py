@@ -306,6 +306,56 @@ def test_enumerate_longest_cycles_complete_count():
     assert len(enumerate_longest_cycles(k5)) == 12
 
 
+def _random_forest(rng, n):
+    """Random forest: each vertex after the first joins an earlier one with
+    probability 0.85."""
+    adj = [0] * n
+    for v in range(1, n):
+        if rng.random() < 0.85:
+            u = rng.randrange(v)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return KPartiteGraph(tuple(range(n)), adj)
+
+
+def _longest_cycle_population():
+    """Seeded graphs whose longest cycles the digest below freezes: for each
+    4 <= n <= 10, two random forests and three random graphs at each of three
+    densities, acyclic, Hamiltonian and neither among them."""
+    rng = random.Random(20261021)
+    graphs = []
+    for n in range(4, 11):
+        graphs.extend(_random_forest(rng, n) for _ in range(2))
+        for p in (0.25, 0.4, 0.6):
+            graphs.extend(random_graph(rng, n, p) for _ in range(3))
+    return graphs
+
+
+# SHA-256 of each graph's sorted longest cycles from enumerate_longest_cycles,
+# or None where it raises GraphError on an acyclic graph.
+LONGEST_CYCLES_DIGEST = "603dc30e2f08ed8bab91e10844595b7565e702d47daa7c246fff680f329ab06a"
+
+
+def test_longest_cycle_enumeration_is_frozen():
+    graphs = _longest_cycle_population()
+    rows = []
+    for g in graphs:
+        try:
+            cycles = enumerate_longest_cycles(g)
+        except GraphError as exc:
+            assert "no cycle" in str(exc)
+            rows.append(None)
+            continue
+        assert len({len(c) for c in cycles}) == 1
+        rows.append([list(c.vertices) for c in cycles])
+    assert len(rows) == 77
+    assert rows.count(None) == 29
+    assert sum(bool(r) and len(r[0]) == g.n for r, g in zip(rows, graphs)) == 18
+    assert sum(len(r) for r in rows if r) == 1257
+    payload = json.dumps(rows)
+    assert hashlib.sha256(payload.encode()).hexdigest() == LONGEST_CYCLES_DIGEST
+
+
 def test_dirac_long_cycle_property():
     # 2-connected with min degree d/2 forces a cycle of length >= d; take
     # d = min(n, 2*delta).
