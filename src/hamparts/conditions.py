@@ -101,8 +101,10 @@ _NOT_APPLICABLE = DomCycleOutcome(NOT_APPLICABLE)
 
 # Hamiltonian cycles the lemma check found lately, most recently used first:
 # n -> [(edge mask, cycle)], at most _RECENT_CYCLES entries per n.  The edge
-# mask sets bit u * stride + v for each cycle edge u -> v, the bit that edge
-# has in ``KPartiteGraph.packed`` (the stride depends on n alone).  Sweeps
+# mask is the cycle's own ``CycleCertificate.edge_mask`` at the stride of
+# n-vertex graphs (bit u * stride + v for each cycle edge u -> v, the bit
+# that edge has in ``KPartiteGraph.packed``), the one ``verify_cycle`` reads
+# when a kept cycle is tried, so it is built once per cycle.  Sweeps
 # pass near-identical graphs in a row, so a recent cycle often lies in the
 # next graph too.  Over the 236,926 graphs of the n = 7 sweep, 16 kept cycles
 # miss 7,888 times and 64 miss 2,097 times; of 32, 64 and 128, 64 checked
@@ -112,15 +114,8 @@ _recent_cycles: dict[int, list[tuple[int, CycleCertificate]]] = {}
 
 
 def _remember_cycle(g: KPartiteGraph, cycle: CycleCertificate) -> None:
-    stride = g.stride
-    vs = cycle.vertices
-    mask = 0
-    prev = vs[-1]
-    for v in vs:
-        mask |= 1 << (prev * stride + v)
-        prev = v
     recent = _recent_cycles.setdefault(g.n, [])
-    recent.insert(0, (mask, cycle))
+    recent.insert(0, (cycle.edge_mask(g.stride), cycle))
     del recent[_RECENT_CYCLES:]
 
 
@@ -149,7 +144,7 @@ def check_domcycle_lemma(g: KPartiteGraph) -> DomCycleOutcome:
 
     Hamiltonian cycles found by earlier calls are tried first: the last
     ``_RECENT_CYCLES`` (64) per vertex count, most recently used first, each
-    kept as a mask over ``g.packed`` (bit u * g.stride + v per cycle edge
+    with its edge mask over ``g.packed`` (bit u * g.stride + v per cycle edge
     u -> v), so one AND tells whether its edges all lie in g.  One that does
     and passes ``verify_cycle`` is a Hamiltonian cycle of g, so g (n >= 3) is
     2-connected and every longest cycle spans it, and HOLDS follows with no

@@ -7,18 +7,22 @@ construction, apart from the solver's cached decision; every derived graph is
 a new value.
 
 The constructor validates every graph on one packed int: row v shifted by
-v * stride, where the stride is n rounded up to a power of two.  A range
-test, one AND against the packed self-loops and intra-part pairs, and a
-bit-matrix transpose in log2(stride) delta swaps decide validity; what is
-derived from the partition alone is memoized per ``part_of``.  The per-row
-and per-pair loops run only on rejected rows, and only to name the first
-defect in the error message.
+v * stride, where the stride is n rounded up to a power of two and to at
+least 8, so every row fills a whole number of bytes.  The rows are packed by
+one conversion to bytes, which refuses a negative or over-wide row; one AND
+against the packed self-loops, intra-part pairs and columns at or above n,
+and a bit-matrix transpose in log2(stride) delta swaps, decide the rest.
+What is derived from the partition alone is memoized per ``part_of``.  The
+per-row and per-pair loops run only on rejected rows, and only to name the
+first defect in the error message.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from operator import lshift
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Mapping, NoReturn
 
 
@@ -38,15 +42,43 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 # What the constructor derives from a valid partition alone, for recently
-# seen partitions: part_of -> (key, k, part masks, stride, shifts, intra,
+# seen partitions: part_of -> (key, k, part masks, stride, to_bytes, intra,
 # swaps).  ``key`` is the part_of tuple last checked against the entry,
-# ``shifts`` holds v * stride for each vertex v, ``intra`` the packed bits of
-# every self-loop and intra-part edge, ``swaps`` the transpose's rounds.  A
-# tuple of other numbers can equal an int tuple (0.0 == 0), so only a call
-# that passes ``key`` itself skips the int check.  The oldest entry is
-# dropped once the memo is full.
+# ``to_bytes`` turns the rows into the bytes of the packed int, least
+# significant first (see :func:`_row_packer`), ``intra`` holds the packed
+# bits of every self-loop, intra-part edge and column at or above n, and
+# ``swaps`` the transpose's rounds.  A tuple of other numbers can equal an
+# int tuple (0.0 == 0), so only a call that passes ``key`` itself skips the
+# int check.  The oldest entry is dropped once the memo is full.
 _LAYOUT_MEMO_SIZE = 32
 _layouts: dict[tuple[int, ...], tuple] = {}
+
+# An unsigned array typecode per item width in bits, 16 to 64: the first of
+# each width in "HILQ", as this platform sizes them.  Array items are in the
+# platform's byte order, so a big-endian platform packs with int.to_bytes.
+_ROW_TYPECODES = (
+    {8 * array(code).itemsize: code for code in reversed("HILQ")}
+    if sys.byteorder == "little"
+    else {}
+)
+
+
+def _wide_rows(width: int, adj: tuple[int, ...]) -> bytes:
+    return b"".join([int.to_bytes(row, width, "little") for row in adj])
+
+
+def _row_packer(stride: int):
+    """The function that turns rows of ``stride`` bits into the packed int's
+    bytes, least significant first.  It raises OverflowError or ValueError
+    on a row that is negative or has a bit at or above ``stride``: ``bytes``
+    for one byte per row, an unsigned ``array`` up to 64 bits, and
+    ``int.to_bytes`` row by row beyond."""
+    if stride == 8:
+        return bytes
+    code = _ROW_TYPECODES.get(stride)
+    if code is None:
+        return partial(_wide_rows, stride // 8)
+    return partial(array, code)
 
 
 def _transpose_swaps(stride: int) -> tuple[tuple[int, int], ...]:
@@ -90,25 +122,28 @@ def _layout(part_of: tuple[int, ...]) -> tuple:
     if 0 in part_masks:
         raise GraphError("part indices must be contiguous and nonempty")
     n = len(part_of)
-    stride = 1 << (n - 1).bit_length()
-    shifts = tuple(range(0, n * stride, stride))
+    stride = max(8, 1 << (n - 1).bit_length())
+    pad = ((1 << stride) - 1) ^ ((1 << n) - 1)
     intra = 0
-    for p, shift in zip(part_of, shifts):
-        intra |= part_masks[p] << shift
-    layout = (part_of, k, tuple(part_masks), stride, shifts, intra, _transpose_swaps(stride))
+    for v, p in enumerate(part_of):
+        intra |= (part_masks[p] | pad) << v * stride
+    layout = (
+        part_of, k, tuple(part_masks), stride, _row_packer(stride), intra, _transpose_swaps(stride)
+    )
     if len(_layouts) >= _LAYOUT_MEMO_SIZE:
         del _layouts[next(iter(_layouts))]
     _layouts[part_of] = layout
     return layout
 
 
-def _packed_rows(adj: tuple[int, ...], shifts, intra: int, swaps) -> int | None:
+def _packed_rows(adj: tuple[int, ...], to_bytes, intra: int, swaps) -> int | None:
     """The rows packed at the layout's stride if they form a valid graph,
-    else None.  Rows are valid when each is a nonnegative int below 2**n,
-    the packed matrix misses ``intra``, and it equals its own transpose."""
-    if min(adj) < 0 or max(adj) >> len(adj):
+    else None.  Rows are valid when ``to_bytes`` accepts each, the packed
+    matrix misses ``intra``, and it equals its own transpose."""
+    try:
+        packed = int.from_bytes(to_bytes(adj), "little")
+    except (OverflowError, ValueError):
         return None
-    packed = sum(map(lshift, adj, shifts))
     if packed & intra:
         return None
     transposed = packed
@@ -150,8 +185,9 @@ class KPartiteGraph:
     ``induced_bipartite``) may be unbalanced.
 
     ``packed`` holds every row in one int, row v shifted by v * ``stride``,
-    where ``stride`` is n rounded up to a power of two: edge u -> v is bit
-    u * stride + v.  The constructor validates the rows on ``packed`` (see
+    where ``stride`` is n rounded up to a power of two and to at least 8, so
+    each row is a whole number of bytes: edge u -> v is bit u * stride + v.
+    The constructor validates the rows on ``packed`` (see
     :func:`_packed_rows`); only when that fails do the per-row and
     per-pair loops of :func:`_name_defect` run, to name the first defect.
 
@@ -181,8 +217,8 @@ class KPartiteGraph:
         layout = _layouts.get(part_of)
         if layout is None or layout[0] is not part_of:
             layout = _layout(part_of)
-        _, k, part_masks, stride, shifts, intra, swaps = layout
-        packed = _packed_rows(adj, shifts, intra, swaps)
+        _, k, part_masks, stride, to_bytes, intra, swaps = layout
+        packed = _packed_rows(adj, to_bytes, intra, swaps)
         if packed is None:
             _name_defect(part_of, adj, part_masks)
         self.n = n
@@ -241,12 +277,48 @@ class KPartiteGraph:
 
 @dataclass(frozen=True)
 class CycleCertificate:
-    """An ordered list of distinct vertices, closed by a wraparound edge."""
+    """An ordered list of distinct vertices, closed by a wraparound edge.
+
+    What checking it needs of the vertices alone, ``span`` and one
+    ``edge_mask`` per stride, is computed on first use and kept on the
+    instance outside the dataclass fields, so equality, hashing and repr see
+    ``vertices`` alone.  Neither is computed again, so a list passed as
+    ``vertices`` must not change afterwards.
+    """
 
     vertices: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def span(self) -> tuple[int, int] | None:
+        """(lowest, highest) vertex if there are at least 3 vertices and no
+        two are equal, else None."""
+        vs = self.vertices
+        if len(vs) < 3 or len(set(vs)) != len(vs):
+            return None
+        return min(vs), max(vs)
+
+    @cached_property
+    def _edge_masks(self) -> dict[int, int]:
+        return {}
+
+    def edge_mask(self, stride: int) -> int:
+        """Bit u * stride + v for each edge u -> v, the closing edge
+        included: the bits the edges have in ``KPartiteGraph.packed`` at that
+        stride.  Needs every vertex in range(stride)."""
+        masks = self._edge_masks
+        mask = masks.get(stride)
+        if mask is None:
+            mask = 0
+            vs = self.vertices
+            prev = vs[-1]
+            for v in vs:
+                mask |= 1 << (prev * stride + v)
+                prev = v
+            masks[stride] = mask
+        return mask
 
 
 def build_graph(

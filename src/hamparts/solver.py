@@ -139,19 +139,15 @@ def witness_from_payload(payload: dict) -> NonHamWitness:
 
 def verify_cycle(g: KPartiteGraph, cert: CycleCertificate) -> bool:
     """True iff the certificate is a genuine cycle of g: distinct in-range
-    vertices, length at least 3, consecutively adjacent with wraparound."""
-    vs = cert.vertices
-    if len(vs) < 3 or len(set(vs)) != len(vs):
+    vertices, length at least 3, consecutively adjacent with wraparound.
+
+    The certificate's span and edge mask are computed once, so a call is a
+    range test and one AND of the mask against the absent edges of
+    ``g.packed``."""
+    span = cert.span
+    if span is None or span[0] < 0 or span[1] >= g.n:
         return False
-    if min(vs) < 0 or max(vs) >= g.n:
-        return False
-    adj = g.adj
-    prev = vs[-1]
-    for v in vs:
-        if not (adj[prev] >> v) & 1:
-            return False
-        prev = v
-    return True
+    return not cert.edge_mask(g.stride) & ~g.packed
 
 
 def _independent_part_unions(g: KPartiteGraph) -> list[int]:

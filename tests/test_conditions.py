@@ -33,6 +33,15 @@ from hamparts.solver import find_hamiltonian_cycle, longest_cycle, verify_cycle
 from _util import random_kpartite
 
 
+@pytest.fixture(autouse=True)
+def _no_kept_cycles():
+    """Each test starts, and leaves the next one, with no cycles kept by the
+    lemma check, which keeps them in module state."""
+    conditions._recent_cycles.clear()
+    yield
+    conditions._recent_cycles.clear()
+
+
 def test_chvatal_complete_bipartite():
     assert chvatal_bipartite_condition(complete_kpartite(2, 4))
 
@@ -191,7 +200,6 @@ def test_domcycle_lemma_reuses_cycles_of_same_order_only(monkeypatch):
 
     monkeypatch.setattr(conditions, "find_hamiltonian_cycle", find_spy)
     monkeypatch.setattr(conditions, "verify_cycle", verify_spy)
-    conditions._recent_cycles.clear()
     # The n = 7 cycle is never offered to the n = 6 octahedron, which is
     # searched; the octahedron's 6-cycle, which lies in K7, is never offered
     # to K7, which reuses its own cycle.
@@ -218,8 +226,9 @@ def test_domcycle_lemma_miss_after_hamiltonian_gets_cold_status():
          build_graph(7, 7, range(7), k34), HOLDS),
         (complete_kpartite(4, 2), build_F2(), NOT_APPLICABLE),
     ]
+    # Each ``other`` is non-Hamiltonian, so no kept cycle settles it: its
+    # first check is a miss whatever earlier cases kept.
     for hamiltonian, other, cold in cases:
-        conditions._recent_cycles.clear()
         assert check_domcycle_lemma(other).status == cold
         assert check_domcycle_lemma(hamiltonian).status == HOLDS
         assert check_domcycle_lemma(other).status == cold
@@ -263,7 +272,6 @@ def test_domcycle_lemma_cut_vertex_reads_not_applicable(monkeypatch):
     # vertex, so the graph is not Hamiltonian.
     left = list(combinations((0, 1, 2, 3), 2))
     right = list(combinations((3, 4, 5, 6), 2))
-    conditions._recent_cycles.clear()
     assert check_domcycle_lemma(build_graph(7, 7, range(7), left + right)).status == NOT_APPLICABLE
     assert calls == ["find_hamiltonian_cycle", "_cut_witness"]
 
@@ -273,7 +281,6 @@ def test_domcycle_lemma_non_hamiltonian_two_connected_enumerates(monkeypatch):
     # K_{3,4} is 2-connected with degree 3 >= (7 + 2) / 3 and no Hamiltonian
     # cycle; its longest cycles are enumerated and dominate.
     k34 = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5, 6)]
-    conditions._recent_cycles.clear()
     assert check_domcycle_lemma(build_graph(7, 7, range(7), k34)).status == HOLDS
     assert calls == ["find_hamiltonian_cycle", "_cut_witness", "enumerate_longest_cycles"]
 
@@ -282,7 +289,6 @@ def test_domcycle_lemma_keeps_the_most_recent_cycles_only():
     k7 = complete_kpartite(7, 1)
     orders = [(0, *p) for p in permutations(range(1, 7)) if p[0] < p[-1]]
     cycles = [CycleCertificate(order) for order in orders[: conditions._RECENT_CYCLES + 1]]
-    conditions._recent_cycles.clear()
     for cycle in cycles:
         conditions._remember_cycle(k7, cycle)
     kept = [cycle for _, cycle in conditions._recent_cycles[7]]
@@ -296,7 +302,13 @@ def test_domcycle_lemma_keeps_the_most_recent_cycles_only():
     # second oldest is still found.
     assert not conditions._recent_cycle_in(alone(cycles[0]))
     assert conditions._recent_cycle_in(alone(cycles[1]))
-    conditions._recent_cycles.clear()
+
+
+def test_domcycle_lemma_keeps_each_cycles_own_mask():
+    k7 = complete_kpartite(7, 1)
+    assert check_domcycle_lemma(k7).status == HOLDS
+    [(mask, cycle)] = conditions._recent_cycles[7]
+    assert mask is cycle.edge_mask(k7.stride)
 
 
 def test_successor_profile_c5_plus_outside():

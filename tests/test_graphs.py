@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamparts import graphs
+from hamparts.families import build_family_F
 from hamparts.graphs import (
     GraphError,
     KPartiteGraph,
@@ -155,6 +156,62 @@ def test_constructor_verdicts_are_frozen():
     assert verdicts.count("accepted") == 199
     digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
     assert digest == "6cdbd01a8ced2c5904f9a5c21168a64ba7b3b1396d251e4291dbdc7484d1939e"
+
+
+def _reference_pack(g):
+    """``packed`` by one shift per row, as the constructor once built it."""
+    return sum(row << v * g.stride for v, row in enumerate(g.adj))
+
+
+def test_packed_rows_match_one_shift_per_row():
+    rng = random.Random(19)
+    graphs = [build_family_F(100, 5)]
+    for n in range(1, 71):
+        k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        graphs += [random_kpartite(rng, n, k, p) for p in (0.2, 0.9)]
+    for g in graphs:
+        assert g.stride == max(8, 1 << (g.n - 1).bit_length())
+        assert g.packed == _reference_pack(g), (g.n, g.k)
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 9, 16, 17, 33, 64, 65, 70])
+def test_packed_rows_name_each_defect(n):
+    # One defect at a time on a valid graph, at strides packed one byte per
+    # row, by array and row by row; each keeps the text it had when rows
+    # were checked one by one.
+    rng = random.Random(n)
+    part_of = [v // 2 for v in range(n)]
+    adj = [0] * n
+    for u in range(n):
+        for w in range(u + 1, n):
+            if part_of[u] != part_of[w] and rng.random() < 0.5:
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+    KPartiteGraph(part_of, adj)
+    stride = max(8, 1 << (n - 1).bit_length())
+    v = 2 * rng.randrange(n // 2)
+    w = rng.choice([u for u in range(n) if part_of[u] != part_of[v]])
+    out_of_range = f"vertex {v} has an out-of-range neighbour"
+    cases = [
+        ({v: ~adj[v]}, out_of_range),
+        ({v: adj[v] | 1 << stride + rng.randrange(9)}, out_of_range),
+        ({v: adj[v] | 1 << v}, f"self-loop at vertex {v}"),
+        ({v: adj[v] | 1 << v + 1, v + 1: adj[v + 1] | 1 << v}, f"intra-part edge at vertex {v}"),
+        # One direction of a cross-part pair: the row that lists the other
+        # end is named first.
+        ({v: adj[v] | 1 << w}, f"asymmetric adjacency between {w} and {v}")
+        if not adj[v] >> w & 1
+        else ({v: adj[v] ^ 1 << w}, f"asymmetric adjacency between {v} and {w}"),
+    ]
+    if stride > n:
+        cases.append(({v: adj[v] | 1 << rng.randrange(n, stride)}, out_of_range))
+    for rows, message in cases:
+        bad = list(adj)
+        for u, row in rows.items():
+            bad[u] = row
+        with pytest.raises(GraphError) as excinfo:
+            KPartiteGraph(part_of, bad)
+        assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("parts", [(0.0, 1.0), [0, 1.0], (False, True), (0.0, 1)])

@@ -5,6 +5,7 @@ import json
 import random
 import time
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -95,6 +96,95 @@ def test_verify_cycle():
     assert not verify_cycle(g, CycleCertificate((0, 2, 0, 3)))  # repeated vertex
     assert not verify_cycle(g, CycleCertificate((0, 2)))  # too short
     assert not verify_cycle(g, CycleCertificate((0, 2, 9, 3)))  # out of range
+
+
+def _reference_verify_cycle(g, cert):
+    """``verify_cycle`` as one loop over the certificate's edges, as it was
+    before certificates kept their edge masks."""
+    vs = cert.vertices
+    if len(vs) < 3 or len(set(vs)) != len(vs):
+        return False
+    if min(vs) < 0 or max(vs) >= g.n:
+        return False
+    prev = vs[-1]
+    for v in vs:
+        if not (g.adj[prev] >> v) & 1:
+            return False
+        prev = v
+    return True
+
+
+def _certificate_population(rng, g):
+    """Certificates for g: its Hamiltonian cycle and copies broken in one
+    way each, random vertex sequences and cycles of g's complement."""
+    n = g.n
+    cycle = find_hamiltonian_cycle(g) if n >= 3 else None
+    orders = []
+    if cycle is not None:
+        vs = list(cycle.vertices)
+        orders += [vs, vs[::-1], vs[1:] + vs[:1], vs[:-1]]
+        orders.append(vs[:-1] + [vs[0]])  # a repeated vertex
+        orders.append(vs[:2])  # too short
+        orders.append(vs[:-1] + [-1 - rng.randrange(3)])  # negative
+        orders.append(vs[:-1] + [n + rng.randrange(2 * n)])  # out of range
+        for _ in range(2):  # two vertices swapped: often an absent edge
+            swapped = list(vs)
+            i, j = rng.sample(range(n), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            orders.append(swapped)
+    for _ in range(6):
+        length = rng.randint(0, n + 2)
+        orders.append([rng.randrange(-1, n + 2) for _ in range(length)])
+        orders.append(rng.sample(range(n), rng.randint(min(n, 3), n)))
+    certs = [CycleCertificate(tuple(order)) for order in orders]
+    certs += [CycleCertificate(list(order)) for order in orders[:3]]  # from lists
+    return certs
+
+
+def test_verify_cycle_matches_edge_loop():
+    rng = random.Random(1919)
+    graphs = [complete_kpartite(2, 2), build_F2(), build_family_F(3, 3)]
+    for n in range(1, 26):
+        k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        for p in (0.3, 0.6, 0.95):
+            graphs.append(random_kpartite(rng, n, k, p))
+    def kind(g, cert):
+        vs = cert.vertices
+        if len(vs) < 3:
+            return "short"
+        if len(set(vs)) != len(vs):
+            return "repeated"
+        if min(vs) < 0 or max(vs) >= g.n:
+            return "out_of_range"
+        return "cycle" if _reference_verify_cycle(g, cert) else "absent_edge"
+
+    certs = []
+    checked = Counter()
+    for g in graphs:
+        own = _certificate_population(rng, g)
+        certs += own
+        for cert in own:
+            assert verify_cycle(g, cert) == _reference_verify_cycle(g, cert), (g.n, cert)
+            checked[kind(g, cert)] += 1
+    # The same certificates again on graphs of other orders and strides,
+    # after their masks were kept at their own graph's stride.
+    for g in rng.sample(graphs, 20):
+        for cert in rng.sample(certs, 200):
+            assert verify_cycle(g, cert) == _reference_verify_cycle(g, cert), (g.n, cert)
+            checked[kind(g, cert)] += 1
+    assert set(checked) == {"short", "repeated", "out_of_range", "absent_edge", "cycle"}
+    assert min(checked.values()) >= 50, checked
+
+
+def test_cycle_certificate_identity_ignores_kept_masks():
+    g = complete_kpartite(2, 3)
+    used = CycleCertificate((0, 3, 1, 4, 2, 5))
+    assert verify_cycle(g, used) and verify_cycle(complete_kpartite(6, 2), used)
+    fresh = CycleCertificate((0, 3, 1, 4, 2, 5))
+    assert [f.name for f in fields(CycleCertificate)] == ["vertices"]
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == "CycleCertificate(vertices=(0, 3, 1, 4, 2, 5))"
+    assert used != CycleCertificate((0, 3, 1, 4, 2))
 
 
 def test_solver_matches_permutation_oracle():
