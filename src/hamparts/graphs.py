@@ -19,8 +19,6 @@ first defect in the error message.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Iterator, Mapping, NoReturn
@@ -44,23 +42,15 @@ def _bits(mask: int) -> Iterator[int]:
 # What the constructor derives from a valid partition alone, for recently
 # seen partitions: part_of -> (key, k, part masks, stride, to_bytes, intra,
 # swaps).  ``key`` is the part_of tuple last checked against the entry,
-# ``to_bytes`` turns the rows into the bytes of the packed int, least
-# significant first (see :func:`_row_packer`), ``intra`` holds the packed
-# bits of every self-loop, intra-part edge and column at or above n, and
-# ``swaps`` the transpose's rounds.  A tuple of other numbers can equal an
-# int tuple (0.0 == 0), so only a call that passes ``key`` itself skips the
-# int check.  The oldest entry is dropped once the memo is full.
+# ``to_bytes`` is the stride's row packer (see :func:`_row_packer`), ``intra``
+# holds the packed bits of every self-loop, intra-part edge and column at or
+# above n, and ``swaps`` the transpose's rounds.  Both masks are packed rows
+# too, so a layout costs time linear in its packed size.  A tuple of other
+# numbers can equal an int tuple (0.0 == 0), so only a call that passes
+# ``key`` itself skips the int check.  The oldest entry is dropped once the
+# memo is full.
 _LAYOUT_MEMO_SIZE = 32
 _layouts: dict[tuple[int, ...], tuple] = {}
-
-# An unsigned array typecode per item width in bits, 16 to 64: the first of
-# each width in "HILQ", as this platform sizes them.  Array items are in the
-# platform's byte order, so a big-endian platform packs with int.to_bytes.
-_ROW_TYPECODES = (
-    {8 * array(code).itemsize: code for code in reversed("HILQ")}
-    if sys.byteorder == "little"
-    else {}
-)
 
 
 def _wide_rows(width: int, adj: tuple[int, ...]) -> bytes:
@@ -69,37 +59,35 @@ def _wide_rows(width: int, adj: tuple[int, ...]) -> bytes:
 
 def _row_packer(stride: int):
     """The function that turns rows of ``stride`` bits into the packed int's
-    bytes, least significant first.  It raises OverflowError or ValueError
-    on a row that is negative or has a bit at or above ``stride``: ``bytes``
-    for one byte per row, an unsigned ``array`` up to 64 bits, and
-    ``int.to_bytes`` row by row beyond."""
+    bytes, least significant first: ``bytes`` for one byte per row, else
+    ``int.to_bytes`` row by row.  It raises OverflowError or ValueError on a
+    row that is negative or has a bit at or above ``stride``.  Every packed
+    matrix is built by it: graph rows, the layout's masks and cycle edge
+    masks."""
     if stride == 8:
         return bytes
-    code = _ROW_TYPECODES.get(stride)
-    if code is None:
-        return partial(_wide_rows, stride // 8)
-    return partial(array, code)
+    return partial(_wide_rows, stride // 8)
 
 
-def _transpose_swaps(stride: int) -> tuple[tuple[int, int], ...]:
+def _transpose_swaps(stride: int, to_bytes) -> tuple[tuple[int, int], ...]:
     """Delta swaps that transpose a stride x stride bit matrix packed row by
     row, ``stride`` bits per row (Warren, Hacker's Delight, section 7-3).
 
     The round for block size j swaps, in every aligned 2j x 2j block, the
     upper-right j x j block (rows r with bit j clear, columns c with bit j
-    set) with the lower-left one, j * (stride - 1) bits further up.  Each
-    round's mask comes from the previous one in a constant number of
-    big-int operations.
+    set) with the lower-left one, j * (stride - 1) bits further up.  Its
+    mask holds those columns on each row with bit j clear: a block of j such
+    rows and j empty ones, packed by ``to_bytes``, the stride's row packer,
+    and repeated down the matrix.
     """
     row = (1 << stride) - 1
     j = stride // 2
-    upper_rows = (1 << j * stride) - 1
-    right_cols = ((1 << stride * stride) - 1) // row * (row ^ (row >> j))
+    right_cols = row ^ (row >> j)
     swaps = []
     while j:
-        swaps.append((j * (stride - 1), upper_rows & right_cols))
+        block = to_bytes([right_cols] * j + [0] * j)
+        swaps.append((j * (stride - 1), int.from_bytes(block * (stride // (2 * j)), "little")))
         j //= 2
-        upper_rows ^= upper_rows << (j * stride)
         right_cols ^= right_cols >> j
     return tuple(swaps)
 
@@ -124,11 +112,10 @@ def _layout(part_of: tuple[int, ...]) -> tuple:
     n = len(part_of)
     stride = max(8, 1 << (n - 1).bit_length())
     pad = ((1 << stride) - 1) ^ ((1 << n) - 1)
-    intra = 0
-    for v, p in enumerate(part_of):
-        intra |= (part_masks[p] | pad) << v * stride
+    to_bytes = _row_packer(stride)
+    intra = int.from_bytes(to_bytes([part_masks[p] | pad for p in part_of]), "little")
     layout = (
-        part_of, k, tuple(part_masks), stride, _row_packer(stride), intra, _transpose_swaps(stride)
+        part_of, k, tuple(part_masks), stride, to_bytes, intra, _transpose_swaps(stride, to_bytes)
     )
     if len(_layouts) >= _LAYOUT_MEMO_SIZE:
         del _layouts[next(iter(_layouts))]
@@ -311,13 +298,13 @@ class CycleCertificate:
         masks = self._edge_masks
         mask = masks.get(stride)
         if mask is None:
-            mask = 0
             vs = self.vertices
+            rows = [0] * (max(vs) + 1)
             prev = vs[-1]
             for v in vs:
-                mask |= 1 << (prev * stride + v)
+                rows[prev] |= 1 << v
                 prev = v
-            masks[stride] = mask
+            mask = masks[stride] = int.from_bytes(_row_packer(stride)(rows), "little")
         return mask
 
 

@@ -40,7 +40,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import __version__
 from .families import RECOGNIZE_SIZE_LIMIT, build_family_F, recognize
@@ -95,7 +95,8 @@ class VerificationReport:
 
     The fields are the report's JSON keys: ``to_json`` writes every one and
     ``from_json`` reads back those present, so a new field needs no codec
-    change.
+    change; it raises ValueError, naming the field, when one without a
+    default is missing.
     """
 
     kind: str
@@ -131,6 +132,10 @@ class VerificationReport:
             raise ValueError(
                 f"report schema_version {payload['schema_version']!r} is not {SCHEMA_VERSION}"
             )
+        for f in fields(cls):
+            required = f.default is MISSING and f.default_factory is MISSING
+            if required and f.name not in payload:
+                raise ValueError(f"report field {f.name!r} is missing")
         return cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
 
     def write(self, path) -> None:

@@ -51,7 +51,6 @@ from .graphs import (
 )
 
 HAM_SIZE_LIMIT = 40
-LONGEST_SIZE_LIMIT = 20
 ENUMERATE_SIZE_LIMIT = 14
 ALPHA_WITNESS_LIMIT = 28
 
@@ -538,9 +537,9 @@ def _longest_search(
 
 def longest_cycle(g: KPartiteGraph) -> CycleCertificate:
     """A maximum-length cycle of g; raises GraphError on acyclic input.
-    Guarded at n <= ``LONGEST_SIZE_LIMIT``."""
-    if g.n > LONGEST_SIZE_LIMIT:
-        raise SizeGuardError(f"longest cycle guarded at n <= {LONGEST_SIZE_LIMIT}, got {g.n}")
+    Guarded at n <= ``ENUMERATE_SIZE_LIMIT``, as the enumeration is."""
+    if g.n > ENUMERATE_SIZE_LIMIT:
+        raise SizeGuardError(f"longest cycle guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {g.n}")
     length, order, _ = _longest_search(g)
     if order is None or length < 3:
         raise GraphError("graph contains no cycle")

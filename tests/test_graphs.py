@@ -174,11 +174,94 @@ def test_packed_rows_match_one_shift_per_row():
         assert g.packed == _reference_pack(g), (g.n, g.k)
 
 
+def _reference_layout_masks(part_of):
+    """(stride, intra, swaps) of a partition as the layout once built them:
+    ``intra`` by one shifted OR per row, and each transpose round's mask
+    from a division by the row mask and shifts of the previous round's."""
+    n = len(part_of)
+    stride = max(8, 1 << (n - 1).bit_length())
+    part_masks = [0] * (max(part_of) + 1)
+    for v, p in enumerate(part_of):
+        part_masks[p] |= 1 << v
+    pad = ((1 << stride) - 1) ^ ((1 << n) - 1)
+    intra = 0
+    for v, p in enumerate(part_of):
+        intra |= (part_masks[p] | pad) << v * stride
+    row = (1 << stride) - 1
+    j = stride // 2
+    upper_rows = (1 << j * stride) - 1
+    right_cols = ((1 << stride * stride) - 1) // row * (row ^ (row >> j))
+    swaps = []
+    while j:
+        swaps.append((j * (stride - 1), upper_rows & right_cols))
+        j //= 2
+        upper_rows ^= upper_rows << (j * stride)
+        right_cols ^= right_cols >> j
+    return stride, intra, tuple(swaps)
+
+
+def _reference_edge_mask(vertices, stride):
+    """``CycleCertificate.edge_mask`` by one shift per edge."""
+    mask = 0
+    prev = vertices[-1]
+    for v in vertices:
+        mask |= 1 << (prev * stride + v)
+        prev = v
+    return mask
+
+
+def test_packed_masks_match_shift_formulas(monkeypatch):
+    # Every stride from 8 to 1024, at its smallest, a random and its largest
+    # n, on block, shuffled and singleton partitions: the layout's masks, a
+    # graph's rows and random cycles' edge masks, at the layout's stride and
+    # the next one up, equal the shift formulas.
+    monkeypatch.setattr(graphs, "_layouts", {})
+    rng = random.Random(20)
+    stride = 8
+    while stride <= 1024:
+        low = 1 if stride == 8 else stride // 2 + 1
+        for n in (low, rng.randint(low, stride), stride):
+            k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            shuffled = list(blocks_partition(n, k))
+            rng.shuffle(shuffled)
+            partitions = {
+                "block": blocks_partition(n, k),
+                "shuffled": tuple(shuffled),
+                "singleton": tuple(range(n)),
+            }
+            for kind, part_of in partitions.items():
+                # Each comparison is reduced to a bool first: the masks are
+                # too large for an assertion message.
+                where = (n, k, kind)
+                _, _, _, got_stride, _, intra, swaps = graphs._layout(part_of)
+                same = (got_stride, intra, swaps) == _reference_layout_masks(part_of)
+                assert same and got_stride == stride, where
+                if n < 3:
+                    continue
+                adj = [0] * n
+                for _ in range(3):
+                    cycle = rng.sample(range(n), rng.randint(3, n))
+                    for wider in (stride, 2 * stride):
+                        mask = graphs.CycleCertificate(tuple(cycle)).edge_mask(wider)
+                        same = mask == _reference_edge_mask(cycle, wider)
+                        assert same, (*where, wider)
+                    prev = cycle[-1]
+                    for v in cycle:
+                        if part_of[v] != part_of[prev]:
+                            adj[v] |= 1 << prev
+                            adj[prev] |= 1 << v
+                        prev = v
+                g = KPartiteGraph(part_of, adj)
+                same = g.packed == _reference_pack(g)
+                assert same, where
+        stride *= 2
+
+
 @pytest.mark.parametrize("n", [3, 7, 8, 9, 16, 17, 33, 64, 65, 70])
 def test_packed_rows_name_each_defect(n):
     # One defect at a time on a valid graph, at strides packed one byte per
-    # row, by array and row by row; each keeps the text it had when rows
-    # were checked one by one.
+    # row and row by row; each keeps the text it had when rows were checked
+    # one by one.
     rng = random.Random(n)
     part_of = [v // 2 for v in range(n)]
     adj = [0] * n

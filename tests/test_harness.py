@@ -519,6 +519,14 @@ def test_report_rejects_unknown_schema_version():
     for text in (json.dumps(payload), "[]", "3", '"report"', "null"):
         with pytest.raises(ValueError, match="JSON object with a schema_version"):
             VerificationReport.from_json(text)
+    # A field without a default is named when missing, in field order.
+    for text, name in (
+        ('{"schema_version": 1}', "kind"),
+        ('{"schema_version": 1, "params": {}}', "kind"),
+        ('{"schema_version": 1, "kind": "exhaustive"}', "params"),
+    ):
+        with pytest.raises(ValueError, match=rf"^report field '{name}' is missing$"):
+            VerificationReport.from_json(text)
 
 
 def test_scan_ranges_are_checked_once():

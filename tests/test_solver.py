@@ -80,7 +80,7 @@ def test_size_guard():
     # and decides the n-cycle at the limit.
     for limit, search in (
         (40, find_hamiltonian_cycle),
-        (20, longest_cycle),
+        (14, longest_cycle),
         (14, enumerate_longest_cycles),
     ):
         with pytest.raises(SizeGuardError, match=rf"n <= {limit}, got {limit + 1}$"):
