@@ -36,7 +36,6 @@ from .graphs import (
     blocks_partition,
     build_graph,
     connected_components,
-    cross_pairs,
 )
 from .solver import _bipartite_degree_one_witness
 from .thresholds import _ceil_div
@@ -87,16 +86,20 @@ def build_family_F(k: int, m: int, sizes: tuple[int, ...] | None = None) -> KPar
     if sum(sizes) != target:
         raise GraphError(f"carve-out sizes must sum to {target}, got sum {sum(sizes)}")
 
-    part_of = blocks_partition(n, k)
-    carved = [0] * n
-    independent = []
+    # Each row is the complement of its vertex's part, minus the carved-out
+    # union for a carved vertex: one big-int operation per row.
+    full = (1 << n) - 1
+    block = (1 << m) - 1
+    carved = 0
     for i, size in enumerate(sizes):
-        for v in range(i * m, i * m + size):
-            carved[v] = 1
-            independent.append(v)
-    edges = [(u, v) for u, v in cross_pairs(n, k) if not (carved[u] and carved[v])]
-    meta = {"family": "F", "independent_set": tuple(independent)}
-    return build_graph(n, k, part_of, edges, meta)
+        carved |= ((1 << size) - 1) << i * m
+    rows = []
+    for p in range(k):
+        row = full ^ block << p * m
+        size = sizes[p] if p < groups else 0
+        rows += [row & ~carved] * size + [row] * (m - size)
+    meta = {"family": "F", "independent_set": tuple(_bits(carved))}
+    return KPartiteGraph(blocks_partition(n, k), rows, meta)
 
 
 # -- family F1 ---------------------------------------------------------------

@@ -542,22 +542,28 @@ def _local_vertex_connectivity(g: KPartiteGraph, s: int, t: int) -> int:
 
 
 def vertex_connectivity(g: KPartiteGraph) -> int:
-    """Exact vertex connectivity; n-1 for complete graphs."""
-    if g.n < 2:
+    """Exact vertex connectivity; n-1 for complete graphs.
+
+    Only Even's pairs are tried: each source u = 0, 1, ... while u is below
+    the best count so far, with every non-adjacent v > u.  Take a minimum
+    cut S and the first vertex u outside it: the vertices before u all lie
+    in S, so u <= |S|, and every vertex beyond the cut comes after u, so S
+    separates u from a tried v.  The loop stops at a source u' <= u only once
+    the best count is at most u' <= |S|, that is, already minimal.
+    """
+    n = g.n
+    if n < 2:
         raise GraphError("vertex_connectivity needs at least 2 vertices")
-    nonadjacent = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    if not nonadjacent:
-        return g.n - 1
-    best = g.n - 1
-    for u, v in nonadjacent:
-        best = min(best, _local_vertex_connectivity(g, u, v))
-        if best == 0:
-            break
+    full = (1 << n) - 1
+    best = n - 1
+    u = 0
+    while u < best:
+        later = full ^ ((2 << u) - 1)
+        for v in _bits(later & ~g.adj[u]):
+            best = min(best, _local_vertex_connectivity(g, u, v))
+            if best == 0:
+                return 0
+        u += 1
     return best
 
 

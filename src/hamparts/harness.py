@@ -58,7 +58,6 @@ from .solver import (
     HAM_SIZE_LIMIT,
     ExhaustiveSearch,
     _ham_search,
-    _independent_part_unions,
     find_hamiltonian_cycle,
     non_hamiltonicity_witness,
     witness_certifies,
@@ -237,24 +236,23 @@ def _work_units(n: int, k: int, floor: int, shards: int, shard_id: int | None) -
 
 
 def _run_exhaustive_shard(args) -> dict:
-    """Worker: enumerate one work unit, decide Hamiltonicity of every graph.
-    ``args[4]`` names the shard the unit belongs to.  Each non-Hamiltonian
-    graph is returned as (subset id, rows, search nodes)."""
+    """Worker: enumerate one work unit and keep each graph whose search finds
+    no Hamiltonian cycle, as (subset id, rows).  ``args[4]`` names the shard
+    the unit belongs to.  The worker only filters: the finish step rebuilds
+    each kept graph, and the solver's own decision gives its witness and any
+    node count a report records."""
     n, k, floor, _, _, unit_bits, unit = args
-    part_of = blocks_partition(n, k)
-    part_masks = [0] * k
-    for v, p in enumerate(part_of):
-        part_masks[p] |= 1 << v
     # Parts are independent sets regardless of which edges are present, so
-    # their masks feed the solver's cardinality prune with no per-graph cost.
-    unions = sorted(set(part_masks))
-    non_ham: list[tuple[int, tuple[int, ...], int]] = []
+    # their masks (distinct and ascending on the block partition) feed the
+    # search's cardinality prune with no per-graph cost.
+    part_masks = [0] * k
+    for v, p in enumerate(blocks_partition(n, k)):
+        part_masks[p] |= 1 << v
+    non_ham: list[tuple[int, tuple[int, ...]]] = []
 
     def visit(sid: int, adj: list[int]) -> None:
-        rows = tuple(adj)
-        order, nodes = _ham_search(n, rows, unions)
-        if order is None:
-            non_ham.append((sid, rows, nodes))
+        if _ham_search(n, adj, part_masks)[0] is None:
+            non_ham.append((sid, tuple(adj)))
 
     space, visited = _enumerate_shard(n, k, floor, 1 << unit_bits, unit, visit)
     return {"space": space, "meeting_floor": visited, "non_hamiltonian": non_ham}
@@ -334,23 +332,10 @@ def _finish_exhaustive(
     )
     part_of = blocks_partition(n, k)
     # A generator: each graph object lives only while its entry is made.
-    graphs = (_refuted_graph(part_of, adj, nodes) for _, adj, nodes in non_ham)
+    graphs = (KPartiteGraph(part_of, adj) for _, adj in non_ham)
     return _finish_sweep(
         kind, n, k, floor, counters, graphs, started, shards=shards, shard_id=shard_id
     )
-
-
-def _refuted_graph(part_of: tuple[int, ...], adj: tuple[int, ...], nodes: int) -> KPartiteGraph:
-    """The graph a sweep worker refuted in ``nodes`` search nodes.  The
-    worker prunes with the parts as its independent unions; where those are
-    the unions the solver would take for this graph, the worker's search is
-    the solver's own, and it becomes the graph's decision, so the witness
-    does not search again.  The self-check still re-solves the graph from
-    the report and compares the node count."""
-    g = KPartiteGraph(part_of, adj)
-    if _independent_part_unions(g) == sorted(g.part_masks):
-        g.decision = (None, nodes)
-    return g
 
 
 def _finish_report(report: VerificationReport, started: float) -> VerificationReport:

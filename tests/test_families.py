@@ -20,8 +20,11 @@ from hamparts.graphs import (
     GraphError,
     KPartiteGraph,
     SizeGuardError,
+    blocks_partition,
+    build_graph,
     connected_components,
     complete_kpartite,
+    cross_pairs,
     degree_between,
     encode,
     independence_number,
@@ -90,6 +93,34 @@ def test_family_f_rejects_bad_sizes():
 def test_family_f_custom_sizes():
     g = build_family_F(4, 3, sizes=(3, 2, 2))
     assert g.min_degree() == theorem_threshold(12, 4) - 1
+
+
+def _family_f_by_pairs(k, m, sizes):
+    # Reference: every cross pair, less those joining two carved vertices.
+    n = m * k
+    carved = [v for i, size in enumerate(sizes) for v in range(i * m, i * m + size)]
+    edges = [(u, v) for u, v in cross_pairs(n, k) if not (u in carved and v in carved)]
+    meta = {"family": "F", "independent_set": tuple(carved)}
+    return build_graph(n, k, blocks_partition(n, k), edges, meta)
+
+
+def test_family_f_rows_match_the_pair_filter():
+    non_default = 0
+    for k in range(2, 9):
+        for m in range(1, 8):
+            if m * k < 3:
+                continue
+            groups = (k + 2) // 2
+            target = (m * k + 2) // 2
+            # Every admissible carve-out, the default one among them.
+            for sizes in itertools.combinations_with_replacement(range(m, -1, -1), groups):
+                if sum(sizes) != target or sizes[-1] != target // groups:
+                    continue
+                g = build_family_F(k, m, sizes)
+                ref = _family_f_by_pairs(k, m, sizes)
+                assert (g.part_of, g.adj, g.meta) == (ref.part_of, ref.adj, ref.meta)
+                non_default += sizes != default_sizes(k, m)
+    assert non_default == 5
 
 
 # -- family F1 -----------------------------------------------------------

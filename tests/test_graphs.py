@@ -351,6 +351,13 @@ def test_vertex_connectivity_against_brute_force():
         n = rng.randint(2, 8)
         g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
         assert vertex_connectivity(g) == brute_vertex_connectivity(g), encode(g)
+    # k-partite graphs, where whole parts are non-adjacent and the first
+    # vertices' neighbourhoods shape which pairs the search tries.
+    for trial in range(120):
+        n = rng.randint(3, 10)
+        k = rng.choice([d for d in range(2, n + 1) if n % d == 0])
+        g = random_kpartite(rng, n, k, rng.choice([0.3, 0.5, 0.7, 0.9, 1.0]))
+        assert vertex_connectivity(g) == brute_vertex_connectivity(g), encode(g)
 
 
 def test_independence_number_against_brute_force():

@@ -12,7 +12,7 @@ import pytest
 from hamparts import harness, solver
 from hamparts.cli import main as cli_main
 from hamparts.families import build_F2, build_family_F
-from hamparts.graphs import SizeGuardError, blocks_partition, complete_kpartite, decode, encode
+from hamparts.graphs import SizeGuardError, blocks_partition, decode, encode
 from hamparts.harness import (
     VerificationReport,
     characterization_check,
@@ -428,39 +428,42 @@ def test_self_check_reproduces_search_nodes():
     assert not harness._self_check(report)
 
 
-def test_sweep_witnesses_reuse_the_workers_refutations(monkeypatch):
-    # The workers refuted every listed graph, so no witness searches again;
-    # the self-check still re-solves each graph and compares node counts.
+def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
+    # Workers only filter, so the witness step searches each graph whose
+    # witness is an exhaustive search once, through the solver, and a graph
+    # with a small cut never; the self-check re-solves every listed graph.
     searches = []
     search = solver._ham_search
     monkeypatch.setattr(solver, "_ham_search", lambda *args: searches.append(1) or search(*args))
-    witness_searches = []
+    entries = []
+    worker = harness._run_exhaustive_shard
+
+    def worker_spy(args):
+        result = worker(args)
+        entries.extend(result["non_hamiltonian"])
+        return result
+
+    monkeypatch.setattr(harness, "_run_exhaustive_shard", worker_spy)
+    witness_searches = Counter()
     witness = harness.non_hamiltonicity_witness
 
     def witness_spy(g):
         before = len(searches)
         found = witness(g)
-        witness_searches.append(len(searches) - before)
+        witness_searches[type(found).__name__] += len(searches) - before
         return found
 
     monkeypatch.setattr(harness, "non_hamiltonicity_witness", witness_spy)
     report = exhaustive_verify(8, 2, 2)
     assert report.self_check_ok
+    assert len(entries) == 750
+    for entry in entries:
+        sid, rows = entry
+        assert isinstance(sid, int) and isinstance(rows, tuple)
     kinds = Counter(entry["witness"]["type"] for entry in report.exceptional)
-    assert kinds["exhaustive_search"] == 444
-    assert len(witness_searches) == 750 and sum(witness_searches) == 0
-    assert len(searches) == 750
-
-
-def test_refuted_graph_keeps_only_the_solvers_own_search():
-    # The worker prunes with the parts; where the solver's independent part
-    # unions are other sets (parts 0 and 2 share no edge), its count is not
-    # the solver's and is not kept.
-    part_of = blocks_partition(6, 3)
-    complete = list(complete_kpartite(3, 2).adj)
-    assert harness._refuted_graph(part_of, complete, 5).decision == (None, 5)
-    path = [0b001100, 0b001100, 0b110011, 0b110011, 0b001100, 0b001100]
-    assert harness._refuted_graph(part_of, path, 5).decision is None
+    assert kinds == {"exhaustive_search": 444, "small_cut": 306}
+    assert witness_searches == {"ExhaustiveSearch": 444, "SmallCut": 0}
+    assert len(searches) == 444 + 750
 
 
 def test_characterization_validation():
