@@ -103,31 +103,42 @@ _NOT_APPLICABLE = DomCycleOutcome(NOT_APPLICABLE)
 # n -> [(edge mask, cycle)], at most _RECENT_CYCLES entries per n.  The edge
 # mask is the cycle's own ``CycleCertificate.edge_mask`` at the stride of
 # n-vertex graphs (bit u * stride + v for each cycle edge u -> v, the bit
-# that edge has in ``KPartiteGraph.packed``), the one ``verify_cycle`` reads
-# when a kept cycle is tried, so it is built once per cycle.  Sweeps
-# pass near-identical graphs in a row, so a recent cycle often lies in the
-# next graph too.  Over the 236,926 graphs of the n = 7 sweep, 16 kept cycles
-# miss 7,888 times and 64 miss 2,097 times; of 32, 64 and 128, 64 checked
-# the sweep fastest (2.57 / 2.44 / 2.47 s, medians at reference speed).
-_RECENT_CYCLES = 64
+# that edge has in ``KPartiteGraph.packed``), so it is built once per cycle.
+# A cycle is kept only once it is checked to be a Hamiltonian cycle of the
+# graph it was found in: n distinct vertices in range(n), the same for every
+# n-vertex graph, so a kept cycle lies in another such graph exactly when its
+# mask misses the graph's absent edges.  Sweeps pass near-identical graphs in
+# a row, so a recent cycle often lies in the next graph too.  Over the
+# 236,926 graphs of the n = 7 sweep, which need 268 distinct cycles in all,
+# 64 kept cycles miss 2,097 times, 128 miss 1,018 times and 256 miss 622
+# times (618 with no limit).  Timed, 128, 256 and 512 kept cycles check that
+# sweep within noise of each other (1.42-1.59 s at reference speed), so 256
+# keeps nearly every cycle the sweep reuses while a miss still scans at most
+# 256 masks.
+_RECENT_CYCLES = 256
 _recent_cycles: dict[int, list[tuple[int, CycleCertificate]]] = {}
 
 
 def _remember_cycle(g: KPartiteGraph, cycle: CycleCertificate) -> None:
+    """Keep ``cycle`` as the most recently used of g's vertex count; raises
+    GraphError unless it is a Hamiltonian cycle of g."""
+    if len(cycle) != g.n or not verify_cycle(g, cycle):
+        raise GraphError("only a Hamiltonian cycle of the graph is kept")
     recent = _recent_cycles.setdefault(g.n, [])
     recent.insert(0, (cycle.edge_mask(g.stride), cycle))
     del recent[_RECENT_CYCLES:]
 
 
 def _recent_cycle_in(g: KPartiteGraph) -> bool:
-    """True iff a recently found cycle is a Hamiltonian cycle of g, checked
-    by ``verify_cycle``; that cycle becomes the most recently used."""
+    """True iff a kept cycle of g's vertex count has every edge in g, which
+    makes it a Hamiltonian cycle of g; that cycle becomes the most recently
+    used."""
     recent = _recent_cycles.get(g.n)
     if not recent:
         return False
     missing = ~g.packed
-    for i, (mask, cycle) in enumerate(recent):
-        if not mask & missing and verify_cycle(g, cycle):
+    for i, (mask, _) in enumerate(recent):
+        if not mask & missing:
             if i:
                 recent.insert(0, recent.pop(i))
             return True
@@ -143,20 +154,21 @@ def check_domcycle_lemma(g: KPartiteGraph) -> DomCycleOutcome:
     (no violation is expected to exist).
 
     Hamiltonian cycles found by earlier calls are tried first: the last
-    ``_RECENT_CYCLES`` (64) per vertex count, most recently used first, each
-    with its edge mask over ``g.packed`` (bit u * g.stride + v per cycle edge
-    u -> v), so one AND tells whether its edges all lie in g.  One that does
-    and passes ``verify_cycle`` is a Hamiltonian cycle of g, so g (n >= 3) is
-    2-connected and every longest cycle spans it, and HOLDS follows with no
-    hypothesis skipped.  On a miss the Hamiltonian search runs next, for the
-    same reason; only a graph it refutes gets the cut-vertex sweep, and only
-    a 2-connected one of those gets the longest-cycle enumeration.  The
-    status never depends on which cycles are kept.  HOLDS and NOT_APPLICABLE
-    return shared outcome instances.
+    ``_RECENT_CYCLES`` (256) per vertex count, most recently used first, each
+    checked to be a Hamiltonian cycle when it was kept and carrying its edge
+    mask over ``g.packed`` (bit u * g.stride + v per cycle edge u -> v), so
+    one AND tells whether its edges all lie in g.  One that does is a
+    Hamiltonian cycle of g, so g (n >= 3) is 2-connected and every longest
+    cycle spans it, and HOLDS follows with no hypothesis skipped.  On a miss
+    the Hamiltonian search runs next, for the same reason; only a graph it
+    refutes gets the cut-vertex sweep, and only a 2-connected one of those
+    gets the longest-cycle enumeration.  The status never depends on which
+    cycles are kept.  HOLDS and NOT_APPLICABLE return shared outcome
+    instances.
     """
     if g.n > ENUMERATE_SIZE_LIMIT:
         raise SizeGuardError(f"lemma check guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {g.n}")
-    if g.n < 3 or 3 * g.min_degree() < g.n + 2:
+    if g.n < 3 or 3 * min(map(int.bit_count, g.adj)) < g.n + 2:
         return _NOT_APPLICABLE
     if _recent_cycle_in(g):
         return _HOLDS

@@ -10,6 +10,7 @@ import random
 import time
 from collections import Counter
 
+from hamparts import conditions
 from hamparts.conditions import (
     HOLDS,
     NOT_APPLICABLE,
@@ -152,10 +153,20 @@ def test_criterion_07_f2_structure():
     _report(7, "the 8-vertex exceptional graph has its stated invariants", ok, started)
 
 
-def test_criterion_08_dominating_cycle_lemma():
+def test_criterion_08_dominating_cycle_lemma(monkeypatch):
     started = time.monotonic()
     violations = 0
     small = Counter()
+    searches = Counter()
+
+    def counted_search(g):
+        searches[g.n] += 1
+        return find_hamiltonian_cycle(g)
+
+    monkeypatch.setattr(conditions, "find_hamiltonian_cycle", counted_search)
+    # The lemma check keeps cycles in module state; start with none, so the
+    # search count below does not depend on the tests run before.
+    conditions._recent_cycles.clear()
     # Exhaustive over all graphs on n <= 7 meeting the degree hypothesis.
     for n in range(3, 8):
         floor = -((-(n + 2)) // 3)
@@ -168,6 +179,8 @@ def test_criterion_08_dominating_cycle_lemma():
         _enumerate_shard(n, n, floor, 1, 0, visit)
         for adj in outcomes:
             small[check_domcycle_lemma(KPartiteGraph(part_of, adj)).status] += 1
+    # The graphs no kept cycle settled: 1, 3, 6, 39 and 622 for n = 3..7.
+    sweep_searches = sum(searches.values())
     # Plus seeded random graphs at n in {8, 9, 10}.
     rng = random.Random(20240 + 8)
     trials = 100_000
@@ -184,6 +197,7 @@ def test_criterion_08_dominating_cycle_lemma():
     # The README's count of graphs with n <= 7, and their statuses.
     ok = (
         violations == 0
+        and sweep_searches == 671
         and sum(small.values()) == 238_821
         and small == Counter({HOLDS: 238_751, NOT_APPLICABLE: 70, VIOLATED: 0})
     )

@@ -188,28 +188,87 @@ def test_domcycle_lemma_status_ignores_cycle_reuse():
 
 def test_domcycle_lemma_reuses_cycles_of_same_order_only(monkeypatch):
     found = []
-    verified = []
+    looked_up = []
 
     def find_spy(g):
         found.append(g.n)
         return find_hamiltonian_cycle(g)
 
-    def verify_spy(g, cycle):
-        verified.append((g.n, len(cycle)))
-        return verify_cycle(g, cycle)
+    class KeptCycles(dict):
+        """The kept lists per n, recording which n each check reads."""
+
+        def get(self, n, default=None):
+            looked_up.append(n)
+            return super().get(n, default)
 
     monkeypatch.setattr(conditions, "find_hamiltonian_cycle", find_spy)
-    monkeypatch.setattr(conditions, "verify_cycle", verify_spy)
+    monkeypatch.setattr(conditions, "_recent_cycles", KeptCycles())
     # The n = 7 cycle is never offered to the n = 6 octahedron, which is
     # searched; the octahedron's 6-cycle, which lies in K7, is never offered
     # to K7, which reuses its own cycle.
     k7, octahedron = complete_kpartite(7, 1), complete_kpartite(3, 2)
-    outcomes = [check_domcycle_lemma(g) for g in (k7, k7, octahedron, k7)]
+    outcomes, kept = [], []
+    for g in (k7, k7, octahedron, k7):
+        outcomes.append(check_domcycle_lemma(g))
+        kept.append({n: [c for _, c in recent] for n, recent in conditions._recent_cycles.items()})
     # HOLDS carries no cycle, so every call returns the one shared outcome.
     assert all(outcome is outcomes[0] for outcome in outcomes)
     assert outcomes[0].status == HOLDS
     assert found == [7, 6]
-    assert verified == [(7, 7), (7, 7)]
+    assert looked_up == [7, 7, 6, 7]
+    [k7_cycle] = kept[0][7]
+    [octahedron_cycle] = kept[2][6]
+    assert (len(k7_cycle), len(octahedron_cycle)) == (7, 6)
+    assert kept == [{7: [k7_cycle]}] * 2 + [{7: [k7_cycle], 6: [octahedron_cycle]}] * 2
+
+
+def test_domcycle_lemma_hit_means_the_kept_cycle_passes_verify_cycle():
+    # Kept cycles are checked when they are stored, so a hit is one AND of a
+    # mask; it must agree with ``verify_cycle`` on every graph of the same n,
+    # whatever its partition, including graphs that lack some cycle edges.
+    rng = random.Random(314)
+    hits = misses = 0
+    for n in range(3, 15):
+        conditions._recent_cycles.clear()
+        for _ in range(6):
+            order = list(range(n))
+            rng.shuffle(order)
+            cycle = CycleCertificate(tuple(order))
+            chords = [pair for pair in combinations(range(n), 2) if rng.random() < 0.3]
+            ring = list(zip(order, order[1:] + order[:1]))
+            conditions._remember_cycle(build_graph(n, n, range(n), chords + ring), cycle)
+        kept = [cycle for _, cycle in conditions._recent_cycles[n]]
+        for _ in range(60):
+            k = rng.choice([k for k in range(2, n + 1) if n % k == 0])
+            part_of = blocks_partition(n, k)
+            vs = rng.choice(kept).vertices
+            edges = [edge for edge in zip(vs, vs[1:] + vs[:1]) if rng.random() < 0.9]
+            density = rng.choice([0.2, 0.5, 0.8])
+            edges += [pair for pair in combinations(range(n), 2) if rng.random() < density]
+            g = build_graph(n, k, part_of, [(u, v) for u, v in edges if part_of[u] != part_of[v]])
+            expected = any(verify_cycle(g, cycle) for cycle in kept)
+            assert conditions._recent_cycle_in(g) == expected
+            hits += expected
+            misses += not expected
+    assert hits >= 100 and misses >= 100
+
+
+def test_remember_cycle_refuses_what_is_not_a_hamiltonian_cycle_of_its_graph():
+    k7 = complete_kpartite(7, 1)
+    seven_cycle = CycleCertificate(tuple(range(7)))
+    path = build_graph(7, 7, range(7), [(v, v + 1) for v in range(6)])
+    cases = [
+        (k7, CycleCertificate((0, 1, 2, 3, 4, 5))),  # a cycle of K7, not spanning
+        (k7, CycleCertificate((0, 1, 2, 3, 4, 5, 5))),  # a repeated vertex
+        (k7, CycleCertificate((0, 1, 2, 3, 4, 5, 7))),  # a vertex out of range
+        (path, seven_cycle),  # the closing edge 6-0 is absent
+    ]
+    for g, cycle in cases:
+        with pytest.raises(GraphError, match="only a Hamiltonian cycle"):
+            conditions._remember_cycle(g, cycle)
+    assert conditions._recent_cycles == {}
+    conditions._remember_cycle(k7, seven_cycle)
+    assert conditions._recent_cycles == {7: [(seven_cycle.edge_mask(8), seven_cycle)]}
 
 
 def test_domcycle_lemma_miss_after_hamiltonian_gets_cold_status():
