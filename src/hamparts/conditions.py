@@ -70,21 +70,26 @@ def is_strongly_dominating(g: KPartiteGraph, cycle: CycleCertificate) -> bool:
     their neighbours appear consecutively on the cycle."""
     if not verify_cycle(g, cycle):
         raise GraphError("certificate is not a cycle of this graph")
-    on_cycle = 0
-    for v in cycle.vertices:
-        on_cycle |= 1 << v
-    outside = ((1 << g.n) - 1) ^ on_cycle
-    if any(g.adj[v] & outside for v in _bits(outside)):
-        return False
-    touched = 0
-    for v in _bits(outside):
-        touched |= g.adj[v]
+    adj = g.adj
     vs = cycle.vertices
-    length = len(vs)
-    for i in range(length):
-        a, b = vs[i], vs[(i + 1) % length]
-        if (touched >> a) & 1 and (touched >> b) & 1:
+    # The vertices are distinct, as ``verify_cycle`` checked.
+    outside = (1 << g.n) - 1
+    for v in vs:
+        outside ^= 1 << v
+    touched = 0
+    rest = outside
+    while rest:
+        low = rest & -rest
+        row = adj[low.bit_length() - 1]
+        if row & outside:
             return False
+        touched |= row
+        rest ^= low
+    prev = vs[-1]
+    for v in vs:
+        if touched >> prev & touched >> v & 1:
+            return False
+        prev = v
     return True
 
 
@@ -129,22 +134,6 @@ def _remember_cycle(g: KPartiteGraph, cycle: CycleCertificate) -> None:
     del recent[_RECENT_CYCLES:]
 
 
-def _recent_cycle_in(g: KPartiteGraph) -> bool:
-    """True iff a kept cycle of g's vertex count has every edge in g, which
-    makes it a Hamiltonian cycle of g; that cycle becomes the most recently
-    used."""
-    recent = _recent_cycles.get(g.n)
-    if not recent:
-        return False
-    missing = ~g.packed
-    for i, (mask, _) in enumerate(recent):
-        if not mask & missing:
-            if i:
-                recent.insert(0, recent.pop(i))
-            return True
-    return False
-
-
 def check_domcycle_lemma(g: KPartiteGraph) -> DomCycleOutcome:
     """Every longest cycle of a 2-connected graph with min degree >= (n+2)/3
     should be strongly dominating; this checks that claim on one graph.
@@ -159,19 +148,34 @@ def check_domcycle_lemma(g: KPartiteGraph) -> DomCycleOutcome:
     mask over ``g.packed`` (bit u * g.stride + v per cycle edge u -> v), so
     one AND tells whether its edges all lie in g.  One that does is a
     Hamiltonian cycle of g, so g (n >= 3) is 2-connected and every longest
-    cycle spans it, and HOLDS follows with no hypothesis skipped.  On a miss
-    the Hamiltonian search runs next, for the same reason; only a graph it
-    refutes gets the cut-vertex sweep, and only a 2-connected one of those
-    gets the longest-cycle enumeration.  The status never depends on which
+    cycle spans it, and HOLDS follows with no hypothesis skipped; that cycle
+    becomes the most recently used.  On a miss the Hamiltonian search runs
+    next, for the same reason; only a graph it refutes gets the cut-vertex
+    sweep, and only a 2-connected one of those gets the longest-cycle
+    enumeration, whose cycles (each listed once) ``is_strongly_dominating``
+    tests in turn.  The status never depends on which
     cycles are kept.  HOLDS and NOT_APPLICABLE return shared outcome
     instances.
     """
-    if g.n > ENUMERATE_SIZE_LIMIT:
-        raise SizeGuardError(f"lemma check guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {g.n}")
-    if g.n < 3 or 3 * min(map(int.bit_count, g.adj)) < g.n + 2:
+    n = g.n
+    if n > ENUMERATE_SIZE_LIMIT:
+        raise SizeGuardError(f"lemma check guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {n}")
+    if n < 3:
         return _NOT_APPLICABLE
-    if _recent_cycle_in(g):
-        return _HOLDS
+    # Every degree at least (n + 2) / 3, rounded up.  A plain loop: cheaper
+    # than min(map(int.bit_count, ...)) on a few rows, once per graph.
+    floor = (n + 4) // 3
+    for row in g.adj:
+        if row.bit_count() < floor:
+            return _NOT_APPLICABLE
+    recent = _recent_cycles.get(n)
+    if recent:
+        missing = ~g.packed
+        for i, (mask, _) in enumerate(recent):
+            if not mask & missing:
+                if i:
+                    recent.insert(0, recent.pop(i))
+                return _HOLDS
     # A Hamiltonian graph is immediate: it is 2-connected, and every longest
     # cycle spans it, leaving nothing outside.
     cycle = find_hamiltonian_cycle(g)

@@ -20,7 +20,7 @@ first defect in the error message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterable, Iterator, Mapping, NoReturn
 
 
@@ -266,30 +266,28 @@ class KPartiteGraph:
 class CycleCertificate:
     """An ordered list of distinct vertices, closed by a wraparound edge.
 
-    What checking it needs of the vertices alone, ``span`` and one
-    ``edge_mask`` per stride, is computed on first use and kept on the
-    instance outside the dataclass fields, so equality, hashing and repr see
-    ``vertices`` alone.  Neither is computed again, so a list passed as
-    ``vertices`` must not change afterwards.
+    What checking it needs of the vertices alone is kept on the instance
+    outside the dataclass fields, so equality, hashing and repr see
+    ``vertices`` alone: ``span``, (lowest, highest) vertex if there are at
+    least 3 vertices and no two are equal, else None, set at construction;
+    and one ``edge_mask`` per stride, made on first use.  Neither is
+    computed again, so a list passed as ``vertices`` must not change
+    afterwards.
     """
 
     vertices: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # Plain attributes, not cached properties: on Python 3.11 and before
+        # a cached property's first read takes a lock, which a certificate
+        # checked once would pay in full.
+        vs = self.vertices
+        span = None if len(vs) < 3 or len(set(vs)) != len(vs) else (min(vs), max(vs))
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "_edge_masks", {})
+
     def __len__(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def span(self) -> tuple[int, int] | None:
-        """(lowest, highest) vertex if there are at least 3 vertices and no
-        two are equal, else None."""
-        vs = self.vertices
-        if len(vs) < 3 or len(set(vs)) != len(vs):
-            return None
-        return min(vs), max(vs)
-
-    @cached_property
-    def _edge_masks(self) -> dict[int, int]:
-        return {}
 
     def edge_mask(self, stride: int) -> int:
         """Bit u * stride + v for each edge u -> v, the closing edge

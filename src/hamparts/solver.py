@@ -52,6 +52,10 @@ from .graphs import (
 
 HAM_SIZE_LIMIT = 40
 ENUMERATE_SIZE_LIMIT = 14
+# Longest-cycle enumeration costs its output, so it also stops past this
+# many cycles.  The lemma check's graphs need at most 24 (n = 7) and tier-1
+# callers at most 2,392; K_{7,7} and K_14 reach the guard in about 0.5 s.
+ENUMERATE_COUNT_LIMIT = 100_000
 ALPHA_WITNESS_LIMIT = 28
 
 
@@ -476,21 +480,24 @@ def _forced_edge_search(
 
 def _longest_search(
     g: KPartiteGraph, *, collect: bool = False
-) -> tuple[int, tuple[int, ...] | None, set[tuple[int, ...]]]:
+) -> tuple[int, tuple[int, ...] | None, list[tuple[int, ...]]]:
     """Branch-and-bound longest-cycle search, one pass.
 
-    Returns (longest length, one longest cycle, set()).  With ``collect``
-    set it returns (longest length, None, every longest cycle) instead: the
-    set holds every cycle of the best length seen so far (canonicalised up to
-    rotation and reflection), cleared whenever a longer cycle turns up, and
-    the search prunes only below that length, so no longest cycle is lost.
-    Cycles are rooted at their minimum vertex, so each one is generated from
-    a single anchor, once per direction.
+    Returns (longest length, one longest cycle, []).  With ``collect`` set
+    it returns (longest length, None, every longest cycle) instead: the list
+    holds every cycle of the best length seen so far, cleared whenever a
+    longer cycle turns up, and the search prunes only below that length, so
+    no longest cycle is lost.  Cycles are rooted at their minimum vertex, so
+    each one is generated from a single anchor, once per direction; only the
+    direction whose second vertex is below its last is recorded, so each
+    cycle is recorded once, as its least rotation or reflection.  Once more
+    than ``ENUMERATE_COUNT_LIMIT`` are recorded it raises SizeGuardError.
     """
     n, adj = g.n, g.adj
+    count_limit = ENUMERATE_COUNT_LIMIT
     best_len = 0
     best: tuple[int, ...] | None = None
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
 
     for anchor in range(n):
         remaining = n - anchor
@@ -510,24 +517,41 @@ def _longest_search(
                     if plen > best_len:
                         best_len = plen
                         found.clear()
-                    if plen == best_len:
-                        seq = tuple(path)
-                        mirror = (anchor,) + tuple(reversed(seq[1:]))
-                        found.add(min(seq, mirror))
+                    if plen == best_len and path[1] < u:
+                        found.append(tuple(path))
+                        if len(found) > count_limit:
+                            raise SizeGuardError(
+                                f"longest cycle enumeration guarded at {count_limit} "
+                                f"cycles, found {len(found)}"
+                            )
                 elif plen > best_len:
                     best_len = plen
                     best = tuple(path)
                     if best_len == n:
                         return True
             open_mask = allowed & ~visited
-            bound = plen + _reach(adj, adj[u] & open_mask, open_mask).bit_count()
+            # The bound: the open vertices reachable from u's open neighbours.
+            children = adj[u] & open_mask
+            seen = frontier = children
+            while frontier:
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grown & open_mask & ~seen
+                seen |= frontier
+            bound = plen + seen.bit_count()
             if bound < best_len or (not collect and bound == best_len):
                 return False
-            for v in _bits(adj[u] & open_mask):
+            while children:
+                low = children & -children
+                v = low.bit_length() - 1
                 path.append(v)
-                if dfs(v, visited | (1 << v)):
+                if dfs(v, visited | low):
                     return True
                 path.pop()
+                children ^= low
             return False
 
         if dfs(anchor, abit):
@@ -549,8 +573,10 @@ def longest_cycle(g: KPartiteGraph) -> CycleCertificate:
 
 
 def enumerate_longest_cycles(g: KPartiteGraph) -> list[CycleCertificate]:
-    """All distinct longest cycles, up to rotation and reflection.  Guarded
-    at n <= ``ENUMERATE_SIZE_LIMIT``."""
+    """All distinct longest cycles, up to rotation and reflection, each as
+    its least rotation or reflection, in ascending order.  Guarded at n <=
+    ``ENUMERATE_SIZE_LIMIT`` and at ``ENUMERATE_COUNT_LIMIT`` cycles: its
+    cost is its output, so the count bounds the work."""
     if g.n > ENUMERATE_SIZE_LIMIT:
         raise SizeGuardError(
             f"longest cycle enumeration guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {g.n}"

@@ -1,19 +1,28 @@
 """Shared test helpers: random graph generators and independent oracles."""
 
+from functools import cache
 from itertools import combinations, permutations
 
-from hamparts.graphs import KPartiteGraph, blocks_partition
+from hamparts.graphs import KPartiteGraph, blocks_partition, cross_pairs
+
+
+@cache
+def _cross_pair_bits(n, k):
+    """The block partition, and its cross pairs as (u, 1 << u, v, 1 << v)
+    in lexicographic order; made once per (n, k)."""
+    return blocks_partition(n, k), [(u, 1 << u, v, 1 << v) for u, v in cross_pairs(n, k)]
 
 
 def random_kpartite(rng, n, k, p):
-    """Random balanced k-partite graph on the block partition."""
-    part_of = blocks_partition(n, k)
+    """Random balanced k-partite graph on the block partition: one draw of
+    ``rng.random()`` per cross-part pair, in lexicographic pair order."""
+    part_of, pairs = _cross_pair_bits(n, k)
+    draw = rng.random
     adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part_of[u] != part_of[v] and rng.random() < p:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+    for u, ubit, v, vbit in pairs:
+        if draw() < p:
+            adj[u] |= vbit
+            adj[v] |= ubit
     return KPartiteGraph(part_of, adj)
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -29,7 +30,12 @@ from hamparts.graphs import (
     induced_bipartite,
 )
 from hamparts.harness import _enumerate_shard
-from hamparts.solver import find_hamiltonian_cycle, longest_cycle, verify_cycle
+from hamparts.solver import (
+    enumerate_longest_cycles,
+    find_hamiltonian_cycle,
+    longest_cycle,
+    verify_cycle,
+)
 from _util import random_kpartite
 
 
@@ -121,8 +127,101 @@ def test_strongly_dominating_invariant_under_rotation_reflection():
 
 def test_strongly_dominating_rejects_invalid_cycle():
     g = complete_kpartite(2, 2)
-    with pytest.raises(GraphError):
-        is_strongly_dominating(g, CycleCertificate((0, 1, 2, 3)))
+    # An intra-part edge, a repeated vertex, too few vertices.
+    for walk in ((0, 1, 2, 3), (0, 2, 1, 2), (0, 2)):
+        with pytest.raises(GraphError, match="not a cycle"):
+            is_strongly_dominating(g, CycleCertificate(walk))
+
+
+def _reference_strongly_dominating(g, vertices):
+    """The definition, written out with sets: the vertices off the cycle are
+    pairwise non-adjacent, and no two cycle-consecutive vertices both have a
+    neighbour off the cycle."""
+    outside = set(range(g.n)) - set(vertices)
+    if any(g.has_edge(a, b) for a, b in combinations(sorted(outside), 2)):
+        return False
+    touched = {w for z in outside for w in range(g.n) if g.has_edge(z, w)}
+    length = len(vertices)
+    return not any(
+        vertices[i] in touched and vertices[(i + 1) % length] in touched for i in range(length)
+    )
+
+
+def _turns(vertices):
+    """Every rotation of the cycle order, in both directions."""
+    for order in (vertices, vertices[::-1]):
+        for shift in range(len(order)):
+            yield order[shift:] + order[:shift]
+
+
+def test_strongly_dominating_agrees_with_reference_on_the_lemma_graphs(monkeypatch):
+    # Every longest cycle the lemma check tests on the n = 7 sweep: those of
+    # its 280 non-Hamiltonian 2-connected graphs.
+    checked = []
+
+    def enumerate_spy(g):
+        cycles = enumerate_longest_cycles(g)
+        checked.append((g, cycles))
+        return cycles
+
+    monkeypatch.setattr(conditions, "enumerate_longest_cycles", enumerate_spy)
+    rows = []
+    _enumerate_shard(7, 7, 3, 1, 0, lambda sid, adj: rows.append(tuple(adj)))
+    part_of = blocks_partition(7, 7)
+    for adj in rows:
+        assert check_domcycle_lemma(KPartiteGraph(part_of, adj)).status != VIOLATED
+    assert len(checked) == 280
+    assert sum(len(cycles) for _, cycles in checked) == 6_720
+    for g, cycles in checked:
+        for cycle in cycles:
+            assert is_strongly_dominating(g, cycle) == _reference_strongly_dominating(g, cycle.vertices)
+
+
+def test_strongly_dominating_agrees_with_reference_on_random_graphs():
+    rng = random.Random(2718)
+    verdicts = Counter()
+    for _ in range(600):
+        n = rng.randint(5, 10)
+        g = random_kpartite(rng, n, n, rng.choice([0.25, 0.35, 0.5]))
+        try:
+            cycles = enumerate_longest_cycles(g)
+        except GraphError:
+            continue
+        for cycle in cycles[:20]:
+            expected = _reference_strongly_dominating(g, cycle.vertices)
+            for turned in _turns(cycle.vertices):
+                assert is_strongly_dominating(g, CycleCertificate(turned)) == expected
+            verdicts[expected] += 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 150
+
+
+def test_strongly_dominating_rejects_crafted_cycles():
+    # Vertices 6 and 7 lie off the 6-cycle 0-1-2-3-4-5.
+    ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+    cycle = CycleCertificate((0, 1, 2, 3, 4, 5))
+    # They touch 0, 2 and 4, no two of them in a row.
+    apart = build_graph(8, 8, range(8), ring + [(6, 0), (6, 2), (7, 0), (7, 4)])
+    assert is_strongly_dominating(apart, cycle)
+    # The outside set {6, 7} is not independent.
+    joined = build_graph(8, 8, range(8), ring + [(6, 0), (6, 2), (7, 0), (7, 4), (6, 7)])
+    # Touched 2 and 3 are consecutive on the cycle, though neither outside
+    # vertex alone touches two in a row.
+    split = build_graph(8, 8, range(8), ring + [(6, 0), (6, 2), (7, 3)])
+    for g in (apart, joined, split):
+        for turned in _turns(cycle.vertices):
+            assert is_strongly_dominating(g, CycleCertificate(turned)) == (g is apart)
+
+
+def test_domcycle_lemma_reports_a_non_dominating_longest_cycle(monkeypatch):
+    # K_{3,4} is 2-connected, non-Hamiltonian and meets the degree
+    # hypothesis; offer it a 4-cycle whose outside set {2, 5, 6} holds the
+    # edge 2-5, as if it were a longest cycle.
+    k34 = build_graph(7, 7, range(7), [(a, b) for a in (0, 1, 2) for b in (3, 4, 5, 6)])
+    square = CycleCertificate((0, 3, 1, 4))
+    monkeypatch.setattr(conditions, "enumerate_longest_cycles", lambda g: [square])
+    outcome = check_domcycle_lemma(k34)
+    assert outcome.status == VIOLATED
+    assert outcome.counter_cycle is square
 
 
 def test_domcycle_lemma_k4():
@@ -222,10 +321,32 @@ def test_domcycle_lemma_reuses_cycles_of_same_order_only(monkeypatch):
     assert kept == [{7: [k7_cycle]}] * 2 + [{7: [k7_cycle], 6: [octahedron_cycle]}] * 2
 
 
-def test_domcycle_lemma_hit_means_the_kept_cycle_passes_verify_cycle():
+class _Searched(Exception):
+    """Raised by a stand-in for the Hamiltonian search: the check missed
+    every kept cycle."""
+
+
+def _refuse_search(g):
+    raise _Searched
+
+
+def _hit(g):
+    """True iff the lemma check settles g from a kept cycle, without the
+    Hamiltonian search; needs ``_refuse_search`` patched in."""
+    try:
+        outcome = check_domcycle_lemma(g)
+    except _Searched:
+        return False
+    assert outcome.status == HOLDS
+    return True
+
+
+def test_domcycle_lemma_hit_means_the_kept_cycle_passes_verify_cycle(monkeypatch):
     # Kept cycles are checked when they are stored, so a hit is one AND of a
-    # mask; it must agree with ``verify_cycle`` on every graph of the same n,
-    # whatever its partition, including graphs that lack some cycle edges.
+    # mask; it must agree with ``verify_cycle`` on every graph of the same n
+    # that meets the hypotheses, whatever its partition, including graphs
+    # that lack some cycle edges.
+    monkeypatch.setattr(conditions, "find_hamiltonian_cycle", _refuse_search)
     rng = random.Random(314)
     hits = misses = 0
     for n in range(3, 15):
@@ -242,12 +363,14 @@ def test_domcycle_lemma_hit_means_the_kept_cycle_passes_verify_cycle():
             k = rng.choice([k for k in range(2, n + 1) if n % k == 0])
             part_of = blocks_partition(n, k)
             vs = rng.choice(kept).vertices
-            edges = [edge for edge in zip(vs, vs[1:] + vs[:1]) if rng.random() < 0.9]
-            density = rng.choice([0.2, 0.5, 0.8])
+            edges = [edge for edge in zip(vs, vs[1:] + vs[:1]) if rng.random() < 0.7]
+            density = rng.choice([0.5, 0.7, 0.9])
             edges += [pair for pair in combinations(range(n), 2) if rng.random() < density]
             g = build_graph(n, k, part_of, [(u, v) for u, v in edges if part_of[u] != part_of[v]])
+            if 3 * g.min_degree() < n + 2:
+                continue
             expected = any(verify_cycle(g, cycle) for cycle in kept)
-            assert conditions._recent_cycle_in(g) == expected
+            assert _hit(g) == expected
             hits += expected
             misses += not expected
     assert hits >= 100 and misses >= 100
@@ -344,23 +467,39 @@ def test_domcycle_lemma_non_hamiltonian_two_connected_enumerates(monkeypatch):
     assert calls == ["find_hamiltonian_cycle", "_cut_witness", "enumerate_longest_cycles"]
 
 
-def test_domcycle_lemma_keeps_the_most_recent_cycles_only():
+def test_domcycle_lemma_keeps_the_most_recent_cycles_only(monkeypatch):
+    monkeypatch.setattr(conditions, "find_hamiltonian_cycle", _refuse_search)
     k7 = complete_kpartite(7, 1)
     orders = [(0, *p) for p in permutations(range(1, 7)) if p[0] < p[-1]]
-    cycles = [CycleCertificate(order) for order in orders[: conditions._RECENT_CYCLES + 1]]
+
+    def thick(vs):
+        """The cycle on ``vs`` plus four chords, which meet every vertex:
+        minimum degree 3, enough for the lemma's hypothesis at n = 7."""
+        chords = [(vs[0], vs[3]), (vs[1], vs[4]), (vs[2], vs[5]), (vs[2], vs[6])]
+        return build_graph(7, 7, range(7), list(zip(vs, vs[1:] + vs[:1])) + chords)
+
+    # The oldest cycle, then the second oldest, which lies in its own graph
+    # only, then cycles in neither graph.
+    oldest = orders[0]
+    second = next(vs for vs in orders if not verify_cycle(thick(oldest), CycleCertificate(vs)))
+    old_graph, second_graph = thick(oldest), thick(second)
+    rest = [
+        vs for vs in orders
+        if not verify_cycle(old_graph, CycleCertificate(vs))
+        and not verify_cycle(second_graph, CycleCertificate(vs))
+    ]
+    cycles = [CycleCertificate(vs) for vs in [oldest, second, *rest[: conditions._RECENT_CYCLES - 1]]]
+    assert len(cycles) == conditions._RECENT_CYCLES + 1
+    assert [c for c in cycles if verify_cycle(old_graph, c)] == [cycles[0]]
     for cycle in cycles:
         conditions._remember_cycle(k7, cycle)
     kept = [cycle for _, cycle in conditions._recent_cycles[7]]
     assert kept == cycles[:0:-1]
-
-    def alone(cycle):
-        vs = cycle.vertices
-        return build_graph(7, 7, range(7), zip(vs, vs[1:] + vs[:1]))
-
-    # A graph that is one cycle holds no other: the oldest is gone, the
-    # second oldest is still found.
-    assert not conditions._recent_cycle_in(alone(cycles[0]))
-    assert conditions._recent_cycle_in(alone(cycles[1]))
+    # The oldest is gone, so its graph misses and is searched; the second
+    # oldest is still found.
+    assert not _hit(old_graph)
+    assert _hit(second_graph)
+    assert conditions._recent_cycles[7][0][1] == cycles[1]
 
 
 def test_domcycle_lemma_keeps_each_cycles_own_mask():

@@ -551,3 +551,24 @@ def test_export_dot_k22():
     assert len(edge_lines) == 4
     colors = {line.split('"')[1] for line in node_lines}
     assert len(colors) == 2
+
+
+# SHA-256 of the JSON list of [part_of, adj] of the 1,000 graphs below, as
+# ``random_kpartite`` drew them when it tested every vertex pair in turn.
+RANDOM_KPARTITE_DIGEST = "359876e2c3feea9ca56b7f67b0607bbca426d12b35058180c2196f9903cdd460"
+
+
+def test_random_kpartite_draws_are_frozen():
+    # The seeded test populations depend on the generator drawing one number
+    # per cross-part pair, in lexicographic pair order, and nothing else.
+    rng = random.Random(20261019)
+    rows = []
+    for _ in range(1000):
+        k = rng.randint(1, 7)
+        n = k * rng.randint(1, 14 // k)
+        p = rng.choice([0.1, 0.35, 0.5, 0.8, 1.0])
+        g = random_kpartite(rng, n, k, p)
+        rows.append([list(g.part_of), list(g.adj)])
+    assert sum(len(row[1]) for row in rows) == 8_273
+    payload = json.dumps(rows)
+    assert hashlib.sha256(payload.encode()).hexdigest() == RANDOM_KPARTITE_DIGEST

@@ -396,6 +396,17 @@ def test_enumerate_longest_cycles_complete_count():
     assert len(enumerate_longest_cycles(k5)) == 12
 
 
+def test_enumerate_longest_cycles_count_guard(monkeypatch):
+    # K_7 has 6!/2 = 360 Hamiltonian cycles: a guard below that refuses it,
+    # naming the count it reached, and a guard of 360 lists them all.
+    k7 = complete_kpartite(7, 1)
+    monkeypatch.setattr(solver, "ENUMERATE_COUNT_LIMIT", 359)
+    with pytest.raises(SizeGuardError, match=r"guarded at 359 cycles, found 360$"):
+        enumerate_longest_cycles(k7)
+    monkeypatch.setattr(solver, "ENUMERATE_COUNT_LIMIT", 360)
+    assert len(enumerate_longest_cycles(k7)) == 360
+
+
 def _random_forest(rng, n):
     """Random forest: each vertex after the first joins an earlier one with
     probability 0.85."""
