@@ -151,11 +151,11 @@ def check_domcycle_lemma(g: KPartiteGraph) -> DomCycleOutcome:
     cycle spans it, and HOLDS follows with no hypothesis skipped; that cycle
     becomes the most recently used.  On a miss the Hamiltonian search runs
     next, for the same reason; only a graph it refutes gets the cut-vertex
-    sweep, and only a 2-connected one of those gets the longest-cycle
-    enumeration, whose cycles (each listed once) ``is_strongly_dominating``
-    tests in turn.  The status never depends on which
-    cycles are kept.  HOLDS and NOT_APPLICABLE return shared outcome
-    instances.
+    search, one depth-first search with lowpoints, and only a 2-connected
+    one of those gets the longest-cycle enumeration, whose cycles (each
+    listed once) ``is_strongly_dominating`` tests in turn.  The status never
+    depends on which cycles are kept.  HOLDS and NOT_APPLICABLE return
+    shared outcome instances.
     """
     n = g.n
     if n > ENUMERATE_SIZE_LIMIT:

@@ -8,12 +8,13 @@ graph is disconnected, or (c) an independent union of parts is too large to
 fit in the remaining stretch of the cycle.  Tie-breaking is by vertex id
 everywhere, so results are reproducible run to run.
 
-Prunes (a) and (b) are checked incrementally, from what changed since the
-parent node: (a) only for the unvisited neighbours of the previous endpoint,
-whose counts are the parent's candidate-ordering keys, and (b) only until the
-sweep reaches those neighbours.  The incremental (a) needs loop-free adjacency
-rows, which ``KPartiteGraph`` guarantees.  The tree searched, its node count
-and the cycle found are those of the full checks at every node.  Prune (c) is
+Prunes (a) and (b) are settled by each node for all its children at once,
+before it expands any: (a) from the children's candidate-ordering keys, and
+(b) by one sweep of the node's unvisited set, which is every child's region,
+until it joins the node's candidates.  The root checks once that the whole
+graph is connected.  The shared (a) needs loop-free adjacency rows, which
+``KPartiteGraph`` guarantees.  The tree searched, its node count and the
+cycle found are those of the full checks at every node.  Prune (c) is
 skipped while half the remaining stretch holds the largest union.
 
 Because the prunes equal the full checks, a node's subtree depends on its
@@ -56,6 +57,11 @@ ENUMERATE_SIZE_LIMIT = 14
 # many cycles.  The lemma check's graphs need at most 24 (n = 7) and tier-1
 # callers at most 2,392; K_{7,7} and K_14 reach the guard in about 0.5 s.
 ENUMERATE_COUNT_LIMIT = 100_000
+# The longest-cycle search, in either mode, stops past this many DFS nodes.
+# The lemma check's 280 graphs need at most 425 and tier-1 callers at most
+# 157,261 (n = 12).  At about a microsecond a node this is about a second:
+# K_{6,8} (n = 14), which needs 4.6 million nodes, is refused in 0.7 s.
+LONGEST_NODE_LIMIT = 1_000_000
 ALPHA_WITNESS_LIMIT = 28
 
 
@@ -188,17 +194,20 @@ def _ham_search(
     A node with endpoint u and unvisited set U is pruned when (a) some vertex
     of U has fewer than two usable neighbours in U + {u, start}, or start has
     none left in U; (b) U + {u} is disconnected; (c) a part union has more
-    than (|U| + 1) // 2 vertices in U.  Two prunes are incremental, because a
-    child is expanded only when its parent passed every prune:
+    than (|U| + 1) // 2 vertices in U.  A node settles two prunes for all its
+    children, because a child is expanded only when its parent passed every
+    prune:
 
     - (a) Since ``adj`` is loop-free, a child with endpoint v has the usable
       set U + {start}, which is its parent's minus u, so only the parent's
       other candidates can fail it, with exactly the counts the parent sorts
       them by.  The parent settles (a) for all its children from those
       counts; the root checks every vertex once.
-    - (b) The child's region is its parent's connected region minus u, and a
-      connected graph stays connected without u iff u's neighbours stay in
-      one component.  So the sweep stops once it has reached all of them.
+    - (b) Every child's region is the parent's unvisited set U, which is the
+      parent's connected region minus u, and a connected graph stays
+      connected without u iff u's neighbours stay in one component.  So the
+      parent sweeps U once, from its lowest candidate, and stops once it has
+      reached all its candidates; the root checks the whole graph once.
 
     Pruned children count as expanded nodes whichever way they are pruned,
     so ``nodes`` is the size of the full search tree.  With the prunes a
@@ -227,7 +236,7 @@ def _ham_search(
     # Made on the first record: most sweep searches never fail a child.
     dead: dict[int, int] | None = None
 
-    def extend(u: int, visited: int, prev_row: int) -> bool:
+    def extend(u: int, visited: int) -> bool:
         nonlocal nodes, dead
         if dead is not None:
             # A state that failed before: add its subtree, this node included.
@@ -242,22 +251,6 @@ def _ham_search(
         # (a) for the start vertex: it needs a future way back in.
         if not adj_start & unvisited:
             return False
-        # (b) the unvisited region plus the current endpoint must be
-        # connected: reach every region neighbour of the previous endpoint.
-        ubit = 1 << u
-        target = unvisited | ubit
-        need = prev_row & target
-        seen = frontier = ubit
-        while need & ~seen:
-            if not frontier:
-                return False
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grown & target & ~seen
-            seen |= frontier
         # (c) independent part unions must fit in the remaining stretch.
         cap = (unvisited.bit_count() + 1) // 2
         if cap < widest:
@@ -267,7 +260,7 @@ def _ham_search(
         # Candidates, fewest remaining options first, ties by vertex id.
         remaining = unvisited | sbit
         cands = []
-        rest = adj[u] & unvisited
+        ahead = rest = adj[u] & unvisited
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
@@ -279,12 +272,25 @@ def _ham_search(
         if len(cands) > 1 and cands[1][0] < 2:
             nodes += len(cands)
             return False
-        row = adj[u]
+        # (b) for the children: each one's region is U, and it is connected
+        # iff every candidate lies in one component of U.
+        seen = frontier = ahead & -ahead
+        while ahead & ~seen:
+            if not frontier:
+                nodes += len(cands)
+                return False
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & unvisited & ~seen
+            seen |= frontier
         for options, v in cands:
             child = visited | (1 << v)
             before = nodes
             path.append(v)
-            if extend(v, child, row):
+            if extend(v, child):
                 return True
             path.pop()
             # A one-node subtree is its own prune, as cheap to repeat as to
@@ -298,7 +304,10 @@ def _ham_search(
                 return False
         return False
 
-    found = extend(start, sbit, full)
+    # (b) at the root: the whole graph must be connected.
+    if _reach(adj, sbit, full) != full:
+        return None, 1
+    found = extend(start, sbit)
     # ``extend`` refers to itself through its own cell.  Clearing the cells
     # frees it and the record now; left to the cycle collector, the garbage
     # of one search per graph kept it busy.
@@ -491,10 +500,14 @@ def _longest_search(
     each one is generated from a single anchor, once per direction; only the
     direction whose second vertex is below its last is recorded, so each
     cycle is recorded once, as its least rotation or reflection.  Once more
-    than ``ENUMERATE_COUNT_LIMIT`` are recorded it raises SizeGuardError.
+    than ``ENUMERATE_COUNT_LIMIT`` are recorded, or in either mode once more
+    than ``LONGEST_NODE_LIMIT`` DFS nodes are entered, it raises
+    SizeGuardError.
     """
     n, adj = g.n, g.adj
     count_limit = ENUMERATE_COUNT_LIMIT
+    node_limit = LONGEST_NODE_LIMIT
+    nodes = 0
     best_len = 0
     best: tuple[int, ...] | None = None
     found: list[tuple[int, ...]] = []
@@ -510,7 +523,10 @@ def _longest_search(
         path = [anchor]
 
         def dfs(u: int, visited: int) -> bool:
-            nonlocal best_len, best
+            nonlocal best_len, best, nodes
+            nodes += 1
+            if nodes > node_limit:
+                raise SizeGuardError(f"longest cycle search guarded at {node_limit} nodes")
             plen = len(path)
             if plen >= 3 and (adj[u] >> anchor) & 1:
                 if collect:
@@ -561,7 +577,8 @@ def _longest_search(
 
 def longest_cycle(g: KPartiteGraph) -> CycleCertificate:
     """A maximum-length cycle of g; raises GraphError on acyclic input.
-    Guarded at n <= ``ENUMERATE_SIZE_LIMIT``, as the enumeration is."""
+    Guarded at n <= ``ENUMERATE_SIZE_LIMIT``, as the enumeration is, and at
+    ``LONGEST_NODE_LIMIT`` search nodes."""
     if g.n > ENUMERATE_SIZE_LIMIT:
         raise SizeGuardError(f"longest cycle guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {g.n}")
     length, order, _ = _longest_search(g)
@@ -575,8 +592,9 @@ def longest_cycle(g: KPartiteGraph) -> CycleCertificate:
 def enumerate_longest_cycles(g: KPartiteGraph) -> list[CycleCertificate]:
     """All distinct longest cycles, up to rotation and reflection, each as
     its least rotation or reflection, in ascending order.  Guarded at n <=
-    ``ENUMERATE_SIZE_LIMIT`` and at ``ENUMERATE_COUNT_LIMIT`` cycles: its
-    cost is its output, so the count bounds the work."""
+    ``ENUMERATE_SIZE_LIMIT``, at ``ENUMERATE_COUNT_LIMIT`` cycles, since
+    its cost grows with its output, and at ``LONGEST_NODE_LIMIT`` search
+    nodes."""
     if g.n > ENUMERATE_SIZE_LIMIT:
         raise SizeGuardError(
             f"longest cycle enumeration guarded at n <= {ENUMERATE_SIZE_LIMIT}, got {g.n}"
@@ -594,17 +612,55 @@ def _cut_witness(g: KPartiteGraph) -> SmallCut | None:
     """A cut of g: no vertices if g is disconnected, else its lowest cut
     vertex; None if there is neither.
 
-    Sweeps the whole graph, then the graph minus each vertex in ascending
-    order, and stops at the first region that the sweep from its lowest
-    vertex does not cover.
+    One depth-first search from vertex 0 with lowpoints (Hopcroft & Tarjan,
+    1973), each child taken lowest id first.  A vertex's lowpoint is the
+    least discovery number reachable from its subtree by at most one back
+    edge.  The root is a cut vertex iff it has two or more children, and any
+    other vertex iff some child's lowpoint is not below its own discovery
+    number.  A vertex's already seen neighbours, when it is discovered, are
+    all its ancestors, so its back edges are read then, parent included,
+    which cannot change the test.
     """
     n, adj = g.n, g.adj
-    full = (1 << n) - 1
-    for v in range(-1, n):
-        region = full if v < 0 else full ^ (1 << v)
-        if _reach(adj, region & -region, region) != region:
-            return SmallCut(frozenset() if v < 0 else frozenset({v}))
-    return None
+    order = [0] * n  # discovery number, from 1; 0 while unseen
+    low = [0] * n
+    order[0] = count = seen = 1
+    stack = [0]
+    cuts = root_children = 0
+    while stack:
+        v = stack[-1]
+        fresh = adj[v] & ~seen
+        if fresh:
+            w = (fresh & -fresh).bit_length() - 1
+            seen |= 1 << w
+            count += 1
+            order[w] = best = count
+            back = adj[w] & seen
+            while back:
+                bit = back & -back
+                above = order[bit.bit_length() - 1]
+                if above < best:
+                    best = above
+                back ^= bit
+            low[w] = best
+            root_children += v == 0
+            stack.append(w)
+            continue
+        stack.pop()
+        if len(stack) > 1:
+            parent = stack[-1]
+            # A lowpoint below the parent's is below its discovery number.
+            if low[v] < low[parent]:
+                low[parent] = low[v]
+            elif low[v] >= order[parent]:
+                cuts |= 1 << parent
+    if seen != (1 << n) - 1:
+        return SmallCut(frozenset())
+    if root_children > 1:
+        cuts |= 1
+    if not cuts:
+        return None
+    return SmallCut(frozenset({(cuts & -cuts).bit_length() - 1}))
 
 
 def _bipartite_degree_one_witness(g: KPartiteGraph) -> BipartiteDegreeOne | None:

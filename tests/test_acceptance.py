@@ -164,9 +164,9 @@ def test_criterion_08_dominating_cycle_lemma(monkeypatch):
         return find_hamiltonian_cycle(g)
 
     monkeypatch.setattr(conditions, "find_hamiltonian_cycle", counted_search)
-    # The lemma check keeps cycles in module state; start with none, so the
-    # search count below does not depend on the tests run before.
-    conditions._recent_cycles.clear()
+    # The lemma check keeps cycles in module state, and the autouse fixture
+    # in conftest.py starts every test with none, so the search count below
+    # does not depend on the tests run before.
     # Exhaustive over all graphs on n <= 7 meeting the degree hypothesis.
     for n in range(3, 8):
         floor = -((-(n + 2)) // 3)

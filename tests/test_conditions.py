@@ -39,15 +39,6 @@ from hamparts.solver import (
 from _util import random_kpartite
 
 
-@pytest.fixture(autouse=True)
-def _no_kept_cycles():
-    """Each test starts, and leaves the next one, with no cycles kept by the
-    lemma check, which keeps them in module state."""
-    conditions._recent_cycles.clear()
-    yield
-    conditions._recent_cycles.clear()
-
-
 def test_chvatal_complete_bipartite():
     assert chvatal_bipartite_condition(complete_kpartite(2, 4))
 
@@ -350,7 +341,6 @@ def test_domcycle_lemma_hit_means_the_kept_cycle_passes_verify_cycle(monkeypatch
     rng = random.Random(314)
     hits = misses = 0
     for n in range(3, 15):
-        conditions._recent_cycles.clear()
         for _ in range(6):
             order = list(range(n))
             rng.shuffle(order)

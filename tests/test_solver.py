@@ -22,6 +22,7 @@ from hamparts.graphs import (
     induced_bipartite,
     is_independent,
     _bits,
+    _reach,
 )
 from hamparts.harness import _enumerate_shard
 from hamparts.solver import (
@@ -37,6 +38,7 @@ from hamparts.solver import (
     witness_certifies,
     witness_from_payload,
     witness_to_payload,
+    _cut_witness,
     _forced_edge_search,
     _ham_search,
     _independent_part_unions,
@@ -86,6 +88,23 @@ def test_size_guard():
         with pytest.raises(SizeGuardError, match=rf"n <= {limit}, got {limit + 1}$"):
             search(_cycle_graph(limit + 1))
         assert search(_cycle_graph(limit))
+    # The longest-cycle search also stops past its node budget, naming it:
+    # K_{6,8} (n = 14) needs 4,617,682 nodes.
+    k68 = build_graph(14, 14, range(14), [(a, b) for a in range(6) for b in range(6, 14)])
+    with pytest.raises(SizeGuardError, match=r"search guarded at 1000000 nodes$"):
+        longest_cycle(k68)
+
+
+def test_longest_node_budget_covers_both_modes(monkeypatch):
+    # K_{3,4} takes 109 nodes to find a longest cycle and 130 to list all
+    # 24: a budget one below refuses each mode, and one at it answers.
+    k34 = build_graph(7, 7, range(7), [(a, b) for a in range(3) for b in range(3, 7)])
+    for nodes, search in ((109, longest_cycle), (130, enumerate_longest_cycles)):
+        monkeypatch.setattr(solver, "LONGEST_NODE_LIMIT", nodes - 1)
+        with pytest.raises(SizeGuardError, match=rf"guarded at {nodes - 1} nodes$"):
+            search(k34)
+        monkeypatch.setattr(solver, "LONGEST_NODE_LIMIT", nodes)
+        assert len(search(k34)) == (6 if search is longest_cycle else 24)
 
 
 def test_verify_cycle():
@@ -672,6 +691,86 @@ def test_witnesses_are_frozen():
     }
     payload = json.dumps(rows)
     assert hashlib.sha256(payload.encode()).hexdigest() == WITNESS_DIGEST
+
+
+def _reference_cut_witness(g):
+    """``_cut_witness`` as the vertex-deletion sweep it once was: sweep the
+    whole graph, then the graph minus each vertex in ascending order, and
+    stop at the first region that the sweep from its lowest vertex does not
+    cover."""
+    n, adj = g.n, g.adj
+    full = (1 << n) - 1
+    for v in range(-1, n):
+        region = full if v < 0 else full ^ (1 << v)
+        if _reach(adj, region & -region, region) != region:
+            return SmallCut(frozenset() if v < 0 else frozenset({v}))
+    return None
+
+
+def _cut_vertex_count(g):
+    """How many vertices disconnect g when deleted, by one sweep each."""
+    full = (1 << g.n) - 1
+    return sum(
+        _reach(g.adj, region & -region, region) != region
+        for region in (full ^ (1 << v) for v in range(g.n))
+    )
+
+
+def _all_graphs(n):
+    """Every labeled simple graph on n vertices, with singleton parts."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for subset in range(1 << len(pairs)):
+        adj = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if subset >> i & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        yield KPartiteGraph(tuple(range(n)), adj)
+
+
+def _block_chain(rng, n):
+    """Random blocks (cycles and edges) glued in a tree at shared vertices,
+    then relabeled at random: a connected graph with several cut vertices
+    at random ids."""
+    label = list(range(n))
+    rng.shuffle(label)
+    adj = [0] * n
+    used = 1
+    while used < n:
+        size = min(rng.choice([1, 2, 3, 4]), n - used)
+        members = [rng.randrange(used)] + list(range(used, used + size))
+        ring = list(zip(members, members[1:] + members[:1])) if size > 1 else [members]
+        for a, b in ring:
+            adj[label[a]] |= 1 << label[b]
+            adj[label[b]] |= 1 << label[a]
+        used += size
+    return KPartiteGraph(tuple(range(n)), adj)
+
+
+def test_cut_witness_matches_vertex_deletion_sweep():
+    # Every labeled graph on 1 to 6 vertices, then seeded graphs up to
+    # n = 40: sparse and dense random graphs, balanced k-partite ones and
+    # block chains, disconnected ones and ones with several cut vertices.
+    tally = Counter()
+    graphs = [g for n in range(1, 7) for g in _all_graphs(n)]
+    rng = random.Random(20261019)
+    for n in range(7, 41):
+        for degree in (1.5, 2.5, 4.0, n / 2):
+            graphs.append(random_graph(rng, n, min(1.0, degree / (n - 1))))
+        k = rng.choice([k for k in range(2, n + 1) if n % k == 0])
+        graphs.append(random_kpartite(rng, n, k, 3.0 / (n - n // k)))
+        graphs.extend(_block_chain(rng, n) for _ in range(2))
+    for g in graphs:
+        got, expected = _cut_witness(g), _reference_cut_witness(g)
+        assert got == expected, g
+        if got is None:
+            tally["none"] += 1
+        elif not got.vertices:
+            tally["disconnected"] += 1
+        else:
+            tally["several" if _cut_vertex_count(g) > 1 else "one"] += 1
+    assert len(graphs) == 34_105
+    assert tally == {"disconnected": 6_479, "none": 11_670, "one": 8_774, "several": 7_182}
 
 
 def test_witness_soundness_on_random_corpus():
