@@ -499,42 +499,34 @@ def connected_components(g: KPartiteGraph, removed: int = 0) -> list[int]:
     return components
 
 
-def _local_vertex_connectivity(g: KPartiteGraph, s: int, t: int) -> int:
-    """Maximum number of internally disjoint s-t paths, via unit-capacity flow
-    on the vertex-split digraph (v_in = 2v, v_out = 2v+1)."""
-    n = g.n
-    big = n + 1
-    cap: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        cap[(2 * v, 2 * v + 1)] = big if v in (s, t) else 1
-    for u in range(n):
-        for v in _bits(g.adj[u]):
-            cap[(2 * u + 1, 2 * v)] = big
+def _local_vertex_connectivity(split: list[int], s: int, t: int) -> int:
+    """Maximum number of internally disjoint paths between non-adjacent s and
+    t: shortest augmenting paths from s_out to t_in in a copy of the
+    vertex-split digraph ``split`` of :func:`vertex_connectivity`.  Every arc
+    has capacity one, and an inner vertex's one in-to-out arc lets at most
+    one path through it."""
+    residual = split.copy()
     source, sink = 2 * s + 1, 2 * t
-    succ: dict[int, list[int]] = {}
-    for (a, b) in list(cap):
-        succ.setdefault(a, []).append(b)
-        succ.setdefault(b, []).append(a)
-        cap.setdefault((b, a), 0)
+    parent = [0] * len(split)
     flow = 0
     while True:
-        parent = {source: source}
-        queue = [source]
-        while queue and sink not in parent:
-            nxt = []
-            for a in queue:
-                for b in succ.get(a, ()):
-                    if b not in parent and cap[(a, b)] > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in parent:
+        seen = frontier = 1 << source
+        while frontier and not seen >> sink & 1:
+            layer = 0
+            for a in _bits(frontier):
+                fresh = residual[a] & ~seen
+                seen |= fresh
+                layer |= fresh
+                for b in _bits(fresh):
+                    parent[b] = a
+            frontier = layer
+        if not seen >> sink & 1:
             return flow
         b = sink
         while b != source:
             a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
+            residual[a] ^= 1 << b
+            residual[b] |= 1 << a
             b = a
         flow += 1
 
@@ -542,6 +534,8 @@ def _local_vertex_connectivity(g: KPartiteGraph, s: int, t: int) -> int:
 def vertex_connectivity(g: KPartiteGraph) -> int:
     """Exact vertex connectivity; n-1 for complete graphs.
 
+    The vertex-split digraph is built once as 2n bit rows: v_in = 2v has one
+    arc, to v_out = 2v + 1, and v_out an arc to w_in for each neighbour w.
     Only Even's pairs are tried: each source u = 0, 1, ... while u is below
     the best count so far, with every non-adjacent v > u.  Take a minimum
     cut S and the first vertex u outside it: the vertices before u all lie
@@ -552,13 +546,15 @@ def vertex_connectivity(g: KPartiteGraph) -> int:
     n = g.n
     if n < 2:
         raise GraphError("vertex_connectivity needs at least 2 vertices")
+    # Read in base 4, a row's binary digits put neighbour w at bit 2w.
+    split = [x for v, row in enumerate(g.adj) for x in (2 << 2 * v, int(f"{row:b}", 4))]
     full = (1 << n) - 1
     best = n - 1
     u = 0
     while u < best:
         later = full ^ ((2 << u) - 1)
         for v in _bits(later & ~g.adj[u]):
-            best = min(best, _local_vertex_connectivity(g, u, v))
+            best = min(best, _local_vertex_connectivity(split, u, v))
             if best == 0:
                 return 0
         u += 1

@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import hamparts
+from hamparts import cli
 from hamparts.cli import main
 from hamparts.families import build_F2
 from hamparts.graphs import encode
+from hamparts.harness import VerificationReport, exhaustive_verify
 
 
 def run_cli(capsys, *argv):
@@ -333,6 +335,52 @@ def test_tightness_command(capsys):
     code, _, err = run_cli(capsys, "tightness", "--k-max", "1", "--m-max", "3")
     assert code == 2
     assert err == "error: k_max must be at least 2, got 1\n"
+
+
+def _recording(monkeypatch, name):
+    """Replace ``cli.<name>`` by a wrapper that keeps each report it returns."""
+    built = []
+    real = getattr(cli, name)
+
+    def record(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, name, record)
+    return built
+
+
+def test_facts_and_tightness_write_the_reports_they_built(capsys, tmp_path, monkeypatch):
+    for command, name in (("facts", "facts_report"), ("tightness", "tightness_scan")):
+        built = _recording(monkeypatch, name)
+        out_path = tmp_path / f"{command}.json"
+        code, _, _ = run_cli(
+            capsys, command, "--k-max", "6", "--m-max", "3", "--out", str(out_path)
+        )
+        assert code == 0
+        assert len(built) == 1
+        assert VerificationReport.from_json(out_path.read_text()) == built[0]
+
+
+def test_characterize_command_writes_and_tallies(capsys, tmp_path, monkeypatch):
+    # The whole (8, 4) sweep runs in CI; here one frozen shard stands in.
+    report = exhaustive_verify(8, 4, 3, shards=64, shard_id=63, _kind="characterization")
+    calls = []
+
+    def characterization_check(*args, **kwargs):
+        calls.append((args, kwargs))
+        return report
+
+    monkeypatch.setattr(cli, "characterization_check", characterization_check)
+    out_path = tmp_path / "c84.json"
+    code, out, _ = run_cli(
+        capsys, "characterize", "--n", "8", "--k", "4", "--shards", "8", "--jobs", "2",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    assert calls == [((8, 4), {"shards": 8, "jobs": 2})]
+    assert out.splitlines() == ["non_hamiltonian=220 F1=32 F2=8 F3=180", f"report={out_path}"]
+    assert VerificationReport.from_json(out_path.read_text()) == report
 
 
 def test_characterize_command_guard(capsys, tmp_path):

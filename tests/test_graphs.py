@@ -346,6 +346,13 @@ def test_vertex_connectivity_classics():
 
 
 def test_vertex_connectivity_against_brute_force():
+    # Every labeled graph on 2 to 5 vertices, one part per vertex.
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for edges in range(1 << len(pairs)):
+            chosen = [pair for i, pair in enumerate(pairs) if (edges >> i) & 1]
+            g = build_graph(n, n, tuple(range(n)), chosen)
+            assert vertex_connectivity(g) == brute_vertex_connectivity(g), encode(g)
     rng = random.Random(42)
     for trial in range(60):
         n = rng.randint(2, 8)
@@ -358,6 +365,20 @@ def test_vertex_connectivity_against_brute_force():
         k = rng.choice([d for d in range(2, n + 1) if n % d == 0])
         g = random_kpartite(rng, n, k, rng.choice([0.3, 0.5, 0.7, 0.9, 1.0]))
         assert vertex_connectivity(g) == brute_vertex_connectivity(g), encode(g)
+
+
+def test_vertex_connectivity_is_frozen():
+    # SHA-256 of the comma-joined kappa of the graphs below, taken from the
+    # max-flow that rebuilt an arc dictionary for each of Even's pairs.
+    rng = random.Random(23)
+    kappas = []
+    for n in range(7, 41):
+        k = rng.choice([d for d in range(2, n + 1) if n % d == 0])
+        p = rng.choice((0.15, 0.3, 0.45, 0.6))
+        kappas.append(vertex_connectivity(random_kpartite(rng, n, k, p)))
+    assert max(kappas) == 14
+    digest = hashlib.sha256(",".join(map(str, kappas)).encode()).hexdigest()
+    assert digest == "5d3356eb0c918bd87571a11c348300fd20d32a1b28d71fd20f1b6a6f2890d805"
 
 
 def test_independence_number_against_brute_force():
@@ -474,17 +495,22 @@ def test_induced_bipartite_errors():
 
 def test_graph6_against_networkx():
     rng = random.Random(3)
-    for trial in range(40):
-        n = rng.randint(1, 20)
+    # Sizes above 62 take the four-byte size header.
+    sizes = [rng.randint(1, 20) for trial in range(40)] + [63, 64, 100]
+    for n in sizes:
         g = random_graph(rng, n, rng.random())
         text = graph6_encode(g)
         ref = nx.from_graph6_bytes(text.encode("ascii"))
         assert set(ref.edges()) == {tuple(sorted(e)) for e in g.edges()}
-        # And the reverse direction against networkx's encoder.
+        # And the reverse direction against networkx's encoder and its
+        # ``>>graph6<<`` header.
         ref2 = nx.Graph()
         ref2.add_nodes_from(range(n))
         ref2.add_edges_from(g.edges())
         assert nx.to_graph6_bytes(ref2, header=False).strip().decode() == text
+        size, edges = graph6_decode(nx.to_graph6_bytes(ref2).decode())
+        assert size == n
+        assert set(edges) == {tuple(sorted(e)) for e in g.edges()}
 
 
 def test_graph6_decode_round_trip():
@@ -540,6 +566,16 @@ def test_decode_rejects_malformed():
         decode("kpart 3: 0 1, 2 3,\nC?")
     with pytest.raises(GraphError, match="part 1 is empty"):
         decode("kpart 3: 0 1, , 2 3\nC?")
+    with pytest.raises(GraphError, match="must start with 'kpart'"):
+        decode("parts 2: 0 1, 2 3\nC?")
+    with pytest.raises(GraphError, match="malformed partition header"):
+        decode("kpart two: 0 1, 2 3\nC?")
+    with pytest.raises(GraphError, match="malformed part list: ' 2 x'"):
+        decode("kpart 2: 0 1, 2 x\nC?")
+    with pytest.raises(GraphError, match="vertex 1 assigned to two parts"):
+        decode("kpart 2: 0 1, 1 2 3\nC?")
+    with pytest.raises(GraphError, match="does not cover all vertices"):
+        decode("kpart 2: 0 1, 2\nC?")
 
 
 def test_export_dot_k22():

@@ -12,7 +12,7 @@ import pytest
 from hamparts import harness, solver
 from hamparts.cli import main as cli_main
 from hamparts.families import build_F2, build_family_F
-from hamparts.graphs import SizeGuardError, blocks_partition, decode, encode
+from hamparts.graphs import SizeGuardError, blocks_partition, complete_kpartite, decode, encode
 from hamparts.harness import (
     VerificationReport,
     characterization_check,
@@ -412,6 +412,22 @@ def test_self_check_certifies_exhaustive_witnesses(monkeypatch):
     assert harness._self_check(report)
     monkeypatch.setattr(solver, "_forced_edge_search", lambda n, adj, independent: (0,))
     assert not harness._self_check(report)
+
+
+def test_self_check_refuses_hamiltonian_graphs_and_skips_graphless_entries():
+    f2 = build_F2()
+    f2_entry = {"graph": encode(f2), "witness": witness_to_payload(non_hamiltonicity_witness(f2))}
+    graphless = {"classification": "F2"}
+    report = VerificationReport(
+        kind="characterization", params={}, exceptional=[graphless, f2_entry]
+    )
+    assert harness._self_check(report)
+    # A listed graph that has a Hamiltonian cycle fails the check, with or
+    # without a witness.
+    octahedron = encode(complete_kpartite(3, 2))
+    for entry in ({"graph": octahedron}, {"graph": octahedron, "witness": f2_entry["witness"]}):
+        report = VerificationReport(kind="exhaustive", params={}, counterexamples=[entry])
+        assert not harness._self_check(report)
 
 
 def test_self_check_reproduces_search_nodes():

@@ -551,6 +551,26 @@ def test_witness_checkers_reject_bogus():
     assert not witness_certifies(g, ExhaustiveSearch(nodes=10))
 
 
+def test_witness_checkers_refuse_malformed_vertex_sets():
+    # Each witness is a certifying one with a single field spoiled.
+    f1 = build_family_F1(4)
+    assert witness_certifies(f1, SmallCut(frozenset({3})))
+    for vertices in ({3, f1.n}, {3, -1}, set(range(f1.n))):
+        assert not witness_certifies(f1, SmallCut(frozenset(vertices))), vertices
+    f3 = build_family_F3(4)
+    a_side, vertex = frozenset({0, 1, 2, 3}), 6
+    assert witness_certifies(f3, BipartiteDegreeOne(a_side, vertex))
+    refused = [
+        BipartiteDegreeOne(a_side, 3),  # the vertex lies in a_side
+        BipartiteDegreeOne(a_side - {3}, vertex),  # a_side is not half
+        BipartiteDegreeOne(a_side | {5}, vertex),
+        BipartiteDegreeOne(a_side, f3.n),  # the vertex is out of range
+        BipartiteDegreeOne(a_side, -1),
+    ]
+    for witness in refused:
+        assert not witness_certifies(f3, witness), witness
+
+
 def test_witness_payload_round_trip():
     witnesses = [
         SmallCut(frozenset({3, 0})),
