@@ -499,12 +499,21 @@ def connected_components(g: KPartiteGraph, removed: int = 0) -> list[int]:
     return components
 
 
-def _local_vertex_connectivity(split: list[int], s: int, t: int) -> int:
+# Augmenting-path BFS layers one vertex_connectivity call may grow.  Tier-1
+# and CI callers need at most 11,942 (F(4, 10), n = 40).  A layer costs more
+# as n grows: F(2, 100) (n = 200, kappa 49), which ran for 50 s unguarded,
+# is refused in about 2.5 s.
+KAPPA_LAYER_LIMIT = 50_000
+
+
+def _local_vertex_connectivity(split: list[int], s: int, t: int, budget: int) -> tuple[int, int]:
     """Maximum number of internally disjoint paths between non-adjacent s and
     t: shortest augmenting paths from s_out to t_in in a copy of the
     vertex-split digraph ``split`` of :func:`vertex_connectivity`.  Every arc
     has capacity one, and an inner vertex's one in-to-out arc lets at most
-    one path through it."""
+    one path through it.  Each BFS layer spends one of ``budget`` layers;
+    returns (the maximum, the layers left), and raises SizeGuardError once
+    none are left."""
     residual = split.copy()
     source, sink = 2 * s + 1, 2 * t
     parent = [0] * len(split)
@@ -512,6 +521,11 @@ def _local_vertex_connectivity(split: list[int], s: int, t: int) -> int:
     while True:
         seen = frontier = 1 << source
         while frontier and not seen >> sink & 1:
+            if not budget:
+                raise SizeGuardError(
+                    f"vertex connectivity guarded at {KAPPA_LAYER_LIMIT} augmenting-path BFS layers"
+                )
+            budget -= 1
             layer = 0
             for a in _bits(frontier):
                 fresh = residual[a] & ~seen
@@ -521,7 +535,7 @@ def _local_vertex_connectivity(split: list[int], s: int, t: int) -> int:
                     parent[b] = a
             frontier = layer
         if not seen >> sink & 1:
-            return flow
+            return flow, budget
         b = sink
         while b != source:
             a = parent[b]
@@ -541,7 +555,8 @@ def vertex_connectivity(g: KPartiteGraph) -> int:
     cut S and the first vertex u outside it: the vertices before u all lie
     in S, so u <= |S|, and every vertex beyond the cut comes after u, so S
     separates u from a tried v.  The loop stops at a source u' <= u only once
-    the best count is at most u' <= |S|, that is, already minimal.
+    the best count is at most u' <= |S|, that is, already minimal.  The
+    flows of one call grow at most ``KAPPA_LAYER_LIMIT`` BFS layers in all.
     """
     n = g.n
     if n < 2:
@@ -550,11 +565,13 @@ def vertex_connectivity(g: KPartiteGraph) -> int:
     split = [x for v, row in enumerate(g.adj) for x in (2 << 2 * v, int(f"{row:b}", 4))]
     full = (1 << n) - 1
     best = n - 1
+    budget = KAPPA_LAYER_LIMIT
     u = 0
     while u < best:
         later = full ^ ((2 << u) - 1)
         for v in _bits(later & ~g.adj[u]):
-            best = min(best, _local_vertex_connectivity(split, u, v))
+            flow, budget = _local_vertex_connectivity(split, u, v, budget)
+            best = min(best, flow)
             if best == 0:
                 return 0
         u += 1

@@ -1,26 +1,41 @@
 """Exhaustive and randomized verification sweeps with machine-readable reports.
 
-The exhaustive sweep enumerates every labeled balanced k-partite graph on the
+The exhaustive sweep covers every labeled balanced k-partite graph on the
 canonical block partition whose minimum degree meets a floor.  Cross-part
 vertex pairs are ordered lexicographically and toggled like a binary counter
-(pair 0 is the most significant bit).  One recursion walks the counter below
-a fixed prefix: it applies the prefix first, then tries "pair present" before
-"pair absent" at every remaining pair.  Each vertex keeps one slack count,
-its present degree plus its undecided pairs minus the floor; "absent" is
-taken only while both endpoints have slack left, so no subtree that cannot
-meet the floor is entered.  Reports list non-Hamiltonian graphs by subset
-id, so they do not depend on that order.
+(pair 0 is the most significant bit), so a graph is named by its subset id.
+
+The sweep searches few of those graphs, because of two monotonicity facts.
+Adding an edge keeps the minimum degree at or above the floor, and it keeps
+a Hamiltonian graph Hamiltonian.  Call a floor-meeting graph minimal when
+every edge has an endpoint whose degree is exactly the floor.  Deleting an
+edge whose endpoints both lie above the floor keeps the floor, so every
+floor-meeting graph contains a minimal one.  A sweep has three steps:
+
+- Count.  A DP over (pair index, each vertex's unmet degree capped at the
+  floor), memoised within the call, counts the floor-meeting graphs.
+- Enumerate.  A recursion lists the minimal graphs, and each is searched.
+  It prunes a branch as soon as an edge joins two vertices above the floor,
+  since degrees only grow along a branch.
+- Climb.  From the non-Hamiltonian minimal graphs, add each absent pair in
+  turn and keep every non-Hamiltonian result, climbing again from each.
+
+The climb finds every non-Hamiltonian floor-meeting graph G.  G contains a
+minimal graph M, which is non-Hamiltonian because G is.  Add the pairs of G
+missing from M one at a time: each graph on the way lies between M and G, so
+it meets the floor (it contains M) and is non-Hamiltonian (it lies in G),
+and the climb keeps it and climbs on.  Reports list the non-Hamiltonian
+graphs by subset id, so they depend on no visit order.
 
 A shard owns the subsets whose high-order bits, read as a number, equal its
 id modulo the shard count, so shards partition the subset space exactly and
-their counters merge by addition.  A run is cut finer than its shards into
-work units: the prefixes of at least ``UNIT_BITS`` bits that extend a prefix
-owned by a requested shard, each walked by the recursion on its own.  Only
-``_work_units`` knows which shard owns which prefix.  Shard sizes differ by
-an order of magnitude, so the pool gets the units largest first (by the
-number of pairs a prefix fixes present), and its workers finish close
-together.  A whole run's units are the whole prefix space, however many
-shards it names.
+their counters merge by addition.  A run's work units are the prefixes of
+those bits; only ``_work_units`` knows which shard owns which prefix.  Each
+unit counts the graphs it owns and searches its own minimal graphs, and the
+finish step climbs.  A path from M up to G passes only prefixes whose
+present pairs are a subset of G's prefix, so a shard run also searches the
+units below each prefix it owns, climbs within those units, and keeps what
+it owns.  Everything runs in one process.
 
 The exhaustive and the sampled sweep both hand their non-Hamiltonian graphs,
 in report order, to ``_finish_sweep``: it computes each witness, builds each
@@ -37,7 +52,6 @@ with equal parameters and seed.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -79,9 +93,6 @@ from .thresholds import (
 SCHEMA_VERSION = 1
 # 2^24 edge subsets: the (8, 4) sweep, the largest one that finishes in minutes.
 EXHAUSTIVE_MAX_PAIRS = 24
-# Work units are prefixes of at least this many pairs: 64 units at (8, 4),
-# where 8 shards hold from 25k to 346k graphs each.
-UNIT_BITS = 6
 # Draws per sampled trial before it counts as infeasible.
 SAMPLE_MAX_RETRIES = 200
 # Tightness members up to this many vertices are also refuted by the solver.
@@ -213,49 +224,222 @@ def _enumerate_shard(
     return 1 << suffix_bits, visited
 
 
+def _pair_rows(n: int, k: int) -> list[tuple[int, int, int, int, int]]:
+    """Each cross pair i as (u, v, 1 << u, 1 << v, its bit in a subset id)."""
+    pairs = cross_pairs(n, k)
+    top = len(pairs) - 1
+    return [(u, v, 1 << u, 1 << v, 1 << (top - i)) for i, (u, v) in enumerate(pairs)]
+
+
+def _part_masks(n: int, k: int) -> list[int]:
+    """The parts' vertex masks, distinct and ascending on the block
+    partition.  Parts are independent sets whichever edges are present, so
+    they feed the search's cardinality prune with no per-graph cost."""
+    masks = [0] * k
+    for v, p in enumerate(blocks_partition(n, k)):
+        masks[p] |= 1 << v
+    return masks
+
+
+def _count_meeting_floor(n: int, k: int, floor: int, units: int, unit: int) -> int:
+    """The number of floor-meeting graphs whose first log2(``units``) pairs,
+    read as a number, equal ``unit``: a DP over (pair index, each vertex's
+    unmet degree capped at the floor), memoised within the call."""
+    pairs = cross_pairs(n, k)
+    total = len(pairs)
+    prefix_bits = (units - 1).bit_length()
+    # left[i][v]: the pairs from index i on that contain v.
+    left = [[0] * n]
+    for u, v in reversed(pairs):
+        row = left[-1][:]
+        row[u] += 1
+        row[v] += 1
+        left.append(row)
+    left.reverse()
+    unmet = [max(floor, 0)] * n
+    for i, (u, v) in enumerate(pairs[:prefix_bits]):
+        if unit >> (prefix_bits - 1 - i) & 1:
+            unmet[u] -= unmet[u] > 0
+            unmet[v] -= unmet[v] > 0
+    if any(need > have for need, have in zip(unmet, left[prefix_bits])):
+        return 0
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def count(i: int, unmet: tuple[int, ...]) -> int:
+        # On entry every vertex's unmet degree fits in its undecided pairs.
+        if i == total:
+            return 1
+        key = (i, unmet)
+        known = memo.get(key)
+        if known is not None:
+            return known
+        u, v = pairs[i]
+        present = list(unmet)
+        present[u] -= present[u] > 0
+        present[v] -= present[v] > 0
+        found = count(i + 1, tuple(present))
+        if unmet[u] <= left[i + 1][u] and unmet[v] <= left[i + 1][v]:
+            found += count(i + 1, unmet)
+        memo[key] = found
+        return found
+
+    return count(prefix_bits, tuple(unmet))
+
+
+def _enumerate_minimal(n: int, k: int, floor: int, units: int, unit: int, visit) -> int:
+    """Run ``visit(subset_id, adj)`` for every minimal floor-meeting graph,
+    one where every edge has an endpoint of degree exactly the floor, whose
+    first log2(``units``) pairs, read as a number, equal ``unit``.  Returns
+    the number visited."""
+    rows = _pair_rows(n, k)
+    total = len(rows)
+    prefix_bits = (units - 1).bit_length()
+    first = unit << (total - prefix_bits)
+    adj = [0] * n
+    degree = [0] * n
+    # slack[v]: v's present degree plus its undecided pairs, minus the floor.
+    slack = [-floor] * n
+    for u, v, *_ in rows:
+        slack[u] += 1
+        slack[v] += 1
+    for u, v, ubit, vbit, bit in rows[:prefix_bits]:
+        if first & bit:
+            adj[u] |= vbit
+            adj[v] |= ubit
+            degree[u] += 1
+            degree[v] += 1
+        else:
+            slack[u] -= 1
+            slack[v] -= 1
+    # over: the vertices above the floor, no two of which may be adjacent.
+    over = sum(1 << v for v in range(n) if degree[v] > floor)
+    if min(slack) < 0 or any(adj[v] & over for v in range(n) if over >> v & 1):
+        return 0
+    visited = 0
+
+    def rec(i: int, sid: int, over: int) -> None:
+        # Decides pair i, present first.
+        nonlocal visited
+        if i == total:
+            visited += 1
+            visit(sid, adj)
+            return
+        u, v, ubit, vbit, bit = rows[i]
+        adj[u] |= vbit
+        adj[v] |= ubit
+        degree[u] += 1
+        degree[v] += 1
+        grown = over
+        if degree[u] > floor:
+            grown |= ubit
+        if degree[v] > floor:
+            grown |= vbit
+        if not (grown & ubit and adj[u] & grown or grown & vbit and adj[v] & grown):
+            rec(i + 1, sid | bit, grown)
+        adj[u] ^= vbit
+        adj[v] ^= ubit
+        degree[u] -= 1
+        degree[v] -= 1
+        if slack[u] > 0 and slack[v] > 0:
+            slack[u] -= 1
+            slack[v] -= 1
+            rec(i + 1, sid, over)
+            slack[u] += 1
+            slack[v] += 1
+
+    rec(prefix_bits, first, over)
+    return visited
+
+
+def _climb(n: int, k: int, bases, suffix_bits: int, prefixes: set) -> dict:
+    """Every non-Hamiltonian graph reached from ``bases``, (subset id, rows)
+    of non-Hamiltonian floor-meeting graphs, by adding one absent pair at a
+    time, as {subset id: rows}, the bases included.  A graph whose prefix
+    (its subset id shifted right by ``suffix_bits``) is not in ``prefixes``
+    is not entered."""
+    rows = _pair_rows(n, k)
+    part_masks = _part_masks(n, k)
+    found = dict(bases)
+    seen = set(found)
+    stack = list(found.items())
+    while stack:
+        sid, adj = stack.pop()
+        for u, v, ubit, vbit, bit in rows:
+            up = sid | bit
+            if up in seen or up >> suffix_bits not in prefixes:
+                continue
+            seen.add(up)
+            grown = list(adj)
+            grown[u] |= vbit
+            grown[v] |= ubit
+            if _ham_search(n, grown, part_masks)[0] is None:
+                found[up] = grown = tuple(grown)
+                stack.append((up, grown))
+    return found
+
+
+def _prefix_bits(pairs: int, shards: int) -> int:
+    """The length of a shard prefix: the fewest bits that number ``shards``
+    prefixes, at most the pair count."""
+    return min((shards - 1).bit_length(), pairs)
+
+
 def _work_units(n: int, k: int, floor: int, shards: int, shard_id: int | None) -> list:
     """Worker arguments ``(n, k, floor, shards, shard_id, unit_bits, unit)``
-    for every work unit of the run, largest first: a prefix with more pairs
-    present has at least as many completions that meet the floor."""
-    pairs = len(cross_pairs(n, k))
-    prefix_bits = min((shards - 1).bit_length(), pairs)
-    unit_bits = min(max(prefix_bits, UNIT_BITS), pairs)
-    spread = unit_bits - prefix_bits
+    for every prefix the run owns, in prefix order; a whole run names each
+    prefix's owner."""
+    unit_bits = _prefix_bits(len(cross_pairs(n, k)), shards)
     if shard_id is None:
-        units = range(1 << unit_bits)
-    else:
-        units = [
-            prefix << spread | low
-            for prefix in range(shard_id, 1 << prefix_bits, shards)
-            for low in range(1 << spread)
+        return [
+            (n, k, floor, shards, unit % shards, unit_bits, unit) for unit in range(1 << unit_bits)
         ]
     return [
-        (n, k, floor, shards, (unit >> spread) % shards, unit_bits, unit)
-        for unit in sorted(units, key=lambda unit: (-unit.bit_count(), unit))
+        (n, k, floor, shards, shard_id, unit_bits, unit)
+        for unit in range(shard_id, 1 << unit_bits, shards)
     ]
 
 
+def _units_below(units: list) -> list:
+    """Worker arguments for the prefixes a shard run needs but does not own:
+    those whose present pairs are a subset of an owned prefix's.  A
+    non-Hamiltonian graph's minimal subgraphs may lie there."""
+    owned = {args[6] for args in units}
+    below = set()
+    for unit in owned:
+        sub = unit
+        while sub:
+            sub = (sub - 1) & unit
+            below.add(sub)
+    return [(*units[0][:6], unit) for unit in sorted(below - owned)]
+
+
 def _run_exhaustive_shard(args) -> dict:
-    """Worker: enumerate one work unit and keep each graph whose search finds
-    no Hamiltonian cycle, as (subset id, rows).  ``args[4]`` names the shard
-    the unit belongs to.  The worker only filters: the finish step rebuilds
-    each kept graph, and the solver's own decision gives its witness and any
-    node count a report records."""
-    n, k, floor, _, _, unit_bits, unit = args
-    # Parts are independent sets regardless of which edges are present, so
-    # their masks (distinct and ascending on the block partition) feed the
-    # search's cardinality prune with no per-graph cost.
-    part_masks = [0] * k
-    for v, p in enumerate(blocks_partition(n, k)):
-        part_masks[p] |= 1 << v
+    """Worker: one work unit.  ``args[4]`` names the shard whose run needs
+    the unit, which owns the unit's subsets when the unit's prefix is its id
+    modulo the shard count.  Returns the subsets it owns (``space``), the
+    floor-meeting graphs it owns (``meeting_floor``, counted by the DP), and
+    each minimal graph under the prefix whose search finds no Hamiltonian
+    cycle, as (subset id, rows).  The finish step climbs from those, and the
+    solver's own decision gives each listed graph's witness and any node
+    count a report records."""
+    n, k, floor, shards, shard_id, unit_bits, unit = args
+    owned = unit % shards == shard_id
+    part_masks = _part_masks(n, k)
     non_ham: list[tuple[int, tuple[int, ...]]] = []
 
     def visit(sid: int, adj: list[int]) -> None:
         if _ham_search(n, adj, part_masks)[0] is None:
             non_ham.append((sid, tuple(adj)))
 
-    space, visited = _enumerate_shard(n, k, floor, 1 << unit_bits, unit, visit)
-    return {"space": space, "meeting_floor": visited, "non_hamiltonian": non_ham}
+    _enumerate_minimal(n, k, floor, 1 << unit_bits, unit, visit)
+    suffix_bits = len(cross_pairs(n, k)) - unit_bits
+    return {
+        "unit": unit,
+        "owned": owned,
+        "space": 1 << suffix_bits if owned else 0,
+        "meeting_floor": _count_meeting_floor(n, k, floor, 1 << unit_bits, unit) if owned else 0,
+        "non_hamiltonian": non_ham,
+    }
 
 
 def _finish_sweep(
@@ -326,13 +510,16 @@ def _finish_exhaustive(
         "graphs_enumerated": sum(r["space"] for r in shard_results),
         "graphs_above_threshold": sum(r["meeting_floor"] for r in shard_results),
     }
-    non_ham = sorted(
-        (item for r in shard_results for item in r["non_hamiltonian"]),
-        key=lambda item: item[0],
-    )
+    pairs = len(cross_pairs(n, k))
+    suffix_bits = pairs - _prefix_bits(pairs, shards)
+    bases = (item for r in shard_results for item in r["non_hamiltonian"])
+    found = _climb(n, k, bases, suffix_bits, {r["unit"] for r in shard_results})
+    owned = {r["unit"] for r in shard_results if r["owned"]}
     part_of = blocks_partition(n, k)
     # A generator: each graph object lives only while its entry is made.
-    graphs = (KPartiteGraph(part_of, adj) for _, adj in non_ham)
+    graphs = (
+        KPartiteGraph(part_of, found[sid]) for sid in sorted(found) if sid >> suffix_bits in owned
+    )
     return _finish_sweep(
         kind, n, k, floor, counters, graphs, started, shards=shards, shard_id=shard_id
     )
@@ -377,9 +564,11 @@ def exhaustive_verify(
     jobs: int = 1,
     _kind: str = "exhaustive",
 ) -> VerificationReport:
-    """Enumerate every balanced k-partite graph with min degree >= the floor
+    """Sweep every balanced k-partite graph with min degree >= the floor
     and assert Hamiltonicity (or collect the exceptional graphs when the
-    floor sits exactly at the threshold inside an exception regime)."""
+    floor sits exactly at the threshold inside an exception regime).  The
+    sweep runs in this process; ``jobs`` must be positive and changes
+    nothing else."""
     started = time.monotonic()
     _validate_pair(n, k)
     m = n // k
@@ -397,16 +586,9 @@ def exhaustive_verify(
         raise ValueError(f"shard_id must lie in [0, {shards}), got {shard_id}")
     floor = required_degree(n, k) if degree_floor is None else degree_floor
     units = _work_units(n, k, floor, shards, shard_id)
-    workers = min(jobs, len(units), os.cpu_count() or 1)
-    if workers > 1:
-        # Imported here: the pool modules are a quarter of the package's
-        # import time, and a serial run never needs them.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_exhaustive_shard, units))
-    else:
-        results = [_run_exhaustive_shard(args) for args in units]
+    if shard_id is not None:
+        units += _units_below(units)
+    results = [_run_exhaustive_shard(args) for args in units]
     return _finish_exhaustive(n, k, floor, shards, shard_id, results, _kind, started)
 
 

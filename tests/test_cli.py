@@ -296,8 +296,8 @@ def test_verify_shard_flag(capsys, tmp_path):
 
 
 def test_jobs_never_change_the_report(capsys, tmp_path):
-    # --shards defaults to 1 whatever --jobs is, so a pooled report equals
-    # the serial one apart from its wall time.
+    # --shards defaults to 1 whatever --jobs is, and --jobs changes nothing,
+    # so the reports are equal apart from their wall time.
     reports = []
     for jobs in ("1", "2"):
         out_path = tmp_path / f"jobs{jobs}.json"
@@ -392,10 +392,12 @@ def test_characterize_command_guard(capsys, tmp_path):
 
 
 def test_cli_import_leaves_the_pool_modules_out():
-    # Only a sweep that runs a pool imports it.  CI runs the same check
-    # against the installed package.
+    # CI runs the same check against the installed package.  A sweep runs
+    # in one process whatever ``jobs`` says, so it imports no pool either.
     paths = [str(Path(hamparts.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    check = 'import sys, hamparts.cli; sys.exit("concurrent.futures" in sys.modules)'
-    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True)
-    assert result.returncode == 0, result.stderr.decode()
+    sweep = "hamparts.harness.exhaustive_verify(6, 3, 2, shards=3, jobs=2)"
+    for run in ("", f"{sweep}; "):
+        check = f'import sys, hamparts.cli; {run}sys.exit("concurrent.futures" in sys.modules)'
+        result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True)
+        assert result.returncode == 0, (run, result.stderr.decode())

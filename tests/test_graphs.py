@@ -381,6 +381,17 @@ def test_vertex_connectivity_is_frozen():
     assert digest == "5d3356eb0c918bd87571a11c348300fd20d32a1b28d71fd20f1b6a6f2890d805"
 
 
+def test_vertex_connectivity_layer_budget(monkeypatch):
+    # F(4, 10), the CI step's graph, grows 11,942 BFS layers in all: a budget
+    # one below refuses it, and one at it answers.
+    g = build_family_F(4, 10)
+    monkeypatch.setattr(graphs, "KAPPA_LAYER_LIMIT", 11_941)
+    with pytest.raises(SizeGuardError, match=r"guarded at 11941 augmenting-path BFS layers$"):
+        vertex_connectivity(g)
+    monkeypatch.setattr(graphs, "KAPPA_LAYER_LIMIT", 11_942)
+    assert vertex_connectivity(g) == 16
+
+
 def test_independence_number_against_brute_force():
     rng = random.Random(7)
     for trial in range(60):

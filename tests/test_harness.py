@@ -1,6 +1,5 @@
 """Harness: exhaustive sweeps, sharding, sampling, tightness, reports."""
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -10,7 +9,6 @@ from itertools import permutations
 import pytest
 
 from hamparts import harness, solver
-from hamparts.cli import main as cli_main
 from hamparts.families import build_F2, build_family_F
 from hamparts.graphs import SizeGuardError, blocks_partition, complete_kpartite, decode, encode
 from hamparts.harness import (
@@ -100,19 +98,35 @@ def test_exhaustive_8_2_at_threshold_collects_exceptional():
     assert member in graphs
 
 
+def _subset_id(entry, n, k):
+    """The subset id of an entry's graph: pair 0 is the most significant bit."""
+    adj = decode(entry["graph"]).adj
+    pairs = cross_pairs(n, k)
+    return sum(
+        1 << (len(pairs) - 1 - i) for i, (u, v) in enumerate(pairs) if adj[u] >> v & 1
+    )
+
+
 def test_exhaustive_shards_partition_counters():
     # (4, 2) has 4 cross pairs, so 20 shards leave shards 16..19 no prefix;
     # no graph meets floor 5 at (6, 3), whose cross degree is 4.
     cases = [(6, 3, None, shards) for shards in (2, 3, 4, 8)]
     cases += [(4, 2, 1, 20), (6, 3, 5, 3), (6, 3, 5, 20)]
+    # Floor 2 has non-Hamiltonian graphs, and a shard climbs to some of them
+    # from minimal graphs under prefixes it does not own.
+    cases += [(n, k, 2, shards) for n, k in ((6, 3), (8, 2)) for shards in (2, 3, 8, 20)]
     for n, k, floor, shards in cases:
         full = exhaustive_verify(n, k, floor)
         merged = {}
+        entries = []
         for shard_id in range(shards):
             part = exhaustive_verify(n, k, floor, shards=shards, shard_id=shard_id)
             for key, value in part.counters.items():
                 merged[key] = merged.get(key, 0) + value
+            entries += part.counterexamples + part.exceptional
         assert merged == full.counters, (n, k, floor, shards)
+        entries.sort(key=lambda entry: _subset_id(entry, n, k))
+        assert entries == full.counterexamples + full.exceptional, (n, k, floor, shards)
 
 
 def test_work_units_visit_each_subset_of_their_shard_once():
@@ -133,8 +147,6 @@ def test_work_units_visit_each_subset_of_their_shard_once():
             for shard_id in range(shards):
                 units = harness._work_units(6, 3, floor, shards, shard_id)
                 assert all(args[:5] == (6, 3, floor, shards, shard_id) for args in units)
-                sizes = [args[6].bit_count() for args in units]
-                assert sizes == sorted(sizes, reverse=True)
                 seen, space = [], 0
                 for args in units:
                     unit_bits, unit = args[5:]
@@ -149,6 +161,70 @@ def test_work_units_visit_each_subset_of_their_shard_once():
                 )
                 whole += units
             assert sorted(whole) == sorted(harness._work_units(6, 3, floor, shards, None))
+
+
+def _full_sweep(n, k, floor):
+    """Reference: search every floor-meeting graph.  Returns their number and
+    the non-Hamiltonian ones as {subset id: rows}."""
+    part_masks = harness._part_masks(n, k)
+    non_ham = {}
+
+    def visit(sid, adj):
+        if harness._ham_search(n, adj, part_masks)[0] is None:
+            non_ham[sid] = tuple(adj)
+
+    _, meeting = harness._enumerate_shard(n, k, floor, 1, 0, visit)
+    return meeting, non_ham
+
+
+def _minimal_sweep(n, k, floor):
+    """The whole-run sweep as one unit: (the unit's result, the climb's
+    non-Hamiltonian graphs)."""
+    unit = harness._run_exhaustive_shard((n, k, floor, 1, 0, 0, 0))
+    found = harness._climb(n, k, unit["non_hamiltonian"], len(cross_pairs(n, k)), {0})
+    return unit, found
+
+
+def test_floor_count_matches_enumeration():
+    # The DP against the recursion that visits every floor-meeting graph, at
+    # every floor up to one above the cross degree, whole and per unit.
+    for n, k in ((6, 3), (8, 2)):
+        for floor in range(6):
+            visited = harness._enumerate_shard(n, k, floor, 1, 0, lambda sid, adj: None)[1]
+            assert harness._count_meeting_floor(n, k, floor, 1, 0) == visited, (n, k, floor)
+    for floor in range(6):
+        for units in (2, 8, 64, 4096):
+            for unit in range(units):
+                visited = harness._enumerate_shard(6, 3, floor, units, unit, lambda s, a: None)[1]
+                counted = harness._count_meeting_floor(6, 3, floor, units, unit)
+                assert counted == visited, (floor, units, unit)
+
+
+def test_minimal_sweep_matches_full_enumeration():
+    cases = [(6, 3, floor) for floor in range(6)]
+    cases += [(8, 2, 2), (8, 2, 3), (7, 7, 3), (8, 4, 4)]
+    for n, k, floor in cases:
+        meeting, non_ham = _full_sweep(n, k, floor)
+        unit, found = _minimal_sweep(n, k, floor)
+        assert unit["meeting_floor"] == meeting, (n, k, floor)
+        assert found == non_ham, (n, k, floor)
+
+
+# (n, k, floor): (minimal graphs, of which non-Hamiltonian).
+MINIMAL_COUNTS = {
+    (8, 4, 3): (26_200, 520),
+    (8, 4, 4): (4_379, 0),
+    (7, 7, 3): (7_455, 105),
+    (8, 2, 2): (186, 114),
+    (6, 3, 2): (83, 67),
+}
+
+
+def test_minimal_graph_counts_are_frozen():
+    for (n, k, floor), expected in MINIMAL_COUNTS.items():
+        minimal = harness._enumerate_minimal(n, k, floor, 1, 0, lambda sid, adj: None)
+        unit = harness._run_exhaustive_shard((n, k, floor, 1, 0, 0, 0))
+        assert (minimal, len(unit["non_hamiltonian"])) == expected, (n, k, floor)
 
 
 # SHA-256 over the ordered "sid adj..." lines of the calls below, taken before
@@ -190,59 +266,12 @@ def test_whole_run_units_are_bounded_by_the_subset_space(monkeypatch):
     assert calls == [] and set(empty.counters.values()) == {0}
 
 
-def test_pool_is_capped_at_cpu_count(monkeypatch, capsys, tmp_path):
-    sizes = []
-
-    class RecordingPool:
-        """Records the pool size and runs the work in this process, so no
-        worker is started."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # exhaustive_verify imports the pool class when it needs a pool.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    serial = exhaustive_verify(6, 3).counters
-    cases = [
-        # (cpu_count, run, pool size or None for a serial run)
-        (3, lambda: exhaustive_verify(6, 3, jobs=1000), 3),
-        (3, lambda: exhaustive_verify(6, 3, jobs=2), 2),
-        (None, lambda: exhaustive_verify(6, 3, jobs=1000), None),
-        # (4, 2) has 16 units.
-        (64, lambda: exhaustive_verify(4, 2, 1, jobs=1000), 16),
-        # One shard's units spread over the pool too.
-        (3, lambda: exhaustive_verify(6, 3, shards=3, shard_id=1, jobs=2), 2),
-    ]
-    for cpus, run, size in cases:
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        sizes.clear()
-        run()
-        assert sizes == ([] if size is None else [size])
-    # --shards defaults to 1, and that one shard's work units fill the pool.
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-    sizes.clear()
-    out_path = tmp_path / "r.json"
-    argv = ["verify", "--n", "6", "--k", "3", "--exhaustive", "--jobs", "1000"]
-    assert cli_main([*argv, "--out", str(out_path)]) == 0
-    capsys.readouterr()
-    assert sizes == [3]
-    assert json.loads(out_path.read_text())["counters"] == serial
-
-
 # Each report's JSON with the timing field zeroed, SHA-256 over the reports
 # of a row joined by newlines; taken before the sweep harness was reduced to
 # one enumeration recursion, one shard dispatch and one report finisher, and
 # "sample 8,4 floor 2" before both sweeps built their entries in one routine.
-# A pooled row shares its digest with the serial row above it.
+# A "pooled" row runs with jobs=2 and shares its digest with the row above
+# it, since jobs changes nothing.
 FROZEN_REPORTS = [
     ("exhaustive 6,3 floor 2", lambda: [exhaustive_verify(6, 3, 2)], "683b6a284c3e672fb4531029c730374707ab68f439142ba8cd8553ce68b61522"),
     ("exhaustive 6,3 floor 3", lambda: [exhaustive_verify(6, 3, 3)], "f38176972b4b7c932ad476e9e684e8a5359c6a31d01355ff773af75eea673036"),
@@ -270,7 +299,6 @@ FROZEN_REPORTS = [
         "604f153c84bfe18e7d750fe004bc29f77c5fed7c2d1e60bee31210ac7af79420",
     ),
     (
-        # A shard holds at most one unit here, so no pool is started.
         "exhaustive 4,2 floor 1, each of 20 shards, pooled",
         lambda: [exhaustive_verify(4, 2, 1, shards=20, shard_id=i, jobs=2) for i in range(20)],
         "604f153c84bfe18e7d750fe004bc29f77c5fed7c2d1e60bee31210ac7af79420",
@@ -314,6 +342,7 @@ def test_exhaustive_jobs_consistent():
     solo = exhaustive_verify(6, 3, shards=4)
     multi = exhaustive_verify(6, 3, shards=4, jobs=2)
     assert solo.counters == multi.counters
+
 
 
 def test_exhaustive_guards_and_validation(monkeypatch):
@@ -445,21 +474,22 @@ def test_self_check_reproduces_search_nodes():
 
 
 def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
-    # Workers only filter, so the witness step searches each graph whose
-    # witness is an exhaustive search once, through the solver, and a graph
-    # with a small cut never; the self-check re-solves every listed graph.
+    # The sweep's own searches only filter, so the witness step searches each
+    # graph whose witness is an exhaustive search once, through the solver,
+    # and a graph with a small cut never; the self-check re-solves every
+    # listed graph.
     searches = []
     search = solver._ham_search
     monkeypatch.setattr(solver, "_ham_search", lambda *args: searches.append(1) or search(*args))
     entries = []
-    worker = harness._run_exhaustive_shard
+    finish = harness._finish_sweep
 
-    def worker_spy(args):
-        result = worker(args)
-        entries.extend(result["non_hamiltonian"])
-        return result
+    def finish_spy(kind, n, k, floor, counters, non_hamiltonian, *args, **kwargs):
+        # The graphs the finish step lists, after the climb.
+        entries.extend(non_hamiltonian)
+        return finish(kind, n, k, floor, counters, entries, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_run_exhaustive_shard", worker_spy)
+    monkeypatch.setattr(harness, "_finish_sweep", finish_spy)
     witness_searches = Counter()
     witness = harness.non_hamiltonicity_witness
 
@@ -473,9 +503,7 @@ def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
     report = exhaustive_verify(8, 2, 2)
     assert report.self_check_ok
     assert len(entries) == 750
-    for entry in entries:
-        sid, rows = entry
-        assert isinstance(sid, int) and isinstance(rows, tuple)
+    assert [encode(g) for g in entries] == [entry["graph"] for entry in report.exceptional]
     kinds = Counter(entry["witness"]["type"] for entry in report.exceptional)
     assert kinds == {"exhaustive_search": 444, "small_cut": 306}
     assert witness_searches == {"ExhaustiveSearch": 444, "SmallCut": 0}
