@@ -13,12 +13,27 @@ edge whose endpoints both lie above the floor keeps the floor, so every
 floor-meeting graph contains a minimal one.  A sweep has three steps:
 
 - Count.  A DP over (pair index, each vertex's unmet degree capped at the
-  floor), memoised within the call, counts the floor-meeting graphs.
+  floor), memoised within the run, counts the floor-meeting graphs.
 - Enumerate.  A recursion lists the minimal graphs, and each is searched.
   It prunes a branch as soon as an edge joins two vertices above the floor,
   since degrees only grow along a branch.
 - Climb.  From the non-Hamiltonian minimal graphs, add each absent pair in
   turn and keep every non-Hamiltonian result, climbing again from each.
+
+Both searching steps reuse the Hamiltonian cycles their searches find.  A
+kept cycle is its pair mask, the OR of its n pairs' subset-id bits, checked
+once when kept: n bits, all present in the graph that produced it.  A graph
+that holds a kept mask is Hamiltonian without a search.  The enumeration
+buckets a mask by its highest pair and, when it sets that pair present,
+tests the bucket against the graph decided so far; on a hit it skips the
+branch, since every completion adds edges to a Hamiltonian graph.  So it
+skips only Hamiltonian minimal graphs, and lists the non-Hamiltonian ones
+in the order it would without reuse.  The climb indexes a mask under each
+of its pairs: a candidate's parent is non-Hamiltonian, so a cycle of the
+candidate uses the pair just added, and only that pair's masks are tested.
+Reuse changes which graphs are searched, never which are listed.  The
+store belongs to one unit's enumeration or one climb and keeps at most
+``CYCLE_BUCKET_CAP`` masks a bucket, newest first.
 
 The climb finds every non-Hamiltonian floor-meeting graph G.  G contains a
 minimal graph M, which is non-Hamiltonian because G is.  Add the pairs of G
@@ -91,12 +106,15 @@ from .thresholds import (
 )
 
 SCHEMA_VERSION = 1
-# 2^24 edge subsets: the (8, 4) sweep, the largest one that finishes in minutes.
+# 2^24 edge subsets: the (8, 4) sweep, which takes about a second whole.
 EXHAUSTIVE_MAX_PAIRS = 24
 # Draws per sampled trial before it counts as infeasible.
 SAMPLE_MAX_RETRIES = 200
 # Tightness members up to this many vertices are also refuted by the solver.
 TIGHTNESS_SOLVER_LIMIT = 12
+# Hamiltonian cycles a sweep step keeps per bucket, newest first; see
+# ``_enumerate_minimal`` and ``_climb``.
+CYCLE_BUCKET_CAP = 32
 
 
 @dataclass
@@ -224,13 +242,6 @@ def _enumerate_shard(
     return 1 << suffix_bits, visited
 
 
-def _pair_rows(n: int, k: int) -> list[tuple[int, int, int, int, int]]:
-    """Each cross pair i as (u, v, 1 << u, 1 << v, its bit in a subset id)."""
-    pairs = cross_pairs(n, k)
-    top = len(pairs) - 1
-    return [(u, v, 1 << u, 1 << v, 1 << (top - i)) for i, (u, v) in enumerate(pairs)]
-
-
 def _part_masks(n: int, k: int) -> list[int]:
     """The parts' vertex masks, distinct and ascending on the block
     partition.  Parts are independent sets whichever edges are present, so
@@ -241,14 +252,31 @@ def _part_masks(n: int, k: int) -> list[int]:
     return masks
 
 
-def _count_meeting_floor(n: int, k: int, floor: int, units: int, unit: int) -> int:
-    """The number of floor-meeting graphs whose first log2(``units``) pairs,
-    read as a number, equal ``unit``: a DP over (pair index, each vertex's
-    unmet degree capped at the floor), memoised within the call."""
+@dataclass(frozen=True)
+class _SweepTables:
+    """The tables every step of one (n, k) sweep reads, derived once a run.
+
+    ``pairs``: the cross pairs in subset-id order.  ``rows[i]``: pair i as
+    (u, v, 1 << u, 1 << v, its bit in a subset id).  ``part_masks``: see
+    ``_part_masks``.  ``left[i][v]``: the pairs from index i on that contain
+    v, so ``left[0]`` is each vertex's cross degree.  ``pair_bit[u][v]``: the
+    subset-id bit of pair (u, v), 0 for two vertices of one part.
+    ``counts``: the floor count's memo, filled as the run's units count; a
+    count from (pair index, unmet degrees) depends on neither the unit nor
+    the floor."""
+
+    pairs: list
+    rows: list
+    part_masks: list
+    left: list
+    pair_bit: list
+    counts: dict = field(default_factory=dict)
+
+
+def _sweep_tables(n: int, k: int) -> _SweepTables:
     pairs = cross_pairs(n, k)
-    total = len(pairs)
-    prefix_bits = (units - 1).bit_length()
-    # left[i][v]: the pairs from index i on that contain v.
+    top = len(pairs) - 1
+    rows = [(u, v, 1 << u, 1 << v, 1 << (top - i)) for i, (u, v) in enumerate(pairs)]
     left = [[0] * n]
     for u, v in reversed(pairs):
         row = left[-1][:]
@@ -256,6 +284,43 @@ def _count_meeting_floor(n: int, k: int, floor: int, units: int, unit: int) -> i
         row[v] += 1
         left.append(row)
     left.reverse()
+    pair_bit = [[0] * n for _ in range(n)]
+    for u, v, _, _, bit in rows:
+        pair_bit[u][v] = pair_bit[v][u] = bit
+    return _SweepTables(pairs, rows, _part_masks(n, k), left, pair_bit)
+
+
+def _cycle_mask(order, sid: int, pair_bit: list) -> int:
+    """The pair mask of the Hamiltonian cycle ``order`` that a search found
+    in graph ``sid``: the OR of its pairs' subset-id bits.  Raises
+    RuntimeError unless ``order`` visits each of the n vertices once and its
+    n pairs are distinct cross pairs, all of them present in ``sid``."""
+    n = len(pair_bit)
+    mask = pair_bit[order[-1]][order[0]]
+    for u, v in zip(order, order[1:]):
+        mask |= pair_bit[u][v]
+    if len(set(order)) != n or mask.bit_count() != n or mask & sid != mask:
+        raise RuntimeError(f"search returned cycle {order} that graph {sid} does not hold")
+    return mask
+
+
+def _keep(bucket: list[int], mask: int) -> None:
+    """Put ``mask`` first in ``bucket``, dropping the oldest past the cap."""
+    bucket.insert(0, mask)
+    if len(bucket) > CYCLE_BUCKET_CAP:
+        bucket.pop()
+
+
+def _count_meeting_floor(
+    n: int, k: int, floor: int, units: int, unit: int, tables: _SweepTables | None = None
+) -> int:
+    """The number of floor-meeting graphs whose first log2(``units``) pairs,
+    read as a number, equal ``unit``: a DP over (pair index, each vertex's
+    unmet degree capped at the floor), memoised in ``tables``."""
+    tables = tables or _sweep_tables(n, k)
+    pairs, left = tables.pairs, tables.left
+    total = len(pairs)
+    prefix_bits = (units - 1).bit_length()
     unmet = [max(floor, 0)] * n
     for i, (u, v) in enumerate(pairs[:prefix_bits]):
         if unit >> (prefix_bits - 1 - i) & 1:
@@ -263,7 +328,7 @@ def _count_meeting_floor(n: int, k: int, floor: int, units: int, unit: int) -> i
             unmet[v] -= unmet[v] > 0
     if any(need > have for need, have in zip(unmet, left[prefix_bits])):
         return 0
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    memo = tables.counts
 
     def count(i: int, unmet: tuple[int, ...]) -> int:
         # On entry every vertex's unmet degree fits in its undecided pairs.
@@ -286,22 +351,34 @@ def _count_meeting_floor(n: int, k: int, floor: int, units: int, unit: int) -> i
     return count(prefix_bits, tuple(unmet))
 
 
-def _enumerate_minimal(n: int, k: int, floor: int, units: int, unit: int, visit) -> int:
-    """Run ``visit(subset_id, adj)`` for every minimal floor-meeting graph,
-    one where every edge has an endpoint of degree exactly the floor, whose
+def _enumerate_minimal(
+    n: int,
+    k: int,
+    floor: int,
+    units: int,
+    unit: int,
+    visit,
+    tables: _SweepTables | None = None,
+) -> int:
+    """Run ``visit(subset_id, adj)`` for the minimal floor-meeting graphs,
+    ones where every edge has an endpoint of degree exactly the floor, whose
     first log2(``units``) pairs, read as a number, equal ``unit``.  Returns
-    the number visited."""
-    rows = _pair_rows(n, k)
+    the number visited.
+
+    ``visit`` returns None, or the pair mask of a Hamiltonian cycle the graph
+    holds (see ``_cycle_mask``).  The call keeps up to ``CYCLE_BUCKET_CAP``
+    such masks per highest pair, newest first, and skips each branch that
+    sets present the highest pair of a kept mask it holds: every graph in it
+    is Hamiltonian.  With no mask kept it visits every minimal graph."""
+    tables = tables or _sweep_tables(n, k)
+    rows = tables.rows
     total = len(rows)
     prefix_bits = (units - 1).bit_length()
     first = unit << (total - prefix_bits)
     adj = [0] * n
     degree = [0] * n
     # slack[v]: v's present degree plus its undecided pairs, minus the floor.
-    slack = [-floor] * n
-    for u, v, *_ in rows:
-        slack[u] += 1
-        slack[v] += 1
+    slack = [have - floor for have in tables.left[0]]
     for u, v, ubit, vbit, bit in rows[:prefix_bits]:
         if first & bit:
             adj[u] |= vbit
@@ -315,6 +392,9 @@ def _enumerate_minimal(n: int, k: int, floor: int, units: int, unit: int, visit)
     over = sum(1 << v for v in range(n) if degree[v] > floor)
     if min(slack) < 0 or any(adj[v] & over for v in range(n) if over >> v & 1):
         return 0
+    # kept[i]: kept cycle masks whose highest pair is i.  A mask within the
+    # prefix is never tested, since the prefix is set before the recursion.
+    kept: list[list[int]] = [[] for _ in range(total)]
     visited = 0
 
     def rec(i: int, sid: int, over: int) -> None:
@@ -322,7 +402,9 @@ def _enumerate_minimal(n: int, k: int, floor: int, units: int, unit: int, visit)
         nonlocal visited
         if i == total:
             visited += 1
-            visit(sid, adj)
+            mask = visit(sid, adj)
+            if mask is not None:
+                _keep(kept[total - (mask & -mask).bit_length()], mask)
             return
         u, v, ubit, vbit, bit = rows[i]
         adj[u] |= vbit
@@ -335,7 +417,12 @@ def _enumerate_minimal(n: int, k: int, floor: int, units: int, unit: int, visit)
         if degree[v] > floor:
             grown |= vbit
         if not (grown & ubit and adj[u] & grown or grown & vbit and adj[v] & grown):
-            rec(i + 1, sid | bit, grown)
+            up = sid | bit
+            for mask in kept[i]:
+                if mask & up == mask:
+                    break
+            else:
+                rec(i + 1, up, grown)
         adj[u] ^= vbit
         adj[v] ^= ubit
         degree[u] -= 1
@@ -351,30 +438,57 @@ def _enumerate_minimal(n: int, k: int, floor: int, units: int, unit: int, visit)
     return visited
 
 
-def _climb(n: int, k: int, bases, suffix_bits: int, prefixes: set) -> dict:
+def _climb(
+    n: int,
+    k: int,
+    bases,
+    suffix_bits: int,
+    prefixes: set,
+    tables: _SweepTables | None = None,
+) -> dict:
     """Every non-Hamiltonian graph reached from ``bases``, (subset id, rows)
     of non-Hamiltonian floor-meeting graphs, by adding one absent pair at a
     time, as {subset id: rows}, the bases included.  A graph whose prefix
     (its subset id shifted right by ``suffix_bits``) is not in ``prefixes``
-    is not entered."""
-    rows = _pair_rows(n, k)
-    part_masks = _part_masks(n, k)
+    is not entered.
+
+    A candidate's parent is non-Hamiltonian, so any Hamiltonian cycle of the
+    candidate uses the pair just added.  The call keeps the pair mask of each
+    cycle its searches find under each of the cycle's pairs, up to
+    ``CYCLE_BUCKET_CAP`` per pair, newest first; a candidate that holds a
+    mask kept under its new pair is Hamiltonian without a search."""
+    tables = tables or _sweep_tables(n, k)
+    rows, part_masks, pair_bit = tables.rows, tables.part_masks, tables.pair_bit
+    total = len(rows)
+    # through[i]: kept cycle masks that use pair i.
+    through: list[list[int]] = [[] for _ in range(total)]
     found = dict(bases)
     seen = set(found)
     stack = list(found.items())
     while stack:
         sid, adj = stack.pop()
-        for u, v, ubit, vbit, bit in rows:
+        for i, (u, v, ubit, vbit, bit) in enumerate(rows):
             up = sid | bit
             if up in seen or up >> suffix_bits not in prefixes:
                 continue
             seen.add(up)
-            grown = list(adj)
-            grown[u] |= vbit
-            grown[v] |= ubit
-            if _ham_search(n, grown, part_masks)[0] is None:
-                found[up] = grown = tuple(grown)
-                stack.append((up, grown))
+            for mask in through[i]:
+                if mask & up == mask:
+                    break
+            else:
+                grown = list(adj)
+                grown[u] |= vbit
+                grown[v] |= ubit
+                order = _ham_search(n, grown, part_masks)[0]
+                if order is None:
+                    found[up] = grown = tuple(grown)
+                    stack.append((up, grown))
+                    continue
+                mask = rest = _cycle_mask(order, up, pair_bit)
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    _keep(through[total - low.bit_length()], mask)
     return found
 
 
@@ -413,31 +527,39 @@ def _units_below(units: list) -> list:
     return [(*units[0][:6], unit) for unit in sorted(below - owned)]
 
 
-def _run_exhaustive_shard(args) -> dict:
+def _run_exhaustive_shard(args, tables: _SweepTables | None = None) -> dict:
     """Worker: one work unit.  ``args[4]`` names the shard whose run needs
     the unit, which owns the unit's subsets when the unit's prefix is its id
     modulo the shard count.  Returns the subsets it owns (``space``), the
     floor-meeting graphs it owns (``meeting_floor``, counted by the DP), and
     each minimal graph under the prefix whose search finds no Hamiltonian
-    cycle, as (subset id, rows).  The finish step climbs from those, and the
-    solver's own decision gives each listed graph's witness and any node
-    count a report records."""
+    cycle, as (subset id, rows).  A cycle the unit keeps decides the minimal
+    graphs that hold it without a search (see ``_enumerate_minimal``).  The
+    finish step climbs from the listed graphs, and the solver's own decision
+    gives each listed graph's witness and any node count a report records.
+    ``tables`` are the run's ``_sweep_tables(n, k)``, derived here if None."""
     n, k, floor, shards, shard_id, unit_bits, unit = args
+    tables = tables or _sweep_tables(n, k)
     owned = unit % shards == shard_id
-    part_masks = _part_masks(n, k)
+    part_masks, pair_bit = tables.part_masks, tables.pair_bit
     non_ham: list[tuple[int, tuple[int, ...]]] = []
 
-    def visit(sid: int, adj: list[int]) -> None:
-        if _ham_search(n, adj, part_masks)[0] is None:
+    def visit(sid: int, adj: list[int]) -> int | None:
+        order = _ham_search(n, adj, part_masks)[0]
+        if order is None:
             non_ham.append((sid, tuple(adj)))
+            return None
+        return _cycle_mask(order, sid, pair_bit)
 
-    _enumerate_minimal(n, k, floor, 1 << unit_bits, unit, visit)
-    suffix_bits = len(cross_pairs(n, k)) - unit_bits
+    _enumerate_minimal(n, k, floor, 1 << unit_bits, unit, visit, tables)
+    suffix_bits = len(tables.pairs) - unit_bits
     return {
         "unit": unit,
         "owned": owned,
         "space": 1 << suffix_bits if owned else 0,
-        "meeting_floor": _count_meeting_floor(n, k, floor, 1 << unit_bits, unit) if owned else 0,
+        "meeting_floor": (
+            _count_meeting_floor(n, k, floor, 1 << unit_bits, unit, tables) if owned else 0
+        ),
         "non_hamiltonian": non_ham,
     }
 
@@ -505,15 +627,20 @@ def _finish_exhaustive(
     shard_results: list[dict],
     kind: str,
     started: float,
+    tables: _SweepTables,
 ) -> VerificationReport:
+    """The report of a run whose work units returned ``shard_results``: the
+    climb from their non-Hamiltonian minimal graphs, a kept cycle deciding
+    a candidate without a search (see ``_climb``), then ``_finish_sweep``
+    over the graphs the run owns."""
     counters = {
         "graphs_enumerated": sum(r["space"] for r in shard_results),
         "graphs_above_threshold": sum(r["meeting_floor"] for r in shard_results),
     }
-    pairs = len(cross_pairs(n, k))
+    pairs = len(tables.pairs)
     suffix_bits = pairs - _prefix_bits(pairs, shards)
     bases = (item for r in shard_results for item in r["non_hamiltonian"])
-    found = _climb(n, k, bases, suffix_bits, {r["unit"] for r in shard_results})
+    found = _climb(n, k, bases, suffix_bits, {r["unit"] for r in shard_results}, tables)
     owned = {r["unit"] for r in shard_results if r["owned"]}
     part_of = blocks_partition(n, k)
     # A generator: each graph object lives only while its entry is made.
@@ -588,8 +715,9 @@ def exhaustive_verify(
     units = _work_units(n, k, floor, shards, shard_id)
     if shard_id is not None:
         units += _units_below(units)
-    results = [_run_exhaustive_shard(args) for args in units]
-    return _finish_exhaustive(n, k, floor, shards, shard_id, results, _kind, started)
+    tables = _sweep_tables(n, k)
+    results = [_run_exhaustive_shard(args, tables) for args in units]
+    return _finish_exhaustive(n, k, floor, shards, shard_id, results, _kind, started, tables)
 
 
 def characterization_check(

@@ -227,6 +227,96 @@ def test_minimal_graph_counts_are_frozen():
         assert (minimal, len(unit["non_hamiltonian"])) == expected, (n, k, floor)
 
 
+def _minimal_reference(n, k, floor, units, unit):
+    """Reference: one unit's enumeration searching every minimal graph and
+    keeping no cycle.  Returns the non-Hamiltonian ones as (subset id,
+    rows), in visit order."""
+    part_masks = harness._part_masks(n, k)
+    non_ham = []
+
+    def visit(sid, adj):
+        if harness._ham_search(n, adj, part_masks)[0] is None:
+            non_ham.append((sid, tuple(adj)))
+
+    harness._enumerate_minimal(n, k, floor, units, unit, visit)
+    return non_ham
+
+
+def _pair_mask(n, k, order):
+    """The subset-id bits of the cycle ``order``'s pairs, from ``cross_pairs``."""
+    pairs = cross_pairs(n, k)
+    mask = 0
+    for u, v in zip(order, order[1:] + order[:1]):
+        mask |= 1 << (len(pairs) - 1 - pairs.index((min(u, v), max(u, v))))
+    return mask
+
+
+def test_cycle_reuse_drops_no_non_hamiltonian_graph(monkeypatch):
+    kept = []
+    cycle_mask = harness._cycle_mask
+
+    def spy(order, sid, pair_bit):
+        mask = cycle_mask(order, sid, pair_bit)
+        kept.append((order, sid, mask))
+        return mask
+
+    monkeypatch.setattr(harness, "_cycle_mask", spy)
+    cases = [(6, 3, floor, 1) for floor in range(6)]
+    cases += [(8, 2, 2, 1), (8, 2, 3, 1), (7, 7, 3, 1)]
+    cases += [(8, 4, 3, units) for units in (1, 8, 64)]
+    for n, k, floor, units in cases:
+        kept.clear()
+        bases = []
+        for unit in range(units):
+            args = (n, k, floor, units, unit, units.bit_length() - 1, unit)
+            listed = harness._run_exhaustive_shard(args)["non_hamiltonian"]
+            assert listed == _minimal_reference(n, k, floor, units, unit), (n, k, floor, unit)
+            bases += listed
+        # The climb keeps cycles too; its completeness is checked against
+        # full enumeration in test_minimal_sweep_matches_full_enumeration.
+        suffix_bits = len(cross_pairs(n, k)) - units.bit_length() + 1
+        harness._climb(n, k, bases, suffix_bits, set(range(units)))
+        for order, sid, mask in kept:
+            assert len(order) == n and sorted(order) == list(range(n)), (n, k, floor, order)
+            assert mask == _pair_mask(n, k, list(order)), (n, k, floor, order)
+            assert mask.bit_count() == n and mask & sid == mask, (n, k, floor, sid)
+    # The last case, (8, 4) at floor 3 in 64 units, keeps cycles.
+    assert kept
+
+
+def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():
+    tables = harness._sweep_tables(6, 3)
+    sid = (1 << len(tables.pairs)) - 1
+    order = (0, 2, 4, 1, 3, 5)
+    mask = harness._cycle_mask(order, sid, tables.pair_bit)
+    assert mask == _pair_mask(6, 3, list(order))
+    # A pair the graph lacks; a step inside one part (0 and 1 share it); six
+    # distinct cross pairs on a closed walk that visits 0 twice and 1 never;
+    # a cycle through five of the six vertices.
+    bad = [(order, sid ^ (mask & -mask)), ((0, 1, 2, 4, 3, 5), sid)]
+    bad += [((0, 2, 4, 0, 3, 5), sid), ((0, 2, 4, 1, 3), sid)]
+    for walk, graph in bad:
+        with pytest.raises(RuntimeError, match="does not hold"):
+            harness._cycle_mask(walk, graph, tables.pair_bit)
+
+
+# harness._ham_search calls of a whole (8, 4) floor-3 sweep, by shard count:
+# 26,200 minimal graphs and 17,968 climb candidates without cycle reuse.
+SWEEP_SEARCHES = {1: 5_589, 8: 5_989}
+
+
+def test_sweep_search_counts_are_frozen(monkeypatch):
+    calls = []
+    search = harness._ham_search
+    monkeypatch.setattr(harness, "_ham_search", lambda *args: calls.append(1) or search(*args))
+    for shards, expected in SWEEP_SEARCHES.items():
+        calls.clear()
+        report = exhaustive_verify(8, 4, 3, shards=shards)
+        assert report.counters["graphs_above_threshold"] == 1_393_734
+        assert len(report.exceptional) == 2_312
+        assert len(calls) == expected, shards
+
+
 # SHA-256 over the ordered "sid adj..." lines of the calls below, taken before
 # the recursion was rewritten around one slack count per vertex.  The lemma
 # cache's hit rate on the domlemma benchmark depends on this order.
@@ -251,9 +341,9 @@ def test_whole_run_units_are_bounded_by_the_subset_space(monkeypatch):
     calls = []
     worker = harness._run_exhaustive_shard
 
-    def counted(args):
+    def counted(args, *tables):
         calls.append(args)
-        return worker(args)
+        return worker(args, *tables)
 
     monkeypatch.setattr(harness, "_run_exhaustive_shard", counted)
     full = exhaustive_verify(4, 2, 1)
