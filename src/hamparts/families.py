@@ -27,6 +27,7 @@ degree-one witness.  An anchor is confirmed only by rebuilding the member
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .graphs import (
     GraphError,
@@ -432,6 +433,17 @@ def _relabelled_equal(g: KPartiteGraph, h: KPartiteGraph, vmap: dict[int, int]) 
     return True
 
 
+@lru_cache(maxsize=128)
+def _member(builder, *args) -> KPartiteGraph | None:
+    """``builder(*args)``, or None where it refuses them.  Memoised, since a
+    sweep's recognition rebuilds few distinct members (34 for the 2,280
+    builds at (8, 4)); a memo graph is only compared, never handed out."""
+    try:
+        return builder(*args)
+    except GraphError:
+        return None
+
+
 def _confirm_f1(g: KPartiteGraph, c: int, clique: int) -> bool:
     k = g.k
     cpart = g.part_of[c]
@@ -456,11 +468,8 @@ def _confirm_f1(g: KPartiteGraph, c: int, clique: int) -> bool:
     xk_missing = tuple(
         i for i in range(k - 1) if not g.has_edge(inverse[k + i], inverse[k - 1])
     )
-    try:
-        built = build_family_F1(k, yy_missing, xk_missing)
-    except GraphError:
-        return False
-    return _relabelled_equal(g, built, vmap)
+    built = _member(build_family_F1, k, yy_missing, xk_missing)
+    return built is not None and _relabelled_equal(g, built, vmap)
 
 
 def _is_f1(g: KPartiteGraph) -> bool:
@@ -512,18 +521,11 @@ def _confirm_f3(
             if v == y1 or v < u:
                 continue
             yy_extra.add((min(vmap[u], vmap[v]), max(vmap[u], vmap[v])))
-    try:
-        built = build_family_F3(
-            k,
-            y_prime=vmap[y1],
-            y_dprime=vmap[ydd],
-            x_prime=vmap[xp],
-            yy_edges=tuple(sorted(yy_extra)),
-            xy_edge=xy_flag,
-        )
-    except GraphError:
-        return False
-    return _relabelled_equal(g, built, vmap)
+    # The builder's arguments in order: k, y', y'', x', Y-Y edges, xy_edge.
+    built = _member(
+        build_family_F3, k, vmap[y1], vmap[ydd], vmap[xp], tuple(sorted(yy_extra)), xy_flag
+    )
+    return built is not None and _relabelled_equal(g, built, vmap)
 
 
 def _is_f3(g: KPartiteGraph) -> bool:

@@ -33,7 +33,10 @@ of its pairs: a candidate's parent is non-Hamiltonian, so a cycle of the
 candidate uses the pair just added, and only that pair's masks are tested.
 Reuse changes which graphs are searched, never which are listed.  The
 store belongs to one unit's enumeration or one climb and keeps at most
-``CYCLE_BUCKET_CAP`` masks a bucket, newest first.
+``CYCLE_BUCKET_CAP`` masks a bucket, newest first.  Where it pays, the
+climb asks the solver's search-free witnesses about a candidate before it
+searches; a refuted candidate yields no cycle, so this too changes only
+which graphs are searched.
 
 The climb finds every non-Hamiltonian floor-meeting graph G.  G contains a
 minimal graph M, which is non-Hamiltonian because G is.  Add the pairs of G
@@ -58,7 +61,8 @@ entry (an exceptional one with its classification at the floor of an
 exception regime, a counterexample anywhere else) and writes the sweep
 params.  Every report builder ends in ``_finish_report``, which runs the
 self-check and stamps the wall time.  The self-check re-solves each recorded
-graph, certifies its witness and requires an exhaustive search's node count
+graph with the second decider, which also certifies an exhaustive search,
+certifies any other witness, and requires an exhaustive search's node count
 to reproduce.  Reports serialize to JSON with a schema version; apart from
 the ``wall_time_seconds`` field they are byte-identical across repeat runs
 with equal parameters and seed.
@@ -86,7 +90,10 @@ from .graphs import (
 from .solver import (
     HAM_SIZE_LIMIT,
     ExhaustiveSearch,
+    _decide_hamiltonian,
+    _forced_edge_cycle,
     _ham_search,
+    _polynomial_witness,
     find_hamiltonian_cycle,
     non_hamiltonicity_witness,
     witness_certifies,
@@ -456,13 +463,21 @@ def _climb(
     candidate uses the pair just added.  The call keeps the pair mask of each
     cycle its searches find under each of the cycle's pairs, up to
     ``CYCLE_BUCKET_CAP`` per pair, newest first; a candidate that holds a
-    mask kept under its new pair is Hamiltonian without a search."""
+    mask kept under its new pair is Hamiltonian without a search.  Where
+    refuting searches cost more than the certificates, from n = 7 on and
+    with every base of minimum degree at least n/2 - 1, a candidate is asked
+    ``_polynomial_witness`` first and searched only if it has none; a
+    refuted candidate keeps no cycle, so the result is the same."""
     tables = tables or _sweep_tables(n, k)
     rows, part_masks, pair_bit = tables.rows, tables.part_masks, tables.pair_bit
+    part_of = blocks_partition(n, k)
     total = len(rows)
     # through[i]: kept cycle masks that use pair i.
     through: list[list[int]] = [[] for _ in range(total)]
     found = dict(bases)
+    # Every candidate's minimum degree is at least the bases' least.
+    least = min((min(map(int.bit_count, adj)) for adj in found.values()), default=0)
+    certify = n >= 7 and 2 * least >= n - 2
     seen = set(found)
     stack = list(found.items())
     while stack:
@@ -479,7 +494,10 @@ def _climb(
                 grown = list(adj)
                 grown[u] |= vbit
                 grown[v] |= ubit
-                order = _ham_search(n, grown, part_masks)[0]
+                if certify and _polynomial_witness(KPartiteGraph(part_of, grown)) is not None:
+                    order = None
+                else:
+                    order = _ham_search(n, grown, part_masks)[0]
                 if order is None:
                     found[up] = grown = tuple(grown)
                     stack.append((up, grown))
@@ -660,23 +678,24 @@ def _finish_report(report: VerificationReport, started: float) -> VerificationRe
 
 
 def _self_check(report: VerificationReport) -> bool:
-    """Re-decode and re-solve every recorded graph and certify its witness,
-    if it has one; statuses must reproduce, and so must an exhaustive
-    search's node count."""
+    """Re-decode every recorded graph, re-solve it with the second decider
+    and certify its witness, if it has one.  That re-solve certifies an
+    exhaustive search, whose node count must reproduce under the path search."""
     for entry in report.counterexamples + report.exceptional:
         graph_text = entry.get("graph")
         if graph_text is None:
             continue
         g = decode(graph_text)
-        if g.n >= 3 and find_hamiltonian_cycle(g) is not None:
+        if g.n >= 3 and _forced_edge_cycle(g) is not None:
             return False
         payload = entry.get("witness")
         if payload is None:
             continue
         witness = witness_from_payload(payload)
-        if isinstance(witness, ExhaustiveSearch) and g.decision != (None, witness.nodes):
-            return False
-        if not witness_certifies(g, witness):
+        if isinstance(witness, ExhaustiveSearch):
+            if _decide_hamiltonian(g) != (None, witness.nodes):
+                return False
+        elif not witness_certifies(g, witness):
             return False
     return True
 

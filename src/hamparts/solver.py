@@ -484,6 +484,17 @@ def _forced_edge_search(
     return tuple(order)
 
 
+def _forced_edge_cycle(g: KPartiteGraph) -> tuple[int, ...] | None:
+    """g's Hamiltonian cycle as the second decider finds it, or None if it
+    finds none: :func:`_forced_edge_search` over g's part unions, each
+    checked independent here rather than trusted.  It neither reads nor
+    fills ``g.decision``; like ``find_hamiltonian_cycle``, it is guarded at
+    n <= ``HAM_SIZE_LIMIT``."""
+    _guard_ham_size(g.n)
+    unions = [mask for mask in _independent_part_unions(g) if is_independent(g, _bits(mask))]
+    return _forced_edge_search(g.n, g.adj, unions)
+
+
 # -- longest cycles -----------------------------------------------------------
 
 
@@ -677,22 +688,10 @@ def _bipartite_degree_one_witness(g: KPartiteGraph) -> BipartiteDegreeOne | None
     return None
 
 
-def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
-    """Cheapest available evidence that g has no Hamiltonian cycle.
-
-    Tries certificates in order: a designated independent set from family
-    metadata (free), a small cut, an oversized independent set up to
-    ``ALPHA_WITNESS_LIMIT`` vertices, an independent half with a degree-<=1
-    vertex opposite it, and finally exhaustive search up to
-    ``HAM_SIZE_LIMIT`` vertices.  Returns None when g is
-    Hamiltonian or no certificate is found within the guards.
-
-    The independent-set step is one search for a maximum independent set
-    that is bounded below by n/2, so it gives up on every branch that cannot
-    beat that bound, by size or by a matching.  The exhaustive step reuses
-    g's own decision when ``find_hamiltonian_cycle`` has already searched
-    this object; :func:`witness_certifies` checks it with a second decider.
-    """
+def _polynomial_witness(g: KPartiteGraph) -> NonHamWitness | None:
+    """The search-free part of :func:`non_hamiltonicity_witness`: its
+    certificates, tried in the same order, or None when none applies.  A
+    None says nothing about g; a witness refutes it in polynomial time."""
     meta = g.meta or {}
     designated = meta.get("independent_set")
     if designated is not None:
@@ -706,14 +705,31 @@ def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
         _, mask = _max_independent(g.adj, (1 << g.n) - 1, g.n // 2)
         if mask:
             return IndependentSetTooLarge(frozenset(_bits(mask)))
-    witness = _bipartite_degree_one_witness(g)
-    if witness is not None:
-        return witness
-    if 3 <= g.n <= HAM_SIZE_LIMIT:
+    return _bipartite_degree_one_witness(g)
+
+
+def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:
+    """Cheapest available evidence that g has no Hamiltonian cycle.
+
+    Tries certificates in order: a designated independent set from family
+    metadata (free), a small cut, an oversized independent set up to
+    ``ALPHA_WITNESS_LIMIT`` vertices, an independent half with a degree-<=1
+    vertex opposite it (together :func:`_polynomial_witness`), and finally
+    exhaustive search up to ``HAM_SIZE_LIMIT`` vertices.  Returns None when
+    g is Hamiltonian or no certificate is found within the guards.
+
+    The independent-set step is one search for a maximum independent set
+    that is bounded below by n/2, so it gives up on every branch that cannot
+    beat that bound, by size or by a matching.  The exhaustive step reuses
+    g's own decision when ``find_hamiltonian_cycle`` has already searched
+    this object; :func:`witness_certifies` checks it with a second decider.
+    """
+    witness = _polynomial_witness(g)
+    if witness is None and 3 <= g.n <= HAM_SIZE_LIMIT:
         order, nodes = _decide_hamiltonian(g)
         if order is None:
             return ExhaustiveSearch(nodes)
-    return None
+    return witness
 
 
 def witness_certifies(g: KPartiteGraph, witness: NonHamWitness) -> bool:
@@ -721,9 +737,9 @@ def witness_certifies(g: KPartiteGraph, witness: NonHamWitness) -> bool:
 
     All variants except ExhaustiveSearch are polynomial-time certificates.
     ExhaustiveSearch is checked by a second decider with a different
-    algorithm, :func:`_forced_edge_search`, which neither reads nor fills
-    ``g.decision``; like ``find_hamiltonian_cycle``, that check is guarded at
-    n <= ``HAM_SIZE_LIMIT``.
+    algorithm, :func:`_forced_edge_cycle`, which ignores its node count
+    and, like ``find_hamiltonian_cycle``, is guarded at n <=
+    ``HAM_SIZE_LIMIT``.
     """
     if isinstance(witness, SmallCut):
         removed = 0
@@ -755,7 +771,5 @@ def witness_certifies(g: KPartiteGraph, witness: NonHamWitness) -> bool:
             a_mask |= 1 << v
         return (g.adj[witness.vertex] & a_mask).bit_count() <= 1
     if isinstance(witness, ExhaustiveSearch):
-        _guard_ham_size(g.n)
-        unions = [mask for mask in _independent_part_unions(g) if is_independent(g, _bits(mask))]
-        return _forced_edge_search(g.n, g.adj, unions) is None
+        return _forced_edge_cycle(g) is None
     raise TypeError(f"unknown witness type {type(witness)!r}")

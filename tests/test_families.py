@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from hamparts import families
 from hamparts.families import (
     FamilySpec,
     build_F2,
@@ -25,6 +26,7 @@ from hamparts.graphs import (
     connected_components,
     complete_kpartite,
     cross_pairs,
+    decode,
     degree_between,
     encode,
     independence_number,
@@ -32,6 +34,7 @@ from hamparts.graphs import (
     is_independent,
     vertex_connectivity,
 )
+from hamparts.harness import exhaustive_verify
 from hamparts.solver import find_hamiltonian_cycle
 from hamparts.thresholds import theorem_threshold
 from _util import perm_oracle_hamiltonian
@@ -438,6 +441,30 @@ def test_recognize_f2_is_frozen():
     assert Counter(labels) == {"F2": 27}
     digest = hashlib.sha256(" ".join(map(str, labels)).encode()).hexdigest()
     assert digest == "8086ccd6d046740d6f9246b89238a1e02dd7efceace02c093ceb970d1f96d301"
+
+
+def test_recognition_tally_holds_with_the_member_memo_cold_and_warm():
+    # The (8, 4) characterization's non-Hamiltonian graphs, recognized with
+    # the member memo cleared and then warm: 2,280 members are built, 34 of
+    # them distinct.
+    report = exhaustive_verify(8, 4, 3)
+    graphs = [decode(entry["graph"]) for entry in report.exceptional]
+    assert len(graphs) == 2_312
+    families._member.cache_clear()
+    cold = Counter(recognize(g) for g in graphs)
+    info = families._member.cache_info()
+    assert info.hits + info.misses == 2_280 and info.misses == 34
+    warm = Counter(recognize(g) for g in graphs)
+    assert cold == warm == {"F1": 744, "F2": 32, "F3": 1_536}
+    # The public builders hand out a fresh graph each call, never a memo's.
+    kept = families._member(build_family_F1, 4, (), ())
+    built = [build_family_F1(4), build_family_F1(4)]
+    assert built[0] == built[1] == kept
+    assert built[0] is not built[1] and all(g is not kept for g in built)
+    kept = families._member(build_family_F3, 4, 6, 4, 0, (), False)
+    built = [build_family_F3(4), build_family_F3(4)]
+    assert built[0] == built[1] == kept
+    assert built[0] is not built[1] and all(g is not kept for g in built)
 
 
 # -- specs ---------------------------------------------------------------

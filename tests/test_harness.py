@@ -9,7 +9,7 @@ from itertools import permutations
 import pytest
 
 from hamparts import harness, solver
-from hamparts.families import build_F2, build_family_F
+from hamparts.families import build_F2, build_family_F, build_family_F1, build_family_F3
 from hamparts.graphs import SizeGuardError, blocks_partition, complete_kpartite, decode, encode
 from hamparts.harness import (
     VerificationReport,
@@ -284,6 +284,71 @@ def test_cycle_reuse_drops_no_non_hamiltonian_graph(monkeypatch):
     assert kept
 
 
+def _search_only_climb(n, k, bases, suffix_bits, prefixes):
+    """Reference: the climb searching every candidate, with no certificate
+    and no kept cycle.  Returns {subset id: rows}, the bases included."""
+    part_masks = harness._part_masks(n, k)
+    pairs = cross_pairs(n, k)
+    found = dict(bases)
+    seen = set(found)
+    stack = list(found.items())
+    while stack:
+        sid, adj = stack.pop()
+        for i, (u, v) in enumerate(pairs):
+            up = sid | 1 << (len(pairs) - 1 - i)
+            if up in seen or up >> suffix_bits not in prefixes:
+                continue
+            seen.add(up)
+            grown = list(adj)
+            grown[u] |= 1 << v
+            grown[v] |= 1 << u
+            if harness._ham_search(n, grown, part_masks)[0] is None:
+                found[up] = tuple(grown)
+                stack.append((up, tuple(grown)))
+    return found
+
+
+def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
+    searches, refuted = [], []
+    search, certify = harness._ham_search, harness._polynomial_witness
+    monkeypatch.setattr(harness, "_ham_search", lambda *args: searches.append(1) or search(*args))
+
+    def certify_spy(g):
+        witness = certify(g)
+        refuted.append(witness is not None)
+        return witness
+
+    cases = [(6, 3, floor, 1) for floor in range(6)]
+    cases += [(8, 2, 2, 1), (8, 2, 3, 1), (7, 7, 3, 1)]
+    cases += [(8, 4, 3, units) for units in (1, 8, 64)]
+    for n, k, floor, units in cases:
+        bases = []
+        for unit in range(units):
+            args = (n, k, floor, units, unit, units.bit_length() - 1, unit)
+            bases += harness._run_exhaustive_shard(args)["non_hamiltonian"]
+        suffix_bits = len(cross_pairs(n, k)) - units.bit_length() + 1
+        prefixes = set(range(units))
+        reference = _search_only_climb(n, k, bases, suffix_bits, prefixes)
+        # The same climb without certificates, then with them.
+        monkeypatch.setattr(harness, "_polynomial_witness", lambda g: None)
+        searches.clear()
+        assert harness._climb(n, k, bases, suffix_bits, prefixes) == reference, (n, k, floor)
+        without = len(searches)
+        monkeypatch.setattr(harness, "_polynomial_witness", certify_spy)
+        searches.clear()
+        refuted.clear()
+        assert harness._climb(n, k, bases, suffix_bits, prefixes) == reference, (n, k, floor)
+        assert without - len(searches) == sum(refuted), (n, k, floor, units)
+        if n < 7 or 2 * floor < n - 2:
+            # Refuting searches cost less than the certificates there.
+            assert not refuted, (n, k, floor)
+        if (n, k) == (8, 4):
+            # Every non-Hamiltonian climb candidate is refuted by a certificate.
+            assert sum(refuted) == len(reference) - len(bases) == 1_792, units
+        if (n, k, floor) == (7, 7, 3):
+            assert sum(refuted) == len(reference) - len(bases) == 245
+
+
 def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():
     tables = harness._sweep_tables(6, 3)
     sid = (1 << len(tables.pairs)) - 1
@@ -301,8 +366,10 @@ def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():
 
 
 # harness._ham_search calls of a whole (8, 4) floor-3 sweep, by shard count:
-# 26,200 minimal graphs and 17,968 climb candidates without cycle reuse.
-SWEEP_SEARCHES = {1: 5_589, 8: 5_989}
+# 26,200 minimal graphs and 17,968 climb candidates without cycle reuse, and
+# 1,792 fewer than with reuse alone, since certificates refute every
+# non-Hamiltonian climb candidate.
+SWEEP_SEARCHES = {1: 3_797, 8: 4_197}
 
 
 def test_sweep_search_counts_are_frozen(monkeypatch):
@@ -533,6 +600,31 @@ def test_self_check_certifies_exhaustive_witnesses(monkeypatch):
     assert not harness._self_check(report)
 
 
+def test_self_check_re_solves_every_witness_type(monkeypatch):
+    # Each recorded graph is re-solved by the second decider, whatever its
+    # witness; only an exhaustive search's node count runs the path search.
+    graphs = {
+        "small_cut": build_family_F1(4),
+        "independent_set": build_family_F(3, 2),
+        "bipartite_degree_one": build_family_F3(4),
+        "exhaustive_search": build_F2(),
+    }
+    searches = []
+    search = solver._ham_search
+    monkeypatch.setattr(solver, "_ham_search", lambda *args: searches.append(1) or search(*args))
+    reports = {}
+    for name, g in graphs.items():
+        entry = {"graph": encode(g), "witness": witness_to_payload(non_hamiltonicity_witness(g))}
+        assert entry["witness"]["type"] == name
+        reports[name] = VerificationReport(kind="exhaustive", params={}, counterexamples=[entry])
+        searches.clear()
+        assert harness._self_check(reports[name]), name
+        assert len(searches) == (name == "exhaustive_search"), name
+    monkeypatch.setattr(solver, "_forced_edge_search", lambda n, adj, independent: (0,))
+    for name, report in reports.items():
+        assert not harness._self_check(report), name
+
+
 def test_self_check_refuses_hamiltonian_graphs_and_skips_graphless_entries():
     f2 = build_F2()
     f2_entry = {"graph": encode(f2), "witness": witness_to_payload(non_hamiltonicity_witness(f2))}
@@ -566,11 +658,17 @@ def test_self_check_reproduces_search_nodes():
 def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
     # The sweep's own searches only filter, so the witness step searches each
     # graph whose witness is an exhaustive search once, through the solver,
-    # and a graph with a small cut never; the self-check re-solves every
-    # listed graph.
+    # and a graph with a small cut never.  The self-check re-solves every
+    # listed graph with the second decider, and runs the path search again
+    # only to reproduce an exhaustive search's node count.
     searches = []
     search = solver._ham_search
     monkeypatch.setattr(solver, "_ham_search", lambda *args: searches.append(1) or search(*args))
+    re_solves = []
+    second = solver._forced_edge_search
+    monkeypatch.setattr(
+        solver, "_forced_edge_search", lambda *args: re_solves.append(1) or second(*args)
+    )
     entries = []
     finish = harness._finish_sweep
 
@@ -597,7 +695,8 @@ def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
     kinds = Counter(entry["witness"]["type"] for entry in report.exceptional)
     assert kinds == {"exhaustive_search": 444, "small_cut": 306}
     assert witness_searches == {"ExhaustiveSearch": 444, "SmallCut": 0}
-    assert len(searches) == 444 + 750
+    assert len(searches) == 444 + 444
+    assert len(re_solves) == 750
 
 
 def test_characterization_validation():
