@@ -21,7 +21,10 @@ left.  F1's hub c leaves the rest of its clique as a (k-1)-vertex component
 of g - c; F2's one part joined to all others leaves a matching; F3's
 independent half X and throttled vertex y' are the solver's bipartite
 degree-one witness.  An anchor is confirmed only by rebuilding the member
-(F2 once) and comparing under the vertex map, so it can only miss.
+(F2 once) and comparing under the vertex map, so it can only miss.  A sweep
+has the solver's witness for each graph already and classifies from it
+(``_recognize``): a witness that the solver gives only to graphs with no cut
+vertex skips the F1 sweep, and a bipartite degree-one witness is F3's anchor.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .graphs import (
     build_graph,
     connected_components,
 )
-from .solver import _bipartite_degree_one_witness
+from .solver import BipartiteDegreeOne, ExhaustiveSearch, _bipartite_degree_one_witness
 from .thresholds import _ceil_div
 
 RECOGNIZE_SIZE_LIMIT = 16
@@ -420,15 +423,19 @@ def _relabelled_equal(g: KPartiteGraph, h: KPartiteGraph, vmap: dict[int, int]) 
     """Does the vertex bijection ``vmap`` carry g onto h, parts to parts?"""
     if g.n != h.n or g.k != h.k:
         return False
-    for v in range(g.n):
+    image_bit = [1 << vmap[v] for v in range(g.n)]
+    for v, row in enumerate(g.adj):
         image = 0
-        for u in _bits(g.adj[v]):
-            image |= 1 << vmap[u]
+        while row:
+            low = row & -row
+            image |= image_bit[low.bit_length() - 1]
+            row ^= low
         if image != h.adj[vmap[v]]:
             return False
-    for p in range(g.k):
-        images = {h.part_of[vmap[v]] for v in g.part_members(p)}
-        if len(images) != 1:
+    # Each part of g lands inside one part of h.
+    image_part: dict[int, int] = {}
+    for v, p in enumerate(g.part_of):
+        if image_part.setdefault(p, h.part_of[vmap[v]]) != h.part_of[vmap[v]]:
             return False
     return True
 
@@ -528,11 +535,10 @@ def _confirm_f3(
     return built is not None and _relabelled_equal(g, built, vmap)
 
 
-def _is_f3(g: KPartiteGraph) -> bool:
-    """Anchor F3 on its bipartite degree-one witness: in every member, X is
-    the only independent union of k/2 parts and y' the only vertex outside
-    it with at most one X-neighbour."""
-    witness = _bipartite_degree_one_witness(g)
+def _is_f3(g: KPartiteGraph, witness: BipartiteDegreeOne | None) -> bool:
+    """Anchor F3 on g's bipartite degree-one witness, ``witness``: in every
+    member, X is the only independent union of k/2 parts and y' the only
+    vertex outside it with at most one X-neighbour."""
     if witness is None:
         return False
     y1 = witness.vertex
@@ -560,6 +566,27 @@ def _is_f2(g: KPartiteGraph) -> bool:
     return _relabelled_equal(g, _F2, {v: _F2_KEYS[key] for key, v in keys.items()})
 
 
+def _recognize(g: KPartiteGraph, witness=None) -> str | None:
+    """:func:`recognize` for a graph of its regime and size, given the
+    witness ``non_hamiltonicity_witness(g)`` returns, or None.
+
+    The solver returns a bipartite degree-one or an exhaustive-search
+    witness only for a graph with no cut vertex, and every F1 member has
+    one, its hub, so such a witness skips the F1 sweep.  A bipartite
+    degree-one witness is ``_bipartite_degree_one_witness(g)`` itself, so it
+    anchors F3, and its independent half of n/2 = 4 vertices at n = 8 rules
+    out F2, whose independence number is 3.  Any other witness, or none,
+    leaves every step to g."""
+    bipartite = isinstance(witness, BipartiteDegreeOne)
+    if not (bipartite or isinstance(witness, ExhaustiveSearch)) and _is_f1(g):
+        return "F1"
+    if g.n == 8 and not bipartite and _is_f2(g):
+        return "F2"
+    if _is_f3(g, witness if bipartite else _bipartite_degree_one_witness(g)):
+        return "F3"
+    return None
+
+
 def recognize(g: KPartiteGraph) -> str | None:
     """Classify g as a member of F1, F2, or F3 (up to part-respecting
     isomorphism), or None.  Only defined in the n = 2k, 4 | n regime, and
@@ -569,10 +596,4 @@ def recognize(g: KPartiteGraph) -> str | None:
         raise GraphError(f"recognizer requires n = 2k with 4 | n, got n={n} k={k}")
     if n > RECOGNIZE_SIZE_LIMIT:
         raise SizeGuardError(f"recognizer guarded at n <= {RECOGNIZE_SIZE_LIMIT}, got {n}")
-    if _is_f1(g):
-        return "F1"
-    if n == 8 and _is_f2(g):
-        return "F2"
-    if _is_f3(g):
-        return "F3"
-    return None
+    return _recognize(g)

@@ -39,16 +39,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# What the constructor derives from a valid partition alone, for recently
-# seen partitions: part_of -> (key, k, part masks, stride, to_bytes, intra,
-# swaps).  ``key`` is the part_of tuple last checked against the entry,
-# ``to_bytes`` is the stride's row packer (see :func:`_row_packer`), ``intra``
-# holds the packed bits of every self-loop, intra-part edge and column at or
-# above n, and ``swaps`` the transpose's rounds.  Both masks are packed rows
-# too, so a layout costs time linear in its packed size.  A tuple of other
-# numbers can equal an int tuple (0.0 == 0), so only a call that passes
-# ``key`` itself skips the int check.  The oldest entry is dropped once the
-# memo is full.
+# What the constructor and ``encode`` derive from a valid partition alone,
+# for recently seen partitions: part_of -> (key, k, part masks, stride,
+# to_bytes, intra, swaps, header).  ``key`` is the part_of tuple last checked
+# against the entry, ``to_bytes`` is the stride's row packer (see
+# :func:`_row_packer`), ``intra`` holds the packed bits of every self-loop,
+# intra-part edge and column at or above n, ``swaps`` the transpose's rounds
+# and ``header`` the first line of :func:`encode`'s text, newline included.
+# Both masks are packed rows too, so a layout costs time linear in its packed
+# size.  A tuple of other numbers can equal an int tuple (0.0 == 0), so only
+# a call that passes ``key`` itself skips the int check.  The oldest entry is
+# dropped once the memo is full.
 _LAYOUT_MEMO_SIZE = 32
 _layouts: dict[tuple[int, ...], tuple] = {}
 
@@ -114,9 +115,10 @@ def _layout(part_of: tuple[int, ...]) -> tuple:
     pad = ((1 << stride) - 1) ^ ((1 << n) - 1)
     to_bytes = _row_packer(stride)
     intra = int.from_bytes(to_bytes([part_masks[p] | pad for p in part_of]), "little")
-    layout = (
-        part_of, k, tuple(part_masks), stride, to_bytes, intra, _transpose_swaps(stride, to_bytes)
-    )
+    swaps = _transpose_swaps(stride, to_bytes)
+    parts = ", ".join(" ".join(map(str, _bits(mask))) for mask in part_masks)
+    header = f"kpart {k}: {parts}\n"
+    layout = (part_of, k, tuple(part_masks), stride, to_bytes, intra, swaps, header)
     if len(_layouts) >= _LAYOUT_MEMO_SIZE:
         del _layouts[next(iter(_layouts))]
     _layouts[part_of] = layout
@@ -204,7 +206,7 @@ class KPartiteGraph:
         layout = _layouts.get(part_of)
         if layout is None or layout[0] is not part_of:
             layout = _layout(part_of)
-        _, k, part_masks, stride, to_bytes, intra, swaps = layout
+        _, k, part_masks, stride, to_bytes, intra, swaps, _ = layout
         packed = _packed_rows(adj, to_bytes, intra, swaps)
         if packed is None:
             _name_defect(part_of, adj, part_masks)
@@ -635,8 +637,9 @@ def graph6_encode(g: KPartiteGraph) -> str:
     return out.decode("ascii")
 
 
-def graph6_decode(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """Parse graph6 text into (n, edge list)."""
+def _graph6_columns(text: str) -> tuple[int, list[int]]:
+    """Parse graph6 text into (n, columns): bit i of ``columns[j]`` is set
+    iff i < j are adjacent.  Raises GraphError on malformed text."""
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<"):]
@@ -656,30 +659,33 @@ def graph6_decode(text: str) -> tuple[int, list[tuple[int, int]]]:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError(f"graph6 body has {len(body)} bytes, expected {need}")
+    stream = 0
     for byte in body:
         if not 63 <= byte <= 126:
             raise GraphError(f"invalid graph6 byte {byte}")
-    edges = []
-    index = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[index // 6] - 63
-            if (byte >> (5 - index % 6)) & 1:
-                edges.append((i, j))
-            index += 1
-    return n, edges
+        stream = stream << 6 | byte - 63
+    # Reversed, bit t of ``stream`` is the body's t-th bit, so column j, the
+    # pairs (i, j) for i < j, is the j bits from j * (j - 1) / 2 on, pair
+    # (i, j) at bit i.
+    stream = int(f"{stream:0{6 * len(body)}b}"[::-1], 2)
+    return n, [(stream >> j * (j - 1) // 2) & ((1 << j) - 1) for j in range(n)]
+
+
+def graph6_decode(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Parse graph6 text into (n, edge list)."""
+    n, columns = _graph6_columns(text)
+    return n, [(i, j) for j, column in enumerate(columns) for i in _bits(column)]
 
 
 def encode(g: KPartiteGraph) -> str:
     """Two-line text form: a partition header followed by graph6 adjacency.
 
     Header format: ``kpart <k>: <part 0 vertices>, <part 1 vertices>, ...``
-    with vertices space-separated inside each comma-separated part.
+    with vertices space-separated inside each comma-separated part.  The
+    header is made once per partition, with its layout (see ``_layouts``).
     """
-    parts = ", ".join(
-        " ".join(str(v) for v in g.part_members(p)) for p in range(g.k)
-    )
-    return f"kpart {g.k}: {parts}\n{graph6_encode(g)}"
+    layout = _layouts.get(g.part_of) or _layout(g.part_of)
+    return layout[7] + graph6_encode(g)
 
 
 def decode(text: str) -> KPartiteGraph:
@@ -698,13 +704,14 @@ def decode(text: str) -> KPartiteGraph:
     part_lists = []
     for chunk in parts_text.split(","):
         try:
-            part_lists.append([int(tok) for tok in chunk.split()])
+            part_lists.append(list(map(int, chunk.split())))
         except ValueError as exc:
             raise GraphError(f"malformed part list: {chunk!r}") from exc
     if len(part_lists) != k:
         raise GraphError(f"header declares {k} parts but lists {len(part_lists)}")
-    n, edges = graph6_decode(g6)
+    n, columns = _graph6_columns(g6)
     part_of = [-1] * n
+    part_masks = [0] * k
     for p, members in enumerate(part_lists):
         if not members:
             raise GraphError(f"part {p} is empty")
@@ -714,14 +721,23 @@ def decode(text: str) -> KPartiteGraph:
             if part_of[v] != -1:
                 raise GraphError(f"vertex {v} assigned to two parts")
             part_of[v] = p
-    if any(p == -1 for p in part_of):
+            part_masks[p] |= 1 << v
+    if -1 in part_of:
         raise GraphError("partition does not cover all vertices")
+    # Column by column, in graph6 order, so the first intra-part edge named
+    # is the first in that order.
     adj = [0] * n
-    for u, v in edges:
-        if part_of[u] == part_of[v]:
-            raise GraphError(f"intra-part edge ({u}, {v}) in decoded graph")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    for j, column in enumerate(columns):
+        inside = column & part_masks[part_of[j]]
+        if inside:
+            i = (inside & -inside).bit_length() - 1
+            raise GraphError(f"intra-part edge ({i}, {j}) in decoded graph")
+        adj[j] |= column
+        jbit = 1 << j
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= jbit
+            column ^= low
     return KPartiteGraph(part_of, adj)
 
 

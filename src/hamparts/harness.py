@@ -36,7 +36,7 @@ store belongs to one unit's enumeration or one climb and keeps at most
 ``CYCLE_BUCKET_CAP`` masks a bucket, newest first.  Where it pays, the
 climb asks the solver's search-free witnesses about a candidate before it
 searches; a refuted candidate yields no cycle, so this too changes only
-which graphs are searched.
+which graphs are searched, and its witness is kept for the report.
 
 The climb finds every non-Hamiltonian floor-meeting graph G.  G contains a
 minimal graph M, which is non-Hamiltonian because G is.  Add the pairs of G
@@ -56,16 +56,16 @@ units below each prefix it owns, climbs within those units, and keeps what
 it owns.  Everything runs in one process.
 
 The exhaustive and the sampled sweep both hand their non-Hamiltonian graphs,
-in report order, to ``_finish_sweep``: it computes each witness, builds each
-entry (an exceptional one with its classification at the floor of an
-exception regime, a counterexample anywhere else) and writes the sweep
-params.  Every report builder ends in ``_finish_report``, which runs the
-self-check and stamps the wall time.  The self-check re-solves each recorded
-graph with the second decider, which also certifies an exhaustive search,
-certifies any other witness, and requires an exhaustive search's node count
-to reproduce.  Reports serialize to JSON with a schema version; apart from
-the ``wall_time_seconds`` field they are byte-identical across repeat runs
-with equal parameters and seed.
+in report order, to ``_finish_sweep``, with any witness the climb kept: it
+computes the others, builds each entry (an exceptional one at the floor of
+an exception regime, classified from its witness, a counterexample anywhere
+else) and writes the sweep params.  Every report builder ends in
+``_finish_report``, which runs the self-check and stamps the wall time.  The
+self-check re-solves each recorded graph with the second decider, which also
+certifies an exhaustive search, certifies any other witness, and requires an
+exhaustive search's node count to reproduce.  Reports serialize to JSON
+with a schema version; apart from the ``wall_time_seconds`` field they are
+byte-identical across repeat runs with equal parameters and seed.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ import time
 from dataclasses import MISSING, dataclass, field, fields
 
 from . import __version__
-from .families import RECOGNIZE_SIZE_LIMIT, build_family_F, recognize
+from .families import RECOGNIZE_SIZE_LIMIT, _recognize, build_family_F
+from .families import recognize  # noqa: F401  (the benchmark traces it)
 from .graphs import (
     GraphError,
     KPartiteGraph,
@@ -246,6 +247,7 @@ def _enumerate_shard(
             slack[v] += 1
 
     rec(prefix_bits, first)
+    rec = None  # frees the closure, which refers to itself, and its data now
     return 1 << suffix_bits, visited
 
 
@@ -355,7 +357,9 @@ def _count_meeting_floor(
         memo[key] = found
         return found
 
-    return count(prefix_bits, tuple(unmet))
+    meeting = count(prefix_bits, tuple(unmet))
+    count = None  # see _enumerate_shard
+    return meeting
 
 
 def _enumerate_minimal(
@@ -383,65 +387,68 @@ def _enumerate_minimal(
     prefix_bits = (units - 1).bit_length()
     first = unit << (total - prefix_bits)
     adj = [0] * n
-    degree = [0] * n
     # slack[v]: v's present degree plus its undecided pairs, minus the floor.
     slack = [have - floor for have in tables.left[0]]
     for u, v, ubit, vbit, bit in rows[:prefix_bits]:
         if first & bit:
             adj[u] |= vbit
             adj[v] |= ubit
-            degree[u] += 1
-            degree[v] += 1
         else:
             slack[u] -= 1
             slack[v] -= 1
     # over: the vertices above the floor, no two of which may be adjacent.
-    over = sum(1 << v for v in range(n) if degree[v] > floor)
+    over = sum(1 << v for v in range(n) if adj[v].bit_count() > floor)
     if min(slack) < 0 or any(adj[v] & over for v in range(n) if over >> v & 1):
         return 0
+    if prefix_bits == total:
+        visit(first, adj)
+        return 1
     # kept[i]: kept cycle masks whose highest pair is i.  A mask within the
     # prefix is never tested, since the prefix is set before the recursion.
     kept: list[list[int]] = [[] for _ in range(total)]
+    last = total - 1
     visited = 0
 
-    def rec(i: int, sid: int, over: int) -> None:
-        # Decides pair i, present first.
+    def leaf(sid: int) -> None:
         nonlocal visited
-        if i == total:
-            visited += 1
-            mask = visit(sid, adj)
-            if mask is not None:
-                _keep(kept[total - (mask & -mask).bit_length()], mask)
-            return
+        visited += 1
+        mask = visit(sid, adj)
+        if mask is not None:
+            _keep(kept[total - (mask & -mask).bit_length()], mask)
+
+    def rec(i: int, sid: int, over: int) -> None:
+        # Decides pair i, present first; visits the last pair's completions.
         u, v, ubit, vbit, bit = rows[i]
-        adj[u] |= vbit
-        adj[v] |= ubit
-        degree[u] += 1
-        degree[v] += 1
+        row_u, row_v = adj[u], adj[v]
+        grown_u, grown_v = row_u | vbit, row_v | ubit
         grown = over
-        if degree[u] > floor:
+        if grown_u.bit_count() > floor:
             grown |= ubit
-        if degree[v] > floor:
+        if grown_v.bit_count() > floor:
             grown |= vbit
-        if not (grown & ubit and adj[u] & grown or grown & vbit and adj[v] & grown):
+        if not (grown & ubit and grown_u & grown or grown & vbit and grown_v & grown):
             up = sid | bit
             for mask in kept[i]:
                 if mask & up == mask:
                     break
             else:
-                rec(i + 1, up, grown)
-        adj[u] ^= vbit
-        adj[v] ^= ubit
-        degree[u] -= 1
-        degree[v] -= 1
-        if slack[u] > 0 and slack[v] > 0:
-            slack[u] -= 1
-            slack[v] -= 1
-            rec(i + 1, sid, over)
-            slack[u] += 1
-            slack[v] += 1
+                adj[u], adj[v] = grown_u, grown_v
+                if i == last:
+                    leaf(up)
+                else:
+                    rec(i + 1, up, grown)
+                adj[u], adj[v] = row_u, row_v
+        slack_u, slack_v = slack[u], slack[v]
+        if slack_u > 0 and slack_v > 0:
+            if i == last:
+                leaf(sid)
+            else:
+                slack[u], slack[v] = slack_u - 1, slack_v - 1
+                rec(i + 1, sid, over)
+                slack[u], slack[v] = slack_u, slack_v
 
     rec(prefix_bits, first, over)
+    rec = None  # see _enumerate_shard
     return visited
 
 
@@ -452,12 +459,13 @@ def _climb(
     suffix_bits: int,
     prefixes: set,
     tables: _SweepTables | None = None,
-) -> dict:
+) -> tuple[dict, dict]:
     """Every non-Hamiltonian graph reached from ``bases``, (subset id, rows)
     of non-Hamiltonian floor-meeting graphs, by adding one absent pair at a
-    time, as {subset id: rows}, the bases included.  A graph whose prefix
-    (its subset id shifted right by ``suffix_bits``) is not in ``prefixes``
-    is not entered.
+    time, highest bit first, as {subset id: rows}, the bases included, and
+    {subset id: witness} for those a certificate refuted.  A graph whose
+    prefix (its subset id shifted right by ``suffix_bits``) is not in
+    ``prefixes`` is not entered.
 
     A candidate's parent is non-Hamiltonian, so any Hamiltonian cycle of the
     candidate uses the pair just added.  The call keeps the pair mask of each
@@ -467,14 +475,17 @@ def _climb(
     refuting searches cost more than the certificates, from n = 7 on and
     with every base of minimum degree at least n/2 - 1, a candidate is asked
     ``_polynomial_witness`` first and searched only if it has none; a
-    refuted candidate keeps no cycle, so the result is the same."""
+    refuted candidate keeps no cycle, so the graphs found are the same.  Its
+    witness is what ``non_hamiltonicity_witness`` would give its rows."""
     tables = tables or _sweep_tables(n, k)
     rows, part_masks, pair_bit = tables.rows, tables.part_masks, tables.pair_bit
     part_of = blocks_partition(n, k)
     total = len(rows)
+    full = (1 << total) - 1
     # through[i]: kept cycle masks that use pair i.
     through: list[list[int]] = [[] for _ in range(total)]
     found = dict(bases)
+    witnesses = {}
     # Every candidate's minimum degree is at least the bases' least.
     least = min((min(map(int.bit_count, adj)) for adj in found.values()), default=0)
     certify = n >= 7 and 2 * least >= n - 2
@@ -482,32 +493,38 @@ def _climb(
     stack = list(found.items())
     while stack:
         sid, adj = stack.pop()
-        for i, (u, v, ubit, vbit, bit) in enumerate(rows):
+        rest = full ^ sid
+        while rest:
+            width = rest.bit_length()
+            bit = 1 << (width - 1)
+            rest ^= bit
             up = sid | bit
             if up in seen or up >> suffix_bits not in prefixes:
                 continue
             seen.add(up)
+            i = total - width
             for mask in through[i]:
                 if mask & up == mask:
                     break
             else:
+                u, v, ubit, vbit, _ = rows[i]
                 grown = list(adj)
                 grown[u] |= vbit
                 grown[v] |= ubit
-                if certify and _polynomial_witness(KPartiteGraph(part_of, grown)) is not None:
-                    order = None
-                else:
-                    order = _ham_search(n, grown, part_masks)[0]
+                witness = _polynomial_witness(KPartiteGraph(part_of, grown)) if certify else None
+                order = None if witness else _ham_search(n, grown, part_masks)[0]
                 if order is None:
                     found[up] = grown = tuple(grown)
                     stack.append((up, grown))
+                    if witness:
+                        witnesses[up] = witness
                     continue
-                mask = rest = _cycle_mask(order, up, pair_bit)
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
+                mask = cycle = _cycle_mask(order, up, pair_bit)
+                while cycle:
+                    low = cycle & -cycle
+                    cycle ^= low
                     _keep(through[total - low.bit_length()], mask)
-    return found
+    return found, witnesses
 
 
 def _prefix_bits(pairs: int, shards: int) -> int:
@@ -553,8 +570,7 @@ def _run_exhaustive_shard(args, tables: _SweepTables | None = None) -> dict:
     each minimal graph under the prefix whose search finds no Hamiltonian
     cycle, as (subset id, rows).  A cycle the unit keeps decides the minimal
     graphs that hold it without a search (see ``_enumerate_minimal``).  The
-    finish step climbs from the listed graphs, and the solver's own decision
-    gives each listed graph's witness and any node count a report records.
+    finish step climbs from the listed graphs and gives each its witness.
     ``tables`` are the run's ``_sweep_tables(n, k)``, derived here if None."""
     n, k, floor, shards, shard_id, unit_bits, unit = args
     tables = tables or _sweep_tables(n, k)
@@ -597,24 +613,26 @@ def _finish_sweep(
     trials: int | None = None,
 ) -> VerificationReport:
     """The report of a sweep whose non-Hamiltonian graphs, in report order,
-    are ``non_hamiltonian``; ``counters`` holds the sweep's own counts and
-    gains ``hamiltonian_found`` and ``witnesses_found``.
+    are ``non_hamiltonian``, as (graph, its witness or None if not yet
+    known); ``counters`` holds the sweep's own counts and gains
+    ``hamiltonian_found`` and ``witnesses_found``.
 
     Each graph's entry carries its witness.  In an exception regime at the
-    theorem's floor the entries are ``exceptional`` and carry the graph's
-    family classification (None off n = 2k or beyond recognition's reach);
-    anywhere else they are counterexamples."""
+    theorem's floor the entries are ``exceptional`` and carry the family
+    classification read with the witness (None off n = 2k or beyond
+    recognition's reach); anywhere else they are counterexamples."""
     characterize = is_exception(n, k) and floor == theorem_threshold(n, k)
     classify = characterize and n == 2 * k and n <= RECOGNIZE_SIZE_LIMIT
     entries = []
-    for g in non_hamiltonian:
-        witness = non_hamiltonicity_witness(g)
+    for g, witness in non_hamiltonian:
+        if witness is None:
+            witness = non_hamiltonicity_witness(g)
         entry = {
             "graph": encode(g),
             "witness": witness_to_payload(witness) if witness else None,
         }
         if characterize:
-            entry["classification"] = recognize(g) if classify else None
+            entry["classification"] = _recognize(g, witness) if classify else None
         entries.append(entry)
     counters["hamiltonian_found"] = counters["graphs_above_threshold"] - len(entries)
     counters["witnesses_found"] = sum(entry["witness"] is not None for entry in entries)
@@ -650,7 +668,7 @@ def _finish_exhaustive(
     """The report of a run whose work units returned ``shard_results``: the
     climb from their non-Hamiltonian minimal graphs, a kept cycle deciding
     a candidate without a search (see ``_climb``), then ``_finish_sweep``
-    over the graphs the run owns."""
+    over the graphs the run owns, with the witnesses the climb kept."""
     counters = {
         "graphs_enumerated": sum(r["space"] for r in shard_results),
         "graphs_above_threshold": sum(r["meeting_floor"] for r in shard_results),
@@ -658,12 +676,15 @@ def _finish_exhaustive(
     pairs = len(tables.pairs)
     suffix_bits = pairs - _prefix_bits(pairs, shards)
     bases = (item for r in shard_results for item in r["non_hamiltonian"])
-    found = _climb(n, k, bases, suffix_bits, {r["unit"] for r in shard_results}, tables)
+    prefixes = {r["unit"] for r in shard_results}
+    found, witnesses = _climb(n, k, bases, suffix_bits, prefixes, tables)
     owned = {r["unit"] for r in shard_results if r["owned"]}
     part_of = blocks_partition(n, k)
     # A generator: each graph object lives only while its entry is made.
     graphs = (
-        KPartiteGraph(part_of, found[sid]) for sid in sorted(found) if sid >> suffix_bits in owned
+        (KPartiteGraph(part_of, found[sid]), witnesses.get(sid))
+        for sid in sorted(found)
+        if sid >> suffix_bits in owned
     )
     return _finish_sweep(
         kind, n, k, floor, counters, graphs, started, shards=shards, shard_id=shard_id
@@ -804,7 +825,7 @@ def sample_verify(
         counters["graphs_above_threshold"] += 1
         g = KPartiteGraph(part_of, adj)
         if find_hamiltonian_cycle(g) is None:
-            non_ham.append(g)
+            non_ham.append((g, None))
     return _finish_sweep(
         "sample", n, k, floor, counters, non_ham, started, seed=seed, trials=trials
     )

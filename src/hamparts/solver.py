@@ -225,6 +225,9 @@ def _ham_search(
         if w != start and adj[w].bit_count() < 2:
             return None, 1
     sbit = 1 << start
+    # (b) at the root: the whole graph must be connected.
+    if _reach(adj, sbit, full) != full:
+        return None, 1
     adj_start = adj[start]
     # A plain loop: cheaper than max() over a few unions, once per search.
     widest = 0
@@ -304,9 +307,6 @@ def _ham_search(
                 return False
         return False
 
-    # (b) at the root: the whole graph must be connected.
-    if _reach(adj, sbit, full) != full:
-        return None, 1
     found = extend(start, sbit)
     # ``extend`` refers to itself through its own cell.  Clearing the cells
     # frees it and the record now; left to the cycle collector, the garbage
@@ -583,6 +583,9 @@ def _longest_search(
 
         if dfs(anchor, abit):
             break
+    # ``dfs`` refers to itself through its own cell; clearing the cell frees
+    # the last one now rather than at the next collection.
+    dfs = None
     return best_len, best, found
 
 

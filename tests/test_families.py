@@ -35,7 +35,7 @@ from hamparts.graphs import (
     vertex_connectivity,
 )
 from hamparts.harness import exhaustive_verify
-from hamparts.solver import find_hamiltonian_cycle
+from hamparts.solver import find_hamiltonian_cycle, non_hamiltonicity_witness
 from hamparts.thresholds import theorem_threshold
 from _util import perm_oracle_hamiltonian
 
@@ -254,23 +254,27 @@ def test_recognize_requires_regime():
         recognize(complete_kpartite(3, 2))
 
 
-def test_recognize_f1_variants():
+def _f1_variants():
+    """Seeded F1 members at k = 4 with y-y and hub edges left out."""
     rng = random.Random(99)
+    variants = []
     for trial in range(20):
         k = 4
         pairs = [(i, j) for i in range(k - 1) for j in range(i + 1, k - 1)]
         yy = tuple(p for p in pairs if rng.random() < 0.3)
         xk = tuple(i for i in range(k - 1) if rng.random() < 0.3)
         try:
-            g = build_family_F1(k, yy_missing=yy, xk_missing=xk)
+            variants.append(build_family_F1(k, yy_missing=yy, xk_missing=xk))
         except GraphError:
             continue
-        assert recognize(g) == "F1"
+    return variants
 
 
-def test_recognize_f3_variants():
+def _f3_variants():
+    """Seeded F3 members at k = 4 with every option drawn."""
     rng = random.Random(17)
     y_pairs = [(u, v) for u in range(4, 8) for v in range(u + 1, 8)]
+    variants = []
     for trial in range(20):
         yy = tuple(
             (u, v)
@@ -278,13 +282,25 @@ def test_recognize_f3_variants():
             if (u, v) != (4, 5) and (u, v) != (6, 7) and 6 not in (u, v)
             and rng.random() < 0.4
         )
-        g = build_family_F3(
-            4,
-            y_dprime=rng.choice([4, 5, 7]),
-            x_prime=rng.randrange(4),
-            yy_edges=yy,
-            xy_edge=rng.random() < 0.5,
+        variants.append(
+            build_family_F3(
+                4,
+                y_dprime=rng.choice([4, 5, 7]),
+                x_prime=rng.randrange(4),
+                yy_edges=yy,
+                xy_edge=rng.random() < 0.5,
+            )
         )
+    return variants
+
+
+def test_recognize_f1_variants():
+    for g in _f1_variants():
+        assert recognize(g) == "F1"
+
+
+def test_recognize_f3_variants():
+    for g in _f3_variants():
         assert recognize(g) == "F3"
 
 
@@ -465,6 +481,56 @@ def test_recognition_tally_holds_with_the_member_memo_cold_and_warm():
     built = [build_family_F3(4), build_family_F3(4)]
     assert built[0] == built[1] == kept
     assert built[0] is not built[1] and all(g is not kept for g in built)
+
+
+def test_recognition_from_the_solvers_witness_matches_recognize(monkeypatch):
+    # A sweep classifies each graph from the witness the solver gave it: a
+    # bipartite degree-one or exhaustive-search witness skips the F1 sweep,
+    # and a bipartite one anchors F3.  Every class must equal recognize(g):
+    # on the (8, 4) characterization's graphs, the F1 and F3 variant sets
+    # and each of them with one and with two cross pairs toggled, F2 under
+    # every part permutation and its 2-switches, and F(4, 2).
+    report = exhaustive_verify(8, 4, 3)
+    graphs = [decode(entry["graph"]) for entry in report.exceptional]
+    assert len(graphs) == 2_312
+    rng = random.Random(29)
+    f1s, f3s = _f1_variants(), _f3_variants()
+    for g in f1s + f3s:
+        graphs += [g, _toggled(rng, g, 1), _toggled(rng, g, 2)]
+    f2 = build_F2()
+    for tau in itertools.permutations(range(f2.k)):
+        graphs.append(KPartiteGraph([tau[p] for p in f2.part_of], f2.adj))
+    graphs += _f2_two_switches(f2)
+    # F(4, 2) keeps its designated independent set, which the solver offers
+    # first; that witness says nothing about cut vertices.
+    member_f = build_family_F(4, 2)
+    designated = frozenset(member_f.meta["independent_set"])
+    assert non_hamiltonicity_witness(member_f).vertices == designated
+    graphs.append(member_f)
+    f1_sweeps = []
+    is_f1 = families._is_f1
+    monkeypatch.setattr(families, "_is_f1", lambda g: f1_sweeps.append(g) or is_f1(g))
+    kinds = Counter()
+    for g in graphs:
+        expected = recognize(g)
+        witness = non_hamiltonicity_witness(g)
+        kind = type(witness).__name__
+        kinds[kind, expected] += 1
+        f1_sweeps.clear()
+        assert families._recognize(g, witness) == expected, (encode(g), kind)
+        skips = kind in ("BipartiteDegreeOne", "ExhaustiveSearch")
+        assert len(f1_sweeps) == (not skips), (encode(g), kind)
+    # Toggled graphs that are Hamiltonian have no witness; the F3 anchor
+    # turns down 18 graphs with a bipartite degree-one witness.
+    assert kinds == {
+        ("SmallCut", "F1"): 744 + len(f1s) + 5,
+        ("SmallCut", None): 13,
+        ("BipartiteDegreeOne", "F3"): 1_536 + len(f3s) + 5,
+        ("BipartiteDegreeOne", None): 18,
+        ("ExhaustiveSearch", "F2"): 32 + 24 + 3,
+        ("IndependentSetTooLarge", None): 2 + 1,
+        ("NoneType", None): 23,
+    }
 
 
 # -- specs ---------------------------------------------------------------

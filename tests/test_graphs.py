@@ -233,7 +233,7 @@ def test_packed_masks_match_shift_formulas(monkeypatch):
                 # Each comparison is reduced to a bool first: the masks are
                 # too large for an assertion message.
                 where = (n, k, kind)
-                _, _, _, got_stride, _, intra, swaps = graphs._layout(part_of)
+                _, _, _, got_stride, _, intra, swaps, _ = graphs._layout(part_of)
                 same = (got_stride, intra, swaps) == _reference_layout_masks(part_of)
                 assert same and got_stride == stride, where
                 if n < 3:
@@ -551,6 +551,55 @@ def test_encode_decode_round_trip_property(data):
     seed = data.draw(st.integers(min_value=0, max_value=2**30))
     g = random_kpartite(random.Random(seed), m * k, k, 0.5)
     assert decode(encode(g)) == g
+
+
+def _reference_graph6_edges(text):
+    """graph6 body bits read one at a time, pair (i, j) for j = 1.., i < j."""
+    raw = text.encode("ascii")
+    if raw[0] == 126:
+        n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
+        body = raw[4:]
+    else:
+        n, body = raw[0] - 63, raw[1:]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return n, [
+        pair for index, pair in enumerate(pairs) if (body[index // 6] - 63) >> (5 - index % 6) & 1
+    ]
+
+
+def test_codec_matches_a_bit_by_bit_reading_and_a_per_call_header(monkeypatch):
+    # graph6 bodies are read column by column and a partition's header is
+    # made once with its layout: both must give what a bit-by-bit reading
+    # and a header made on every call give, on sizes up to the four-byte
+    # size header, on shuffled partitions, and with the layout memo
+    # evicting entries as it fills.
+    monkeypatch.setattr(graphs, "_layouts", {})
+    rng = random.Random(31)
+    sizes = list(range(1, 18)) + [62, 63, 70]
+    for trial, n in enumerate(sizes * 3):
+        k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        part_of = list(blocks_partition(n, k))
+        rng.shuffle(part_of)
+        adj = [0] * n
+        for u, v in combinations(range(n), 2):
+            if part_of[u] != part_of[v] and rng.random() < 0.5:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        g = KPartiteGraph(part_of, adj)
+        body = graph6_encode(g)
+        assert graph6_decode(body) == _reference_graph6_edges(body), n
+        parts = ", ".join(" ".join(str(v) for v in g.part_members(p)) for p in range(k))
+        assert encode(g) == f"kpart {k}: {parts}\n{body}", n
+        assert decode(encode(g)) == g, n
+    # More partitions than the memo holds went through it.
+    assert len(graphs._layouts) == graphs._LAYOUT_MEMO_SIZE
+    # A part list that makes several decoded pairs internal names the first
+    # in graph6 order: column by column, then up each column.
+    body = graph6_encode(build_graph(4, 2, (0, 0, 1, 1), [(0, 2), (1, 3), (0, 3), (1, 2)]))
+    for header, first in (("kpart 2: 0 3, 1 2", "(1, 2)"), ("kpart 2: 0 1 3, 2", "(0, 3)")):
+        with pytest.raises(GraphError) as excinfo:
+            decode(f"{header}\n{body}")
+        assert str(excinfo.value) == f"intra-part edge {first} in decoded graph"
 
 
 def test_decode_rejects_intra_part_edge():

@@ -1,6 +1,7 @@
 """Harness: exhaustive sweeps, sharding, sampling, tightness, reports."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 from collections import Counter
@@ -10,7 +11,15 @@ import pytest
 
 from hamparts import harness, solver
 from hamparts.families import build_F2, build_family_F, build_family_F1, build_family_F3
-from hamparts.graphs import SizeGuardError, blocks_partition, complete_kpartite, decode, encode
+from hamparts.conditions import check_domcycle_lemma
+from hamparts.graphs import (
+    KPartiteGraph,
+    SizeGuardError,
+    blocks_partition,
+    complete_kpartite,
+    decode,
+    encode,
+)
 from hamparts.harness import (
     VerificationReport,
     characterization_check,
@@ -181,7 +190,7 @@ def _minimal_sweep(n, k, floor):
     """The whole-run sweep as one unit: (the unit's result, the climb's
     non-Hamiltonian graphs)."""
     unit = harness._run_exhaustive_shard((n, k, floor, 1, 0, 0, 0))
-    found = harness._climb(n, k, unit["non_hamiltonian"], len(cross_pairs(n, k)), {0})
+    found, _ = harness._climb(n, k, unit["non_hamiltonian"], len(cross_pairs(n, k)), {0})
     return unit, found
 
 
@@ -332,21 +341,35 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
         # The same climb without certificates, then with them.
         monkeypatch.setattr(harness, "_polynomial_witness", lambda g: None)
         searches.clear()
-        assert harness._climb(n, k, bases, suffix_bits, prefixes) == reference, (n, k, floor)
+        found, witnesses = harness._climb(n, k, bases, suffix_bits, prefixes)
+        assert found == reference and witnesses == {}, (n, k, floor)
         without = len(searches)
         monkeypatch.setattr(harness, "_polynomial_witness", certify_spy)
         searches.clear()
         refuted.clear()
-        assert harness._climb(n, k, bases, suffix_bits, prefixes) == reference, (n, k, floor)
+        found, witnesses = harness._climb(n, k, bases, suffix_bits, prefixes)
+        assert found == reference, (n, k, floor)
         assert without - len(searches) == sum(refuted), (n, k, floor, units)
+        # A refuted candidate keeps its witness, and it is the one the solver
+        # gives a graph built afresh from its rows.
+        assert len(witnesses) == sum(refuted), (n, k, floor, units)
+        assert witnesses.keys() <= found.keys() - dict(bases).keys(), (n, k, floor, units)
+        part_of = blocks_partition(n, k)
+        for sid, witness in witnesses.items():
+            fresh = non_hamiltonicity_witness(KPartiteGraph(part_of, found[sid]))
+            assert witness == fresh, (n, k, floor, sid)
         if n < 7 or 2 * floor < n - 2:
             # Refuting searches cost less than the certificates there.
             assert not refuted, (n, k, floor)
         if (n, k) == (8, 4):
             # Every non-Hamiltonian climb candidate is refuted by a certificate.
             assert sum(refuted) == len(reference) - len(bases) == 1_792, units
+            kinds = Counter(type(witness).__name__ for witness in witnesses.values())
+            assert kinds == {"SmallCut": 544, "BipartiteDegreeOne": 1_248}, units
         if (n, k, floor) == (7, 7, 3):
             assert sum(refuted) == len(reference) - len(bases) == 245
+            kinds = Counter(type(witness).__name__ for witness in witnesses.values())
+            assert kinds == {"IndependentSetTooLarge": 245}
 
 
 def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():
@@ -404,6 +427,30 @@ def test_visit_order_is_frozen():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VISIT_ORDER_DIGEST
 
 
+# SHA-256 over the ordered "sid adj..." lines of ``_enumerate_minimal``'s
+# visits below, each call run without cycle reuse and then with it, taken
+# before the recursion visited both completions of the last pair in the frame
+# that decides it.  The cycles a unit keeps, and so the searches it makes,
+# depend on this order.
+MINIMAL_VISIT_ORDER_DIGEST = "32ed570aa3af6a114fcc0b6aff34b626053e33a690df89cd099f32971436d05e"
+
+
+def test_minimal_visit_order_is_frozen():
+    lines = []
+    for n, k, floor, units, unit in ((6, 3, 2, 1, 0), (7, 7, 3, 1, 0), (8, 4, 3, 8, 3)):
+        tables = harness._sweep_tables(n, k)
+        for reuse in (False, True):
+
+            def visit(sid, adj):
+                lines.append(f"{sid} {' '.join(map(str, adj))}")
+                order = harness._ham_search(n, adj, tables.part_masks)[0] if reuse else None
+                return None if order is None else harness._cycle_mask(order, sid, tables.pair_bit)
+
+            harness._enumerate_minimal(n, k, floor, units, unit, visit, tables)
+    assert len(lines) == 12_819
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MINIMAL_VISIT_ORDER_DIGEST
+
+
 def test_whole_run_units_are_bounded_by_the_subset_space(monkeypatch):
     calls = []
     worker = harness._run_exhaustive_shard
@@ -434,6 +481,8 @@ FROZEN_REPORTS = [
     ("exhaustive 6,3 floor 3", lambda: [exhaustive_verify(6, 3, 3)], "f38176972b4b7c932ad476e9e684e8a5359c6a31d01355ff773af75eea673036"),
     ("exhaustive 8,2 floor 2", lambda: [exhaustive_verify(8, 2, 2)], "eaac74f0f8bb7b98427293ef7b71e081197977360de74cc8f215bee3884e6a70"),
     ("exhaustive 8,2 floor 3", lambda: [exhaustive_verify(8, 2, 3)], "1d84bd7255b7827c5bc4ec475738075aeadbf613a9ae6a254522e7ebef8d3bfc"),
+    # The one sweep whose climb certifies with independent-set witnesses (245).
+    ("exhaustive 7,7 floor 3", lambda: [exhaustive_verify(7, 7, 3)], "583389a917d697d5e922cb33ce73c06b16eefe662148c400d22221fcd3eaab0a"),
     (
         "exhaustive 6,3, each of 3 shards",
         lambda: [exhaustive_verify(6, 3, shards=3, shard_id=i) for i in range(3)],
@@ -493,6 +542,34 @@ def test_reports_are_frozen():
         name for name, run, expected in FROZEN_REPORTS if _reports_digest(run()) != expected
     ]
     assert changed == []
+
+
+def _lemma_on_every_graph_of_7_vertices():
+    """The lemma check on every graph with n = k = 7 and minimum degree 3."""
+    part_of = blocks_partition(7, 7)
+    graphs = []
+    harness._enumerate_shard(7, 7, 3, 1, 0, lambda sid, adj: graphs.append(tuple(adj)))
+    for adj in graphs:
+        check_domcycle_lemma(KPartiteGraph(part_of, adj))
+
+
+def test_sweeps_and_lemma_checks_leave_no_cyclic_garbage():
+    # The recursive closures are cleared once they return, so what a sweep
+    # or a lemma check leaves behind is freed by reference counting alone:
+    # with the cycle collector off, a collection afterwards finds nothing.
+    runs = {
+        "characterization 8,4 in 8 shards": lambda: characterization_check(8, 4, shards=8),
+        "exhaustive 8,2 floor 2": lambda: exhaustive_verify(8, 2, 2),
+        "lemma on n = 7": _lemma_on_every_graph_of_7_vertices,
+    }
+    for name, run in runs.items():
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
 
 def test_exhaustive_jobs_consistent():
@@ -673,7 +750,8 @@ def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
     finish = harness._finish_sweep
 
     def finish_spy(kind, n, k, floor, counters, non_hamiltonian, *args, **kwargs):
-        # The graphs the finish step lists, after the climb.
+        # The graphs the finish step lists, after the climb, each with the
+        # witness a climb certificate gave it, if any.
         entries.extend(non_hamiltonian)
         return finish(kind, n, k, floor, counters, entries, *args, **kwargs)
 
@@ -691,7 +769,10 @@ def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
     report = exhaustive_verify(8, 2, 2)
     assert report.self_check_ok
     assert len(entries) == 750
-    assert [encode(g) for g in entries] == [entry["graph"] for entry in report.exceptional]
+    assert [encode(g) for g, _ in entries] == [entry["graph"] for entry in report.exceptional]
+    # The climb asks no certificate at (8, 2) floor 2, so every witness is
+    # the finish step's own.
+    assert all(witness is None for _, witness in entries)
     kinds = Counter(entry["witness"]["type"] for entry in report.exceptional)
     assert kinds == {"exhaustive_search": 444, "small_cut": 306}
     assert witness_searches == {"ExhaustiveSearch": 444, "SmallCut": 0}
