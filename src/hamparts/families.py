@@ -23,8 +23,9 @@ independent half X and throttled vertex y' are the solver's bipartite
 degree-one witness.  An anchor is confirmed only by rebuilding the member
 (F2 once) and comparing under the vertex map, so it can only miss.  A sweep
 has the solver's witness for each graph already and classifies from it
-(``_recognize``): a witness that the solver gives only to graphs with no cut
-vertex skips the F1 sweep, and a bipartite degree-one witness is F3's anchor.
+(``_recognize``): a cut vertex is tried as F1's hub first, a witness that
+the solver gives only to graphs with no cut vertex skips the F1 sweep, and a
+bipartite degree-one witness is F3's anchor.
 """
 
 from __future__ import annotations
@@ -41,7 +42,12 @@ from .graphs import (
     build_graph,
     connected_components,
 )
-from .solver import BipartiteDegreeOne, ExhaustiveSearch, _bipartite_degree_one_witness
+from .solver import (
+    BipartiteDegreeOne,
+    ExhaustiveSearch,
+    SmallCut,
+    _bipartite_degree_one_witness,
+)
 from .thresholds import _ceil_div
 
 RECOGNIZE_SIZE_LIMIT = 16
@@ -479,15 +485,19 @@ def _confirm_f1(g: KPartiteGraph, c: int, clique: int) -> bool:
     return built is not None and _relabelled_equal(g, built, vmap)
 
 
-def _is_f1(g: KPartiteGraph) -> bool:
-    """Anchor F1 on its hub c: the rest of its clique is a (k-1)-vertex
+def _f1_at(g: KPartiteGraph, c: int) -> bool:
+    """Anchor F1 on hub c: the rest of its clique is a (k-1)-vertex
     component of g - c.  The other side need not stay connected."""
     return any(
         _confirm_f1(g, c, piece | 1 << c)
-        for c in range(g.n)
         for piece in connected_components(g, removed=1 << c)
         if piece.bit_count() == g.k - 1
     )
+
+
+def _is_f1(g: KPartiteGraph) -> bool:
+    """The F1 sweep: anchor F1 on every vertex in turn."""
+    return any(_f1_at(g, c) for c in range(g.n))
 
 
 def _confirm_f3(
@@ -572,12 +582,16 @@ def _recognize(g: KPartiteGraph, witness=None) -> str | None:
 
     The solver returns a bipartite degree-one or an exhaustive-search
     witness only for a graph with no cut vertex, and every F1 member has
-    one, its hub, so such a witness skips the F1 sweep.  A bipartite
-    degree-one witness is ``_bipartite_degree_one_witness(g)`` itself, so it
-    anchors F3, and its independent half of n/2 = 4 vertices at n = 8 rules
-    out F2, whose independence number is 3.  Any other witness, or none,
-    leaves every step to g."""
+    one, its hub, so such a witness skips the F1 sweep.  A small cut of one
+    vertex is tried as F1's hub first, and the sweep runs only if it fails.
+    A bipartite degree-one witness is ``_bipartite_degree_one_witness(g)``
+    itself, so it anchors F3, and its independent half of n/2 = 4 vertices
+    at n = 8 rules out F2, whose independence number is 3.  Any other
+    witness, or none, leaves every step to g."""
     bipartite = isinstance(witness, BipartiteDegreeOne)
+    hub = witness.vertices if isinstance(witness, SmallCut) else ()
+    if any(_f1_at(g, c) for c in hub):
+        return "F1"
     if not (bipartite or isinstance(witness, ExhaustiveSearch)) and _is_f1(g):
         return "F1"
     if g.n == 8 and not bipartite and _is_f2(g):

@@ -689,11 +689,22 @@ def encode(g: KPartiteGraph) -> str:
 
 
 def decode(text: str) -> KPartiteGraph:
-    """Inverse of :func:`encode`; validates every graph invariant."""
+    """Inverse of :func:`encode`; validates every graph invariant.
+
+    A header equal to a memoized layout's, which ``encode`` writes, names
+    that layout's partition, which is taken as it is once the graph6 body
+    has as many vertices; any other header is parsed and checked."""
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) != 2:
         raise GraphError("expected a partition header line and a graph6 line")
     header, g6 = lines[0].strip(), lines[1].strip()
+    line = header + "\n"
+    for layout in _layouts.values():
+        if layout[7] == line:
+            n, columns = _graph6_columns(g6)
+            if n == len(layout[0]):
+                return _from_columns(layout[0], layout[2], columns)
+            break
     if not header.startswith("kpart "):
         raise GraphError("partition header must start with 'kpart'")
     try:
@@ -724,8 +735,14 @@ def decode(text: str) -> KPartiteGraph:
             part_masks[p] |= 1 << v
     if -1 in part_of:
         raise GraphError("partition does not cover all vertices")
-    # Column by column, in graph6 order, so the first intra-part edge named
-    # is the first in that order.
+    return _from_columns(part_of, part_masks, columns)
+
+
+def _from_columns(part_of, part_masks, columns: list[int]) -> KPartiteGraph:
+    """The graph on partition ``part_of`` whose graph6 columns are
+    ``columns``.  Rows are filled column by column, in graph6 order, so the
+    first intra-part edge named is the first in that order."""
+    n = len(part_of)
     adj = [0] * n
     for j, column in enumerate(columns):
         inside = column & part_masks[part_of[j]]

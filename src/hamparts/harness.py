@@ -34,9 +34,14 @@ candidate uses the pair just added, and only that pair's masks are tested.
 Reuse changes which graphs are searched, never which are listed.  The
 store belongs to one unit's enumeration or one climb and keeps at most
 ``CYCLE_BUCKET_CAP`` masks a bucket, newest first.  Where it pays, the
-climb asks the solver's search-free witnesses about a candidate before it
-searches; a refuted candidate yields no cycle, so this too changes only
-which graphs are searched, and its witness is kept for the report.
+climb asks the solver's search-free witnesses about its bases and about a
+candidate before it searches; a refuted candidate yields no cycle, so this
+too changes only which graphs are searched, and each witness is kept for
+the report.  A candidate skips the cut and independent-set steps its parent
+failed: a 2-connected graph stays 2-connected when a pair is added, and its
+independence number cannot grow.  The bipartite degree-one step always
+runs, since an added pair can change the part unions it grows greedily and
+so create its witness.
 
 The climb finds every non-Hamiltonian floor-meeting graph G.  G contains a
 minimal graph M, which is non-Hamiltonian because G is.  Add the pairs of G
@@ -95,6 +100,7 @@ from .solver import (
     _forced_edge_cycle,
     _ham_search,
     _polynomial_witness,
+    _steps_failed,
     find_hamiltonian_cycle,
     non_hamiltonicity_witness,
     witness_certifies,
@@ -473,10 +479,12 @@ def _climb(
     ``CYCLE_BUCKET_CAP`` per pair, newest first; a candidate that holds a
     mask kept under its new pair is Hamiltonian without a search.  Where
     refuting searches cost more than the certificates, from n = 7 on and
-    with every base of minimum degree at least n/2 - 1, a candidate is asked
-    ``_polynomial_witness`` first and searched only if it has none; a
-    refuted candidate keeps no cycle, so the graphs found are the same.  Its
-    witness is what ``non_hamiltonicity_witness`` would give its rows."""
+    with every base of minimum degree at least n/2 - 1, each base is asked
+    ``_polynomial_witness`` up front, and a candidate is asked it first and
+    searched only if it has none; a refuted candidate keeps no cycle, so the
+    graphs found are the same.  A candidate is asked with the ``skip`` its
+    parent passes on (``_steps_failed``).  A witness is what
+    ``non_hamiltonicity_witness`` would give the graph's rows."""
     tables = tables or _sweep_tables(n, k)
     rows, part_masks, pair_bit = tables.rows, tables.part_masks, tables.pair_bit
     part_of = blocks_partition(n, k)
@@ -490,9 +498,15 @@ def _climb(
     least = min((min(map(int.bit_count, adj)) for adj in found.values()), default=0)
     certify = n >= 7 and 2 * least >= n - 2
     seen = set(found)
-    stack = list(found.items())
+    # (subset id, rows, the monotone certificate steps the graph fails).
+    stack = []
+    for sid, adj in found.items():
+        witness = _polynomial_witness(KPartiteGraph(part_of, adj)) if certify else None
+        if witness:
+            witnesses[sid] = witness
+        stack.append((sid, adj, _steps_failed(witness)))
     while stack:
-        sid, adj = stack.pop()
+        sid, adj, skip = stack.pop()
         rest = full ^ sid
         while rest:
             width = rest.bit_length()
@@ -511,11 +525,13 @@ def _climb(
                 grown = list(adj)
                 grown[u] |= vbit
                 grown[v] |= ubit
-                witness = _polynomial_witness(KPartiteGraph(part_of, grown)) if certify else None
+                witness = (
+                    _polynomial_witness(KPartiteGraph(part_of, grown), skip) if certify else None
+                )
                 order = None if witness else _ham_search(n, grown, part_masks)[0]
                 if order is None:
                     found[up] = grown = tuple(grown)
-                    stack.append((up, grown))
+                    stack.append((up, grown, _steps_failed(witness)))
                     if witness:
                         witnesses[up] = witness
                     continue

@@ -98,7 +98,8 @@ class ExhaustiveSearch:
 NonHamWitness = Union[SmallCut, IndependentSetTooLarge, BipartiteDegreeOne, ExhaustiveSearch]
 
 
-# Each witness class under the payload ``type`` that names it.
+# Each witness class under the payload ``type`` that names it, and each
+# class's fields in declaration order, as (name, whether it is a vertex set).
 _WITNESS_TYPES = {
     "small_cut": SmallCut,
     "independent_set": IndependentSetTooLarge,
@@ -106,6 +107,10 @@ _WITNESS_TYPES = {
     "exhaustive_search": ExhaustiveSearch,
 }
 _WITNESS_NAMES = {cls: name for name, cls in _WITNESS_TYPES.items()}
+_WITNESS_FIELDS = {
+    cls: tuple((f.name, f.type.startswith("frozenset")) for f in fields(cls))
+    for cls in _WITNESS_NAMES
+}
 
 
 def witness_to_payload(witness: NonHamWitness) -> dict:
@@ -132,16 +137,15 @@ def witness_from_payload(payload: dict) -> NonHamWitness:
     if cls is None:
         raise ValueError(f"unknown witness payload type {payload.get('type')!r}")
     values = []
-    for f in fields(cls):
-        if f.name not in payload:
-            raise ValueError(f"witness payload field {f.name!r} is missing")
-        value = payload[f.name]
-        is_set = f.type.startswith("frozenset")
+    for name, is_set in _WITNESS_FIELDS[cls]:
+        if name not in payload:
+            raise ValueError(f"witness payload field {name!r} is missing")
+        value = payload[name]
         if is_set and not isinstance(value, list):
-            raise ValueError(f"witness payload field {f.name!r} must be a list, got {value!r}")
+            raise ValueError(f"witness payload field {name!r} must be a list, got {value!r}")
         if any(type(item) is not int for item in (value if is_set else [value])):
             kind = "a list of ints" if is_set else "an int"
-            raise ValueError(f"witness payload field {f.name!r} must be {kind}, got {value!r}")
+            raise ValueError(f"witness payload field {name!r} must be {kind}, got {value!r}")
         values.append(frozenset(value) if is_set else value)
     return cls(*values)
 
@@ -491,8 +495,15 @@ def _forced_edge_cycle(g: KPartiteGraph) -> tuple[int, ...] | None:
     fills ``g.decision``; like ``find_hamiltonian_cycle``, it is guarded at
     n <= ``HAM_SIZE_LIMIT``."""
     _guard_ham_size(g.n)
-    unions = [mask for mask in _independent_part_unions(g) if is_independent(g, _bits(mask))]
-    return _forced_edge_search(g.n, g.adj, unions)
+    adj = g.adj
+    unions = []
+    for mask in _independent_part_unions(g):
+        rest = mask
+        while rest and not adj[(rest & -rest).bit_length() - 1] & mask:
+            rest &= rest - 1
+        if not rest:
+            unions.append(mask)
+    return _forced_edge_search(g.n, adj, unions)
 
 
 # -- longest cycles -----------------------------------------------------------
@@ -691,24 +702,42 @@ def _bipartite_degree_one_witness(g: KPartiteGraph) -> BipartiteDegreeOne | None
     return None
 
 
-def _polynomial_witness(g: KPartiteGraph) -> NonHamWitness | None:
+def _polynomial_witness(g: KPartiteGraph, skip: int = 0) -> NonHamWitness | None:
     """The search-free part of :func:`non_hamiltonicity_witness`: its
     certificates, tried in the same order, or None when none applies.  A
-    None says nothing about g; a witness refutes it in polynomial time."""
+    None says nothing about g; a witness refutes it in polynomial time.
+
+    ``skip`` counts the monotone steps, the cut step and then the
+    independent-set step, that g is known to fail: 1 says g is 2-connected,
+    2 also that it has no independent set on more than n/2 vertices.  Adding
+    an edge keeps both facts, so a graph passes its count to the graphs made
+    from it by adding edges, and a skipped step would have returned None.
+    The bipartite step is not monotone (adding an edge can create its
+    independent half) and always runs."""
     meta = g.meta or {}
     designated = meta.get("independent_set")
     if designated is not None:
         vs = frozenset(designated)
         if 2 * len(vs) > g.n and is_independent(g, vs):
             return IndependentSetTooLarge(vs)
-    witness = _cut_witness(g)
-    if witness is not None:
-        return witness
-    if g.n <= ALPHA_WITNESS_LIMIT:
+    if skip < 1:
+        witness = _cut_witness(g)
+        if witness is not None:
+            return witness
+    if skip < 2 and g.n <= ALPHA_WITNESS_LIMIT:
         _, mask = _max_independent(g.adj, (1 << g.n) - 1, g.n // 2)
         if mask:
             return IndependentSetTooLarge(frozenset(_bits(mask)))
     return _bipartite_degree_one_witness(g)
+
+
+def _steps_failed(witness: NonHamWitness | None) -> int:
+    """The ``skip`` that a graph with no designated set passes on when its
+    :func:`_polynomial_witness` is ``witness``: the monotone steps that came
+    before it, or both when no step gave one."""
+    if isinstance(witness, SmallCut):
+        return 0
+    return 1 if isinstance(witness, IndependentSetTooLarge) else 2
 
 
 def non_hamiltonicity_witness(g: KPartiteGraph) -> NonHamWitness | None:

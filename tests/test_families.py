@@ -485,6 +485,7 @@ def test_recognition_tally_holds_with_the_member_memo_cold_and_warm():
 
 def test_recognition_from_the_solvers_witness_matches_recognize(monkeypatch):
     # A sweep classifies each graph from the witness the solver gave it: a
+    # small cut of one vertex is tried as F1's hub before any F1 sweep, a
     # bipartite degree-one or exhaustive-search witness skips the F1 sweep,
     # and a bipartite one anchors F3.  Every class must equal recognize(g):
     # on the (8, 4) characterization's graphs, the F1 and F3 variant sets
@@ -511,6 +512,7 @@ def test_recognition_from_the_solvers_witness_matches_recognize(monkeypatch):
     is_f1 = families._is_f1
     monkeypatch.setattr(families, "_is_f1", lambda g: f1_sweeps.append(g) or is_f1(g))
     kinds = Counter()
+    anchored = 0
     for g in graphs:
         expected = recognize(g)
         witness = non_hamiltonicity_witness(g)
@@ -518,8 +520,14 @@ def test_recognition_from_the_solvers_witness_matches_recognize(monkeypatch):
         kinds[kind, expected] += 1
         f1_sweeps.clear()
         assert families._recognize(g, witness) == expected, (encode(g), kind)
-        skips = kind in ("BipartiteDegreeOne", "ExhaustiveSearch")
+        # An F1 member's cut vertex is its hub, so the witness anchors it.
+        hub = expected == "F1" and kind == "SmallCut" and len(witness.vertices) == 1
+        anchored += hub
+        skips = hub or kind in ("BipartiteDegreeOne", "ExhaustiveSearch")
         assert len(f1_sweeps) == (not skips), (encode(g), kind)
+    # Every F1 graph but the disconnected ones, whose cut is empty: 8 of the
+    # 744 (8, 4) graphs and 1 of the 13 variants.
+    assert len(f1s) == 13 and anchored == 736 + 12 + 5
     # Toggled graphs that are Hamiltonian have no witness; the F3 anchor
     # turns down 18 graphs with a bipartite degree-one witness.
     assert kinds == {

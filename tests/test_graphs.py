@@ -638,6 +638,59 @@ def test_decode_rejects_malformed():
         decode("kpart 2: 0 1, 2\nC?")
 
 
+# Text that ``decode`` refuses, each with its message.  The last rows pair
+# the block (8, 4) header with graph6 bodies of 6 and 10 vertices, a
+# truncated body, a bad byte and an edge inside part 0.
+_H84 = "kpart 4: 0 1, 2 3, 4 5, 6 7"
+DECODE_ERRORS = [
+    ("nonsense", "expected a partition header line and a graph6 line"),
+    ("kpart 2: 0 1, 2 3\n", "expected a partition header line and a graph6 line"),
+    ("kpart 2: 0 1\nA?", "header declares 2 parts but lists 1"),
+    ("kpart 1: 0 5\nA?", "part 0 lists out-of-range vertex 5"),
+    ("kpart 2: 0, 1\nA", "graph6 body has 0 bytes, expected 1"),
+    ("kpart 3: 0 1, 2 3,\nC?", "part 2 is empty"),
+    ("kpart 3: 0 1, , 2 3\nC?", "part 1 is empty"),
+    ("parts 2: 0 1, 2 3\nC?", "partition header must start with 'kpart'"),
+    ("kpart two: 0 1, 2 3\nC?", "malformed partition header: 'kpart two: 0 1, 2 3'"),
+    ("kpart 2: 0 1, 2 x\nC?", "malformed part list: ' 2 x'"),
+    ("kpart 2: 0 1, 1 2 3\nC?", "vertex 1 assigned to two parts"),
+    ("kpart 2: 0 1, 2\nC?", "partition does not cover all vertices"),
+    (_H84 + "\n", "expected a partition header line and a graph6 line"),
+    (_H84 + "\nE???", "part 3 lists out-of-range vertex 6"),
+    (_H84 + "\nI????????", "partition does not cover all vertices"),
+    (_H84 + "\nG", "graph6 body has 0 bytes, expected 5"),
+    (_H84 + "\nG????\x7f", "invalid graph6 byte 127"),
+    (_H84 + "\nG_????", "intra-part edge (0, 1) in decoded graph"),
+    ("\n" + _H84 + "\n\n~??G_????", "intra-part edge (0, 1) in decoded graph"),
+]
+
+
+def test_decode_errors_are_the_same_with_the_layout_memo_cold_and_warm(monkeypatch):
+    # A header equal to a memoized layout's takes that layout's partition;
+    # every refusal must name the same defect whether or not it is there.
+    monkeypatch.setattr(graphs, "_layouts", {})
+    for warm in (False, True):
+        if warm:
+            for k, m in ((4, 2), (2, 2), (2, 1), (3, 2)):
+                encode(complete_kpartite(k, m))
+            assert _H84 + "\n" in {layout[7] for layout in graphs._layouts.values()}
+        for text, message in DECODE_ERRORS:
+            with pytest.raises(GraphError) as excinfo:
+                decode(text)
+            assert str(excinfo.value) == message, (text, warm)
+
+
+def test_decode_takes_the_memoized_partition():
+    g = build_family_F(4, 2)
+    text = encode(g)
+    layout = graphs._layouts[g.part_of]
+    decoded = decode(text)
+    assert decoded == g and decoded.part_of is layout[0]
+    # A header written otherwise is parsed into an equal partition.
+    spaced = decode(text.replace(": ", ":  ", 1))
+    assert spaced == g and spaced.part_of is not layout[0]
+
+
 def test_export_dot_k22():
     g = complete_kpartite(2, 2)
     text = export_dot(g)

@@ -318,13 +318,19 @@ def _search_only_climb(n, k, bases, suffix_bits, prefixes):
 
 
 def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
-    searches, refuted = [], []
+    searches, refuted, base_witnesses = [], [], []
     search, certify = harness._ham_search, harness._polynomial_witness
     monkeypatch.setattr(harness, "_ham_search", lambda *args: searches.append(1) or search(*args))
+    base_rows = set()
 
-    def certify_spy(g):
-        witness = certify(g)
-        refuted.append(witness is not None)
+    def certify_spy(g, skip=0):
+        # A base is asked with nothing inherited, before the climb starts.
+        witness = certify(g, skip)
+        if g.adj in base_rows:
+            assert skip == 0 and not refuted
+            base_witnesses.append(witness)
+        else:
+            refuted.append(witness is not None)
         return witness
 
     cases = [(6, 3, floor, 1) for floor in range(6)]
@@ -335,11 +341,12 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
         for unit in range(units):
             args = (n, k, floor, units, unit, units.bit_length() - 1, unit)
             bases += harness._run_exhaustive_shard(args)["non_hamiltonian"]
+        base_rows = {rows for _, rows in bases}
         suffix_bits = len(cross_pairs(n, k)) - units.bit_length() + 1
         prefixes = set(range(units))
         reference = _search_only_climb(n, k, bases, suffix_bits, prefixes)
         # The same climb without certificates, then with them.
-        monkeypatch.setattr(harness, "_polynomial_witness", lambda g: None)
+        monkeypatch.setattr(harness, "_polynomial_witness", lambda g, skip=0: None)
         searches.clear()
         found, witnesses = harness._climb(n, k, bases, suffix_bits, prefixes)
         assert found == reference and witnesses == {}, (n, k, floor)
@@ -347,29 +354,79 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
         monkeypatch.setattr(harness, "_polynomial_witness", certify_spy)
         searches.clear()
         refuted.clear()
+        base_witnesses.clear()
         found, witnesses = harness._climb(n, k, bases, suffix_bits, prefixes)
         assert found == reference, (n, k, floor)
         assert without - len(searches) == sum(refuted), (n, k, floor, units)
-        # A refuted candidate keeps its witness, and it is the one the solver
-        # gives a graph built afresh from its rows.
-        assert len(witnesses) == sum(refuted), (n, k, floor, units)
-        assert witnesses.keys() <= found.keys() - dict(bases).keys(), (n, k, floor, units)
+        # A refuted candidate keeps its witness, and so does a base that has
+        # one; it is the one the solver gives a graph built afresh from its
+        # rows.
+        kept = [witness for witness in base_witnesses if witness]
+        assert len(witnesses) == sum(refuted) + len(kept), (n, k, floor, units)
+        assert witnesses.keys() <= found.keys(), (n, k, floor, units)
+        assert Counter(kept) == Counter(
+            witnesses[sid] for sid in dict(bases) if sid in witnesses
+        ), (n, k, floor, units)
         part_of = blocks_partition(n, k)
         for sid, witness in witnesses.items():
             fresh = non_hamiltonicity_witness(KPartiteGraph(part_of, found[sid]))
             assert witness == fresh, (n, k, floor, sid)
         if n < 7 or 2 * floor < n - 2:
             # Refuting searches cost less than the certificates there.
-            assert not refuted, (n, k, floor)
+            assert not refuted and not base_witnesses, (n, k, floor)
+        else:
+            # Each base is asked once.
+            assert len(base_witnesses) == len(dict(bases)), (n, k, floor, units)
+        base_kinds = Counter(type(witness).__name__ for witness in base_witnesses)
+        kinds = Counter(type(witnesses[sid]).__name__ for sid in witnesses.keys() - dict(bases))
         if (n, k) == (8, 4):
             # Every non-Hamiltonian climb candidate is refuted by a certificate.
             assert sum(refuted) == len(reference) - len(bases) == 1_792, units
-            kinds = Counter(type(witness).__name__ for witness in witnesses.values())
             assert kinds == {"SmallCut": 544, "BipartiteDegreeOne": 1_248}, units
+            # Certificates refute all 520 bases but the 32 F2 graphs.
+            assert base_kinds == {"SmallCut": 200, "BipartiteDegreeOne": 288, "NoneType": 32}
         if (n, k, floor) == (7, 7, 3):
             assert sum(refuted) == len(reference) - len(bases) == 245
-            kinds = Counter(type(witness).__name__ for witness in witnesses.values())
             assert kinds == {"IndependentSetTooLarge": 245}
+            assert base_kinds == {"SmallCut": 70, "IndependentSetTooLarge": 35}
+
+
+def test_inherited_certificate_steps_change_no_climb_witness(monkeypatch):
+    # The climb passes each candidate the monotone certificate steps its
+    # parent failed, and the candidate skips them.  On every call of the
+    # (8, 4) floor-3 sweep, whole and in 8 shards, and of the (7, 7) floor-3
+    # sweep, the witness must be the one the full call gives.  The climb's
+    # bases are asked with nothing inherited.
+    certify = harness._polynomial_witness
+    ran = Counter()
+    cut, alpha = solver._cut_witness, solver._max_independent
+    monkeypatch.setattr(solver, "_cut_witness", lambda g: ran.update(["cut"]) or cut(g))
+    monkeypatch.setattr(
+        solver, "_max_independent", lambda *args: ran.update(["alpha"]) or alpha(*args)
+    )
+    steps, skips = Counter(), Counter()
+
+    def spy(g, skip=0):
+        ran.clear()
+        witness = certify(g, skip)
+        steps.update(ran)
+        skips[skip] += 1
+        assert witness == certify(g), (encode(g), skip)
+        return witness
+
+    monkeypatch.setattr(harness, "_polynomial_witness", spy)
+    # Calls by inherited steps, then the cut and independent-set steps run.
+    expected = {
+        (8, 4, 1): ({0: 1_694, 2: 1_877}, {"cut": 1_694, "alpha": 950}),
+        (8, 4, 8): ({0: 1_665, 2: 1_840}, {"cut": 1_665, "alpha": 921}),
+        (7, 7, 1): ({0: 361, 1: 282}, {"cut": 361, "alpha": 573}),
+    }
+    for (n, k, shards), counts in expected.items():
+        steps.clear()
+        skips.clear()
+        report = exhaustive_verify(n, k, 3, shards=shards)
+        assert report.self_check_ok
+        assert (skips, steps) == counts, (n, k, shards)
 
 
 def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():

@@ -22,6 +22,7 @@ from hamparts.graphs import (
     induced_bipartite,
     is_independent,
     _bits,
+    _max_independent,
     _reach,
 )
 from hamparts.harness import _enumerate_shard
@@ -38,10 +39,12 @@ from hamparts.solver import (
     witness_certifies,
     witness_from_payload,
     witness_to_payload,
+    _bipartite_degree_one_witness,
     _cut_witness,
     _forced_edge_search,
     _ham_search,
     _independent_part_unions,
+    _polynomial_witness,
 )
 from _util import perm_oracle_hamiltonian, random_graph, random_kpartite
 
@@ -808,6 +811,75 @@ def test_witness_soundness_on_random_corpus():
             assert witness_certifies(g, witness)
             found += 1
     assert found > 50
+
+
+def test_adding_a_cross_pair_keeps_the_inherited_certificate_facts():
+    # The sweep's climb passes a graph's failed cut and independent-set
+    # steps on to the graphs made from it by adding a pair.  Adding a cross
+    # pair never creates a cut witness, or an independent set on more than
+    # n/2 vertices, where there was none, so skipping those steps leaves
+    # every witness as the full call gives it.
+    rng = random.Random(20261020)
+    tally = Counter()
+    for _ in range(400):
+        n, k = rng.choice([(6, 3), (7, 7), (8, 2), (8, 4), (9, 3), (10, 5), (12, 4)])
+        g = random_kpartite(rng, n, k, rng.choice([0.3, 0.5, 0.7]))
+        full = (1 << n) - 1
+        no_cut = _cut_witness(g) is None
+        small_alpha = not _max_independent(g.adj, full, n // 2)[1]
+        skip = no_cut + (no_cut and small_alpha)
+        absent = [
+            (u, v)
+            for u in range(n)
+            for v in _bits(full ^ g.adj[u] ^ g.part_masks[g.part_of[u]])
+            if u < v
+        ]
+        for u, v in rng.sample(absent, min(3, len(absent))):
+            adj = list(g.adj)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            h = KPartiteGraph(g.part_of, adj)
+            if no_cut:
+                assert _cut_witness(h) is None, (g, u, v)
+            if small_alpha:
+                assert not _max_independent(h.adj, full, n // 2)[1], (g, u, v)
+            assert _polynomial_witness(h, skip) == _polynomial_witness(h), (g, u, v)
+            tally[no_cut, small_alpha] += 1
+    # Added pairs by (no cut witness, no independent set over n/2) before.
+    assert tally == {
+        (False, False): 336,
+        (False, True): 318,
+        (True, False): 3,
+        (True, True): 533,
+    }
+
+
+def test_bipartite_degree_one_step_is_not_monotone():
+    # Adding pair (0, 5) creates the witness: the greedy part unions change,
+    # and {0, 1, 6, 7} becomes an independent half.  So no graph may pass a
+    # failed bipartite step on to the graphs made from it.
+    part_of = blocks_partition(8, 4)
+    rows = [12, 12, 67, 35, 0, 8, 4, 0]
+    assert _bipartite_degree_one_witness(KPartiteGraph(part_of, rows)) is None
+    rows[0] |= 1 << 5
+    rows[5] |= 1 << 0
+    grown = KPartiteGraph(part_of, rows)
+    assert _bipartite_degree_one_witness(grown) == BipartiteDegreeOne(frozenset({0, 1, 6, 7}), 4)
+
+
+def test_second_decider_drops_a_union_that_is_not_independent(monkeypatch):
+    # _forced_edge_cycle checks each part union on its mask rather than
+    # trusting it: {0, 1} is a part, and 0 and 2 are adjacent.
+    monkeypatch.setattr(solver, "_independent_part_unions", lambda g: [0b11, 0b101])
+    offered = []
+    search = solver._forced_edge_search
+    monkeypatch.setattr(
+        solver,
+        "_forced_edge_search",
+        lambda n, adj, independent: offered.append(independent) or search(n, adj, independent),
+    )
+    assert solver._forced_edge_cycle(complete_kpartite(3, 2)) is not None
+    assert offered == [[0b11]]
 
 
 def _deciders_agree(g):
