@@ -21,7 +21,11 @@ left.  F1's hub c leaves the rest of its clique as a (k-1)-vertex component
 of g - c; F2's one part joined to all others leaves a matching; F3's
 independent half X and throttled vertex y' are the solver's bipartite
 degree-one witness.  An anchor is confirmed only by rebuilding the member
-(F2 once) and comparing under the vertex map, so it can only miss.  A sweep
+(F2 once) and comparing under the vertex map, so it can only miss.  The map
+is a vertex order that names g's vertex order[i] i.  g's rows are renamed
+by whole-int work (``graphs._relabelled_rows``: rows reordered, the packed
+matrix transposed, rows reordered again); the member's arguments are read
+off the renamed rows, and every row and part is compared.  A sweep
 has the solver's witness for each graph already and classifies from it
 (``_recognize``): a cut vertex is tried as F1's hub first, a witness that
 the solver gives only to graphs with no cut vertex skips the F1 sweep, and a
@@ -32,12 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import itemgetter
 
 from .graphs import (
     GraphError,
     KPartiteGraph,
     SizeGuardError,
     _bits,
+    _relabelled_rows,
     blocks_partition,
     build_graph,
     connected_components,
@@ -425,25 +431,20 @@ class FamilySpec:
 # -- recognition ---------------------------------------------------------------
 
 
-def _relabelled_equal(g: KPartiteGraph, h: KPartiteGraph, vmap: dict[int, int]) -> bool:
-    """Does the vertex bijection ``vmap`` carry g onto h, parts to parts?"""
-    if g.n != h.n or g.k != h.k:
-        return False
-    image_bit = [1 << vmap[v] for v in range(g.n)]
-    for v, row in enumerate(g.adj):
-        image = 0
-        while row:
-            low = row & -row
-            image |= image_bit[low.bit_length() - 1]
-            row ^= low
-        if image != h.adj[vmap[v]]:
-            return False
-    # Each part of g lands inside one part of h.
-    image_part: dict[int, int] = {}
-    for v, p in enumerate(g.part_of):
-        if image_part.setdefault(p, h.part_of[vmap[v]]) != h.part_of[vmap[v]]:
-            return False
-    return True
+def _relabelled_equal(g: KPartiteGraph, h: KPartiteGraph, order) -> bool:
+    """Does the bijection that names g's vertex ``order[i]`` i, for a
+    permutation ``order`` of range(g.n), n >= 2, carry g onto h, parts to
+    parts?"""
+    return g.n == h.n and g.k == h.k and _carries(g, order, _relabelled_rows(g, order), h)
+
+
+def _carries(g: KPartiteGraph, order, rows: tuple[int, ...], h: KPartiteGraph) -> bool:
+    """:func:`_relabelled_equal` for g and h of one size, given ``rows``,
+    g's rows under ``order``: are they h's, and does each part of g land
+    inside one part of h?  The (part of g, part of h) pairs of the vertices
+    then number g's parts exactly."""
+    parts = itemgetter(*order)(g.part_of)
+    return rows == h.adj and len(set(zip(parts, h.part_of))) == g.k
 
 
 @lru_cache(maxsize=128)
@@ -458,31 +459,34 @@ def _member(builder, *args) -> KPartiteGraph | None:
 
 
 def _confirm_f1(g: KPartiteGraph, c: int, clique: int) -> bool:
+    """Is g the F1 member with hub c and x-clique ``clique``?  Each part
+    must hold one clique vertex and one other, which become x_i and y_i,
+    with c's part last; the member's omissions are read off g's rows under
+    that naming, and it is rebuilt and compared."""
     k = g.k
     cpart = g.part_of[c]
-    part_order = [p for p in range(k) if p != cpart] + [cpart]
-    new_index = {old: i for i, old in enumerate(part_order)}
-    vmap: dict[int, int] = {}
-    for p in range(k):
-        members = g.part_members(p)
-        in_clique = [v for v in members if clique >> v & 1]
-        outside = [v for v in members if not clique >> v & 1]
-        if len(in_clique) != 1 or len(outside) != 1:
+    xs, ys = [], []
+    for p, mask in enumerate(g.part_masks):
+        inside = mask & clique
+        if inside.bit_count() != 1 or (mask ^ inside).bit_count() != 1:
             return False
-        vmap[in_clique[0]] = new_index[p]
-        vmap[outside[0]] = k + new_index[p]
-    inverse = {new: old for old, new in vmap.items()}
-    yy_missing = tuple(
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if not g.has_edge(inverse[k + i], inverse[k + j])
-    )
-    xk_missing = tuple(
-        i for i in range(k - 1) if not g.has_edge(inverse[k + i], inverse[k - 1])
-    )
-    built = _member(build_family_F1, k, yy_missing, xk_missing)
-    return built is not None and _relabelled_equal(g, built, vmap)
+        if p != cpart:
+            xs.append(inside.bit_length() - 1)
+            ys.append((mask ^ inside).bit_length() - 1)
+    order = xs + [c] + ys + [(g.part_masks[cpart] ^ 1 << c).bit_length() - 1]
+    rows = _relabelled_rows(g, order)
+    yy_missing = []
+    for i in range(k):
+        # The absent edges from y_i up to the y-vertices after it.
+        gap = ~rows[k + i] & ((1 << 2 * k) - (2 << k + i))
+        while gap:
+            low = gap & -gap
+            yy_missing.append((i, low.bit_length() - 1 - k))
+            gap ^= low
+    hub_row = rows[k - 1]
+    xk_missing = tuple(i for i in range(k - 1) if not hub_row >> k + i & 1)
+    built = _member(build_family_F1, k, tuple(yy_missing), xk_missing)
+    return built is not None and _carries(g, order, rows, built)
 
 
 def _f1_at(g: KPartiteGraph, c: int) -> bool:
@@ -508,41 +512,39 @@ def _confirm_f3(
     xp: int,
     xy_flag: bool,
 ) -> bool:
-    k = g.k
-    y_parts = [p for p in range(k) if p not in x_parts]
-    xp_part = g.part_of[xp]
-    y1_part = g.part_of[y1]
-    x_order = [xp_part] + [p for p in x_parts if p != xp_part]
-    y_order = [p for p in y_parts if p != y1_part] + [y1_part]
-    vmap: dict[int, int] = {}
-    for i, p in enumerate(x_order):
-        members = list(g.part_members(p))
-        if p == xp_part:
-            members.sort(key=lambda v: v != xp)
-        for slot, v in enumerate(members):
-            vmap[v] = 2 * i + slot
-    for i, p in enumerate(y_order):
-        members = list(g.part_members(p))
-        if p == y1_part:
-            members.sort(key=lambda v: v != y1)
-        for slot, v in enumerate(members):
-            vmap[v] = k + 2 * i + slot
-    y_mask = 0
-    for p in y_parts:
-        y_mask |= g.part_masks[p]
-    yy_extra = set()
-    for u in _bits(y_mask):
-        if u == y1:
-            continue
-        for v in _bits(g.adj[u] & y_mask):
-            if v == y1 or v < u:
-                continue
-            yy_extra.add((min(vmap[u], vmap[v]), max(vmap[u], vmap[v])))
+    """Is g the F3 member with independent half ``x_parts``, y' = ``y1``,
+    y'' = ``ydd`` and x' = ``xp``?  The X parts come first, x''s part
+    first and x' first in it, then the Y parts with y''s part last and y'
+    first in it, each part's other vertex after its first, so x' becomes 0
+    and y' becomes n - 2; the Y-Y edges are read off g's rows under that
+    naming, and the member is rebuilt and compared."""
+    k, n = g.k, g.n
+    xp_part, y1_part = g.part_of[xp], g.part_of[y1]
+    parts = [xp_part] + [p for p in x_parts if p != xp_part]
+    parts += [p for p in range(k) if p not in x_parts and p != y1_part] + [y1_part]
+    order = []
+    for p in parts:
+        mask = g.part_masks[p]
+        first = xp if p == xp_part else y1 if p == y1_part else (mask & -mask).bit_length() - 1
+        rest = mask ^ 1 << first
+        if rest.bit_count() != 1:
+            return False
+        order += first, rest.bit_length() - 1
+    rows = _relabelled_rows(g, order)
+    # The Y-Y edges up from each Y-vertex below y', those at y' left to the
+    # builder; y' and the vertex after it share the last part.
+    yy_edges = []
+    for u in range(k, n - 2):
+        ahead = rows[u] & -(2 << u) & ~(1 << n - 2)
+        while ahead:
+            low = ahead & -ahead
+            yy_edges.append((u, low.bit_length() - 1))
+            ahead ^= low
     # The builder's arguments in order: k, y', y'', x', Y-Y edges, xy_edge.
     built = _member(
-        build_family_F3, k, vmap[y1], vmap[ydd], vmap[xp], tuple(sorted(yy_extra)), xy_flag
+        build_family_F3, k, n - 2, order.index(ydd), 0, tuple(yy_edges), xy_flag
     )
-    return built is not None and _relabelled_equal(g, built, vmap)
+    return built is not None and _carries(g, order, rows, built)
 
 
 def _is_f3(g: KPartiteGraph, witness: BipartiteDegreeOne | None) -> bool:
@@ -552,20 +554,31 @@ def _is_f3(g: KPartiteGraph, witness: BipartiteDegreeOne | None) -> bool:
     if witness is None:
         return False
     y1 = witness.vertex
-    x_mask = sum(1 << v for v in witness.a_side)
+    x_mask = 0
+    for v in witness.a_side:
+        x_mask |= 1 << v
     row = g.adj[y1] & x_mask
-    if not row:
+    if not row or g.part_masks[g.part_of[y1]] & x_mask:
         return False
-    ys = [y for y in range(g.n) if not x_mask >> y & 1 and y != y1]
-    # The missing X-Y edges away from y', one entry per edge, by Y-end: at
-    # most the one at y''.  With none, xy_edge restored it, and any Y-vertex
-    # other than y' can stand for y''.
-    missing = [y for y in ys for _ in _bits(x_mask & ~g.adj[y])]
-    if len(missing) > 1:
-        return False
-    ydd = missing[0] if missing else ys[0]
-    x_parts = tuple(sorted({g.part_of[v] for v in witness.a_side}))
-    return _confirm_f3(g, x_parts, y1, ydd, row.bit_length() - 1, not missing)
+    # The missing X-Y edges away from y': at most the one at y''.  With
+    # none, xy_edge restored it, and any Y-vertex other than y' can stand
+    # for y''; the lowest does.
+    ys = ((1 << g.n) - 1) & ~x_mask & ~(1 << y1)
+    ydd = -1
+    rest = ys
+    while rest:
+        low = rest & -rest
+        gap = x_mask & ~g.adj[low.bit_length() - 1]
+        if gap:
+            if ydd >= 0 or gap & (gap - 1):
+                return False
+            ydd = low.bit_length() - 1
+        rest ^= low
+    xy_flag = ydd < 0
+    if xy_flag:
+        ydd = (ys & -ys).bit_length() - 1
+    x_parts = tuple(p for p, mask in enumerate(g.part_masks) if mask & x_mask)
+    return _confirm_f3(g, x_parts, y1, ydd, row.bit_length() - 1, xy_flag)
 
 
 def _is_f2(g: KPartiteGraph) -> bool:
@@ -573,7 +586,10 @@ def _is_f2(g: KPartiteGraph) -> bool:
     keys = _f2_keys(g)
     if keys.keys() != _F2_KEYS.keys():
         return False
-    return _relabelled_equal(g, _F2, {v: _F2_KEYS[key] for key, v in keys.items()})
+    order = [0] * g.n
+    for key, v in keys.items():
+        order[_F2_KEYS[key]] = v
+    return _relabelled_equal(g, _F2, order)
 
 
 def _recognize(g: KPartiteGraph, witness=None) -> str | None:

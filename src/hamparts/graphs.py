@@ -15,12 +15,25 @@ and a bit-matrix transpose in log2(stride) delta swaps, decide the rest.
 What is derived from the partition alone is memoized per ``part_of``.  The
 per-row and per-pair loops run only on rejected rows, and only to name the
 first defect in the error message.
+
+The codec moves whole ints too.  A graph6 body is a bit stream of the pairs
+(i, j), i < j, column j by column, cut into 6-bit groups written as the
+bytes 63-126; base64 cuts a byte stream into the same groups, so the body
+is base64 text under a byte translation.  ``graph6_encode`` writes the
+stream as one int from the rows, n shifts in all, and reverses the bits of
+each byte, so that the int's lowest bit leads; ``decode`` reads it back the
+same way, packs column j as row j at the layout's stride, tests that lower
+triangle against the layout's intra-part mask and adds its transpose, made
+by the layout's swaps.  The rows then go through the constructor's checks
+like any others.
 """
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NoReturn
 
 
@@ -41,11 +54,12 @@ def _bits(mask: int) -> Iterator[int]:
 
 # What the constructor and ``encode`` derive from a valid partition alone,
 # for recently seen partitions: part_of -> (key, k, part masks, stride,
-# to_bytes, intra, swaps, header).  ``key`` is the part_of tuple last checked
-# against the entry, ``to_bytes`` is the stride's row packer (see
+# to_bytes, intra, swaps, header, by_size).  ``key`` is the part_of tuple last
+# checked against the entry, ``to_bytes`` is the stride's row packer (see
 # :func:`_row_packer`), ``intra`` holds the packed bits of every self-loop,
-# intra-part edge and column at or above n, ``swaps`` the transpose's rounds
-# and ``header`` the first line of :func:`encode`'s text, newline included.
+# intra-part edge and column at or above n, ``swaps`` the transpose's rounds,
+# ``header`` the first line of :func:`encode`'s text, newline included, and
+# ``by_size`` the part indices, largest part first, ties by index.
 # Both masks are packed rows too, so a layout costs time linear in its packed
 # size.  A tuple of other numbers can equal an int tuple (0.0 == 0), so only
 # a call that passes ``key`` itself skips the int check.  The oldest entry is
@@ -118,11 +132,36 @@ def _layout(part_of: tuple[int, ...]) -> tuple:
     swaps = _transpose_swaps(stride, to_bytes)
     parts = ", ".join(" ".join(map(str, _bits(mask))) for mask in part_masks)
     header = f"kpart {k}: {parts}\n"
-    layout = (part_of, k, tuple(part_masks), stride, to_bytes, intra, swaps, header)
+    by_size = tuple(sorted(range(k), key=lambda p: -part_masks[p].bit_count()))
+    layout = (part_of, k, tuple(part_masks), stride, to_bytes, intra, swaps, header, by_size)
     if len(_layouts) >= _LAYOUT_MEMO_SIZE:
         del _layouts[next(iter(_layouts))]
     _layouts[part_of] = layout
     return layout
+
+
+def _memo_layout(part_of: tuple[int, ...]) -> tuple:
+    """The layout of a partition some graph was built on: the memo's entry,
+    or the layout derived again once the memo has dropped it."""
+    return _layouts.get(part_of) or _layout(part_of)
+
+
+def _transposed(packed: int, swaps) -> int:
+    """The transpose of a packed bit matrix, by its layout's ``swaps``."""
+    for shift, mask in swaps:
+        delta = (packed ^ (packed >> shift)) & mask
+        packed ^= delta ^ (delta << shift)
+    return packed
+
+
+def _unpacked(packed: int, n: int, stride: int):
+    """The first n rows of a matrix packed at ``stride``, as a sequence of
+    ints: the inverse of the stride's row packer."""
+    if stride == 8:
+        return packed.to_bytes(n, "little")
+    width = stride // 8
+    data = packed.to_bytes(n * width, "little")
+    return [int.from_bytes(data[v * width : (v + 1) * width], "little") for v in range(n)]
 
 
 def _packed_rows(adj: tuple[int, ...], to_bytes, intra: int, swaps) -> int | None:
@@ -135,11 +174,24 @@ def _packed_rows(adj: tuple[int, ...], to_bytes, intra: int, swaps) -> int | Non
         return None
     if packed & intra:
         return None
+    # _transposed's loop, inlined: every graph built passes through here.
     transposed = packed
     for shift, mask in swaps:
         delta = (transposed ^ (transposed >> shift)) & mask
         transposed ^= delta ^ (delta << shift)
     return packed if transposed == packed else None
+
+
+def _relabelled_rows(g: KPartiteGraph, order) -> tuple[int, ...]:
+    """g's rows once its vertex ``order[i]`` is named i, for a permutation
+    ``order`` of range(g.n), n >= 2: the rows taken in that order, the
+    matrix transposed, and its rows taken in that order again.  g is
+    symmetric, so the transpose carries the first reordering over to the
+    columns."""
+    _, _, _, stride, to_bytes, _, swaps, _, _ = _memo_layout(g.part_of)
+    pick = itemgetter(*order)
+    packed = int.from_bytes(to_bytes(pick(g.adj)), "little")
+    return pick(_unpacked(_transposed(packed, swaps), g.n, stride))
 
 
 def _name_defect(part_of: tuple[int, ...], adj: tuple[int, ...], part_masks) -> NoReturn:
@@ -206,7 +258,7 @@ class KPartiteGraph:
         layout = _layouts.get(part_of)
         if layout is None or layout[0] is not part_of:
             layout = _layout(part_of)
-        _, k, part_masks, stride, to_bytes, intra, swaps, _ = layout
+        _, k, part_masks, stride, to_bytes, intra, swaps, _, _ = layout
         packed = _packed_rows(adj, to_bytes, intra, swaps)
         if packed is None:
             _name_defect(part_of, adj, part_masks)
@@ -617,29 +669,35 @@ def _g6_encode_size(n: int) -> bytes:
     raise GraphError(f"graph6 encoder supports n <= 258047, got {n}")
 
 
+# graph6 writes a 6-bit group as the byte 63 + its value, base64 as its
+# alphabet letter; each table maps one to the other, and the last reverses the
+# bits of a byte.
+_G6_BYTES = bytes(range(63, 127))
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_BYTES)
+_G6_TO_B64 = bytes.maketrans(_G6_BYTES, _B64_ALPHABET)
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def graph6_encode(g: KPartiteGraph) -> str:
     """Standard graph6 text for the adjacency (partition not included)."""
-    n = g.n
-    out = bytearray(_g6_encode_size(n))
-    group = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            group = (group << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + group)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append(63 + (group << (6 - nbits)))
-    return out.decode("ascii")
+    n, adj = g.n, g.adj
+    size = _g6_encode_size(n)
+    # Bit t of ``stream`` is the body's t-th bit (see _graph6_stream).
+    stream = 0
+    for j in range(n - 1, 0, -1):
+        stream = stream << j | adj[j] & ((1 << j) - 1)
+    groups = (n * (n - 1) // 2 + 5) // 6
+    data = stream.to_bytes((6 * groups + 7) // 8, "little").translate(_REVERSED_BITS)
+    body = binascii.b2a_base64(data, newline=False)[:groups].translate(_B64_TO_G6)
+    return (size + body).decode("ascii")
 
 
-def _graph6_columns(text: str) -> tuple[int, list[int]]:
-    """Parse graph6 text into (n, columns): bit i of ``columns[j]`` is set
-    iff i < j are adjacent.  Raises GraphError on malformed text."""
+def _graph6_stream(text: str) -> tuple[int, int]:
+    """Parse graph6 text into (n, stream): bit t of ``stream`` is the body's
+    t-th bit, so column j, the pairs (i, j) for i < j, is the j bits from
+    j * (j - 1) / 2 on, pair (i, j) at bit i.  Raises GraphError on
+    malformed text."""
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<"):]
@@ -659,22 +717,20 @@ def _graph6_columns(text: str) -> tuple[int, list[int]]:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError(f"graph6 body has {len(body)} bytes, expected {need}")
-    stream = 0
-    for byte in body:
-        if not 63 <= byte <= 126:
-            raise GraphError(f"invalid graph6 byte {byte}")
-        stream = stream << 6 | byte - 63
-    # Reversed, bit t of ``stream`` is the body's t-th bit, so column j, the
-    # pairs (i, j) for i < j, is the j bits from j * (j - 1) / 2 on, pair
-    # (i, j) at bit i.
-    stream = int(f"{stream:0{6 * len(body)}b}"[::-1], 2)
-    return n, [(stream >> j * (j - 1) // 2) & ((1 << j) - 1) for j in range(n)]
+    invalid = body.translate(None, _G6_BYTES)
+    if invalid:
+        raise GraphError(f"invalid graph6 byte {invalid[0]}")
+    # "A" pads the base64 text to whole 4-letter groups with zero bits.
+    data = binascii.a2b_base64(body.translate(_G6_TO_B64) + b"A" * (-len(body) % 4))
+    return n, int.from_bytes(data.translate(_REVERSED_BITS), "little")
 
 
 def graph6_decode(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Parse graph6 text into (n, edge list)."""
-    n, columns = _graph6_columns(text)
-    return n, [(i, j) for j, column in enumerate(columns) for i in _bits(column)]
+    n, stream = _graph6_stream(text)
+    return n, [
+        (i, j) for j in range(n) for i in _bits(stream >> j * (j - 1) // 2 & ((1 << j) - 1))
+    ]
 
 
 def encode(g: KPartiteGraph) -> str:
@@ -684,8 +740,7 @@ def encode(g: KPartiteGraph) -> str:
     with vertices space-separated inside each comma-separated part.  The
     header is made once per partition, with its layout (see ``_layouts``).
     """
-    layout = _layouts.get(g.part_of) or _layout(g.part_of)
-    return layout[7] + graph6_encode(g)
+    return _memo_layout(g.part_of)[7] + graph6_encode(g)
 
 
 def decode(text: str) -> KPartiteGraph:
@@ -701,9 +756,9 @@ def decode(text: str) -> KPartiteGraph:
     line = header + "\n"
     for layout in _layouts.values():
         if layout[7] == line:
-            n, columns = _graph6_columns(g6)
+            n, stream = _graph6_stream(g6)
             if n == len(layout[0]):
-                return _from_columns(layout[0], layout[2], columns)
+                return _from_stream(layout, stream)
             break
     if not header.startswith("kpart "):
         raise GraphError("partition header must start with 'kpart'")
@@ -720,9 +775,8 @@ def decode(text: str) -> KPartiteGraph:
             raise GraphError(f"malformed part list: {chunk!r}") from exc
     if len(part_lists) != k:
         raise GraphError(f"header declares {k} parts but lists {len(part_lists)}")
-    n, columns = _graph6_columns(g6)
+    n, stream = _graph6_stream(g6)
     part_of = [-1] * n
-    part_masks = [0] * k
     for p, members in enumerate(part_lists):
         if not members:
             raise GraphError(f"part {p} is empty")
@@ -732,30 +786,29 @@ def decode(text: str) -> KPartiteGraph:
             if part_of[v] != -1:
                 raise GraphError(f"vertex {v} assigned to two parts")
             part_of[v] = p
-            part_masks[p] |= 1 << v
     if -1 in part_of:
         raise GraphError("partition does not cover all vertices")
-    return _from_columns(part_of, part_masks, columns)
+    return _from_stream(_layout(tuple(part_of)), stream)
 
 
-def _from_columns(part_of, part_masks, columns: list[int]) -> KPartiteGraph:
-    """The graph on partition ``part_of`` whose graph6 columns are
-    ``columns``.  Rows are filled column by column, in graph6 order, so the
-    first intra-part edge named is the first in that order."""
+def _from_stream(layout: tuple, stream: int) -> KPartiteGraph:
+    """The graph on ``layout``'s partition whose graph6 bit stream is
+    ``stream`` (see :func:`_graph6_stream`).  Column j is packed as row j,
+    which makes the lower triangle; the first intra-part edge named is the
+    first in graph6 order, column by column, then up each column."""
+    part_of, _, _, stride, _, intra, swaps, _, _ = layout
     n = len(part_of)
-    adj = [0] * n
-    for j, column in enumerate(columns):
-        inside = column & part_masks[part_of[j]]
-        if inside:
-            i = (inside & -inside).bit_length() - 1
-            raise GraphError(f"intra-part edge ({i}, {j}) in decoded graph")
-        adj[j] |= column
-        jbit = 1 << j
-        while column:
-            low = column & -column
-            adj[low.bit_length() - 1] |= jbit
-            column ^= low
-    return KPartiteGraph(part_of, adj)
+    lower = 0
+    shift = stride
+    for j in range(1, n):
+        lower |= (stream & (1 << j) - 1) << shift
+        stream >>= j
+        shift += stride
+    inside = lower & intra
+    if inside:
+        j, i = divmod((inside & -inside).bit_length() - 1, stride)
+        raise GraphError(f"intra-part edge ({i}, {j}) in decoded graph")
+    return KPartiteGraph(part_of, _unpacked(lower | _transposed(lower, swaps), n, stride))
 
 
 _DOT_PALETTE = (

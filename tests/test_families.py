@@ -37,7 +37,7 @@ from hamparts.graphs import (
 from hamparts.harness import exhaustive_verify
 from hamparts.solver import find_hamiltonian_cycle, non_hamiltonicity_witness
 from hamparts.thresholds import theorem_threshold
-from _util import perm_oracle_hamiltonian
+from _util import perm_oracle_hamiltonian, random_kpartite
 
 
 # -- family F ------------------------------------------------------------
@@ -457,6 +457,90 @@ def test_recognize_f2_is_frozen():
     assert Counter(labels) == {"F2": 27}
     digest = hashlib.sha256(" ".join(map(str, labels)).encode()).hexdigest()
     assert digest == "8086ccd6d046740d6f9246b89238a1e02dd7efceace02c093ceb970d1f96d301"
+
+
+def _brute_relabelled_equal(g, h, order):
+    """Reference for ``families._relabelled_equal``: g's edge set under the
+    map order[i] -> i against h's, and each part of g inside one part of h."""
+    if g.n != h.n or g.k != h.k:
+        return False
+    name = {v: i for i, v in enumerate(order)}
+    image = {frozenset((name[u], name[v])) for u, v in g.edges()}
+    if image != {frozenset(edge) for edge in h.edges()}:
+        return False
+    return all(len({h.part_of[name[v]] for v in g.part_members(p)}) == 1 for p in range(g.k))
+
+
+def _relabel_cases(rng):
+    """(g, h, order, kind) for a random graph g, on the block partition or
+    a shuffled one, and a random bijection ``order``: h is g's image with
+    its parts renamed (``image``), that image with one cross pair toggled
+    (``one_pair``), the image with two vertices of different parts trading
+    parts where h stays a valid graph (``split``), or g's image under the
+    map with two vertices swapped (``swapped``).  Parts have two vertices or
+    more, so a trade splits two parts."""
+    n = rng.choice([4, 6, 8, 9, 10, 12])
+    k = rng.choice([d for d in range(2, n) if n % d == 0])
+    part_of = list(blocks_partition(n, k))
+    if rng.random() < 0.5:
+        rng.shuffle(part_of)
+    density = rng.choice([0.2, 0.4, 0.7])
+    rows = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if part_of[u] != part_of[v] and rng.random() < density:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    g = KPartiteGraph(part_of, rows)
+    rename = rng.sample(range(k), k)
+
+    def image(order):
+        name = {v: i for i, v in enumerate(order)}
+        adj = [0] * n
+        for u, v in g.edges():
+            adj[name[u]] |= 1 << name[v]
+            adj[name[v]] |= 1 << name[u]
+        return [rename[g.part_of[v]] for v in order], adj
+
+    order = rng.sample(range(n), n)
+    parts, adj = image(order)
+    cases = [(KPartiteGraph(parts, adj), "image")]
+    a, b = rng.sample(range(n), 2)
+    if parts[a] != parts[b]:
+        toggled = list(adj)
+        toggled[a] ^= 1 << b
+        toggled[b] ^= 1 << a
+        cases.append((KPartiteGraph(parts, toggled), "one_pair"))
+    for x, y in itertools.combinations(rng.sample(range(n), n), 2):
+        if parts[x] != parts[y]:
+            traded = list(parts)
+            traded[x], traded[y] = traded[y], traded[x]
+            try:
+                cases.append((KPartiteGraph(traded, adj), "split"))
+                break
+            except GraphError:
+                pass
+    swapped = list(order)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    cases.append((KPartiteGraph(*image(swapped)), "swapped"))
+    return [(g, h, order, kind) for h, kind in cases]
+
+
+def test_relabelled_equality_matches_brute_force():
+    # The whole-int check must agree with an edge-set and part comparison
+    # on every case: true images, maps wrong on exactly one pair, maps
+    # right on every edge that send a part across two parts, and maps with
+    # two vertices swapped.
+    rng = random.Random(31)
+    outcomes = Counter()
+    for _ in range(800):
+        for g, h, order, kind in _relabel_cases(rng):
+            expected = _brute_relabelled_equal(g, h, order)
+            assert families._relabelled_equal(g, h, order) == expected, (kind, g, h, order)
+            outcomes[kind, expected] += 1
+    assert outcomes["image", True] == 800
+    assert outcomes["one_pair", False] > 500 and outcomes["one_pair", True] == 0
+    assert outcomes["split", False] > 500 and outcomes["split", True] == 0
+    assert outcomes["swapped", False] > 700
 
 
 def test_recognition_tally_holds_with_the_member_memo_cold_and_warm():

@@ -233,7 +233,7 @@ def test_packed_masks_match_shift_formulas(monkeypatch):
                 # Each comparison is reduced to a bool first: the masks are
                 # too large for an assertion message.
                 where = (n, k, kind)
-                _, _, _, got_stride, _, intra, swaps, _ = graphs._layout(part_of)
+                _, _, _, got_stride, _, intra, swaps, _, _ = graphs._layout(part_of)
                 same = (got_stride, intra, swaps) == _reference_layout_masks(part_of)
                 assert same and got_stride == stride, where
                 if n < 3:

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import pytest
 
-from hamparts import solver
+from hamparts import harness, solver
 from hamparts.families import build_F2, build_family_F, build_family_F1, build_family_F3
 from hamparts.graphs import (
     CycleCertificate,
@@ -19,13 +19,14 @@ from hamparts.graphs import (
     blocks_partition,
     build_graph,
     complete_kpartite,
+    decode,
     induced_bipartite,
     is_independent,
     _bits,
     _max_independent,
     _reach,
 )
-from hamparts.harness import _enumerate_shard
+from hamparts.harness import _enumerate_shard, exhaustive_verify
 from hamparts.solver import (
     BipartiteDegreeOne,
     ExhaustiveSearch,
@@ -569,6 +570,9 @@ def test_witness_checkers_refuse_malformed_vertex_sets():
         BipartiteDegreeOne(a_side | {5}, vertex),
         BipartiteDegreeOne(a_side, f3.n),  # the vertex is out of range
         BipartiteDegreeOne(a_side, -1),
+        # Half the vertices, and vertex 7 sees only 0 of them, but 6 is
+        # joined to 0, 4 and 5: the side is not independent.
+        BipartiteDegreeOne(frozenset({0, 4, 5, 6}), 7),
     ]
     for witness in refused:
         assert not witness_certifies(f3, witness), witness
@@ -910,6 +914,46 @@ def test_second_decider_agrees_on_small_sweeps():
     _enumerate_shard(8, 2, 2, 1, 0, lambda sid, adj: graphs.append(tuple(adj)))
     refuted = sum(_deciders_agree(KPartiteGraph(part_of, adj)) for adj in graphs)
     assert (len(graphs), refuted) == (7343, 750)
+
+
+def _forced_edge_populations():
+    """The second decider's frozen populations, by name: the graphs the
+    (8, 4) floor-3 and (8, 2) floor-2 sweeps list, every (8, 4) floor-3
+    minimal graph enumerated without cycle reuse, and 300 sparse n = 24
+    graphs drawn the way the decide-sparse benchmark draws its population."""
+    part_of = blocks_partition(8, 4)
+    minimal = []
+    harness._enumerate_minimal(
+        8, 4, 3, 1, 0, lambda sid, adj: minimal.append(KPartiteGraph(part_of, adj))
+    )
+    rng = random.Random(31)
+    return {
+        "listed (8, 4)": [decode(e["graph"]) for e in exhaustive_verify(8, 4, 3).exceptional],
+        "listed (8, 2)": [decode(e["graph"]) for e in exhaustive_verify(8, 2, 2).exceptional],
+        "minimal (8, 4)": minimal,
+        "sparse n = 24": [_sparse_kpartite(rng, 24, (4, 6, 8)[i % 3], 3.0, 2) for i in range(300)],
+    }
+
+
+# (graphs, refuted, SHA-256 of the results) for each population above: the
+# second decider's vertex order, or None, taken while it still copied its
+# state at every branch.  Any change to the branch order, the branch vertex
+# or edge, or the propagation order changes a digest.
+FORCED_EDGE_DIGESTS = {
+    "listed (8, 4)": (2_312, 2_312, "7ff5d5825c3ee5560b68c85395c0026edc26b8bbf913dc96ac63eaca931e9e2b"),
+    "listed (8, 2)": (750, 750, "30b25e311f9513b09c665fc535083009c4ee8baf9642fd2553f965573d153704"),
+    "minimal (8, 4)": (26_200, 520, "cbf19fb5d3b27f1eaf610fff50832738ef96ab564fff77260d566162aa4fe846"),
+    "sparse n = 24": (300, 113, "c45c343044e8ae5736af562fcd0b726c0a141922598815673df34cf700a0891c"),
+}
+
+
+def test_second_decider_results_are_frozen():
+    for name, graphs in _forced_edge_populations().items():
+        results = [solver._forced_edge_cycle(g) for g in graphs]
+        payload = json.dumps([order and list(order) for order in results])
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        refuted = sum(order is None for order in results)
+        assert (len(results), refuted, digest) == FORCED_EDGE_DIGESTS[name], name
 
 
 def test_second_decider_agrees_on_seeded_graphs():
