@@ -32,7 +32,7 @@ in the order it would without reuse.  The climb indexes a mask under each
 of its pairs: a candidate's parent is non-Hamiltonian, so a cycle of the
 candidate uses the pair just added, and only that pair's masks are tested.
 Reuse changes which graphs are searched, never which are listed.  The
-store belongs to one unit's enumeration or one climb and keeps at most
+store belongs to one run's enumeration or to its climb and keeps at most
 ``CYCLE_BUCKET_CAP`` masks a bucket, newest first.  Where it pays, the
 climb asks the solver's search-free witnesses about its bases and about a
 candidate before it searches; a refuted candidate yields no cycle, so this
@@ -52,13 +52,17 @@ graphs by subset id, so they depend on no visit order.
 
 A shard owns the subsets whose high-order bits, read as a number, equal its
 id modulo the shard count, so shards partition the subset space exactly and
-their counters merge by addition.  A run's work units are the prefixes of
-those bits; only ``_work_units`` knows which shard owns which prefix.  Each
-unit counts the graphs it owns and searches its own minimal graphs, and the
-finish step climbs.  A path from M up to G passes only prefixes whose
-present pairs are a subset of G's prefix, so a shard run also searches the
-units below each prefix it owns, climbs within those units, and keeps what
-it owns.  Everything runs in one process.
+their counters merge by addition.  Those bits are a subset id's prefix, and
+a shard owns at most two prefixes (``_shard_prefixes``).  A whole run is
+shard 0 of 1, whatever the shard count.  A run makes one walk and one
+climb, and the DP counts the graphs under each prefix the run owns.  A
+shard run ORs its owned prefixes into a subset-id mask of allowed pairs,
+which also holds every pair after the prefix.  Its enumeration decides only
+the allowed pairs and its climb adds only those.  Every pair of a graph G
+the shard owns is allowed, and so is every pair of each graph between G and
+a minimal M inside it, so the run reaches G; it keeps only what it owns.
+Minimality is a property of the graph, so the enumeration lists exactly the
+minimal graphs within the mask.  Everything runs in one process.
 
 The exhaustive and the sampled sweep both hand their non-Hamiltonian graphs,
 in report order, to ``_finish_sweep``, with any witness the climb kept: it
@@ -198,33 +202,16 @@ def _enumerate_shard(
     first log2(``units``) pairs, read as a number, equal ``unit``; ``units``
     is a power of two no larger than the subset space.  Returns (edge subsets
     covered, graphs visited)."""
-    pairs = cross_pairs(n, k)
-    total_pairs = len(pairs)
-    prefix_bits = (units - 1).bit_length()
-    suffix_bits = total_pairs - prefix_bits
-    # rows[i]: pair i as (u, v, 1 << u, 1 << v, its bit in a subset id).
-    rows = [(u, v, 1 << u, 1 << v, 1 << (total_pairs - 1 - i)) for i, (u, v) in enumerate(pairs)]
-    first = unit << suffix_bits
-    adj = [0] * n
-    # slack[v]: v's present degree plus its undecided pairs, minus the floor.
-    slack = [-floor] * n
-    for u, v in pairs:
-        slack[u] += 1
-        slack[v] += 1
-    for u, v, ubit, vbit, bit in rows[:prefix_bits]:
-        if first & bit:
-            adj[u] |= vbit
-            adj[v] |= ubit
-        else:
-            slack[u] -= 1
-            slack[v] -= 1
+    tables = _sweep_tables(n, k)
+    rows = tables.rows
+    prefix_bits, first, adj, slack = _apply_prefix(tables, floor, units, unit)
+    suffix_bits = len(rows) - prefix_bits
     if min(slack) < 0:
-        # No completion of the unit's prefix meets the floor.
         return 1 << suffix_bits, 0
     if not suffix_bits:
         visit(first, adj)
         return 1, 1
-    last = total_pairs - 1
+    last = len(rows) - 1
     visited = 0
 
     def rec(i: int, sid: int) -> None:
@@ -276,8 +263,8 @@ class _SweepTables:
     ``_part_masks``.  ``left[i][v]``: the pairs from index i on that contain
     v, so ``left[0]`` is each vertex's cross degree.  ``pair_bit[u][v]``: the
     subset-id bit of pair (u, v), 0 for two vertices of one part.
-    ``counts``: the floor count's memo, filled as the run's units count; a
-    count from (pair index, unmet degrees) depends on neither the unit nor
+    ``counts``: the floor count's memo, filled as the run's prefixes count; a
+    count from (pair index, unmet degrees) depends on neither the prefix nor
     the floor."""
 
     pairs: list
@@ -303,6 +290,29 @@ def _sweep_tables(n: int, k: int) -> _SweepTables:
     for u, v, _, _, bit in rows:
         pair_bit[u][v] = pair_bit[v][u] = bit
     return _SweepTables(pairs, rows, _part_masks(n, k), left, pair_bit)
+
+
+def _apply_prefix(
+    tables: _SweepTables, floor: int, units: int, unit: int
+) -> tuple[int, int, list[int], list[int]]:
+    """Decide the first log2(``units``) pairs as ``unit``'s bits, read as a
+    number.  Returns (that prefix length, the prefix's subset id, the rows of
+    its present pairs, each vertex's slack: its present degree plus its
+    undecided pairs, minus the floor).  Some slack is negative exactly when
+    no completion of the prefix meets the floor."""
+    rows = tables.rows
+    prefix_bits = (units - 1).bit_length()
+    first = unit << (len(rows) - prefix_bits)
+    adj = [0] * len(tables.left[0])
+    slack = [have - floor for have in tables.left[0]]
+    for u, v, ubit, vbit, bit in rows[:prefix_bits]:
+        if first & bit:
+            adj[u] |= vbit
+            adj[v] |= ubit
+        else:
+            slack[u] -= 1
+            slack[v] -= 1
+    return prefix_bits, first, adj, slack
 
 
 def _cycle_mask(order, sid: int, pair_bit: list) -> int:
@@ -335,13 +345,8 @@ def _count_meeting_floor(
     tables = tables or _sweep_tables(n, k)
     pairs, left = tables.pairs, tables.left
     total = len(pairs)
-    prefix_bits = (units - 1).bit_length()
-    unmet = [max(floor, 0)] * n
-    for i, (u, v) in enumerate(pairs[:prefix_bits]):
-        if unit >> (prefix_bits - 1 - i) & 1:
-            unmet[u] -= unmet[u] > 0
-            unmet[v] -= unmet[v] > 0
-    if any(need > have for need, have in zip(unmet, left[prefix_bits])):
+    prefix_bits, _, adj, slack = _apply_prefix(tables, floor, units, unit)
+    if min(slack) < 0:
         return 0
     memo = tables.counts
 
@@ -363,7 +368,7 @@ def _count_meeting_floor(
         memo[key] = found
         return found
 
-    meeting = count(prefix_bits, tuple(unmet))
+    meeting = count(prefix_bits, tuple(max(floor - row.bit_count(), 0) for row in adj))
     count = None  # see _enumerate_shard
     return meeting
 
@@ -372,15 +377,15 @@ def _enumerate_minimal(
     n: int,
     k: int,
     floor: int,
-    units: int,
-    unit: int,
     visit,
     tables: _SweepTables | None = None,
+    allowed: int | None = None,
 ) -> int:
     """Run ``visit(subset_id, adj)`` for the minimal floor-meeting graphs,
     ones where every edge has an endpoint of degree exactly the floor, whose
-    first log2(``units``) pairs, read as a number, equal ``unit``.  Returns
-    the number visited.
+    pairs all lie in the subset-id mask ``allowed`` (every pair if None).
+    The walk decides only those pairs, in subset-id order.  Returns the
+    number visited.
 
     ``visit`` returns None, or the pair mask of a Hamiltonian cycle the graph
     holds (see ``_cycle_mask``).  The call keeps up to ``CYCLE_BUCKET_CAP``
@@ -388,31 +393,23 @@ def _enumerate_minimal(
     sets present the highest pair of a kept mask it holds: every graph in it
     is Hamiltonian.  With no mask kept it visits every minimal graph."""
     tables = tables or _sweep_tables(n, k)
-    rows = tables.rows
-    total = len(rows)
-    prefix_bits = (units - 1).bit_length()
-    first = unit << (total - prefix_bits)
+    rows = [row for row in tables.rows if allowed is None or row[4] & allowed]
     adj = [0] * n
     # slack[v]: v's present degree plus its undecided pairs, minus the floor.
-    slack = [have - floor for have in tables.left[0]]
-    for u, v, ubit, vbit, bit in rows[:prefix_bits]:
-        if first & bit:
-            adj[u] |= vbit
-            adj[v] |= ubit
-        else:
-            slack[u] -= 1
-            slack[v] -= 1
-    # over: the vertices above the floor, no two of which may be adjacent.
-    over = sum(1 << v for v in range(n) if adj[v].bit_count() > floor)
-    if min(slack) < 0 or any(adj[v] & over for v in range(n) if over >> v & 1):
+    slack = [-floor] * n
+    for u, v, *_ in rows:
+        slack[u] += 1
+        slack[v] += 1
+    if min(slack) < 0:
         return 0
-    if prefix_bits == total:
-        visit(first, adj)
+    if not rows:
+        visit(0, adj)
         return 1
-    # kept[i]: kept cycle masks whose highest pair is i.  A mask within the
-    # prefix is never tested, since the prefix is set before the recursion.
-    kept: list[list[int]] = [[] for _ in range(total)]
-    last = total - 1
+    # kept[i]: kept cycle masks whose highest pair is rows[i]'s; index[bit]:
+    # the i whose pair has subset-id bit ``bit``.
+    kept: list[list[int]] = [[] for _ in rows]
+    index = {row[4]: i for i, row in enumerate(rows)}
+    last = len(rows) - 1
     visited = 0
 
     def leaf(sid: int) -> None:
@@ -420,10 +417,11 @@ def _enumerate_minimal(
         visited += 1
         mask = visit(sid, adj)
         if mask is not None:
-            _keep(kept[total - (mask & -mask).bit_length()], mask)
+            _keep(kept[index[mask & -mask]], mask)
 
     def rec(i: int, sid: int, over: int) -> None:
         # Decides pair i, present first; visits the last pair's completions.
+        # over: the vertices above the floor, no two of which may be adjacent.
         u, v, ubit, vbit, bit = rows[i]
         row_u, row_v = adj[u], adj[v]
         grown_u, grown_v = row_u | vbit, row_v | ubit
@@ -453,7 +451,7 @@ def _enumerate_minimal(
                 rec(i + 1, sid, over)
                 slack[u], slack[v] = slack_u, slack_v
 
-    rec(prefix_bits, first, over)
+    rec(0, 0, 0)
     rec = None  # see _enumerate_shard
     return visited
 
@@ -462,16 +460,14 @@ def _climb(
     n: int,
     k: int,
     bases,
-    suffix_bits: int,
-    prefixes: set,
     tables: _SweepTables | None = None,
+    allowed: int | None = None,
 ) -> tuple[dict, dict]:
     """Every non-Hamiltonian graph reached from ``bases``, (subset id, rows)
-    of non-Hamiltonian floor-meeting graphs, by adding one absent pair at a
-    time, highest bit first, as {subset id: rows}, the bases included, and
-    {subset id: witness} for those a certificate refuted.  A graph whose
-    prefix (its subset id shifted right by ``suffix_bits``) is not in
-    ``prefixes`` is not entered.
+    of non-Hamiltonian floor-meeting graphs, by adding one absent pair of
+    the subset-id mask ``allowed`` (every pair if None) at a time, highest
+    bit first, as {subset id: rows}, the bases included, and {subset id:
+    witness} for those a certificate refuted.
 
     A candidate's parent is non-Hamiltonian, so any Hamiltonian cycle of the
     candidate uses the pair just added.  The call keeps the pair mask of each
@@ -489,7 +485,8 @@ def _climb(
     rows, part_masks, pair_bit = tables.rows, tables.part_masks, tables.pair_bit
     part_of = blocks_partition(n, k)
     total = len(rows)
-    full = (1 << total) - 1
+    if allowed is None:
+        allowed = (1 << total) - 1
     # through[i]: kept cycle masks that use pair i.
     through: list[list[int]] = [[] for _ in range(total)]
     found = dict(bases)
@@ -507,13 +504,13 @@ def _climb(
         stack.append((sid, adj, _steps_failed(witness)))
     while stack:
         sid, adj, skip = stack.pop()
-        rest = full ^ sid
+        rest = allowed & ~sid
         while rest:
             width = rest.bit_length()
             bit = 1 << (width - 1)
             rest ^= bit
             up = sid | bit
-            if up in seen or up >> suffix_bits not in prefixes:
+            if up in seen:
                 continue
             seen.add(up)
             i = total - width
@@ -543,54 +540,34 @@ def _climb(
     return found, witnesses
 
 
-def _prefix_bits(pairs: int, shards: int) -> int:
-    """The length of a shard prefix: the fewest bits that number ``shards``
-    prefixes, at most the pair count."""
-    return min((shards - 1).bit_length(), pairs)
-
-
-def _work_units(n: int, k: int, floor: int, shards: int, shard_id: int | None) -> list:
-    """Worker arguments ``(n, k, floor, shards, shard_id, unit_bits, unit)``
-    for every prefix the run owns, in prefix order; a whole run names each
-    prefix's owner."""
-    unit_bits = _prefix_bits(len(cross_pairs(n, k)), shards)
-    if shard_id is None:
-        return [
-            (n, k, floor, shards, unit % shards, unit_bits, unit) for unit in range(1 << unit_bits)
-        ]
-    return [
-        (n, k, floor, shards, shard_id, unit_bits, unit)
-        for unit in range(shard_id, 1 << unit_bits, shards)
-    ]
-
-
-def _units_below(units: list) -> list:
-    """Worker arguments for the prefixes a shard run needs but does not own:
-    those whose present pairs are a subset of an owned prefix's.  A
-    non-Hamiltonian graph's minimal subgraphs may lie there."""
-    owned = {args[6] for args in units}
-    below = set()
-    for unit in owned:
-        sub = unit
-        while sub:
-            sub = (sub - 1) & unit
-            below.add(sub)
-    return [(*units[0][:6], unit) for unit in sorted(below - owned)]
+def _shard_prefixes(pairs: int, shards: int, shard_id: int) -> tuple[int, range]:
+    """(the pairs after a shard prefix, the prefixes shard ``shard_id`` of
+    ``shards`` owns, ascending).  A prefix is a subset id's first pairs, the
+    fewest that number ``shards`` prefixes but at most all ``pairs``, read as
+    a number; a shard owns the prefixes equal to its id modulo ``shards``,
+    so at most two, and none if its id is at least the prefix count."""
+    prefix_bits = min((shards - 1).bit_length(), pairs)
+    return pairs - prefix_bits, range(shard_id, 1 << prefix_bits, shards)
 
 
 def _run_exhaustive_shard(args, tables: _SweepTables | None = None) -> dict:
-    """Worker: one work unit.  ``args[4]`` names the shard whose run needs
-    the unit, which owns the unit's subsets when the unit's prefix is its id
-    modulo the shard count.  Returns the subsets it owns (``space``), the
-    floor-meeting graphs it owns (``meeting_floor``, counted by the DP), and
-    each minimal graph under the prefix whose search finds no Hamiltonian
-    cycle, as (subset id, rows).  A cycle the unit keeps decides the minimal
+    """Worker: the walk of shard ``args[4]`` of ``args[3]``, which owns at
+    least one prefix; a whole run is shard 0 of 1.  Returns the subsets the
+    shard owns (``space``), the floor-meeting graphs it owns
+    (``meeting_floor``, the DP's count summed over its prefixes), the pairs
+    its walk may set (``allowed``, a subset-id mask: every pair after the
+    prefix, and each prefix pair that an owned prefix sets), and each
+    minimal graph within ``allowed`` whose search finds no Hamiltonian
+    cycle, as (subset id, rows).  A cycle the walk keeps decides the minimal
     graphs that hold it without a search (see ``_enumerate_minimal``).  The
     finish step climbs from the listed graphs and gives each its witness.
     ``tables`` are the run's ``_sweep_tables(n, k)``, derived here if None."""
-    n, k, floor, shards, shard_id, unit_bits, unit = args
+    n, k, floor, shards, shard_id = args
     tables = tables or _sweep_tables(n, k)
-    owned = unit % shards == shard_id
+    suffix_bits, prefixes = _shard_prefixes(len(tables.rows), shards, shard_id)
+    allowed = (1 << suffix_bits) - 1
+    for prefix in prefixes:
+        allowed |= prefix << suffix_bits
     part_masks, pair_bit = tables.part_masks, tables.pair_bit
     non_ham: list[tuple[int, tuple[int, ...]]] = []
 
@@ -601,15 +578,14 @@ def _run_exhaustive_shard(args, tables: _SweepTables | None = None) -> dict:
             return None
         return _cycle_mask(order, sid, pair_bit)
 
-    _enumerate_minimal(n, k, floor, 1 << unit_bits, unit, visit, tables)
-    suffix_bits = len(tables.pairs) - unit_bits
+    _enumerate_minimal(n, k, floor, visit, tables, allowed)
+    count = 1 << (len(tables.rows) - suffix_bits)
     return {
-        "unit": unit,
-        "owned": owned,
-        "space": 1 << suffix_bits if owned else 0,
-        "meeting_floor": (
-            _count_meeting_floor(n, k, floor, 1 << unit_bits, unit, tables) if owned else 0
+        "space": len(prefixes) << suffix_bits,
+        "meeting_floor": sum(
+            _count_meeting_floor(n, k, floor, count, prefix, tables) for prefix in prefixes
         ),
+        "allowed": allowed,
         "non_hamiltonian": non_ham,
     }
 
@@ -676,32 +652,29 @@ def _finish_exhaustive(
     floor: int,
     shards: int,
     shard_id: int | None,
-    shard_results: list[dict],
+    result: dict,
     kind: str,
     started: float,
     tables: _SweepTables,
 ) -> VerificationReport:
-    """The report of a run whose work units returned ``shard_results``: the
-    climb from their non-Hamiltonian minimal graphs, a kept cycle deciding
-    a candidate without a search (see ``_climb``), then ``_finish_sweep``
-    over the graphs the run owns, with the witnesses the climb kept."""
+    """The report of a run whose walk returned ``result``: the climb from
+    its non-Hamiltonian minimal graphs within its ``allowed`` pairs, a kept
+    cycle deciding a candidate without a search (see ``_climb``), then
+    ``_finish_sweep`` over the graphs the run owns, with the witnesses the
+    climb kept.  A whole run owns every graph, shard ``shard_id`` those
+    under its prefixes."""
     counters = {
-        "graphs_enumerated": sum(r["space"] for r in shard_results),
-        "graphs_above_threshold": sum(r["meeting_floor"] for r in shard_results),
+        "graphs_enumerated": result["space"],
+        "graphs_above_threshold": result["meeting_floor"],
     }
-    pairs = len(tables.pairs)
-    suffix_bits = pairs - _prefix_bits(pairs, shards)
-    bases = (item for r in shard_results for item in r["non_hamiltonian"])
-    prefixes = {r["unit"] for r in shard_results}
-    found, witnesses = _climb(n, k, bases, suffix_bits, prefixes, tables)
-    owned = {r["unit"] for r in shard_results if r["owned"]}
+    found, witnesses = _climb(n, k, result["non_hamiltonian"], tables, result["allowed"])
+    listed = sorted(found)
+    if shard_id is not None:
+        suffix_bits, prefixes = _shard_prefixes(len(tables.rows), shards, shard_id)
+        listed = [sid for sid in listed if sid >> suffix_bits in prefixes]
     part_of = blocks_partition(n, k)
     # A generator: each graph object lives only while its entry is made.
-    graphs = (
-        (KPartiteGraph(part_of, found[sid]), witnesses.get(sid))
-        for sid in sorted(found)
-        if sid >> suffix_bits in owned
-    )
+    graphs = ((KPartiteGraph(part_of, found[sid]), witnesses.get(sid)) for sid in listed)
     return _finish_sweep(
         kind, n, k, floor, counters, graphs, started, shards=shards, shard_id=shard_id
     )
@@ -750,7 +723,9 @@ def exhaustive_verify(
     """Sweep every balanced k-partite graph with min degree >= the floor
     and assert Hamiltonicity (or collect the exceptional graphs when the
     floor sits exactly at the threshold inside an exception regime).  The
-    sweep runs in this process; ``jobs`` must be positive and changes
+    sweep runs in this process, as one walk and one climb: the whole sweep's
+    when ``shard_id`` is None, whatever ``shards`` is, else those of shard
+    ``shard_id`` of ``shards``.  ``jobs`` must be positive and changes
     nothing else."""
     started = time.monotonic()
     _validate_pair(n, k)
@@ -768,12 +743,15 @@ def exhaustive_verify(
     if shard_id is not None and not 0 <= shard_id < shards:
         raise ValueError(f"shard_id must lie in [0, {shards}), got {shard_id}")
     floor = required_degree(n, k) if degree_floor is None else degree_floor
-    units = _work_units(n, k, floor, shards, shard_id)
-    if shard_id is not None:
-        units += _units_below(units)
     tables = _sweep_tables(n, k)
-    results = [_run_exhaustive_shard(args, tables) for args in units]
-    return _finish_exhaustive(n, k, floor, shards, shard_id, results, _kind, started, tables)
+    # A whole run is shard 0 of 1, so ``shards`` only names the count.
+    walk = (1, 0) if shard_id is None else (shards, shard_id)
+    if _shard_prefixes(pairs, *walk)[1]:
+        result = _run_exhaustive_shard((n, k, floor, *walk), tables)
+    else:
+        # The shard owns no prefix, so no subset and no graph.
+        result = {"space": 0, "meeting_floor": 0, "allowed": 0, "non_hamiltonian": []}
+    return _finish_exhaustive(n, k, floor, shards, shard_id, result, _kind, started, tables)
 
 
 def characterization_check(

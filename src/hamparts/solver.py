@@ -395,16 +395,13 @@ def _forced_edge_search(
     back as the live state.  An undo trail of the changed entries measured
     no faster on the (8, 4) sweep's graphs and slower on sparse graphs of
     24 and 36 vertices: copying four short lists costs less than recording
-    and undoing each change.  A mask of at most two vertices never prunes,
-    since propagation leaves every vertex two available edges and
-    |A | B| + |A & B| = |A| + |B|.  At the root only a vertex with fewer
-    than three edges can force or refute anything, so only those are
-    queued; with none, the root's propagation is the mask test alone, made
-    before any set-up.
+    and undoing each change.  At the root only a vertex with fewer than
+    three edges can force or refute anything, so only those are queued;
+    with none, the root's propagation is the mask test alone, made before
+    any set-up.
     """
     if n < 3:
         return None
-    independent = [mask for mask in independent if mask.bit_count() > 2]
     queue = [v for v in range(n) if adj[v].bit_count() < 3]
     if not queue and _offered_too_few(adj, independent):
         return None
@@ -508,14 +505,18 @@ def _forced_edge_search(
 
 def _forced_edge_cycle(g: KPartiteGraph) -> tuple[int, ...] | None:
     """g's Hamiltonian cycle as the second decider finds it, or None if it
-    finds none: :func:`_forced_edge_search` over g's part unions, each
-    checked independent here rather than trusted.  It neither reads nor
-    fills ``g.decision``; like ``find_hamiltonian_cycle``, it is guarded at
-    n <= ``HAM_SIZE_LIMIT``."""
+    finds none: :func:`_forced_edge_search` over g's part unions of three
+    or more vertices, each checked independent here rather than trusted.
+    A smaller independent mask never prunes, since propagation leaves every
+    vertex two available edges and |A | B| + |A & B| = |A| + |B|, so it is
+    dropped unchecked.  It neither reads nor fills ``g.decision``; like
+    ``find_hamiltonian_cycle``, it is guarded at n <= ``HAM_SIZE_LIMIT``."""
     _guard_ham_size(g.n)
     adj = g.adj
     unions = []
     for mask in _independent_part_unions(g):
+        if mask.bit_count() < 3:
+            continue
         rest = mask
         while rest and not adj[(rest & -rest).bit_length() - 1] & mask:
             rest &= rest - 1

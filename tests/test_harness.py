@@ -138,38 +138,54 @@ def test_exhaustive_shards_partition_counters():
         assert entries == full.counterexamples + full.exceptional, (n, k, floor, shards)
 
 
-def test_work_units_visit_each_subset_of_their_shard_once():
+def test_shard_prefixes_cover_each_subset_once():
     pairs = cross_pairs(6, 3)
+    total = len(pairs)
     degrees = []
-    for sid in range(1 << len(pairs)):
+    for sid in range(1 << total):
         deg = [0] * 6
         for i, (u, v) in enumerate(pairs):
-            if (sid >> (len(pairs) - 1 - i)) & 1:
+            if (sid >> (total - 1 - i)) & 1:
                 deg[u] += 1
                 deg[v] += 1
         degrees.append(min(deg))
     for floor in (2, 3, 5):
         meeting = [sid for sid, low in enumerate(degrees) if low >= floor]
-        for shards in (1, 2, 3, 8, 20):
-            suffix_bits = len(pairs) - min((shards - 1).bit_length(), len(pairs))
-            whole = []
+        minimal = []
+        harness._enumerate_minimal(6, 3, floor, lambda sid, adj: minimal.append(sid))
+        # 5000 shards: 4096 prefixes of 12 pairs, so shards 4096.. own none.
+        for shards in (1, 2, 3, 8, 20, 5000):
+            suffix_bits = max(total - (shards - 1).bit_length(), 0)
+            owner = [(sid >> suffix_bits) % shards for sid in range(1 << total)]
+            subsets_owned = Counter(owner)
+            covered = []
             for shard_id in range(shards):
-                units = harness._work_units(6, 3, floor, shards, shard_id)
-                assert all(args[:5] == (6, 3, floor, shards, shard_id) for args in units)
+                bits, prefixes = harness._shard_prefixes(total, shards, shard_id)
+                assert bits == suffix_bits and len(prefixes) <= 2, (shards, shard_id)
                 seen, space = [], 0
-                for args in units:
-                    unit_bits, unit = args[5:]
-                    covered, _ = harness._enumerate_shard(
-                        6, 3, floor, 1 << unit_bits, unit, lambda sid, adj: seen.append(sid)
+                for prefix in prefixes:
+                    subsets, _ = harness._enumerate_shard(
+                        6, 3, floor, 1 << (total - suffix_bits), prefix,
+                        lambda sid, adj: seen.append(sid),
                     )
-                    space += covered
-                owned = [sid for sid in meeting if (sid >> suffix_bits) % shards == shard_id]
+                    space += subsets
+                owned = [sid for sid in meeting if owner[sid] == shard_id]
                 assert sorted(seen) == owned, (floor, shards, shard_id)
-                assert space == sum(
-                    1 for sid in range(len(degrees)) if (sid >> suffix_bits) % shards == shard_id
+                assert space == subsets_owned[shard_id], (floor, shards, shard_id)
+                covered += seen
+                if not prefixes or shards > 20:
+                    continue
+                # The shard's walk allows every pair of each graph it owns,
+                # and lists exactly the minimal graphs within its mask.
+                walk = harness._run_exhaustive_shard((6, 3, floor, shards, shard_id))
+                allowed = walk["allowed"]
+                assert all(sid & allowed == sid for sid in seen), (floor, shards, shard_id)
+                within = []
+                harness._enumerate_minimal(
+                    6, 3, floor, lambda sid, adj: within.append(sid), allowed=allowed
                 )
-                whole += units
-            assert sorted(whole) == sorted(harness._work_units(6, 3, floor, shards, None))
+                assert within == [sid for sid in minimal if sid & allowed == sid]
+            assert sorted(covered) == meeting, (floor, shards)
 
 
 def _full_sweep(n, k, floor):
@@ -187,16 +203,16 @@ def _full_sweep(n, k, floor):
 
 
 def _minimal_sweep(n, k, floor):
-    """The whole-run sweep as one unit: (the unit's result, the climb's
+    """The whole-run sweep, shard 0 of 1: (the walk's result, the climb's
     non-Hamiltonian graphs)."""
-    unit = harness._run_exhaustive_shard((n, k, floor, 1, 0, 0, 0))
-    found, _ = harness._climb(n, k, unit["non_hamiltonian"], len(cross_pairs(n, k)), {0})
-    return unit, found
+    walk = harness._run_exhaustive_shard((n, k, floor, 1, 0))
+    found, _ = harness._climb(n, k, walk["non_hamiltonian"])
+    return walk, found
 
 
 def test_floor_count_matches_enumeration():
     # The DP against the recursion that visits every floor-meeting graph, at
-    # every floor up to one above the cross degree, whole and per unit.
+    # every floor up to one above the cross degree, whole and per prefix.
     for n, k in ((6, 3), (8, 2)):
         for floor in range(6):
             visited = harness._enumerate_shard(n, k, floor, 1, 0, lambda sid, adj: None)[1]
@@ -214,8 +230,8 @@ def test_minimal_sweep_matches_full_enumeration():
     cases += [(8, 2, 2), (8, 2, 3), (7, 7, 3), (8, 4, 4)]
     for n, k, floor in cases:
         meeting, non_ham = _full_sweep(n, k, floor)
-        unit, found = _minimal_sweep(n, k, floor)
-        assert unit["meeting_floor"] == meeting, (n, k, floor)
+        walk, found = _minimal_sweep(n, k, floor)
+        assert walk["meeting_floor"] == meeting, (n, k, floor)
         assert found == non_ham, (n, k, floor)
 
 
@@ -231,15 +247,15 @@ MINIMAL_COUNTS = {
 
 def test_minimal_graph_counts_are_frozen():
     for (n, k, floor), expected in MINIMAL_COUNTS.items():
-        minimal = harness._enumerate_minimal(n, k, floor, 1, 0, lambda sid, adj: None)
-        unit = harness._run_exhaustive_shard((n, k, floor, 1, 0, 0, 0))
-        assert (minimal, len(unit["non_hamiltonian"])) == expected, (n, k, floor)
+        minimal = harness._enumerate_minimal(n, k, floor, lambda sid, adj: None)
+        walk = harness._run_exhaustive_shard((n, k, floor, 1, 0))
+        assert (minimal, len(walk["non_hamiltonian"])) == expected, (n, k, floor)
 
 
-def _minimal_reference(n, k, floor, units, unit):
-    """Reference: one unit's enumeration searching every minimal graph and
-    keeping no cycle.  Returns the non-Hamiltonian ones as (subset id,
-    rows), in visit order."""
+def _minimal_reference(n, k, floor, allowed):
+    """Reference: the enumeration within ``allowed`` searching every minimal
+    graph and keeping no cycle.  Returns the non-Hamiltonian ones as (subset
+    id, rows), in visit order."""
     part_masks = harness._part_masks(n, k)
     non_ham = []
 
@@ -247,7 +263,7 @@ def _minimal_reference(n, k, floor, units, unit):
         if harness._ham_search(n, adj, part_masks)[0] is None:
             non_ham.append((sid, tuple(adj)))
 
-    harness._enumerate_minimal(n, k, floor, units, unit, visit)
+    harness._enumerate_minimal(n, k, floor, visit, allowed=allowed)
     return non_ham
 
 
@@ -270,32 +286,31 @@ def test_cycle_reuse_drops_no_non_hamiltonian_graph(monkeypatch):
         return mask
 
     monkeypatch.setattr(harness, "_cycle_mask", spy)
-    cases = [(6, 3, floor, 1) for floor in range(6)]
-    cases += [(8, 2, 2, 1), (8, 2, 3, 1), (7, 7, 3, 1)]
-    cases += [(8, 4, 3, units) for units in (1, 8, 64)]
-    for n, k, floor, units in cases:
+    cases = [(6, 3, floor, 1, 0) for floor in range(6)]
+    cases += [(8, 2, 2, 1, 0), (8, 2, 3, 1, 0), (7, 7, 3, 1, 0)]
+    # Shard runs whose masks leave out some prefix pairs.
+    cases += [(8, 4, 3, 1, 0), (8, 4, 3, 8, 3), (8, 4, 3, 64, 42)]
+    for n, k, floor, shards, shard_id in cases:
         kept.clear()
-        bases = []
-        for unit in range(units):
-            args = (n, k, floor, units, unit, units.bit_length() - 1, unit)
-            listed = harness._run_exhaustive_shard(args)["non_hamiltonian"]
-            assert listed == _minimal_reference(n, k, floor, units, unit), (n, k, floor, unit)
-            bases += listed
+        walk = harness._run_exhaustive_shard((n, k, floor, shards, shard_id))
+        listed = walk["non_hamiltonian"]
+        assert listed == _minimal_reference(n, k, floor, walk["allowed"]), (n, k, floor, shard_id)
         # The climb keeps cycles too; its completeness is checked against
         # full enumeration in test_minimal_sweep_matches_full_enumeration.
-        suffix_bits = len(cross_pairs(n, k)) - units.bit_length() + 1
-        harness._climb(n, k, bases, suffix_bits, set(range(units)))
+        harness._climb(n, k, listed, allowed=walk["allowed"])
         for order, sid, mask in kept:
             assert len(order) == n and sorted(order) == list(range(n)), (n, k, floor, order)
             assert mask == _pair_mask(n, k, list(order)), (n, k, floor, order)
             assert mask.bit_count() == n and mask & sid == mask, (n, k, floor, sid)
-    # The last case, (8, 4) at floor 3 in 64 units, keeps cycles.
+            assert mask & walk["allowed"] == mask, (n, k, floor, sid)
+    # The last case, shard 42 of 64 at (8, 4) floor 3, keeps cycles.
     assert kept
 
 
-def _search_only_climb(n, k, bases, suffix_bits, prefixes):
-    """Reference: the climb searching every candidate, with no certificate
-    and no kept cycle.  Returns {subset id: rows}, the bases included."""
+def _search_only_climb(n, k, bases, allowed):
+    """Reference: the climb within the pairs ``allowed`` searching every
+    candidate, with no certificate and no kept cycle.  Returns {subset id:
+    rows}, the bases included."""
     part_masks = harness._part_masks(n, k)
     pairs = cross_pairs(n, k)
     found = dict(bases)
@@ -304,8 +319,9 @@ def _search_only_climb(n, k, bases, suffix_bits, prefixes):
     while stack:
         sid, adj = stack.pop()
         for i, (u, v) in enumerate(pairs):
-            up = sid | 1 << (len(pairs) - 1 - i)
-            if up in seen or up >> suffix_bits not in prefixes:
+            bit = 1 << (len(pairs) - 1 - i)
+            up = sid | bit
+            if not bit & allowed or up in seen:
                 continue
             seen.add(up)
             grown = list(adj)
@@ -315,6 +331,25 @@ def _search_only_climb(n, k, bases, suffix_bits, prefixes):
                 found[up] = tuple(grown)
                 stack.append((up, tuple(grown)))
     return found
+
+
+# The (8, 4) floor-3 climb of a run by (shards, shard_id): its non-Hamiltonian
+# candidates, all refuted by a certificate, their witness kinds, and its
+# bases' witness kinds.  A whole run's certificates refute all 520 bases but
+# the 32 F2 graphs.
+CLIMB_WITNESSES_8_4 = {
+    (1, 0): (
+        1_792,
+        {"SmallCut": 544, "BipartiteDegreeOne": 1_248},
+        {"SmallCut": 200, "BipartiteDegreeOne": 288, "NoneType": 32},
+    ),
+    (8, 3): (
+        668,
+        {"SmallCut": 228, "BipartiteDegreeOne": 440},
+        {"SmallCut": 92, "BipartiteDegreeOne": 120, "NoneType": 12},
+    ),
+    (64, 42): (40, {"SmallCut": 40}, {"SmallCut": 16}),
+}
 
 
 def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
@@ -333,40 +368,39 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
             refuted.append(witness is not None)
         return witness
 
-    cases = [(6, 3, floor, 1) for floor in range(6)]
-    cases += [(8, 2, 2, 1), (8, 2, 3, 1), (7, 7, 3, 1)]
-    cases += [(8, 4, 3, units) for units in (1, 8, 64)]
-    for n, k, floor, units in cases:
-        bases = []
-        for unit in range(units):
-            args = (n, k, floor, units, unit, units.bit_length() - 1, unit)
-            bases += harness._run_exhaustive_shard(args)["non_hamiltonian"]
+    # (n, k, floor, shards, shard_id, 1 or -1 to climb from the bases in
+    # walk order or reversed).
+    cases = [(6, 3, floor, 1, 0, 1) for floor in range(6)]
+    cases += [(8, 2, 2, 1, 0, 1), (8, 2, 3, 1, 0, 1), (7, 7, 3, 1, 0, 1)]
+    cases += [(8, 4, 3, 1, 0, 1), (8, 4, 3, 1, 0, -1), (8, 4, 3, 8, 3, 1), (8, 4, 3, 64, 42, 1)]
+    for n, k, floor, shards, shard_id, order in cases:
+        walk = harness._run_exhaustive_shard((n, k, floor, shards, shard_id))
+        bases, allowed = walk["non_hamiltonian"][::order], walk["allowed"]
         base_rows = {rows for _, rows in bases}
-        suffix_bits = len(cross_pairs(n, k)) - units.bit_length() + 1
-        prefixes = set(range(units))
-        reference = _search_only_climb(n, k, bases, suffix_bits, prefixes)
+        case = (shards, shard_id, order)
+        reference = _search_only_climb(n, k, bases, allowed)
         # The same climb without certificates, then with them.
         monkeypatch.setattr(harness, "_polynomial_witness", lambda g, skip=0: None)
         searches.clear()
-        found, witnesses = harness._climb(n, k, bases, suffix_bits, prefixes)
+        found, witnesses = harness._climb(n, k, bases, allowed=allowed)
         assert found == reference and witnesses == {}, (n, k, floor)
         without = len(searches)
         monkeypatch.setattr(harness, "_polynomial_witness", certify_spy)
         searches.clear()
         refuted.clear()
         base_witnesses.clear()
-        found, witnesses = harness._climb(n, k, bases, suffix_bits, prefixes)
+        found, witnesses = harness._climb(n, k, bases, allowed=allowed)
         assert found == reference, (n, k, floor)
-        assert without - len(searches) == sum(refuted), (n, k, floor, units)
+        assert without - len(searches) == sum(refuted), (n, k, floor, case)
         # A refuted candidate keeps its witness, and so does a base that has
         # one; it is the one the solver gives a graph built afresh from its
         # rows.
         kept = [witness for witness in base_witnesses if witness]
-        assert len(witnesses) == sum(refuted) + len(kept), (n, k, floor, units)
-        assert witnesses.keys() <= found.keys(), (n, k, floor, units)
+        assert len(witnesses) == sum(refuted) + len(kept), (n, k, floor, case)
+        assert witnesses.keys() <= found.keys(), (n, k, floor, case)
         assert Counter(kept) == Counter(
             witnesses[sid] for sid in dict(bases) if sid in witnesses
-        ), (n, k, floor, units)
+        ), (n, k, floor, case)
         part_of = blocks_partition(n, k)
         for sid, witness in witnesses.items():
             fresh = non_hamiltonicity_witness(KPartiteGraph(part_of, found[sid]))
@@ -376,15 +410,15 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
             assert not refuted and not base_witnesses, (n, k, floor)
         else:
             # Each base is asked once.
-            assert len(base_witnesses) == len(dict(bases)), (n, k, floor, units)
+            assert len(base_witnesses) == len(dict(bases)), (n, k, floor, case)
         base_kinds = Counter(type(witness).__name__ for witness in base_witnesses)
         kinds = Counter(type(witnesses[sid]).__name__ for sid in witnesses.keys() - dict(bases))
         if (n, k) == (8, 4):
             # Every non-Hamiltonian climb candidate is refuted by a certificate.
-            assert sum(refuted) == len(reference) - len(bases) == 1_792, units
-            assert kinds == {"SmallCut": 544, "BipartiteDegreeOne": 1_248}, units
-            # Certificates refute all 520 bases but the 32 F2 graphs.
-            assert base_kinds == {"SmallCut": 200, "BipartiteDegreeOne": 288, "NoneType": 32}
+            climbed, expected_kinds, expected_base_kinds = CLIMB_WITNESSES_8_4[shards, shard_id]
+            assert sum(refuted) == len(reference) - len(bases) == climbed, case
+            assert kinds == expected_kinds, case
+            assert base_kinds == expected_base_kinds, case
         if (n, k, floor) == (7, 7, 3):
             assert sum(refuted) == len(reference) - len(bases) == 245
             assert kinds == {"IndependentSetTooLarge": 245}
@@ -394,9 +428,10 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
 def test_inherited_certificate_steps_change_no_climb_witness(monkeypatch):
     # The climb passes each candidate the monotone certificate steps its
     # parent failed, and the candidate skips them.  On every call of the
-    # (8, 4) floor-3 sweep, whole and in 8 shards, and of the (7, 7) floor-3
-    # sweep, the witness must be the one the full call gives.  The climb's
-    # bases are asked with nothing inherited.
+    # (8, 4) floor-3 sweep, whole with shards 1 and 8 (which make the same
+    # walk and climb), and of the (7, 7) floor-3 sweep, the witness must be
+    # the one the full call gives.  The climb's bases are asked with nothing
+    # inherited.
     certify = harness._polynomial_witness
     ran = Counter()
     cut, alpha = solver._cut_witness, solver._max_independent
@@ -418,7 +453,7 @@ def test_inherited_certificate_steps_change_no_climb_witness(monkeypatch):
     # Calls by inherited steps, then the cut and independent-set steps run.
     expected = {
         (8, 4, 1): ({0: 1_694, 2: 1_877}, {"cut": 1_694, "alpha": 950}),
-        (8, 4, 8): ({0: 1_665, 2: 1_840}, {"cut": 1_665, "alpha": 921}),
+        (8, 4, 8): ({0: 1_694, 2: 1_877}, {"cut": 1_694, "alpha": 950}),
         (7, 7, 1): ({0: 361, 1: 282}, {"cut": 361, "alpha": 573}),
     }
     for (n, k, shards), counts in expected.items():
@@ -445,23 +480,44 @@ def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():
             harness._cycle_mask(walk, graph, tables.pair_bit)
 
 
-# harness._ham_search calls of a whole (8, 4) floor-3 sweep, by shard count:
-# 26,200 minimal graphs and 17,968 climb candidates without cycle reuse, and
-# 1,792 fewer than with reuse alone, since certificates refute every
-# non-Hamiltonian climb candidate.
-SWEEP_SEARCHES = {1: 3_797, 8: 4_197}
+# harness._ham_search calls of a whole (8, 4) floor-3 sweep, by shard count,
+# which a whole run only names: 26,200 minimal graphs and 17,968 climb
+# candidates without cycle reuse, and 1,792 fewer than with reuse alone,
+# since certificates refute every non-Hamiltonian climb candidate.
+SWEEP_SEARCHES = {1: 3_797, 8: 3_797, 2**16: 3_797}
 
 
-def test_sweep_search_counts_are_frozen(monkeypatch):
+def _counting_searches(monkeypatch):
     calls = []
     search = harness._ham_search
     monkeypatch.setattr(harness, "_ham_search", lambda *args: calls.append(1) or search(*args))
+    return calls
+
+
+def test_sweep_search_counts_are_frozen(monkeypatch):
+    calls = _counting_searches(monkeypatch)
     for shards, expected in SWEEP_SEARCHES.items():
         calls.clear()
         report = exhaustive_verify(8, 4, 3, shards=shards)
         assert report.counters["graphs_above_threshold"] == 1_393_734
         assert len(report.exceptional) == 2_312
         assert len(calls) == expected, shards
+
+
+def test_a_shard_of_many_walks_at_most_the_whole_sweep(monkeypatch):
+    # Shard 2**16 - 1 owns the prefix with all 16 prefix pairs present, so
+    # its walk allows every pair: it searches no more than the whole run and
+    # lists exactly the whole run's entries under its prefix.
+    calls = _counting_searches(monkeypatch)
+    whole = exhaustive_verify(8, 4, 3, shards=2**16)
+    assert len(calls) == SWEEP_SEARCHES[2**16]
+    calls.clear()
+    last = exhaustive_verify(8, 4, 3, shards=2**16, shard_id=2**16 - 1)
+    assert 0 < len(calls) <= SWEEP_SEARCHES[2**16]
+    assert last.counters["graphs_enumerated"] == 2**8
+    owned = [e for e in whole.exceptional if _subset_id(e, 8, 4) >> 8 == 2**16 - 1]
+    assert last.exceptional == owned and owned
+    assert last.self_check_ok
 
 
 # SHA-256 over the ordered "sid adj..." lines of the calls below, taken before
@@ -487,14 +543,14 @@ def test_visit_order_is_frozen():
 # SHA-256 over the ordered "sid adj..." lines of ``_enumerate_minimal``'s
 # visits below, each call run without cycle reuse and then with it, taken
 # before the recursion visited both completions of the last pair in the frame
-# that decides it.  The cycles a unit keeps, and so the searches it makes,
+# that decides it.  The cycles a walk keeps, and so the searches it makes,
 # depend on this order.
-MINIMAL_VISIT_ORDER_DIGEST = "32ed570aa3af6a114fcc0b6aff34b626053e33a690df89cd099f32971436d05e"
+MINIMAL_VISIT_ORDER_DIGEST = "2935ab9cd9b8f466afd7738beb07c7ed6b8215d332a4b87d3cd5bf2d4c3bc5d3"
 
 
 def test_minimal_visit_order_is_frozen():
     lines = []
-    for n, k, floor, units, unit in ((6, 3, 2, 1, 0), (7, 7, 3, 1, 0), (8, 4, 3, 8, 3)):
+    for n, k, floor in ((6, 3, 2), (7, 7, 3)):
         tables = harness._sweep_tables(n, k)
         for reuse in (False, True):
 
@@ -503,12 +559,12 @@ def test_minimal_visit_order_is_frozen():
                 order = harness._ham_search(n, adj, tables.part_masks)[0] if reuse else None
                 return None if order is None else harness._cycle_mask(order, sid, tables.pair_bit)
 
-            harness._enumerate_minimal(n, k, floor, units, unit, visit, tables)
-    assert len(lines) == 12_819
+            harness._enumerate_minimal(n, k, floor, visit, tables)
+    assert len(lines) == 8_227
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MINIMAL_VISIT_ORDER_DIGEST
 
 
-def test_whole_run_units_are_bounded_by_the_subset_space(monkeypatch):
+def test_a_run_makes_at_most_one_walk(monkeypatch):
     calls = []
     worker = harness._run_exhaustive_shard
 
@@ -518,10 +574,13 @@ def test_whole_run_units_are_bounded_by_the_subset_space(monkeypatch):
 
     monkeypatch.setattr(harness, "_run_exhaustive_shard", counted)
     full = exhaustive_verify(4, 2, 1)
-    # (4, 2) has 4 cross pairs: 2^40 shards still make 16 units, one per subset.
-    calls.clear()
-    assert exhaustive_verify(4, 2, 1, shards=2**40).counters == full.counters
-    assert len(calls) == 16
+    # A whole run is shard 0 of 1, whatever the shard count it names.
+    for shards in (1, 8, 2**40):
+        calls.clear()
+        report = exhaustive_verify(4, 2, 1, shards=shards)
+        assert report.counters == full.counters and report.params["shards"] == shards
+        assert calls == [(4, 2, 1, 1, 0)], shards
+    # (4, 2) has 4 cross pairs, so 16 prefixes: shard 2**39 of 2**40 owns none.
     calls.clear()
     empty = exhaustive_verify(4, 2, 1, shards=2**40, shard_id=2**39)
     assert calls == [] and set(empty.counters.values()) == {0}

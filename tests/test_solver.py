@@ -873,8 +873,11 @@ def test_bipartite_degree_one_step_is_not_monotone():
 
 def test_second_decider_drops_a_union_that_is_not_independent(monkeypatch):
     # _forced_edge_cycle checks each part union on its mask rather than
-    # trusting it: {0, 1} is a part, and 0 and 2 are adjacent.
-    monkeypatch.setattr(solver, "_independent_part_unions", lambda g: [0b11, 0b101])
+    # trusting it: {0, 1, 2} is a part, and 0 and 3 are adjacent.  A union
+    # of at most two vertices never prunes, so it is dropped unchecked.
+    monkeypatch.setattr(
+        solver, "_independent_part_unions", lambda g: [0b11, 0b111, 0b1011, 0b1111]
+    )
     offered = []
     search = solver._forced_edge_search
     monkeypatch.setattr(
@@ -882,8 +885,8 @@ def test_second_decider_drops_a_union_that_is_not_independent(monkeypatch):
         "_forced_edge_search",
         lambda n, adj, independent: offered.append(independent) or search(n, adj, independent),
     )
-    assert solver._forced_edge_cycle(complete_kpartite(3, 2)) is not None
-    assert offered == [[0b11]]
+    assert solver._forced_edge_cycle(complete_kpartite(3, 3)) is not None
+    assert offered == [[0b111]]
 
 
 def _deciders_agree(g):
@@ -924,7 +927,7 @@ def _forced_edge_populations():
     part_of = blocks_partition(8, 4)
     minimal = []
     harness._enumerate_minimal(
-        8, 4, 3, 1, 0, lambda sid, adj: minimal.append(KPartiteGraph(part_of, adj))
+        8, 4, 3, lambda sid, adj: minimal.append(KPartiteGraph(part_of, adj))
     )
     rng = random.Random(31)
     return {
