@@ -32,8 +32,10 @@ in the order it would without reuse.  The climb indexes a mask under each
 of its pairs: a candidate's parent is non-Hamiltonian, so a cycle of the
 candidate uses the pair just added, and only that pair's masks are tested.
 Reuse changes which graphs are searched, never which are listed.  The
-store belongs to one run's enumeration or to its climb and keeps at most
-``CYCLE_BUCKET_CAP`` masks a bucket, newest first.  Where it pays, the
+store (``_CycleStore``) belongs to one run's enumeration or to its climb and
+keeps at most ``CYCLE_BUCKET_CAP`` masks a bucket, newest first, packed in
+one int, so one zero-lane test (Warren, Hacker's Delight, section 6-1)
+checks a whole bucket.  Where it pays, the
 climb asks the solver's search-free witnesses about its bases and about a
 candidate before it searches; a refuted candidate yields no cycle, so this
 too changes only which graphs are searched, and each witness is kept for
@@ -124,15 +126,16 @@ from .thresholds import (
 )
 
 SCHEMA_VERSION = 1
-# 2^24 edge subsets: the (8, 4) sweep, which takes about a second whole.
+# 2^24 edge subsets: the (8, 4) sweep, about 0.3 s whole on a 2-vCPU VM.
 EXHAUSTIVE_MAX_PAIRS = 24
 # Draws per sampled trial before it counts as infeasible.
 SAMPLE_MAX_RETRIES = 200
 # Tightness members up to this many vertices are also refuted by the solver.
 TIGHTNESS_SOLVER_LIMIT = 12
 # Hamiltonian cycles a sweep step keeps per bucket, newest first; see
-# ``_enumerate_minimal`` and ``_climb``.
-CYCLE_BUCKET_CAP = 32
+# ``_CycleStore``.  A whole (8, 4) run makes 2,179 searches at 64 and 3,797
+# at 32; 128 makes 1,547 but ran no faster (BENCH_packed_cycles.json).
+CYCLE_BUCKET_CAP = 64
 
 
 @dataclass
@@ -329,11 +332,33 @@ def _cycle_mask(order, sid: int, pair_bit: list) -> int:
     return mask
 
 
-def _keep(bucket: list[int], mask: int) -> None:
-    """Put ``mask`` first in ``bucket``, dropping the oldest past the cap."""
-    bucket.insert(0, mask)
-    if len(bucket) > CYCLE_BUCKET_CAP:
-        bucket.pop()
+class _CycleStore:
+    """Buckets of kept cycle masks, the newest ``CYCLE_BUCKET_CAP`` (read
+    when built) in each, packed in one int: mask j at bit ``(pairs + 1) * j``,
+    newest at lane 0, under a clear guard bit.  Hot loops inline ``holds``."""
+
+    def __init__(self, buckets: int, pairs: int):
+        self.cap, self.width, self.full = CYCLE_BUCKET_CAP, pairs + 1, (1 << pairs) - 1
+        # filled[i]: bucket i's lanes in use.  spread[c]: a 1 at the bottom
+        # of each of c lanes; floors[c]: their pair bits; tops[c]: their guards.
+        self.packed, self.filled = [0] * buckets, [0] * buckets
+        lane = (1 << self.width) - 1
+        self.spread = [((1 << self.width * c) - 1) // lane for c in range(self.cap + 1)]
+        self.floors = [self.full * s for s in self.spread]
+        self.tops = [s << pairs for s in self.spread]
+
+    def keep(self, i: int, mask: int) -> None:
+        """Put ``mask`` in lane 0 of bucket ``i``, dropping the oldest past the cap."""
+        self.packed[i] = (self.packed[i] << self.width | mask) & self.floors[self.cap]
+        self.filled[i] = min(self.filled[i] + 1, self.cap)
+
+    def holds(self, i: int, graph: int) -> bool:
+        """Whether a mask of bucket ``i`` lies in the subset id ``graph``: a
+        lane's pairs absent from ``graph``, plus its floor, carry into its
+        guard unless none is absent."""
+        c = self.filled[i]
+        lanes = (self.packed[i] & (self.full ^ graph) * self.spread[c]) + self.floors[c]
+        return lanes & self.tops[c] != self.tops[c]
 
 
 def _count_meeting_floor(
@@ -389,9 +414,10 @@ def _enumerate_minimal(
 
     ``visit`` returns None, or the pair mask of a Hamiltonian cycle the graph
     holds (see ``_cycle_mask``).  The call keeps up to ``CYCLE_BUCKET_CAP``
-    such masks per highest pair, newest first, and skips each branch that
-    sets present the highest pair of a kept mask it holds: every graph in it
-    is Hamiltonian.  With no mask kept it visits every minimal graph."""
+    such masks per highest pair (a ``_CycleStore`` bucket), newest first,
+    and skips each branch that sets present the highest pair of a kept mask
+    it holds: every graph in it is Hamiltonian.  With no mask kept it visits
+    every minimal graph."""
     tables = tables or _sweep_tables(n, k)
     rows = [row for row in tables.rows if allowed is None or row[4] & allowed]
     adj = [0] * n
@@ -405,9 +431,11 @@ def _enumerate_minimal(
     if not rows:
         visit(0, adj)
         return 1
-    # kept[i]: kept cycle masks whose highest pair is rows[i]'s; index[bit]:
-    # the i whose pair has subset-id bit ``bit``.
-    kept: list[list[int]] = [[] for _ in rows]
+    # Bucket i keeps the cycle masks whose highest pair is rows[i]'s;
+    # index[bit]: the i whose pair has subset-id bit ``bit``.
+    store = _CycleStore(len(rows), len(tables.rows))
+    packed, filled, full = store.packed, store.filled, store.full
+    spread, floors, tops = store.spread, store.floors, store.tops
     index = {row[4]: i for i, row in enumerate(rows)}
     last = len(rows) - 1
     visited = 0
@@ -417,7 +445,7 @@ def _enumerate_minimal(
         visited += 1
         mask = visit(sid, adj)
         if mask is not None:
-            _keep(kept[index[mask & -mask]], mask)
+            store.keep(index[mask & -mask], mask)
 
     def rec(i: int, sid: int, over: int) -> None:
         # Decides pair i, present first; visits the last pair's completions.
@@ -432,10 +460,10 @@ def _enumerate_minimal(
             grown |= vbit
         if not (grown & ubit and grown_u & grown or grown & vbit and grown_v & grown):
             up = sid | bit
-            for mask in kept[i]:
-                if mask & up == mask:
-                    break
-            else:
+            # No kept mask lies in up: not ``store.holds(i, up)``, inlined.
+            c = filled[i]
+            top = tops[c]
+            if ((packed[i] & (full ^ up) * spread[c]) + floors[c]) & top == top:
                 adj[u], adj[v] = grown_u, grown_v
                 if i == last:
                     leaf(up)
@@ -472,8 +500,9 @@ def _climb(
     A candidate's parent is non-Hamiltonian, so any Hamiltonian cycle of the
     candidate uses the pair just added.  The call keeps the pair mask of each
     cycle its searches find under each of the cycle's pairs, up to
-    ``CYCLE_BUCKET_CAP`` per pair, newest first; a candidate that holds a
-    mask kept under its new pair is Hamiltonian without a search.  Where
+    ``CYCLE_BUCKET_CAP`` per pair (a ``_CycleStore`` bucket), newest first;
+    a candidate that holds a mask kept under its new pair is Hamiltonian
+    without a search.  Where
     refuting searches cost more than the certificates, from n = 7 on and
     with every base of minimum degree at least n/2 - 1, each base is asked
     ``_polynomial_witness`` up front, and a candidate is asked it first and
@@ -487,8 +516,10 @@ def _climb(
     total = len(rows)
     if allowed is None:
         allowed = (1 << total) - 1
-    # through[i]: kept cycle masks that use pair i.
-    through: list[list[int]] = [[] for _ in range(total)]
+    # Bucket i keeps the cycle masks that use pair i.
+    store = _CycleStore(total, total)
+    packed, filled, full = store.packed, store.filled, store.full
+    spread, floors, tops = store.spread, store.floors, store.tops
     found = dict(bases)
     witnesses = {}
     # Every candidate's minimum degree is at least the bases' least.
@@ -514,10 +545,10 @@ def _climb(
                 continue
             seen.add(up)
             i = total - width
-            for mask in through[i]:
-                if mask & up == mask:
-                    break
-            else:
+            # No kept mask lies in up: not ``store.holds(i, up)``, inlined.
+            c = filled[i]
+            top = tops[c]
+            if ((packed[i] & (full ^ up) * spread[c]) + floors[c]) & top == top:
                 u, v, ubit, vbit, _ = rows[i]
                 grown = list(adj)
                 grown[u] |= vbit
@@ -536,7 +567,7 @@ def _climb(
                 while cycle:
                     low = cycle & -cycle
                     cycle ^= low
-                    _keep(through[total - low.bit_length()], mask)
+                    store.keep(total - low.bit_length(), mask)
     return found, witnesses
 
 

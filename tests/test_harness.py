@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -425,13 +426,20 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
             assert base_kinds == {"SmallCut": 70, "IndependentSetTooLarge": 35}
 
 
-def test_inherited_certificate_steps_change_no_climb_witness(monkeypatch):
-    # The climb passes each candidate the monotone certificate steps its
-    # parent failed, and the candidate skips them.  On every call of the
-    # (8, 4) floor-3 sweep, whole with shards 1 and 8 (which make the same
-    # walk and climb), and of the (7, 7) floor-3 sweep, the witness must be
-    # the one the full call gives.  The climb's bases are asked with nothing
-    # inherited.
+# The climb's certificate calls in a floor-3 sweep by (n, k, shards): the
+# calls by inherited steps, then the cut and independent-set steps run.  A
+# candidate a kept cycle decides is not asked, so these depend on the cap.
+CERTIFICATE_STEPS = {
+    (8, 4, 1): ({0: 1_400, 2: 1_549}, {"cut": 1_400, "alpha": 656}),
+    (8, 4, 8): ({0: 1_400, 2: 1_549}, {"cut": 1_400, "alpha": 656}),
+    (7, 7, 1): ({0: 274, 1: 275}, {"cut": 274, "alpha": 479}),
+}
+
+
+def _certificate_steps(monkeypatch, cases):
+    """{(n, k, shards): (calls by inherited steps, steps run)} of each case's
+    floor-3 sweep, asserting that every call's witness is the one the full
+    call gives."""
     certify = harness._polynomial_witness
     ran = Counter()
     cut, alpha = solver._cut_witness, solver._max_independent
@@ -450,18 +458,24 @@ def test_inherited_certificate_steps_change_no_climb_witness(monkeypatch):
         return witness
 
     monkeypatch.setattr(harness, "_polynomial_witness", spy)
-    # Calls by inherited steps, then the cut and independent-set steps run.
-    expected = {
-        (8, 4, 1): ({0: 1_694, 2: 1_877}, {"cut": 1_694, "alpha": 950}),
-        (8, 4, 8): ({0: 1_694, 2: 1_877}, {"cut": 1_694, "alpha": 950}),
-        (7, 7, 1): ({0: 361, 1: 282}, {"cut": 361, "alpha": 573}),
-    }
-    for (n, k, shards), counts in expected.items():
+    counts = {}
+    for n, k, shards in cases:
         steps.clear()
         skips.clear()
         report = exhaustive_verify(n, k, 3, shards=shards)
         assert report.self_check_ok
-        assert (skips, steps) == counts, (n, k, shards)
+        counts[n, k, shards] = (dict(skips), dict(steps))
+    return counts
+
+
+def test_inherited_certificate_steps_change_no_climb_witness(monkeypatch):
+    # The climb passes each candidate the monotone certificate steps its
+    # parent failed, and the candidate skips them.  On every call of the
+    # (8, 4) floor-3 sweep, whole with shards 1 and 8 (which make the same
+    # walk and climb), and of the (7, 7) floor-3 sweep, the witness must be
+    # the one the full call gives.  The climb's bases are asked with nothing
+    # inherited.
+    assert _certificate_steps(monkeypatch, CERTIFICATE_STEPS) == CERTIFICATE_STEPS
 
 
 def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():
@@ -484,7 +498,10 @@ def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():
 # which a whole run only names: 26,200 minimal graphs and 17,968 climb
 # candidates without cycle reuse, and 1,792 fewer than with reuse alone,
 # since certificates refute every non-Hamiltonian climb candidate.
-SWEEP_SEARCHES = {1: 3_797, 8: 3_797, 2**16: 3_797}
+SWEEP_SEARCHES = {1: 2_179, 8: 2_179, 2**16: 2_179}
+# The same for the other sweeps whose search counts reuse moves, by (n, k,
+# floor): the one k = n sweep, and the (8, 2) exception floor.
+OTHER_SWEEP_SEARCHES = {(8, 2, 2): 894, (7, 7, 3): 612}
 
 
 def _counting_searches(monkeypatch):
@@ -494,14 +511,29 @@ def _counting_searches(monkeypatch):
     return calls
 
 
-def test_sweep_search_counts_are_frozen(monkeypatch):
+def _sweep_searches(monkeypatch, shard_counts):
+    """{shards: searches} of whole (8, 4) floor-3 sweeps naming each count."""
     calls = _counting_searches(monkeypatch)
-    for shards, expected in SWEEP_SEARCHES.items():
+    searches = {}
+    for shards in shard_counts:
         calls.clear()
         report = exhaustive_verify(8, 4, 3, shards=shards)
         assert report.counters["graphs_above_threshold"] == 1_393_734
         assert len(report.exceptional) == 2_312
-        assert len(calls) == expected, shards
+        searches[shards] = len(calls)
+    return searches
+
+
+def test_sweep_search_counts_are_frozen(monkeypatch):
+    assert _sweep_searches(monkeypatch, SWEEP_SEARCHES) == SWEEP_SEARCHES
+
+
+def test_other_sweep_search_counts_are_frozen(monkeypatch):
+    calls = _counting_searches(monkeypatch)
+    for (n, k, floor), expected in OTHER_SWEEP_SEARCHES.items():
+        calls.clear()
+        assert exhaustive_verify(n, k, floor).self_check_ok
+        assert len(calls) == expected, (n, k, floor)
 
 
 def test_a_shard_of_many_walks_at_most_the_whole_sweep(monkeypatch):
@@ -545,10 +577,10 @@ def test_visit_order_is_frozen():
 # before the recursion visited both completions of the last pair in the frame
 # that decides it.  The cycles a walk keeps, and so the searches it makes,
 # depend on this order.
-MINIMAL_VISIT_ORDER_DIGEST = "2935ab9cd9b8f466afd7738beb07c7ed6b8215d332a4b87d3cd5bf2d4c3bc5d3"
+MINIMAL_VISIT_ORDER_DIGEST = "f9a78f70a55940f9800585b2ecfafc0cce88e099c374cd9a070046524ef648ea"
 
 
-def test_minimal_visit_order_is_frozen():
+def _minimal_visit_lines():
     lines = []
     for n, k, floor in ((6, 3, 2), (7, 7, 3)):
         tables = harness._sweep_tables(n, k)
@@ -560,8 +592,67 @@ def test_minimal_visit_order_is_frozen():
                 return None if order is None else harness._cycle_mask(order, sid, tables.pair_bit)
 
             harness._enumerate_minimal(n, k, floor, visit, tables)
-    assert len(lines) == 8_227
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MINIMAL_VISIT_ORDER_DIGEST
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_minimal_visit_order_is_frozen():
+    assert _minimal_visit_lines() == (8_034, MINIMAL_VISIT_ORDER_DIGEST)
+
+
+def test_packed_store_at_cap_32_reproduces_the_list_buckets(monkeypatch):
+    # At 32 masks a bucket the packed store must make the searches, visit
+    # order and certificate calls the list buckets it replaced made, frozen
+    # at that cap.  The store reads the cap when it is built.
+    monkeypatch.setattr(harness, "CYCLE_BUCKET_CAP", 32)
+    shards = (1, 8, 2**16)
+    assert _sweep_searches(monkeypatch, shards) == dict.fromkeys(shards, 3_797)
+    assert _minimal_visit_lines() == (
+        8_227,
+        "2935ab9cd9b8f466afd7738beb07c7ed6b8215d332a4b87d3cd5bf2d4c3bc5d3",
+    )
+    steps = ({0: 1_694, 2: 1_877}, {"cut": 1_694, "alpha": 950})
+    assert _certificate_steps(monkeypatch, [(8, 4, 1)]) == {(8, 4, 1): steps}
+
+
+def test_packed_cycle_store_agrees_with_a_list_scan():
+    # Bucket 0 stays empty; buckets 1 and 2 are filled past the cap, bucket 2
+    # with masks on pair 0's subset-id bit (the top one) or on the lowest.
+    # After each keep, every bucket must hold exactly its newest ``cap``
+    # masks, guard bits clear, and ``holds`` must agree with a list scan of
+    # them on random graphs, on each kept mask, and on each with a bit gone.
+    rng = random.Random(33)
+    cap = harness.CYCLE_BUCKET_CAP
+    outcomes = Counter()
+    for pairs in (12, 24, 36):
+        full = (1 << pairs) - 1
+        ends = [1 << (pairs - 1), 1, 1 << (pairs - 1) | 1]
+        store = harness._CycleStore(3, pairs)
+        kept = [[], [], []]
+        for step in range(2 * cap + 5):
+            mask = 0
+            for _ in range(rng.randrange(1, 9)):
+                mask |= 1 << rng.randrange(pairs)
+            bucket = 1 + step % 2
+            if bucket == 2:
+                mask |= ends[step % 3]
+            store.keep(bucket, mask)
+            kept[bucket].insert(0, mask)
+            del kept[bucket][cap:]
+            graphs = [rng.getrandbits(pairs) | rng.getrandbits(pairs) for _ in range(4)]
+            graphs += [full, 0, full ^ ends[0], full ^ ends[1]]
+            for masks in kept:
+                graphs += masks[:3] + [m ^ (m & -m) for m in masks[:3]]
+                graphs += [m ^ 1 << (m.bit_length() - 1) for m in masks[:3]]
+            for i, masks in enumerate(kept):
+                lanes = [store.packed[i] >> store.width * j & full for j in range(store.filled[i])]
+                assert lanes == masks and store.packed[i] >> store.width * cap == 0
+                assert store.packed[i] & store.tops[cap] == 0, (pairs, i)
+                for graph in graphs:
+                    expected = any(m & graph == m for m in masks)
+                    assert store.holds(i, graph) == expected, (pairs, i, graph)
+                    outcomes[i, expected] += 1
+    assert all(outcomes[i, hit] for i in (1, 2) for hit in (False, True)), outcomes
+    assert not outcomes[0, True]
 
 
 def test_a_run_makes_at_most_one_walk(monkeypatch):
