@@ -14,11 +14,35 @@ floor-meeting graph contains a minimal one.  A sweep has three steps:
 
 - Count.  A DP over (pair index, each vertex's unmet degree capped at the
   floor), memoised within the run, counts the floor-meeting graphs.
-- Enumerate.  A recursion lists the minimal graphs, and each is searched.
-  It prunes a branch as soon as an edge joins two vertices above the floor,
-  since degrees only grow along a branch.
+- Enumerate.  A recursion lists the minimal graphs up to symmetry, and
+  each is searched.  It prunes a branch as soon as an edge joins two
+  vertices above the floor, since degrees only grow along a branch.  The
+  orbits of the non-Hamiltonian ones are the labelled non-Hamiltonian
+  minimal graphs.
 - Climb.  From the non-Hamiltonian minimal graphs, add each absent pair in
   turn and keep every non-Hamiltonian result, climbing again from each.
+
+Relabelling vertices inside a part and permuting the parts, the group
+S_m wr S_k with m = n/k, maps a floor-meeting graph to one, a minimal graph
+to a minimal one and a Hamiltonian graph to a Hamiltonian one.  So the
+enumeration visits only lex-leaders under the group's generators (Crawford,
+Ginsberg, Luks & Roy, KR 1996): the adjacent transpositions inside each
+block and the swaps of adjacent blocks (``_generator_swaps``).  A generator
+sigma permutes the pairs by an involution pi, and the walk keeps a graph G
+only if its subset id is at least that of sigma G for every generator, ties
+kept.  Reading ids from pair 0, that holds when, at the first pair j with
+j < pi(j) whose presence differs from pair pi(j)'s, G has pair j.  Pairs are
+decided in index order, so a comparison is made once it and every
+comparison before it can be: at the largest pi(j') over the comparisons
+j' <= j, not at pi(j) alone, which need not grow with j
+(``_lex_schedule``).  The generators still tied ride down the recursion in
+one int.  The walk is complete up to symmetry.  The graph of largest subset
+id in an orbit is at least each of its images, so it survives every check;
+the generators generate the group, so closing the surviving non-Hamiltonian
+graphs under them (``_orbit_closure``) recovers each orbit they meet, and so
+every non-Hamiltonian minimal graph.  The closure is listed by descending
+subset id, the order a walk over every labelled minimal graph visits them
+in, so the climb starts as it would from that walk.
 
 Both searching steps reuse the Hamiltonian cycles their searches find.  A
 kept cycle is its pair mask, the OR of its n pairs' subset-id bits, checked
@@ -59,12 +83,12 @@ a shard owns at most two prefixes (``_shard_prefixes``).  A whole run is
 shard 0 of 1, whatever the shard count.  A run makes one walk and one
 climb, and the DP counts the graphs under each prefix the run owns.  A
 shard run ORs its owned prefixes into a subset-id mask of allowed pairs,
-which also holds every pair after the prefix.  Its enumeration decides only
-the allowed pairs and its climb adds only those.  Every pair of a graph G
-the shard owns is allowed, and so is every pair of each graph between G and
-a minimal M inside it, so the run reaches G; it keeps only what it owns.
-Minimality is a property of the graph, so the enumeration lists exactly the
-minimal graphs within the mask.  Everything runs in one process.
+which also holds every pair after the prefix.  Its walk covers the whole
+space, as a whole run's does, and it keeps the non-Hamiltonian minimal
+graphs whose pairs all lie in the mask; its climb adds only allowed pairs.
+Every pair of a graph G the shard owns is allowed, and so is every pair of
+each graph between G and a minimal M inside it, so the run reaches G; it
+keeps only what it owns.  Everything runs in one process.
 
 The exhaustive and the sampled sweep both hand their non-Hamiltonian graphs,
 in report order, to ``_finish_sweep``, with any witness the climb kept: it
@@ -126,15 +150,17 @@ from .thresholds import (
 )
 
 SCHEMA_VERSION = 1
-# 2^24 edge subsets: the (8, 4) sweep, about 0.3 s whole on a 2-vCPU VM.
+# 2^24 edge subsets: the (8, 4) sweep, about 0.16 s whole in one process on
+# one CPU of a shared 2-core machine (BENCH_symmetric_walk.json).
 EXHAUSTIVE_MAX_PAIRS = 24
 # Draws per sampled trial before it counts as infeasible.
 SAMPLE_MAX_RETRIES = 200
 # Tightness members up to this many vertices are also refuted by the solver.
 TIGHTNESS_SOLVER_LIMIT = 12
 # Hamiltonian cycles a sweep step keeps per bucket, newest first; see
-# ``_CycleStore``.  A whole (8, 4) run makes 2,179 searches at 64 and 3,797
-# at 32; 128 makes 1,547 but ran no faster (BENCH_packed_cycles.json).
+# ``_CycleStore``.  A whole (8, 4) run makes 728 searches at 64 and 1,350 at
+# 32.  Before the walk went up to symmetry it made 2,179 and 3,797, and 1,547
+# at 128, which ran no faster (BENCH_packed_cycles.json).
 CYCLE_BUCKET_CAP = 64
 
 
@@ -266,15 +292,16 @@ class _SweepTables:
     ``_part_masks``.  ``left[i][v]``: the pairs from index i on that contain
     v, so ``left[0]`` is each vertex's cross degree.  ``pair_bit[u][v]``: the
     subset-id bit of pair (u, v), 0 for two vertices of one part.
-    ``counts``: the floor count's memo, filled as the run's prefixes count; a
-    count from (pair index, unmet degrees) depends on neither the prefix nor
-    the floor."""
+    ``swaps``: see ``_generator_swaps``.  ``counts``: the floor count's memo,
+    filled as the run's prefixes count; a count from (pair index, unmet
+    degrees) depends on neither the prefix nor the floor."""
 
     pairs: list
     rows: list
     part_masks: list
     left: list
     pair_bit: list
+    swaps: list
     counts: dict = field(default_factory=dict)
 
 
@@ -292,7 +319,67 @@ def _sweep_tables(n: int, k: int) -> _SweepTables:
     pair_bit = [[0] * n for _ in range(n)]
     for u, v, _, _, bit in rows:
         pair_bit[u][v] = pair_bit[v][u] = bit
-    return _SweepTables(pairs, rows, _part_masks(n, k), left, pair_bit)
+    swaps = _generator_swaps(n, k, pairs)
+    return _SweepTables(pairs, rows, _part_masks(n, k), left, pair_bit, swaps)
+
+
+def _generator_swaps(n: int, k: int, pairs: list) -> list[tuple[tuple[int, int], ...]]:
+    """The generators of the part-preserving group on the block partition,
+    as pair involutions: first the adjacent transpositions inside each
+    block, then the swaps of adjacent blocks.  A generator is its (j, pi(j))
+    with j < pi(j), ascending, where pi(j) is the index of pair j's image."""
+    m = n // k
+    index = {pair: i for i, pair in enumerate(pairs)}
+    moves = [((v, v + 1),) for v in range(n) if (v + 1) % m]
+    moves += [tuple((v, v + m) for v in range(p * m, p * m + m)) for p in range(k - 1)]
+    swaps = []
+    for transpositions in moves:
+        sigma = list(range(n))
+        for a, b in transpositions:
+            sigma[a], sigma[b] = b, a
+        images = [index[min(sigma[u], sigma[v]), max(sigma[u], sigma[v])] for u, v in pairs]
+        swaps.append(tuple((j, image) for j, image in enumerate(images) if j < image))
+    return swaps
+
+
+def _lex_schedule(swaps: list, pairs: int) -> list[list[tuple[int, tuple]]]:
+    """Where the walk makes each generator's comparisons: ``steps[i]`` holds
+    (generator bit, its comparisons as subset-id bit pairs, in order) for
+    every generator with a comparison due once pair i is decided.  The
+    comparison of pairs j < pi(j) is due at the largest pi(j') over the
+    generator's comparisons j' <= j, when it and every one before it can be
+    made."""
+    top = pairs - 1
+    steps = [[] for _ in range(pairs)]
+    for g, generator in enumerate(swaps):
+        due: dict[int, list] = {}
+        reach = -1
+        for j, image in generator:
+            reach = max(reach, image)
+            due.setdefault(reach, []).append((1 << (top - j), 1 << (top - image)))
+        for i, comparisons in due.items():
+            steps[i].append((1 << g, tuple(comparisons)))
+    return steps
+
+
+def _orbit_closure(sids, tables: _SweepTables) -> set[int]:
+    """The subset ids of every graph in the orbits of ``sids`` under the
+    part-preserving group: their closure under its generators."""
+    top = len(tables.pairs) - 1
+    flips = [[(1 << (top - j), 1 << (top - image)) for j, image in g] for g in tables.swaps]
+    seen = set(sids)
+    stack = list(seen)
+    while stack:
+        sid = stack.pop()
+        for generator in flips:
+            image = sid
+            for a, b in generator:
+                if (not image & a) != (not image & b):
+                    image ^= a | b
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return seen
 
 
 def _apply_prefix(
@@ -399,44 +486,33 @@ def _count_meeting_floor(
 
 
 def _enumerate_minimal(
-    n: int,
-    k: int,
-    floor: int,
-    visit,
-    tables: _SweepTables | None = None,
-    allowed: int | None = None,
+    n: int, k: int, floor: int, visit, tables: _SweepTables | None = None
 ) -> int:
     """Run ``visit(subset_id, adj)`` for the minimal floor-meeting graphs,
-    ones where every edge has an endpoint of degree exactly the floor, whose
-    pairs all lie in the subset-id mask ``allowed`` (every pair if None).
-    The walk decides only those pairs, in subset-id order.  Returns the
-    number visited.
+    ones where every edge has an endpoint of degree exactly the floor, that
+    are lex-leaders: no generator of the part-preserving group maps one to a
+    graph of larger subset id.  Each orbit's graph of largest subset id is
+    one (see the module docstring).  The walk decides the pairs in subset-id
+    order, present first.  Returns the number visited.
 
     ``visit`` returns None, or the pair mask of a Hamiltonian cycle the graph
     holds (see ``_cycle_mask``).  The call keeps up to ``CYCLE_BUCKET_CAP``
     such masks per highest pair (a ``_CycleStore`` bucket), newest first,
     and skips each branch that sets present the highest pair of a kept mask
     it holds: every graph in it is Hamiltonian.  With no mask kept it visits
-    every minimal graph."""
+    every lex-leader."""
     tables = tables or _sweep_tables(n, k)
-    rows = [row for row in tables.rows if allowed is None or row[4] & allowed]
+    rows = tables.rows
     adj = [0] * n
     # slack[v]: v's present degree plus its undecided pairs, minus the floor.
-    slack = [-floor] * n
-    for u, v, *_ in rows:
-        slack[u] += 1
-        slack[v] += 1
+    slack = [have - floor for have in tables.left[0]]
     if min(slack) < 0:
         return 0
-    if not rows:
-        visit(0, adj)
-        return 1
-    # Bucket i keeps the cycle masks whose highest pair is rows[i]'s;
-    # index[bit]: the i whose pair has subset-id bit ``bit``.
-    store = _CycleStore(len(rows), len(tables.rows))
+    # Bucket i keeps the cycle masks whose highest pair is pair i.
+    store = _CycleStore(len(rows), len(rows))
     packed, filled, full = store.packed, store.filled, store.full
     spread, floors, tops = store.spread, store.floors, store.tops
-    index = {row[4]: i for i, row in enumerate(rows)}
+    checks = _lex_schedule(tables.swaps, len(rows))
     last = len(rows) - 1
     visited = 0
 
@@ -445,11 +521,26 @@ def _enumerate_minimal(
         visited += 1
         mask = visit(sid, adj)
         if mask is not None:
-            store.keep(index[mask & -mask], mask)
+            store.keep(len(rows) - (mask & -mask).bit_length(), mask)
 
-    def rec(i: int, sid: int, over: int) -> None:
+    def lead(i: int, sid: int, tied: int) -> int:
+        # The generators still tied once pair i of sid is decided, or -1 if
+        # some generator maps sid to a larger subset id.
+        for bit, comparisons in checks[i]:
+            if tied & bit:
+                for a, b in comparisons:
+                    if sid & a:
+                        if not sid & b:
+                            tied ^= bit
+                            break
+                    elif sid & b:
+                        return -1
+        return tied
+
+    def rec(i: int, sid: int, over: int, tied: int) -> None:
         # Decides pair i, present first; visits the last pair's completions.
         # over: the vertices above the floor, no two of which may be adjacent.
+        # tied: the generators whose comparisons with sid are all equal so far.
         u, v, ubit, vbit, bit = rows[i]
         row_u, row_v = adj[u], adj[v]
         grown_u, grown_v = row_u | vbit, row_v | ubit
@@ -460,26 +551,30 @@ def _enumerate_minimal(
             grown |= vbit
         if not (grown & ubit and grown_u & grown or grown & vbit and grown_v & grown):
             up = sid | bit
+            still = lead(i, up, tied) if tied else 0
             # No kept mask lies in up: not ``store.holds(i, up)``, inlined.
             c = filled[i]
             top = tops[c]
-            if ((packed[i] & (full ^ up) * spread[c]) + floors[c]) & top == top:
+            if still >= 0 and ((packed[i] & (full ^ up) * spread[c]) + floors[c]) & top == top:
                 adj[u], adj[v] = grown_u, grown_v
                 if i == last:
                     leaf(up)
                 else:
-                    rec(i + 1, up, grown)
+                    rec(i + 1, up, grown, still)
                 adj[u], adj[v] = row_u, row_v
         slack_u, slack_v = slack[u], slack[v]
         if slack_u > 0 and slack_v > 0:
+            still = lead(i, sid, tied) if tied else 0
+            if still < 0:
+                return
             if i == last:
                 leaf(sid)
             else:
                 slack[u], slack[v] = slack_u - 1, slack_v - 1
-                rec(i + 1, sid, over)
+                rec(i + 1, sid, over, still)
                 slack[u], slack[v] = slack_u, slack_v
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, (1 << len(tables.swaps)) - 1)
     rec = None  # see _enumerate_shard
     return visited
 
@@ -586,13 +681,15 @@ def _run_exhaustive_shard(args, tables: _SweepTables | None = None) -> dict:
     least one prefix; a whole run is shard 0 of 1.  Returns the subsets the
     shard owns (``space``), the floor-meeting graphs it owns
     (``meeting_floor``, the DP's count summed over its prefixes), the pairs
-    its walk may set (``allowed``, a subset-id mask: every pair after the
+    its climb may add (``allowed``, a subset-id mask: every pair after the
     prefix, and each prefix pair that an owned prefix sets), and each
-    minimal graph within ``allowed`` whose search finds no Hamiltonian
-    cycle, as (subset id, rows).  A cycle the walk keeps decides the minimal
-    graphs that hold it without a search (see ``_enumerate_minimal``).  The
-    finish step climbs from the listed graphs and gives each its witness.
-    ``tables`` are the run's ``_sweep_tables(n, k)``, derived here if None."""
+    non-Hamiltonian minimal graph within ``allowed``, as (subset id, rows),
+    by descending subset id.  The walk searches the lex-leaders only, a kept
+    cycle deciding those that hold it without a search (see
+    ``_enumerate_minimal``), and the orbits of the non-Hamiltonian ones are
+    the minimal graphs listed.  The finish step climbs from them and gives
+    each its witness.  ``tables`` are the run's ``_sweep_tables(n, k)``,
+    derived here if None."""
     n, k, floor, shards, shard_id = args
     tables = tables or _sweep_tables(n, k)
     suffix_bits, prefixes = _shard_prefixes(len(tables.rows), shards, shard_id)
@@ -600,24 +697,30 @@ def _run_exhaustive_shard(args, tables: _SweepTables | None = None) -> dict:
     for prefix in prefixes:
         allowed |= prefix << suffix_bits
     part_masks, pair_bit = tables.part_masks, tables.pair_bit
-    non_ham: list[tuple[int, tuple[int, ...]]] = []
+    leaders: list[int] = []
 
     def visit(sid: int, adj: list[int]) -> int | None:
         order = _ham_search(n, adj, part_masks)[0]
         if order is None:
-            non_ham.append((sid, tuple(adj)))
+            leaders.append(sid)
             return None
         return _cycle_mask(order, sid, pair_bit)
 
-    _enumerate_minimal(n, k, floor, visit, tables, allowed)
+    _enumerate_minimal(n, k, floor, visit, tables)
+    closure = _orbit_closure(leaders, tables)
+    listed = sorted((sid for sid in closure if not sid & ~allowed), reverse=True)
     count = 1 << (len(tables.rows) - suffix_bits)
+    # A subset id read as a prefix of every pair gives the graph's rows.
+    every = 1 << len(tables.rows)
     return {
         "space": len(prefixes) << suffix_bits,
         "meeting_floor": sum(
             _count_meeting_floor(n, k, floor, count, prefix, tables) for prefix in prefixes
         ),
         "allowed": allowed,
-        "non_hamiltonian": non_ham,
+        "non_hamiltonian": [
+            (sid, tuple(_apply_prefix(tables, floor, every, sid)[2])) for sid in listed
+        ],
     }
 
 

@@ -1,6 +1,7 @@
 """Harness: exhaustive sweeps, sharding, sampling, tightness, reports."""
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -31,7 +32,13 @@ from hamparts.harness import (
     tightness_scan,
 )
 from hamparts.solver import find_hamiltonian_cycle, non_hamiltonicity_witness, witness_to_payload
-from hamparts.thresholds import check_appendix_facts, scan_domcycle_threshold, scan_eq4_identity
+from hamparts.thresholds import (
+    check_appendix_facts,
+    required_degree,
+    scan_domcycle_threshold,
+    scan_eq4_identity,
+    theorem_threshold,
+)
 from _util import perm_oracle_hamiltonian
 
 
@@ -108,6 +115,33 @@ def test_exhaustive_8_2_at_threshold_collects_exceptional():
     assert member in graphs
 
 
+# (n, k): the counters of the sweep at D = theorem_threshold(n, k), frozen from
+# the labelled walk before the walk went up to symmetry.  k = n makes every
+# part one vertex, so only block swaps act; no pair here is an exception.
+AT_D_COUNTERS = {
+    (3, 3): (2, 8, 1),
+    (4, 4): (2, 64, 10),
+    (5, 5): (3, 1_024, 26),
+    (6, 2): (2, 512, 34),
+    (6, 6): (3, 32_768, 1_858),
+    (7, 7): (4, 2_097_152, 15_796),
+}
+
+
+def test_sweeps_at_d_are_frozen():
+    for (n, k), (floor, subsets, meeting) in AT_D_COUNTERS.items():
+        assert theorem_threshold(n, k) == required_degree(n, k) == floor, (n, k)
+        report = exhaustive_verify(n, k)
+        assert report.counters == {
+            "graphs_enumerated": subsets,
+            "graphs_above_threshold": meeting,
+            "hamiltonian_found": meeting,
+            "witnesses_found": 0,
+        }, (n, k)
+        assert report.counterexamples == report.exceptional == [], (n, k)
+        assert report.ok and report.self_check_ok, (n, k)
+
+
 def _subset_id(entry, n, k):
     """The subset id of an entry's graph: pair 0 is the most significant bit."""
     adj = decode(entry["graph"]).adj
@@ -152,8 +186,8 @@ def test_shard_prefixes_cover_each_subset_once():
         degrees.append(min(deg))
     for floor in (2, 3, 5):
         meeting = [sid for sid, low in enumerate(degrees) if low >= floor]
-        minimal = []
-        harness._enumerate_minimal(6, 3, floor, lambda sid, adj: minimal.append(sid))
+        minimal = [sid for sid, _ in _labelled_minimal(6, 3, floor)]
+        non_ham = {sid for sid, _ in _minimal_reference(6, 3, floor, (1 << total) - 1)}
         # 5000 shards: 4096 prefixes of 12 pairs, so shards 4096.. own none.
         for shards in (1, 2, 3, 8, 20, 5000):
             suffix_bits = max(total - (shards - 1).bit_length(), 0)
@@ -176,16 +210,17 @@ def test_shard_prefixes_cover_each_subset_once():
                 covered += seen
                 if not prefixes or shards > 20:
                     continue
-                # The shard's walk allows every pair of each graph it owns,
-                # and lists exactly the minimal graphs within its mask.
+                # The shard's climb allows every pair of each graph it owns.
+                # The minimal graphs within its mask are those a labelled
+                # walk over the allowed pairs alone lists, and the shard's
+                # walk lists exactly the non-Hamiltonian ones.
                 walk = harness._run_exhaustive_shard((6, 3, floor, shards, shard_id))
                 allowed = walk["allowed"]
                 assert all(sid & allowed == sid for sid in seen), (floor, shards, shard_id)
-                within = []
-                harness._enumerate_minimal(
-                    6, 3, floor, lambda sid, adj: within.append(sid), allowed=allowed
-                )
+                within = [sid for sid, _ in _labelled_minimal(6, 3, floor, allowed)]
                 assert within == [sid for sid in minimal if sid & allowed == sid]
+                listed = [sid for sid, _ in walk["non_hamiltonian"]]
+                assert listed == [sid for sid in within if sid in non_ham], (floor, shards)
             assert sorted(covered) == meeting, (floor, shards)
 
 
@@ -201,6 +236,70 @@ def _full_sweep(n, k, floor):
 
     _, meeting = harness._enumerate_shard(n, k, floor, 1, 0, visit)
     return meeting, non_ham
+
+
+def _vertex_generators(n, k):
+    """The part-preserving group's generators as vertex maps: the adjacent
+    transpositions inside each block, then the swaps of adjacent blocks."""
+    m = n // k
+    maps = []
+    for v in range(n - 1):
+        if v // m == (v + 1) // m:
+            sigma = list(range(n))
+            sigma[v], sigma[v + 1] = v + 1, v
+            maps.append(sigma)
+    for p in range(k - 1):
+        sigma = list(range(n))
+        for v in range(p * m, (p + 1) * m):
+            sigma[v], sigma[v + m] = v + m, v
+        maps.append(sigma)
+    return maps
+
+
+def _pair_involution(n, k, sigma):
+    """pi(j): the index of the image of pair j under the vertex map sigma."""
+    pairs = cross_pairs(n, k)
+    return [pairs.index(tuple(sorted((sigma[u], sigma[v])))) for u, v in pairs]
+
+
+def _permuted(sid, generator, pairs):
+    """The subset id of the image of graph ``sid`` under a generator given as
+    its (j, pi(j)) swaps."""
+    image = sid
+    for j, other in generator:
+        a, b = 1 << (pairs - 1 - j), 1 << (pairs - 1 - other)
+        if bool(sid & a) != bool(sid & b):
+            image ^= a | b
+    return image
+
+
+def test_lex_comparisons_wait_for_the_prefix_maximum():
+    # Each generator's comparison of pairs j < pi(j) is made once pair
+    # max(pi(j') : j' <= j) is decided, in increasing j.  At (8, 2), (9, 3)
+    # and (12, 2) a block swap's pi(j) is not monotone in j, so scheduling at
+    # pi(j) alone would be another schedule, and an unsound one.
+    for n, k in ((8, 2), (9, 3), (12, 2), (8, 4), (6, 6), (6, 3)):
+        tables = harness._sweep_tables(n, k)
+        total = len(tables.pairs)
+        expected = [[] for _ in range(total)]
+        late = 0
+        for g, sigma in enumerate(_vertex_generators(n, k)):
+            pi = _pair_involution(n, k, sigma)
+            assert sorted(pi) == list(range(total)) and all(pi[pi[j]] == j for j in pi)
+            moves = tuple((j, pi[j]) for j in range(total) if j < pi[j])
+            assert tables.swaps[g] == moves, (n, k, g)
+            due = {}
+            for j, _ in moves:
+                step = max(pi[i] for i, _ in moves if i <= j)
+                late += step != pi[j]
+                bits = (1 << (total - 1 - j), 1 << (total - 1 - pi[j]))
+                due.setdefault(step, []).append(bits)
+            for step, comparisons in due.items():
+                expected[step].append((1 << g, tuple(comparisons)))
+        assert len(tables.swaps) == len(_vertex_generators(n, k))
+        assert harness._lex_schedule(tables.swaps, total) == expected, (n, k)
+        if (n, k) in ((8, 2), (9, 3), (12, 2)):
+            assert late, (n, k)
 
 
 def _minimal_sweep(n, k, floor):
@@ -246,26 +345,107 @@ MINIMAL_COUNTS = {
 }
 
 
+def _leaders(n, k, floor):
+    """The subset ids the walk visits with no cycle kept, in visit order."""
+    leaders = []
+    harness._enumerate_minimal(n, k, floor, lambda sid, adj: leaders.append(sid))
+    return leaders
+
+
 def test_minimal_graph_counts_are_frozen():
     for (n, k, floor), expected in MINIMAL_COUNTS.items():
-        minimal = harness._enumerate_minimal(n, k, floor, lambda sid, adj: None)
+        tables = harness._sweep_tables(n, k)
+        minimal = harness._orbit_closure(_leaders(n, k, floor), tables)
         walk = harness._run_exhaustive_shard((n, k, floor, 1, 0))
-        assert (minimal, len(walk["non_hamiltonian"])) == expected, (n, k, floor)
+        assert (len(minimal), len(walk["non_hamiltonian"])) == expected, (n, k, floor)
 
 
+def _labelled_minimal(n, k, floor, allowed=None):
+    """Reference: every minimal floor-meeting graph whose pairs lie in the
+    subset-id mask ``allowed`` (every pair if None), as (subset id, rows), in
+    the order of a walk that decides those pairs in subset-id order, present
+    first, with no symmetry and no kept cycle: by descending subset id."""
+    pairs = cross_pairs(n, k)
+    top = len(pairs) - 1
+    rows = [
+        (u, v, 1 << u, 1 << v, 1 << (top - i))
+        for i, (u, v) in enumerate(pairs)
+        if allowed is None or allowed >> (top - i) & 1
+    ]
+    adj = [0] * n
+    slack = [-floor] * n
+    for u, v, *_ in rows:
+        slack[u] += 1
+        slack[v] += 1
+    listed = []
+    if min(slack) < 0:
+        return listed
+
+    def rec(i, sid, over):
+        # over: the vertices above the floor, no two of which may be adjacent.
+        if i == len(rows):
+            listed.append((sid, tuple(adj)))
+            return
+        u, v, ubit, vbit, bit = rows[i]
+        row_u, row_v = adj[u], adj[v]
+        adj[u], adj[v] = row_u | vbit, row_v | ubit
+        grown = over
+        if adj[u].bit_count() > floor:
+            grown |= ubit
+        if adj[v].bit_count() > floor:
+            grown |= vbit
+        if not (grown & ubit and adj[u] & grown or grown & vbit and adj[v] & grown):
+            rec(i + 1, sid | bit, grown)
+        adj[u], adj[v] = row_u, row_v
+        if slack[u] > 0 and slack[v] > 0:
+            slack[u] -= 1
+            slack[v] -= 1
+            rec(i + 1, sid, over)
+            slack[u] += 1
+            slack[v] += 1
+
+    rec(0, 0, 0)
+    return listed
+
+
+@functools.cache
 def _minimal_reference(n, k, floor, allowed):
-    """Reference: the enumeration within ``allowed`` searching every minimal
-    graph and keeping no cycle.  Returns the non-Hamiltonian ones as (subset
-    id, rows), in visit order."""
+    """Reference: the non-Hamiltonian graphs of ``_labelled_minimal``, each
+    searched.  Returns them as (subset id, rows), in its order."""
     part_masks = harness._part_masks(n, k)
-    non_ham = []
+    return [
+        (sid, rows)
+        for sid, rows in _labelled_minimal(n, k, floor, allowed)
+        if harness._ham_search(n, list(rows), part_masks)[0] is None
+    ]
 
-    def visit(sid, adj):
-        if harness._ham_search(n, adj, part_masks)[0] is None:
-            non_ham.append((sid, tuple(adj)))
 
-    harness._enumerate_minimal(n, k, floor, visit, allowed=allowed)
-    return non_ham
+# (n, k, floor) of the sweeps whose walk up to symmetry is checked against
+# the labelled reference.
+SYMMETRY_CASES = [(6, 3, floor) for floor in range(6)]
+SYMMETRY_CASES += [(8, 2, 2), (8, 2, 3), (6, 6, 2), (7, 7, 3), (8, 4, 3), (8, 4, 4)]
+
+
+def test_walk_up_to_symmetry_lists_every_labelled_minimal_graph():
+    # The orbits of the lex-leaders the walk visits with no kept cycle are
+    # exactly the labelled minimal graphs, and the orbits of the
+    # non-Hamiltonian ones, with kept cycles, exactly the labelled
+    # non-Hamiltonian minimal graphs, by descending subset id.  A lex-leader
+    # is no smaller than its image under any generator.
+    for n, k, floor in SYMMETRY_CASES:
+        tables = harness._sweep_tables(n, k)
+        full = (1 << len(tables.pairs)) - 1
+        leaders = _leaders(n, k, floor)
+        minimal = [sid for sid, _ in _labelled_minimal(n, k, floor)]
+        closure = harness._orbit_closure(leaders, tables)
+        assert sorted(closure, reverse=True) == minimal, (n, k, floor)
+        assert len(set(leaders)) == len(leaders) <= len(minimal), (n, k, floor)
+        for sid in leaders:
+            for generator in tables.swaps:
+                image = _permuted(sid, generator, len(tables.pairs))
+                assert image <= sid, (n, k, floor, sid)
+        walk = harness._run_exhaustive_shard((n, k, floor, 1, 0))
+        assert walk["non_hamiltonian"] == _minimal_reference(n, k, floor, full), (n, k, floor)
 
 
 def _pair_mask(n, k, order):
@@ -280,10 +460,11 @@ def _pair_mask(n, k, order):
 def test_cycle_reuse_drops_no_non_hamiltonian_graph(monkeypatch):
     kept = []
     cycle_mask = harness._cycle_mask
+    climbing = False
 
     def spy(order, sid, pair_bit):
         mask = cycle_mask(order, sid, pair_bit)
-        kept.append((order, sid, mask))
+        kept.append((order, sid, mask, climbing))
         return mask
 
     monkeypatch.setattr(harness, "_cycle_mask", spy)
@@ -298,14 +479,18 @@ def test_cycle_reuse_drops_no_non_hamiltonian_graph(monkeypatch):
         assert listed == _minimal_reference(n, k, floor, walk["allowed"]), (n, k, floor, shard_id)
         # The climb keeps cycles too; its completeness is checked against
         # full enumeration in test_minimal_sweep_matches_full_enumeration.
+        # A shard's walk covers every pair, its climb only the allowed ones.
+        climbing = True
         harness._climb(n, k, listed, allowed=walk["allowed"])
-        for order, sid, mask in kept:
+        climbing = False
+        for order, sid, mask, climbed in kept:
             assert len(order) == n and sorted(order) == list(range(n)), (n, k, floor, order)
             assert mask == _pair_mask(n, k, list(order)), (n, k, floor, order)
             assert mask.bit_count() == n and mask & sid == mask, (n, k, floor, sid)
-            assert mask & walk["allowed"] == mask, (n, k, floor, sid)
-    # The last case, shard 42 of 64 at (8, 4) floor 3, keeps cycles.
-    assert kept
+            assert not climbed or mask & walk["allowed"] == mask, (n, k, floor, sid)
+    # The last case, shard 42 of 64 at (8, 4) floor 3, keeps cycles in both
+    # steps.
+    assert {climbed for *_, climbed in kept} == {False, True}
 
 
 def _search_only_climb(n, k, bases, allowed):
@@ -496,12 +681,14 @@ def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():
 
 # harness._ham_search calls of a whole (8, 4) floor-3 sweep, by shard count,
 # which a whole run only names: 26,200 minimal graphs and 17,968 climb
-# candidates without cycle reuse, and 1,792 fewer than with reuse alone,
-# since certificates refute every non-Hamiltonian climb candidate.
-SWEEP_SEARCHES = {1: 2_179, 8: 2_179, 2**16: 2_179}
+# candidates without symmetry or cycle reuse, and 1,792 fewer than with reuse
+# alone, since certificates refute every non-Hamiltonian climb candidate.
+# The walk searches 91 lex-leaders, the climb 637 candidates.
+SWEEP_SEARCHES = {1: 728, 8: 728, 2**16: 728}
 # The same for the other sweeps whose search counts reuse moves, by (n, k,
-# floor): the one k = n sweep, and the (8, 2) exception floor.
-OTHER_SWEEP_SEARCHES = {(8, 2, 2): 894, (7, 7, 3): 612}
+# floor): the (7, 7) floor-3 sweep, where k = n, and the (8, 2) exception
+# floor.
+OTHER_SWEEP_SEARCHES = {(8, 2, 2): 712, (7, 7, 3): 215}
 
 
 def _counting_searches(monkeypatch):
@@ -538,7 +725,7 @@ def test_other_sweep_search_counts_are_frozen(monkeypatch):
 
 def test_a_shard_of_many_walks_at_most_the_whole_sweep(monkeypatch):
     # Shard 2**16 - 1 owns the prefix with all 16 prefix pairs present, so
-    # its walk allows every pair: it searches no more than the whole run and
+    # its climb allows every pair: it searches no more than the whole run and
     # lists exactly the whole run's entries under its prefix.
     calls = _counting_searches(monkeypatch)
     whole = exhaustive_verify(8, 4, 3, shards=2**16)
@@ -574,15 +761,14 @@ def test_visit_order_is_frozen():
 
 # SHA-256 over the ordered "sid adj..." lines of ``_enumerate_minimal``'s
 # visits below, each call run without cycle reuse and then with it, taken
-# before the recursion visited both completions of the last pair in the frame
-# that decides it.  The cycles a walk keeps, and so the searches it makes,
-# depend on this order.
-MINIMAL_VISIT_ORDER_DIGEST = "f9a78f70a55940f9800585b2ecfafc0cce88e099c374cd9a070046524ef648ea"
+# when the walk began visiting lex-leaders only.  The cycles a walk keeps,
+# and so the searches it makes, depend on this order.
+MINIMAL_VISIT_ORDER_DIGEST = "2a61d5aa6a9b4797d35a36af3ed4761d9c8a2305e3e4500311393b5ae70b6a06"
 
 
 def _minimal_visit_lines():
     lines = []
-    for n, k, floor in ((6, 3, 2), (7, 7, 3)):
+    for n, k, floor in ((6, 3, 2), (7, 7, 3), (8, 4, 3)):
         tables = harness._sweep_tables(n, k)
         for reuse in (False, True):
 
@@ -596,19 +782,21 @@ def _minimal_visit_lines():
 
 
 def test_minimal_visit_order_is_frozen():
-    assert _minimal_visit_lines() == (8_034, MINIMAL_VISIT_ORDER_DIGEST)
+    assert _minimal_visit_lines() == (506, MINIMAL_VISIT_ORDER_DIGEST)
 
 
 def test_packed_store_at_cap_32_reproduces_the_list_buckets(monkeypatch):
-    # At 32 masks a bucket the packed store must make the searches, visit
-    # order and certificate calls the list buckets it replaced made, frozen
-    # at that cap.  The store reads the cap when it is built.
+    # At 32 masks a bucket the packed store must make the certificate calls
+    # the list buckets it replaced made, frozen at that cap; only the climb
+    # makes them.  The searches and visit order, which the walk up to
+    # symmetry changed, were frozen at that cap when it landed.  The store
+    # reads the cap when it is built.
     monkeypatch.setattr(harness, "CYCLE_BUCKET_CAP", 32)
     shards = (1, 8, 2**16)
-    assert _sweep_searches(monkeypatch, shards) == dict.fromkeys(shards, 3_797)
+    assert _sweep_searches(monkeypatch, shards) == dict.fromkeys(shards, 1_350)
     assert _minimal_visit_lines() == (
-        8_227,
-        "2935ab9cd9b8f466afd7738beb07c7ed6b8215d332a4b87d3cd5bf2d4c3bc5d3",
+        506,
+        "b7afc079378a21336a58d12e0288595e4407579225c748ed4e450a1fc789a2da",
     )
     steps = ({0: 1_694, 2: 1_877}, {"cut": 1_694, "alpha": 950})
     assert _certificate_steps(monkeypatch, [(8, 4, 1)]) == {(8, 4, 1): steps}

@@ -922,13 +922,19 @@ def test_second_decider_agrees_on_small_sweeps():
 def _forced_edge_populations():
     """The second decider's frozen populations, by name: the graphs the
     (8, 4) floor-3 and (8, 2) floor-2 sweeps list, every (8, 4) floor-3
-    minimal graph enumerated without cycle reuse, and 300 sparse n = 24
-    graphs drawn the way the decide-sparse benchmark draws its population."""
+    minimal graph, the orbits of the lex-leaders the walk visits without
+    cycle reuse, by descending subset id as a labelled walk visits them, and
+    300 sparse n = 24 graphs drawn the way the decide-sparse benchmark draws
+    its population."""
     part_of = blocks_partition(8, 4)
-    minimal = []
-    harness._enumerate_minimal(
-        8, 4, 3, lambda sid, adj: minimal.append(KPartiteGraph(part_of, adj))
-    )
+    tables = harness._sweep_tables(8, 4)
+    leaders = []
+    harness._enumerate_minimal(8, 4, 3, lambda sid, adj: leaders.append(sid), tables)
+    # A subset id read as a prefix of all 24 pairs gives the graph's rows.
+    minimal = [
+        KPartiteGraph(part_of, harness._apply_prefix(tables, 3, 1 << 24, sid)[2])
+        for sid in sorted(harness._orbit_closure(leaders, tables), reverse=True)
+    ]
     rng = random.Random(31)
     return {
         "listed (8, 4)": [decode(e["graph"]) for e in exhaustive_verify(8, 4, 3).exceptional],
