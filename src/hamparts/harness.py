@@ -10,17 +10,18 @@ Adding an edge keeps the minimum degree at or above the floor, and it keeps
 a Hamiltonian graph Hamiltonian.  Call a floor-meeting graph minimal when
 every edge has an endpoint whose degree is exactly the floor.  Deleting an
 edge whose endpoints both lie above the floor keeps the floor, so every
-floor-meeting graph contains a minimal one.  A sweep has three steps:
+floor-meeting graph contains a minimal one.  A sweep has four steps:
 
 - Count.  A DP over (pair index, each vertex's unmet degree capped at the
   floor), memoised within the run, counts the floor-meeting graphs.
 - Enumerate.  A recursion lists the minimal graphs up to symmetry, and
   each is searched.  It prunes a branch as soon as an edge joins two
-  vertices above the floor, since degrees only grow along a branch.  The
-  orbits of the non-Hamiltonian ones are the labelled non-Hamiltonian
-  minimal graphs.
-- Climb.  From the non-Hamiltonian minimal graphs, add each absent pair in
-  turn and keep every non-Hamiltonian result, climbing again from each.
+  vertices above the floor, since degrees only grow along a branch.
+- Climb.  From the non-Hamiltonian minimal graphs it lists, add each absent
+  pair in turn and keep every non-Hamiltonian result, climbing again from
+  each.
+- Expand.  The orbits of the graphs the climb keeps are the labelled
+  non-Hamiltonian floor-meeting graphs.
 
 Relabelling vertices inside a part and permuting the parts, the group
 S_m wr S_k with m = n/k, maps a floor-meeting graph to one, a minimal graph
@@ -36,13 +37,21 @@ decided in index order, so a comparison is made once it and every
 comparison before it can be: at the largest pi(j') over the comparisons
 j' <= j, not at pi(j) alone, which need not grow with j
 (``_lex_schedule``).  The generators still tied ride down the recursion in
-one int.  The walk is complete up to symmetry.  The graph of largest subset
-id in an orbit is at least each of its images, so it survives every check;
-the generators generate the group, so closing the surviving non-Hamiltonian
-graphs under them (``_orbit_closure``) recovers each orbit they meet, and so
-every non-Hamiltonian minimal graph.  The closure is listed by descending
-subset id, the order a walk over every labelled minimal graph visits them
-in, so the climb starts as it would from that walk.
+one int.  The walk is complete up to symmetry: the graph of largest subset
+id in an orbit is at least each of its images, so it survives every check.
+The climb works up to symmetry too, generating orbits from representatives
+(McKay, J. Algorithms 1998): it starts from the non-Hamiltonian
+lex-leaders.  A non-Hamiltonian floor-meeting graph G contains a minimal
+graph sigma L, for a group element sigma and a listed lex-leader L, so
+sigma^-1 G contains L, and the climb from L keeps it (see below).  The
+generators generate the group, so closing the kept graphs under them
+(``_orbit_closure``) gives every non-Hamiltonian floor-meeting graph.  Each
+one the climb did not keep is built once, from its subset id
+(``_orbit_graphs``), and every graph is given the witness of its own
+labels.  Only two facts travel along an orbit: that the graph is
+2-connected, and that it has no independent set on more than n/2 vertices.
+A lowest cut vertex, a search's node count and the part unions the
+bipartite step grows depend on the labels.
 
 Both searching steps reuse the Hamiltonian cycles their searches find.  A
 kept cycle is its pair mask, the OR of its n pairs' subset-id bits, checked
@@ -69,26 +78,22 @@ independence number cannot grow.  The bipartite degree-one step always
 runs, since an added pair can change the part unions it grows greedily and
 so create its witness.
 
-The climb finds every non-Hamiltonian floor-meeting graph G.  G contains a
-minimal graph M, which is non-Hamiltonian because G is.  Add the pairs of G
-missing from M one at a time: each graph on the way lies between M and G, so
-it meets the floor (it contains M) and is non-Hamiltonian (it lies in G),
-and the climb keeps it and climbs on.  Reports list the non-Hamiltonian
-graphs by subset id, so they depend on no visit order.
+The climb from a base M keeps every non-Hamiltonian graph G that contains
+M.  Add the pairs of G missing from M one at a time: each graph on the way
+lies between M and G, so it meets the floor (it contains M) and is
+non-Hamiltonian (it lies in G), and the climb keeps it and climbs on.
+Reports list the non-Hamiltonian graphs by subset id, so they depend on no
+visit order.
 
 A shard owns the subsets whose high-order bits, read as a number, equal its
 id modulo the shard count, so shards partition the subset space exactly and
 their counters merge by addition.  Those bits are a subset id's prefix, and
 a shard owns at most two prefixes (``_shard_prefixes``).  A whole run is
-shard 0 of 1, whatever the shard count.  A run makes one walk and one
-climb, and the DP counts the graphs under each prefix the run owns.  A
-shard run ORs its owned prefixes into a subset-id mask of allowed pairs,
-which also holds every pair after the prefix.  Its walk covers the whole
-space, as a whole run's does, and it keeps the non-Hamiltonian minimal
-graphs whose pairs all lie in the mask; its climb adds only allowed pairs.
-Every pair of a graph G the shard owns is allowed, and so is every pair of
-each graph between G and a minimal M inside it, so the run reaches G; it
-keeps only what it owns.  Everything runs in one process.
+shard 0 of 1, whatever the shard count.  Every run makes the same walk and
+climb, over the whole space up to symmetry, since an orbit crosses
+prefixes.  The DP counts the graphs under each prefix the run owns, and the
+expansion builds and finishes only the graphs it owns.  Everything runs in
+one process.
 
 The exhaustive and the sampled sweep both hand their non-Hamiltonian graphs,
 in report order, to ``_finish_sweep``, with any witness the climb kept: it
@@ -109,6 +114,7 @@ import json
 import random
 import time
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 
 from . import __version__
 from .families import RECOGNIZE_SIZE_LIMIT, _recognize, build_family_F
@@ -158,9 +164,9 @@ SAMPLE_MAX_RETRIES = 200
 # Tightness members up to this many vertices are also refuted by the solver.
 TIGHTNESS_SOLVER_LIMIT = 12
 # Hamiltonian cycles a sweep step keeps per bucket, newest first; see
-# ``_CycleStore``.  A whole (8, 4) run makes 728 searches at 64 and 1,350 at
-# 32.  Before the walk went up to symmetry it made 2,179 and 3,797, and 1,547
-# at 128, which ran no faster (BENCH_packed_cycles.json).
+# ``_CycleStore``.  A whole (8, 4) run makes 181 searches at 64 and at 32.
+# When runs searched more, 64 ran faster than 32 and than 128
+# (BENCH_packed_cycles.json).
 CYCLE_BUCKET_CAP = 64
 
 
@@ -294,7 +300,8 @@ class _SweepTables:
     subset-id bit of pair (u, v), 0 for two vertices of one part.
     ``swaps``: see ``_generator_swaps``.  ``counts``: the floor count's memo,
     filled as the run's prefixes count; a count from (pair index, unmet
-    degrees) depends on neither the prefix nor the floor."""
+    degrees) depends on neither the prefix nor the floor.  The byte tables
+    of ``flips`` and ``row_bytes`` are built on first use."""
 
     pairs: list
     rows: list
@@ -303,6 +310,27 @@ class _SweepTables:
     pair_bit: list
     swaps: list
     counts: dict = field(default_factory=dict)
+
+    @cached_property
+    def flips(self) -> list[list[list[int]]]:
+        """``flips[g]``: generator g's byte tables, which map a subset id to
+        that of its image (``_through``)."""
+        top = len(self.pairs) - 1
+        flips = []
+        for generator in self.swaps:
+            # Subset-id bit p is pair top - p's.
+            images = [1 << p for p in range(top + 1)]
+            for j, image in generator:
+                images[top - j], images[top - image] = images[top - image], images[top - j]
+            flips.append(_byte_tables(images))
+        return flips
+
+    @cached_property
+    def row_bytes(self) -> list[list[int]]:
+        """The byte tables that map a subset id to its graph's rows packed in
+        one int, row v at bit n * v (``_rows``)."""
+        n = len(self.left[0])
+        return _byte_tables([1 << n * u + v | 1 << n * v + u for u, v in reversed(self.pairs)])
 
 
 def _sweep_tables(n: int, k: int) -> _SweepTables:
@@ -321,6 +349,35 @@ def _sweep_tables(n: int, k: int) -> _SweepTables:
         pair_bit[u][v] = pair_bit[v][u] = bit
     swaps = _generator_swaps(n, k, pairs)
     return _SweepTables(pairs, rows, _part_masks(n, k), left, pair_bit, swaps)
+
+
+def _byte_tables(images: list[int]) -> list[list[int]]:
+    """The tables of the OR-preserving map that sends subset-id bit p to
+    ``images[p]``: table b maps byte b of an id to its set bits' images ORed,
+    so an id maps to its bytes' entries ORed (``_through``)."""
+    tables = []
+    for low in range(0, len(images), 8):
+        table = [0]
+        for image in images[low : low + 8]:
+            table += [entry | image for entry in table]
+        tables.append(table)
+    return tables
+
+
+def _through(tables: list[list[int]], sid: int) -> int:
+    """The image of subset id ``sid`` under the map of ``_byte_tables``."""
+    image = 0
+    for table in tables:
+        image |= table[sid & 255]
+        sid >>= 8
+    return image
+
+
+def _rows(sid: int, tables: _SweepTables) -> list[int]:
+    """The rows of graph ``sid``: its adjacency bitmask of each vertex."""
+    n = len(tables.left[0])
+    packed, full = _through(tables.row_bytes, sid), (1 << n) - 1
+    return [packed >> shift & full for shift in range(0, n * n, n)]
 
 
 def _generator_swaps(n: int, k: int, pairs: list) -> list[tuple[tuple[int, int], ...]]:
@@ -362,23 +419,25 @@ def _lex_schedule(swaps: list, pairs: int) -> list[list[tuple[int, tuple]]]:
     return steps
 
 
-def _orbit_closure(sids, tables: _SweepTables) -> set[int]:
-    """The subset ids of every graph in the orbits of ``sids`` under the
-    part-preserving group: their closure under its generators."""
-    top = len(tables.pairs) - 1
-    flips = [[(1 << (top - j), 1 << (top - image)) for j, image in g] for g in tables.swaps]
-    seen = set(sids)
-    stack = list(seen)
+def _orbit_closure(facts: dict, tables: _SweepTables) -> dict:
+    """The closure of ``facts``, {subset id: value}, under the generators of
+    the part-preserving group: every graph in the orbit of a key, with the
+    value of the key it was reached from, so a value should be a fact that
+    relabelling keeps."""
+    flips = tables.flips
+    seen = dict(facts)
+    stack = list(seen.items())
     while stack:
-        sid = stack.pop()
+        sid, value = stack.pop()
         for generator in flips:
-            image = sid
-            for a, b in generator:
-                if (not image & a) != (not image & b):
-                    image ^= a | b
+            # _through(generator, sid), inlined.
+            image, rest = 0, sid
+            for table in generator:
+                image |= table[rest & 255]
+                rest >>= 8
             if image not in seen:
-                seen.add(image)
-                stack.append(image)
+                seen[image] = value
+                stack.append((image, value))
     return seen
 
 
@@ -579,38 +638,31 @@ def _enumerate_minimal(
     return visited
 
 
-def _climb(
-    n: int,
-    k: int,
-    bases,
-    tables: _SweepTables | None = None,
-    allowed: int | None = None,
-) -> tuple[dict, dict]:
+def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> tuple[dict, dict]:
     """Every non-Hamiltonian graph reached from ``bases``, (subset id, rows)
-    of non-Hamiltonian floor-meeting graphs, by adding one absent pair of
-    the subset-id mask ``allowed`` (every pair if None) at a time, highest
-    bit first, as {subset id: rows}, the bases included, and {subset id:
-    witness} for those a certificate refuted.
+    of non-Hamiltonian floor-meeting graphs, by adding one absent pair at a
+    time, highest bit first, as {subset id: rows}, the bases included, and
+    {subset id: witness or None} for those asked for a certificate.
 
     A candidate's parent is non-Hamiltonian, so any Hamiltonian cycle of the
     candidate uses the pair just added.  The call keeps the pair mask of each
     cycle its searches find under each of the cycle's pairs, up to
     ``CYCLE_BUCKET_CAP`` per pair (a ``_CycleStore`` bucket), newest first;
     a candidate that holds a mask kept under its new pair is Hamiltonian
-    without a search.  Where
-    refuting searches cost more than the certificates, from n = 7 on and
-    with every base of minimum degree at least n/2 - 1, each base is asked
-    ``_polynomial_witness`` up front, and a candidate is asked it first and
-    searched only if it has none; a refuted candidate keeps no cycle, so the
-    graphs found are the same.  A candidate is asked with the ``skip`` its
-    parent passes on (``_steps_failed``).  A witness is what
-    ``non_hamiltonicity_witness`` would give the graph's rows."""
+    without a search.  Where refuting searches cost more than the
+    certificates, from n = 7 on and with every base of minimum degree at
+    least n/2 - 1, each base is asked ``_polynomial_witness`` up front, and
+    a candidate is asked it first and searched only if it has none; a
+    refuted candidate keeps no cycle, so the graphs found are the same.  A
+    candidate is asked with the ``skip`` its parent passes on
+    (``_steps_failed``), so every graph found was asked, or none was.  A
+    witness is what ``non_hamiltonicity_witness`` would give the graph's
+    rows."""
     tables = tables or _sweep_tables(n, k)
     rows, part_masks, pair_bit = tables.rows, tables.part_masks, tables.pair_bit
     part_of = blocks_partition(n, k)
     total = len(rows)
-    if allowed is None:
-        allowed = (1 << total) - 1
+    every = (1 << total) - 1
     # Bucket i keeps the cycle masks that use pair i.
     store = _CycleStore(total, total)
     packed, filled, full = store.packed, store.filled, store.full
@@ -624,13 +676,13 @@ def _climb(
     # (subset id, rows, the monotone certificate steps the graph fails).
     stack = []
     for sid, adj in found.items():
-        witness = _polynomial_witness(KPartiteGraph(part_of, adj)) if certify else None
-        if witness:
-            witnesses[sid] = witness
+        witness = None
+        if certify:
+            witness = witnesses[sid] = _polynomial_witness(KPartiteGraph(part_of, adj))
         stack.append((sid, adj, _steps_failed(witness)))
     while stack:
         sid, adj, skip = stack.pop()
-        rest = allowed & ~sid
+        rest = every ^ sid
         while rest:
             width = rest.bit_length()
             bit = 1 << (width - 1)
@@ -648,14 +700,14 @@ def _climb(
                 grown = list(adj)
                 grown[u] |= vbit
                 grown[v] |= ubit
-                witness = (
-                    _polynomial_witness(KPartiteGraph(part_of, grown), skip) if certify else None
-                )
+                witness = None
+                if certify:
+                    witness = _polynomial_witness(KPartiteGraph(part_of, grown), skip)
                 order = None if witness else _ham_search(n, grown, part_masks)[0]
                 if order is None:
                     found[up] = grown = tuple(grown)
                     stack.append((up, grown, _steps_failed(witness)))
-                    if witness:
+                    if certify:
                         witnesses[up] = witness
                     continue
                 mask = cycle = _cycle_mask(order, up, pair_bit)
@@ -664,6 +716,29 @@ def _climb(
                     cycle ^= low
                     store.keep(total - low.bit_length(), mask)
     return found, witnesses
+
+
+def _orbit_graphs(
+    n: int, k: int, found: dict, witnesses: dict, owned: tuple, tables: _SweepTables
+):
+    """The graphs in the orbits of the climb's ``found`` under the prefixes
+    ``owned`` (as ``_shard_prefixes`` gives them), by ascending subset id,
+    as (graph, witness or None), given the climb's ``witnesses``.  A graph
+    the climb did not keep is asked ``_polynomial_witness`` with the steps
+    its climbed member failed, if that one was asked."""
+    skips = _orbit_closure(
+        {sid: _steps_failed(witnesses[sid]) if sid in witnesses else None for sid in found},
+        tables,
+    )
+    suffix_bits, prefixes = owned
+    part_of = blocks_partition(n, k)
+    for sid in sorted(sid for sid in skips if sid >> suffix_bits in prefixes):
+        adj = found.get(sid)
+        if adj is not None:
+            yield KPartiteGraph(part_of, adj), witnesses.get(sid)
+            continue
+        g, skip = KPartiteGraph(part_of, _rows(sid, tables)), skips[sid]
+        yield g, None if skip is None else _polynomial_witness(g, skip)
 
 
 def _shard_prefixes(pairs: int, shards: int, shard_id: int) -> tuple[int, range]:
@@ -680,47 +755,35 @@ def _run_exhaustive_shard(args, tables: _SweepTables | None = None) -> dict:
     """Worker: the walk of shard ``args[4]`` of ``args[3]``, which owns at
     least one prefix; a whole run is shard 0 of 1.  Returns the subsets the
     shard owns (``space``), the floor-meeting graphs it owns
-    (``meeting_floor``, the DP's count summed over its prefixes), the pairs
-    its climb may add (``allowed``, a subset-id mask: every pair after the
-    prefix, and each prefix pair that an owned prefix sets), and each
-    non-Hamiltonian minimal graph within ``allowed``, as (subset id, rows),
-    by descending subset id.  The walk searches the lex-leaders only, a kept
+    (``meeting_floor``, the DP's count summed over its prefixes), and the
+    non-Hamiltonian lex-leaders among the minimal graphs, as (subset id,
+    rows), by descending subset id.  The walk covers the whole space up to
+    symmetry, whatever the shard, and searches the lex-leaders only, a kept
     cycle deciding those that hold it without a search (see
-    ``_enumerate_minimal``), and the orbits of the non-Hamiltonian ones are
-    the minimal graphs listed.  The finish step climbs from them and gives
-    each its witness.  ``tables`` are the run's ``_sweep_tables(n, k)``,
-    derived here if None."""
+    ``_enumerate_minimal``).  The finish step climbs from the leaders and
+    expands the orbits of what the climb lists.  ``tables`` are the run's
+    ``_sweep_tables(n, k)``, derived here if None."""
     n, k, floor, shards, shard_id = args
     tables = tables or _sweep_tables(n, k)
     suffix_bits, prefixes = _shard_prefixes(len(tables.rows), shards, shard_id)
-    allowed = (1 << suffix_bits) - 1
-    for prefix in prefixes:
-        allowed |= prefix << suffix_bits
     part_masks, pair_bit = tables.part_masks, tables.pair_bit
-    leaders: list[int] = []
+    leaders: list[tuple[int, tuple]] = []
 
     def visit(sid: int, adj: list[int]) -> int | None:
         order = _ham_search(n, adj, part_masks)[0]
         if order is None:
-            leaders.append(sid)
+            leaders.append((sid, tuple(adj)))
             return None
         return _cycle_mask(order, sid, pair_bit)
 
     _enumerate_minimal(n, k, floor, visit, tables)
-    closure = _orbit_closure(leaders, tables)
-    listed = sorted((sid for sid in closure if not sid & ~allowed), reverse=True)
     count = 1 << (len(tables.rows) - suffix_bits)
-    # A subset id read as a prefix of every pair gives the graph's rows.
-    every = 1 << len(tables.rows)
     return {
         "space": len(prefixes) << suffix_bits,
         "meeting_floor": sum(
             _count_meeting_floor(n, k, floor, count, prefix, tables) for prefix in prefixes
         ),
-        "allowed": allowed,
-        "non_hamiltonian": [
-            (sid, tuple(_apply_prefix(tables, floor, every, sid)[2])) for sid in listed
-        ],
+        "non_hamiltonian": leaders,
     }
 
 
@@ -792,23 +855,19 @@ def _finish_exhaustive(
     tables: _SweepTables,
 ) -> VerificationReport:
     """The report of a run whose walk returned ``result``: the climb from
-    its non-Hamiltonian minimal graphs within its ``allowed`` pairs, a kept
-    cycle deciding a candidate without a search (see ``_climb``), then
-    ``_finish_sweep`` over the graphs the run owns, with the witnesses the
-    climb kept.  A whole run owns every graph, shard ``shard_id`` those
-    under its prefixes."""
+    its non-Hamiltonian lex-leaders, a kept cycle deciding a candidate
+    without a search (see ``_climb``), then ``_finish_sweep`` over the
+    graphs of the climbed orbits that the run owns (``_orbit_graphs``).  A
+    whole run owns every graph, shard ``shard_id`` those under its
+    prefixes."""
     counters = {
         "graphs_enumerated": result["space"],
         "graphs_above_threshold": result["meeting_floor"],
     }
-    found, witnesses = _climb(n, k, result["non_hamiltonian"], tables, result["allowed"])
-    listed = sorted(found)
-    if shard_id is not None:
-        suffix_bits, prefixes = _shard_prefixes(len(tables.rows), shards, shard_id)
-        listed = [sid for sid in listed if sid >> suffix_bits in prefixes]
-    part_of = blocks_partition(n, k)
-    # A generator: each graph object lives only while its entry is made.
-    graphs = ((KPartiteGraph(part_of, found[sid]), witnesses.get(sid)) for sid in listed)
+    found, witnesses = _climb(n, k, result["non_hamiltonian"], tables)
+    walk = (1, 0) if shard_id is None else (shards, shard_id)
+    owned = _shard_prefixes(len(tables.rows), *walk)
+    graphs = _orbit_graphs(n, k, found, witnesses, owned, tables)
     return _finish_sweep(
         kind, n, k, floor, counters, graphs, started, shards=shards, shard_id=shard_id
     )
@@ -884,7 +943,7 @@ def exhaustive_verify(
         result = _run_exhaustive_shard((n, k, floor, *walk), tables)
     else:
         # The shard owns no prefix, so no subset and no graph.
-        result = {"space": 0, "meeting_floor": 0, "allowed": 0, "non_hamiltonian": []}
+        result = {"space": 0, "meeting_floor": 0, "non_hamiltonian": []}
     return _finish_exhaustive(n, k, floor, shards, shard_id, result, _kind, started, tables)
 
 

@@ -184,10 +184,10 @@ def test_shard_prefixes_cover_each_subset_once():
                 deg[u] += 1
                 deg[v] += 1
         degrees.append(min(deg))
+    tables = harness._sweep_tables(6, 3)
     for floor in (2, 3, 5):
         meeting = [sid for sid, low in enumerate(degrees) if low >= floor]
-        minimal = [sid for sid, _ in _labelled_minimal(6, 3, floor)]
-        non_ham = {sid for sid, _ in _minimal_reference(6, 3, floor, (1 << total) - 1)}
+        non_ham = [sid for sid, _ in _minimal_reference(6, 3, floor)]
         # 5000 shards: 4096 prefixes of 12 pairs, so shards 4096.. own none.
         for shards in (1, 2, 3, 8, 20, 5000):
             suffix_bits = max(total - (shards - 1).bit_length(), 0)
@@ -210,17 +210,11 @@ def test_shard_prefixes_cover_each_subset_once():
                 covered += seen
                 if not prefixes or shards > 20:
                     continue
-                # The shard's climb allows every pair of each graph it owns.
-                # The minimal graphs within its mask are those a labelled
-                # walk over the allowed pairs alone lists, and the shard's
-                # walk lists exactly the non-Hamiltonian ones.
+                # Whatever it owns, a shard walks the whole space up to
+                # symmetry: the orbits of its non-Hamiltonian lex-leaders are
+                # every labelled non-Hamiltonian minimal graph.
                 walk = harness._run_exhaustive_shard((6, 3, floor, shards, shard_id))
-                allowed = walk["allowed"]
-                assert all(sid & allowed == sid for sid in seen), (floor, shards, shard_id)
-                within = [sid for sid, _ in _labelled_minimal(6, 3, floor, allowed)]
-                assert within == [sid for sid in minimal if sid & allowed == sid]
-                listed = [sid for sid, _ in walk["non_hamiltonian"]]
-                assert listed == [sid for sid in within if sid in non_ham], (floor, shards)
+                assert _closure(walk["non_hamiltonian"], tables) == non_ham, (floor, shards)
             assert sorted(covered) == meeting, (floor, shards)
 
 
@@ -302,12 +296,21 @@ def test_lex_comparisons_wait_for_the_prefix_maximum():
             assert late, (n, k)
 
 
+def _closure(graphs, tables):
+    """The subset ids of the orbits of ``graphs``, (subset id, rows) or
+    subset ids, by descending subset id."""
+    sids = [graph[0] if isinstance(graph, tuple) else graph for graph in graphs]
+    return sorted(harness._orbit_closure(dict.fromkeys(sids), tables), reverse=True)
+
+
 def _minimal_sweep(n, k, floor):
-    """The whole-run sweep, shard 0 of 1: (the walk's result, the climb's
-    non-Hamiltonian graphs)."""
-    walk = harness._run_exhaustive_shard((n, k, floor, 1, 0))
-    found, _ = harness._climb(n, k, walk["non_hamiltonian"])
-    return walk, found
+    """The whole-run sweep, shard 0 of 1: (the walk's result, the orbits of
+    the climb's non-Hamiltonian graphs, as {subset id: rows})."""
+    tables = harness._sweep_tables(n, k)
+    walk = harness._run_exhaustive_shard((n, k, floor, 1, 0), tables)
+    found, _ = harness._climb(n, k, walk["non_hamiltonian"], tables)
+    assert all(list(rows) == harness._rows(sid, tables) for sid, rows in found.items())
+    return walk, {sid: tuple(harness._rows(sid, tables)) for sid in _closure(found, tables)}
 
 
 def test_floor_count_matches_enumeration():
@@ -355,23 +358,19 @@ def _leaders(n, k, floor):
 def test_minimal_graph_counts_are_frozen():
     for (n, k, floor), expected in MINIMAL_COUNTS.items():
         tables = harness._sweep_tables(n, k)
-        minimal = harness._orbit_closure(_leaders(n, k, floor), tables)
+        minimal = _closure(_leaders(n, k, floor), tables)
         walk = harness._run_exhaustive_shard((n, k, floor, 1, 0))
-        assert (len(minimal), len(walk["non_hamiltonian"])) == expected, (n, k, floor)
+        non_ham = _closure(walk["non_hamiltonian"], tables)
+        assert (len(minimal), len(non_ham)) == expected, (n, k, floor)
 
 
-def _labelled_minimal(n, k, floor, allowed=None):
-    """Reference: every minimal floor-meeting graph whose pairs lie in the
-    subset-id mask ``allowed`` (every pair if None), as (subset id, rows), in
-    the order of a walk that decides those pairs in subset-id order, present
+def _labelled_minimal(n, k, floor):
+    """Reference: every minimal floor-meeting graph, as (subset id, rows), in
+    the order of a walk that decides the pairs in subset-id order, present
     first, with no symmetry and no kept cycle: by descending subset id."""
     pairs = cross_pairs(n, k)
     top = len(pairs) - 1
-    rows = [
-        (u, v, 1 << u, 1 << v, 1 << (top - i))
-        for i, (u, v) in enumerate(pairs)
-        if allowed is None or allowed >> (top - i) & 1
-    ]
+    rows = [(u, v, 1 << u, 1 << v, 1 << (top - i)) for i, (u, v) in enumerate(pairs)]
     adj = [0] * n
     slack = [-floor] * n
     for u, v, *_ in rows:
@@ -409,13 +408,13 @@ def _labelled_minimal(n, k, floor, allowed=None):
 
 
 @functools.cache
-def _minimal_reference(n, k, floor, allowed):
+def _minimal_reference(n, k, floor):
     """Reference: the non-Hamiltonian graphs of ``_labelled_minimal``, each
     searched.  Returns them as (subset id, rows), in its order."""
     part_masks = harness._part_masks(n, k)
     return [
         (sid, rows)
-        for sid, rows in _labelled_minimal(n, k, floor, allowed)
+        for sid, rows in _labelled_minimal(n, k, floor)
         if harness._ham_search(n, list(rows), part_masks)[0] is None
     ]
 
@@ -429,23 +428,27 @@ SYMMETRY_CASES += [(8, 2, 2), (8, 2, 3), (6, 6, 2), (7, 7, 3), (8, 4, 3), (8, 4,
 def test_walk_up_to_symmetry_lists_every_labelled_minimal_graph():
     # The orbits of the lex-leaders the walk visits with no kept cycle are
     # exactly the labelled minimal graphs, and the orbits of the
-    # non-Hamiltonian ones, with kept cycles, exactly the labelled
-    # non-Hamiltonian minimal graphs, by descending subset id.  A lex-leader
-    # is no smaller than its image under any generator.
+    # non-Hamiltonian ones the walk lists, with kept cycles, exactly the
+    # labelled non-Hamiltonian minimal graphs.  A lex-leader is no smaller
+    # than its image under any generator.
     for n, k, floor in SYMMETRY_CASES:
         tables = harness._sweep_tables(n, k)
-        full = (1 << len(tables.pairs)) - 1
         leaders = _leaders(n, k, floor)
         minimal = [sid for sid, _ in _labelled_minimal(n, k, floor)]
-        closure = harness._orbit_closure(leaders, tables)
-        assert sorted(closure, reverse=True) == minimal, (n, k, floor)
+        assert _closure(leaders, tables) == minimal, (n, k, floor)
         assert len(set(leaders)) == len(leaders) <= len(minimal), (n, k, floor)
         for sid in leaders:
             for generator in tables.swaps:
                 image = _permuted(sid, generator, len(tables.pairs))
                 assert image <= sid, (n, k, floor, sid)
         walk = harness._run_exhaustive_shard((n, k, floor, 1, 0))
-        assert walk["non_hamiltonian"] == _minimal_reference(n, k, floor, full), (n, k, floor)
+        listed = walk["non_hamiltonian"]
+        reference = _minimal_reference(n, k, floor)
+        assert _closure(listed, tables) == [sid for sid, _ in reference], (n, k, floor)
+        # Kept cycles skip only Hamiltonian graphs: the walk lists each
+        # non-Hamiltonian lex-leader, with its rows, in visit order.
+        non_ham = dict(reference)
+        assert listed == [(sid, non_ham[sid]) for sid in leaders if sid in non_ham], (n, k, floor)
 
 
 def _pair_mask(n, k, order):
@@ -468,35 +471,31 @@ def test_cycle_reuse_drops_no_non_hamiltonian_graph(monkeypatch):
         return mask
 
     monkeypatch.setattr(harness, "_cycle_mask", spy)
-    cases = [(6, 3, floor, 1, 0) for floor in range(6)]
-    cases += [(8, 2, 2, 1, 0), (8, 2, 3, 1, 0), (7, 7, 3, 1, 0)]
-    # Shard runs whose masks leave out some prefix pairs.
-    cases += [(8, 4, 3, 1, 0), (8, 4, 3, 8, 3), (8, 4, 3, 64, 42)]
-    for n, k, floor, shards, shard_id in cases:
+    cases = [(6, 3, floor) for floor in range(6)]
+    cases += [(8, 2, 2), (8, 2, 3), (7, 7, 3), (8, 4, 3)]
+    for n, k, floor in cases:
         kept.clear()
-        walk = harness._run_exhaustive_shard((n, k, floor, shards, shard_id))
+        tables = harness._sweep_tables(n, k)
+        walk = harness._run_exhaustive_shard((n, k, floor, 1, 0), tables)
         listed = walk["non_hamiltonian"]
-        assert listed == _minimal_reference(n, k, floor, walk["allowed"]), (n, k, floor, shard_id)
+        reference = [sid for sid, _ in _minimal_reference(n, k, floor)]
+        assert _closure(listed, tables) == reference, (n, k, floor)
         # The climb keeps cycles too; its completeness is checked against
         # full enumeration in test_minimal_sweep_matches_full_enumeration.
-        # A shard's walk covers every pair, its climb only the allowed ones.
         climbing = True
-        harness._climb(n, k, listed, allowed=walk["allowed"])
+        harness._climb(n, k, listed, tables)
         climbing = False
         for order, sid, mask, climbed in kept:
             assert len(order) == n and sorted(order) == list(range(n)), (n, k, floor, order)
             assert mask == _pair_mask(n, k, list(order)), (n, k, floor, order)
             assert mask.bit_count() == n and mask & sid == mask, (n, k, floor, sid)
-            assert not climbed or mask & walk["allowed"] == mask, (n, k, floor, sid)
-    # The last case, shard 42 of 64 at (8, 4) floor 3, keeps cycles in both
-    # steps.
+    # The last case, (8, 4) floor 3, keeps cycles in both steps.
     assert {climbed for *_, climbed in kept} == {False, True}
 
 
-def _search_only_climb(n, k, bases, allowed):
-    """Reference: the climb within the pairs ``allowed`` searching every
-    candidate, with no certificate and no kept cycle.  Returns {subset id:
-    rows}, the bases included."""
+def _search_only_climb(n, k, bases):
+    """Reference: the climb searching every candidate, with no certificate
+    and no kept cycle.  Returns {subset id: rows}, the bases included."""
     part_masks = harness._part_masks(n, k)
     pairs = cross_pairs(n, k)
     found = dict(bases)
@@ -507,7 +506,7 @@ def _search_only_climb(n, k, bases, allowed):
         for i, (u, v) in enumerate(pairs):
             bit = 1 << (len(pairs) - 1 - i)
             up = sid | bit
-            if not bit & allowed or up in seen:
+            if up in seen:
                 continue
             seen.add(up)
             grown = list(adj)
@@ -519,23 +518,15 @@ def _search_only_climb(n, k, bases, allowed):
     return found
 
 
-# The (8, 4) floor-3 climb of a run by (shards, shard_id): its non-Hamiltonian
-# candidates, all refuted by a certificate, their witness kinds, and its
-# bases' witness kinds.  A whole run's certificates refute all 520 bases but
-# the 32 F2 graphs.
-CLIMB_WITNESSES_8_4 = {
-    (1, 0): (
-        1_792,
-        {"SmallCut": 544, "BipartiteDegreeOne": 1_248},
-        {"SmallCut": 200, "BipartiteDegreeOne": 288, "NoneType": 32},
-    ),
-    (8, 3): (
-        668,
-        {"SmallCut": 228, "BipartiteDegreeOne": 440},
-        {"SmallCut": 92, "BipartiteDegreeOne": 120, "NoneType": 12},
-    ),
-    (64, 42): (40, {"SmallCut": 40}, {"SmallCut": 16}),
-}
+# The (8, 4) floor-3 climb from the 15 non-Hamiltonian lex-leaders: its
+# non-Hamiltonian candidates, all refuted by a certificate, their witness
+# kinds, and its bases' witness kinds.  The certificates refute every base
+# but the F2 graphs.
+CLIMB_WITNESSES_8_4 = (
+    115,
+    {"SmallCut": 50, "BipartiteDegreeOne": 65},
+    {"SmallCut": 3, "BipartiteDegreeOne": 11, "NoneType": 1},
+)
 
 
 def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
@@ -554,70 +545,139 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
             refuted.append(witness is not None)
         return witness
 
-    # (n, k, floor, shards, shard_id, 1 or -1 to climb from the bases in
-    # walk order or reversed).
-    cases = [(6, 3, floor, 1, 0, 1) for floor in range(6)]
-    cases += [(8, 2, 2, 1, 0, 1), (8, 2, 3, 1, 0, 1), (7, 7, 3, 1, 0, 1)]
-    cases += [(8, 4, 3, 1, 0, 1), (8, 4, 3, 1, 0, -1), (8, 4, 3, 8, 3, 1), (8, 4, 3, 64, 42, 1)]
-    for n, k, floor, shards, shard_id, order in cases:
-        walk = harness._run_exhaustive_shard((n, k, floor, shards, shard_id))
-        bases, allowed = walk["non_hamiltonian"][::order], walk["allowed"]
+    # (n, k, floor, 1 or -1 to climb from the walk's lex-leaders in walk
+    # order or reversed).
+    cases = [(6, 3, floor, 1) for floor in range(6)]
+    cases += [(8, 2, 2, 1), (8, 2, 3, 1), (7, 7, 3, 1), (8, 4, 3, 1), (8, 4, 3, -1)]
+    for n, k, floor, order in cases:
+        walk = harness._run_exhaustive_shard((n, k, floor, 1, 0))
+        bases = walk["non_hamiltonian"][::order]
         base_rows = {rows for _, rows in bases}
-        case = (shards, shard_id, order)
-        reference = _search_only_climb(n, k, bases, allowed)
+        case = (n, k, floor, order)
+        reference = _search_only_climb(n, k, bases)
+        asked = n >= 7 and 2 * floor >= n - 2
         # The same climb without certificates, then with them.
         monkeypatch.setattr(harness, "_polynomial_witness", lambda g, skip=0: None)
         searches.clear()
-        found, witnesses = harness._climb(n, k, bases, allowed=allowed)
-        assert found == reference and witnesses == {}, (n, k, floor)
+        found, witnesses = harness._climb(n, k, bases)
+        assert found == reference and not any(witnesses.values()), case
         without = len(searches)
         monkeypatch.setattr(harness, "_polynomial_witness", certify_spy)
         searches.clear()
         refuted.clear()
         base_witnesses.clear()
-        found, witnesses = harness._climb(n, k, bases, allowed=allowed)
-        assert found == reference, (n, k, floor)
-        assert without - len(searches) == sum(refuted), (n, k, floor, case)
-        # A refuted candidate keeps its witness, and so does a base that has
-        # one; it is the one the solver gives a graph built afresh from its
-        # rows.
+        found, witnesses = harness._climb(n, k, bases)
+        assert found == reference, case
+        assert without - len(searches) == sum(refuted), case
+        # Every graph found was asked, or none was.  A refuted candidate keeps
+        # its witness, and so does a base that has one; it is the one the
+        # solver gives a graph built afresh from its rows.
+        assert witnesses.keys() == (found.keys() if asked else set()), case
         kept = [witness for witness in base_witnesses if witness]
-        assert len(witnesses) == sum(refuted) + len(kept), (n, k, floor, case)
-        assert witnesses.keys() <= found.keys(), (n, k, floor, case)
+        assert sum(map(bool, witnesses.values())) == sum(refuted) + len(kept), case
         assert Counter(kept) == Counter(
-            witnesses[sid] for sid in dict(bases) if sid in witnesses
-        ), (n, k, floor, case)
+            witnesses[sid] for sid in dict(bases) if witnesses.get(sid)
+        ), case
         part_of = blocks_partition(n, k)
         for sid, witness in witnesses.items():
-            fresh = non_hamiltonicity_witness(KPartiteGraph(part_of, found[sid]))
-            assert witness == fresh, (n, k, floor, sid)
-        if n < 7 or 2 * floor < n - 2:
+            if witness:
+                fresh = non_hamiltonicity_witness(KPartiteGraph(part_of, found[sid]))
+                assert witness == fresh, (case, sid)
+        if not asked:
             # Refuting searches cost less than the certificates there.
-            assert not refuted and not base_witnesses, (n, k, floor)
+            assert not refuted and not base_witnesses, case
         else:
             # Each base is asked once.
-            assert len(base_witnesses) == len(dict(bases)), (n, k, floor, case)
+            assert len(base_witnesses) == len(dict(bases)), case
         base_kinds = Counter(type(witness).__name__ for witness in base_witnesses)
         kinds = Counter(type(witnesses[sid]).__name__ for sid in witnesses.keys() - dict(bases))
         if (n, k) == (8, 4):
             # Every non-Hamiltonian climb candidate is refuted by a certificate.
-            climbed, expected_kinds, expected_base_kinds = CLIMB_WITNESSES_8_4[shards, shard_id]
+            climbed, expected_kinds, expected_base_kinds = CLIMB_WITNESSES_8_4
             assert sum(refuted) == len(reference) - len(bases) == climbed, case
             assert kinds == expected_kinds, case
             assert base_kinds == expected_base_kinds, case
         if (n, k, floor) == (7, 7, 3):
-            assert sum(refuted) == len(reference) - len(bases) == 245
-            assert kinds == {"IndependentSetTooLarge": 245}
-            assert base_kinds == {"SmallCut": 70, "IndependentSetTooLarge": 35}
+            assert sum(refuted) == len(reference) - len(bases) == 14
+            assert kinds == {"IndependentSetTooLarge": 14}
+            assert base_kinds == {"SmallCut": 1, "IndependentSetTooLarge": 2}
 
 
-# The climb's certificate calls in a floor-3 sweep by (n, k, shards): the
-# calls by inherited steps, then the cut and independent-set steps run.  A
-# candidate a kept cycle decides is not asked, so these depend on the cap.
+# (n, k, floor) of the sweeps whose climb up to symmetry is checked against a
+# labelled climb from every non-Hamiltonian minimal graph.
+ORBIT_CLIMB_CASES = [(6, 3, floor) for floor in range(6)]
+ORBIT_CLIMB_CASES += [(8, 2, 2), (8, 2, 3), (7, 7, 3), (6, 6, 2), (8, 4, 3)]
+# The listed graphs of a sweep by (n, k, floor), as (graphs the climb found,
+# graphs its orbits add and a transported certificate refutes, graphs left
+# to non_hamiltonicity_witness); the others leave every graph to it.
+ORBIT_WITNESSES = {(8, 4, 3): (129, 2_151, 32), (7, 7, 3): (17, 333, 0)}
+
+
+def test_climb_up_to_symmetry_lists_every_labelled_non_hamiltonian_graph():
+    # The orbits of the graphs the climb from the walk's non-Hamiltonian
+    # lex-leaders finds are exactly the graphs a labelled climb from every
+    # non-Hamiltonian minimal graph finds.  Each listed graph, built once
+    # from its subset id, carries the witness the solver gives that graph
+    # built afresh, or none, which the finish step computes.
+    for n, k, floor in ORBIT_CLIMB_CASES:
+        case = (n, k, floor)
+        tables = harness._sweep_tables(n, k)
+        walk = harness._run_exhaustive_shard((n, k, floor, 1, 0), tables)
+        found, witnesses = harness._climb(n, k, walk["non_hamiltonian"], tables)
+        reference = _search_only_climb(n, k, _minimal_reference(n, k, floor))
+        assert _closure(found, tables) == sorted(reference, reverse=True), case
+        whole = harness._shard_prefixes(len(tables.pairs), 1, 0)
+        listed = list(harness._orbit_graphs(n, k, found, witnesses, whole, tables))
+        assert [g.adj for g, _ in listed] == [reference[sid] for sid in sorted(reference)], case
+        part_of = blocks_partition(n, k)
+        sources = Counter()
+        for sid, (g, witness) in zip(sorted(reference), listed):
+            fresh = non_hamiltonicity_witness(KPartiteGraph(part_of, reference[sid]))
+            assert (witness or non_hamiltonicity_witness(g)) == fresh, (case, sid)
+            sources["climbed" if witness and sid in found else "orbit" if witness else "none"] += 1
+        if case in ORBIT_WITNESSES:
+            expected = dict(zip(("climbed", "orbit", "none"), ORBIT_WITNESSES[case]))
+            assert sources == Counter(expected), case
+        else:
+            assert set(sources) <= {"none"}, case
+
+
+def test_byte_tables_map_subset_ids_as_the_pair_loops_do():
+    # Each generator's byte tables send a subset id to its image under the
+    # generator's pair involution, and the row tables give the rows that
+    # deciding every pair as a prefix gives, on every pair bit and on 1,000
+    # seeded subset ids for each (n, k) the pair guard admits.
+    admitted = [
+        (n, k)
+        for n in range(3, 10)
+        for k in range(2, n + 1)
+        if n % k == 0 and len(cross_pairs(n, k)) <= harness.EXHAUSTIVE_MAX_PAIRS
+    ]
+    assert (8, 4) in admitted and (7, 7) in admitted and (8, 8) not in admitted
+    rng = random.Random(35)
+    for n, k in admitted:
+        tables = harness._sweep_tables(n, k)
+        total = len(tables.pairs)
+        sids = [1 << p for p in range(total)] + [rng.getrandbits(total) for _ in range(1000)]
+        involutions = [_pair_involution(n, k, sigma) for sigma in _vertex_generators(n, k)]
+        assert len(tables.flips) == len(involutions), (n, k)
+        for flips, pi in zip(tables.flips, involutions):
+            moves = [(j, pi[j]) for j in range(total) if j < pi[j]]
+            for sid in sids:
+                assert harness._through(flips, sid) == _permuted(sid, moves, total), (n, k, sid)
+        for sid in sids:
+            rows = harness._apply_prefix(tables, 0, 1 << total, sid)[2]
+            assert harness._rows(sid, tables) == rows, (n, k, sid)
+
+
+# The certificate calls in a floor-3 sweep by (n, k, shards), the climb's and
+# those of the graphs its orbits add: the calls by inherited or transported
+# steps, then the cut and independent-set steps run.  A candidate a kept
+# cycle decides is not asked, so these depend on the cap.
 CERTIFICATE_STEPS = {
-    (8, 4, 1): ({0: 1_400, 2: 1_549}, {"cut": 1_400, "alpha": 656}),
-    (8, 4, 8): ({0: 1_400, 2: 1_549}, {"cut": 1_400, "alpha": 656}),
-    (7, 7, 1): ({0: 274, 1: 275}, {"cut": 274, "alpha": 479}),
+    (8, 4, 1): ({0: 814, 2: 1_588}, {"cut": 814, "alpha": 70}),
+    (8, 4, 8): ({0: 814, 2: 1_588}, {"cut": 814, "alpha": 70}),
+    (7, 7, 1): ({0: 81, 1: 288}, {"cut": 81, "alpha": 299}),
 }
 
 
@@ -655,7 +715,8 @@ def _certificate_steps(monkeypatch, cases):
 
 def test_inherited_certificate_steps_change_no_climb_witness(monkeypatch):
     # The climb passes each candidate the monotone certificate steps its
-    # parent failed, and the candidate skips them.  On every call of the
+    # parent failed, and the candidate skips them; a graph of a climbed
+    # orbit skips those its climbed member failed.  On every call of the
     # (8, 4) floor-3 sweep, whole with shards 1 and 8 (which make the same
     # walk and climb), and of the (7, 7) floor-3 sweep, the witness must be
     # the one the full call gives.  The climb's bases are asked with nothing
@@ -681,14 +742,14 @@ def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():
 
 # harness._ham_search calls of a whole (8, 4) floor-3 sweep, by shard count,
 # which a whole run only names: 26,200 minimal graphs and 17,968 climb
-# candidates without symmetry or cycle reuse, and 1,792 fewer than with reuse
-# alone, since certificates refute every non-Hamiltonian climb candidate.
-# The walk searches 91 lex-leaders, the climb 637 candidates.
-SWEEP_SEARCHES = {1: 728, 8: 728, 2**16: 728}
+# candidates without symmetry or cycle reuse.  The walk searches 91
+# lex-leaders; the climb from the 15 non-Hamiltonian ones searches 90
+# candidates, since certificates refute all 115 non-Hamiltonian ones.
+SWEEP_SEARCHES = {1: 181, 8: 181, 2**16: 181}
 # The same for the other sweeps whose search counts reuse moves, by (n, k,
 # floor): the (7, 7) floor-3 sweep, where k = n, and the (8, 2) exception
 # floor.
-OTHER_SWEEP_SEARCHES = {(8, 2, 2): 712, (7, 7, 3): 215}
+OTHER_SWEEP_SEARCHES = {(8, 2, 2): 59, (7, 7, 3): 35}
 
 
 def _counting_searches(monkeypatch):
@@ -724,15 +785,16 @@ def test_other_sweep_search_counts_are_frozen(monkeypatch):
 
 
 def test_a_shard_of_many_walks_at_most_the_whole_sweep(monkeypatch):
-    # Shard 2**16 - 1 owns the prefix with all 16 prefix pairs present, so
-    # its climb allows every pair: it searches no more than the whole run and
-    # lists exactly the whole run's entries under its prefix.
+    # Shard 2**16 - 1 owns the prefix with all 16 prefix pairs present.  Like
+    # every shard, it walks and climbs the whole space up to symmetry, so it
+    # makes the whole run's searches, and it lists exactly the whole run's
+    # entries under its prefix.
     calls = _counting_searches(monkeypatch)
     whole = exhaustive_verify(8, 4, 3, shards=2**16)
     assert len(calls) == SWEEP_SEARCHES[2**16]
     calls.clear()
     last = exhaustive_verify(8, 4, 3, shards=2**16, shard_id=2**16 - 1)
-    assert 0 < len(calls) <= SWEEP_SEARCHES[2**16]
+    assert len(calls) == SWEEP_SEARCHES[2**16]
     assert last.counters["graphs_enumerated"] == 2**8
     owned = [e for e in whole.exceptional if _subset_id(e, 8, 4) >> 8 == 2**16 - 1]
     assert last.exceptional == owned and owned
@@ -786,19 +848,19 @@ def test_minimal_visit_order_is_frozen():
 
 
 def test_packed_store_at_cap_32_reproduces_the_list_buckets(monkeypatch):
-    # At 32 masks a bucket the packed store must make the certificate calls
-    # the list buckets it replaced made, frozen at that cap; only the climb
-    # makes them.  The searches and visit order, which the walk up to
-    # symmetry changed, were frozen at that cap when it landed.  The store
-    # reads the cap when it is built.
+    # At 32 masks a bucket the packed store must make the searches and
+    # certificate calls frozen at that cap.  The store reads the cap when it
+    # is built.  The visit order was frozen at that cap when the walk went up
+    # to symmetry.  Since the climb starts from the lex-leaders, it makes
+    # few enough searches that the cap no longer moves these counts.
     monkeypatch.setattr(harness, "CYCLE_BUCKET_CAP", 32)
     shards = (1, 8, 2**16)
-    assert _sweep_searches(monkeypatch, shards) == dict.fromkeys(shards, 1_350)
+    assert _sweep_searches(monkeypatch, shards) == dict.fromkeys(shards, 181)
     assert _minimal_visit_lines() == (
         506,
         "b7afc079378a21336a58d12e0288595e4407579225c748ed4e450a1fc789a2da",
     )
-    steps = ({0: 1_694, 2: 1_877}, {"cut": 1_694, "alpha": 950})
+    steps = ({0: 814, 2: 1_588}, {"cut": 814, "alpha": 70})
     assert _certificate_steps(monkeypatch, [(8, 4, 1)]) == {(8, 4, 1): steps}
 
 
@@ -876,7 +938,7 @@ FROZEN_REPORTS = [
     ("exhaustive 6,3 floor 3", lambda: [exhaustive_verify(6, 3, 3)], "f38176972b4b7c932ad476e9e684e8a5359c6a31d01355ff773af75eea673036"),
     ("exhaustive 8,2 floor 2", lambda: [exhaustive_verify(8, 2, 2)], "eaac74f0f8bb7b98427293ef7b71e081197977360de74cc8f215bee3884e6a70"),
     ("exhaustive 8,2 floor 3", lambda: [exhaustive_verify(8, 2, 3)], "1d84bd7255b7827c5bc4ec475738075aeadbf613a9ae6a254522e7ebef8d3bfc"),
-    # The one sweep whose climb certifies with independent-set witnesses (245).
+    # The one sweep whose certificates include independent-set witnesses.
     ("exhaustive 7,7 floor 3", lambda: [exhaustive_verify(7, 7, 3)], "583389a917d697d5e922cb33ce73c06b16eefe662148c400d22221fcd3eaab0a"),
     (
         "exhaustive 6,3, each of 3 shards",

@@ -930,10 +930,9 @@ def _forced_edge_populations():
     tables = harness._sweep_tables(8, 4)
     leaders = []
     harness._enumerate_minimal(8, 4, 3, lambda sid, adj: leaders.append(sid), tables)
-    # A subset id read as a prefix of all 24 pairs gives the graph's rows.
     minimal = [
-        KPartiteGraph(part_of, harness._apply_prefix(tables, 3, 1 << 24, sid)[2])
-        for sid in sorted(harness._orbit_closure(leaders, tables), reverse=True)
+        KPartiteGraph(part_of, harness._rows(sid, tables))
+        for sid in sorted(harness._orbit_closure(dict.fromkeys(leaders), tables), reverse=True)
     ]
     rng = random.Random(31)
     return {
