@@ -45,38 +45,34 @@ lex-leaders.  A non-Hamiltonian floor-meeting graph G contains a minimal
 graph sigma L, for a group element sigma and a listed lex-leader L, so
 sigma^-1 G contains L, and the climb from L keeps it (see below).  The
 generators generate the group, so closing the kept graphs under them
-(``_orbit_closure``) gives every non-Hamiltonian floor-meeting graph.  Each
-one the climb did not keep is built once, from its subset id
-(``_orbit_graphs``), and every graph is given the witness of its own
-labels.  Only two facts travel along an orbit: that the graph is
-2-connected, and that it has no independent set on more than n/2 vertices.
-A lowest cut vertex, a search's node count and the part unions the
-bipartite step grows depend on the labels.
+(``_orbit_closure``) gives every non-Hamiltonian floor-meeting graph, and
+the orbit of each.  Each one the climb did not keep is built once, from its
+subset id (``_orbit_graphs``), and every graph is given the witness of its
+own labels.  Only three facts travel along an orbit: that the graph is
+2-connected, that it has no independent set on more than n/2 vertices, and
+its family class, since ``recognize`` classifies up to part-respecting
+isomorphism and every group element respects parts.  So the finish step
+classifies one climbed graph an orbit.  A lowest cut vertex, a search's
+node count and the part unions the bipartite step grows depend on the
+labels.
 
-Both searching steps reuse the Hamiltonian cycles their searches find.  A
-kept cycle is its pair mask, the OR of its n pairs' subset-id bits, checked
-once when kept: n bits, all present in the graph that produced it.  A graph
-that holds a kept mask is Hamiltonian without a search.  The enumeration
-buckets a mask by its highest pair and, when it sets that pair present,
-tests the bucket against the graph decided so far; on a hit it skips the
-branch, since every completion adds edges to a Hamiltonian graph.  So it
-skips only Hamiltonian minimal graphs, and lists the non-Hamiltonian ones
-in the order it would without reuse.  The climb indexes a mask under each
-of its pairs: a candidate's parent is non-Hamiltonian, so a cycle of the
-candidate uses the pair just added, and only that pair's masks are tested.
-Reuse changes which graphs are searched, never which are listed.  The
-store (``_CycleStore``) belongs to one run's enumeration or to its climb and
-keeps at most ``CYCLE_BUCKET_CAP`` masks a bucket, newest first, packed in
-one int, so one zero-lane test (Warren, Hacker's Delight, section 6-1)
-checks a whole bucket.  Where it pays, the
-climb asks the solver's search-free witnesses about its bases and about a
-candidate before it searches; a refuted candidate yields no cycle, so this
-too changes only which graphs are searched, and each witness is kept for
-the report.  A candidate skips the cut and independent-set steps its parent
-failed: a 2-connected graph stays 2-connected when a pair is added, and its
-independence number cannot grow.  The bipartite degree-one step always
-runs, since an added pair can change the part unions it grows greedily and
-so create its witness.
+Both searching steps reuse the Hamiltonian cycles their searches find,
+each kept as its pair mask (``_cycle_mask``): a graph that holds one is
+Hamiltonian without a search.  The enumeration skips a branch once the
+graph decided so far holds a mask whose highest pair it just set, as every
+completion is Hamiltonian.  A climb candidate's parent is non-Hamiltonian,
+so its cycles use the pair just added, and only that pair's masks are
+tested.  A ``_CycleStore`` packs a bucket's newest ``CYCLE_BUCKET_CAP``
+masks in one int, so one zero-lane test (Warren, Hacker's Delight, section
+6-1) checks them all.  Where it pays, the climb asks the solver's
+search-free witnesses about a graph before it searches, and keeps each for
+the report; a refuted candidate yields no cycle.  So reuse and certificates
+change which graphs are searched, never which are listed.  A candidate
+skips the cut and independent-set steps its parent failed: a 2-connected
+graph stays 2-connected when a pair is added, and its independence number
+cannot grow.  The bipartite step always runs, since an added pair can
+change the part unions it grows greedily.  A graph asked in vain goes
+straight to the search.
 
 The climb from a base M keeps every non-Hamiltonian graph G that contains
 M.  Add the pairs of G missing from M one at a time: each graph on the way
@@ -96,16 +92,13 @@ expansion builds and finishes only the graphs it owns.  Everything runs in
 one process.
 
 The exhaustive and the sampled sweep both hand their non-Hamiltonian graphs,
-in report order, to ``_finish_sweep``, with any witness the climb kept: it
-computes the others, builds each entry (an exceptional one at the floor of
-an exception regime, classified from its witness, a counterexample anywhere
-else) and writes the sweep params.  Every report builder ends in
-``_finish_report``, which runs the self-check and stamps the wall time.  The
-self-check re-solves each recorded graph with the second decider, which also
-certifies an exhaustive search, certifies any other witness, and requires an
-exhaustive search's node count to reproduce.  Reports serialize to JSON
-with a schema version; apart from the ``wall_time_seconds`` field they are
-byte-identical across repeat runs with equal parameters and seed.
+in report order, to ``_finish_sweep``, which builds each entry (an
+exceptional one at the floor of an exception regime, a counterexample
+anywhere else) and the sweep params.  Every report builder ends in
+``_finish_report``, which runs the self-check (``_self_check``) and stamps
+the wall time.  Reports serialize to JSON with a schema version; apart from
+``wall_time_seconds`` they are byte-identical across repeat runs with equal
+parameters and seed.
 """
 
 from __future__ import annotations
@@ -419,26 +412,31 @@ def _lex_schedule(swaps: list, pairs: int) -> list[list[tuple[int, tuple]]]:
     return steps
 
 
-def _orbit_closure(facts: dict, tables: _SweepTables) -> dict:
-    """The closure of ``facts``, {subset id: value}, under the generators of
-    the part-preserving group: every graph in the orbit of a key, with the
-    value of the key it was reached from, so a value should be a fact that
-    relabelling keeps."""
+def _orbit_closure(seeds, tables: _SweepTables) -> dict:
+    """{subset id: seed} for every graph in the orbit of one of ``seeds``
+    under the generators of the part-preserving group, where the seed is
+    the first of ``seeds`` in that orbit.  The generators generate the
+    group, so a seed the closure has not met yet starts a search that meets
+    its whole orbit and nothing else: one search, and one seed, an orbit."""
     flips = tables.flips
-    seen = dict(facts)
-    stack = list(seen.items())
-    while stack:
-        sid, value = stack.pop()
-        for generator in flips:
-            # _through(generator, sid), inlined.
-            image, rest = 0, sid
-            for table in generator:
-                image |= table[rest & 255]
-                rest >>= 8
-            if image not in seen:
-                seen[image] = value
-                stack.append((image, value))
-    return seen
+    orbit_of = {}
+    for seed in seeds:
+        if seed in orbit_of:
+            continue
+        orbit_of[seed] = seed
+        stack = [seed]
+        while stack:
+            sid = stack.pop()
+            for generator in flips:
+                # _through(generator, sid), inlined.
+                image, rest = 0, sid
+                for table in generator:
+                    image |= table[rest & 255]
+                    rest >>= 8
+                if image not in orbit_of:
+                    orbit_of[image] = seed
+                    stack.append(image)
+    return orbit_of
 
 
 def _apply_prefix(
@@ -646,14 +644,14 @@ def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> tuple[d
 
     A candidate's parent is non-Hamiltonian, so any Hamiltonian cycle of the
     candidate uses the pair just added.  The call keeps the pair mask of each
-    cycle its searches find under each of the cycle's pairs, up to
-    ``CYCLE_BUCKET_CAP`` per pair (a ``_CycleStore`` bucket), newest first;
-    a candidate that holds a mask kept under its new pair is Hamiltonian
-    without a search.  Where refuting searches cost more than the
-    certificates, from n = 7 on and with every base of minimum degree at
-    least n/2 - 1, each base is asked ``_polynomial_witness`` up front, and
-    a candidate is asked it first and searched only if it has none; a
-    refuted candidate keeps no cycle, so the graphs found are the same.  A
+    cycle its searches find under each of the cycle's pairs (a
+    ``_CycleStore`` bucket); a candidate that holds a mask kept under its
+    new pair is Hamiltonian without a search.  Where refuting searches cost
+    more than the certificates, from n = 7 on and with every base of
+    minimum degree at least n/2 - 1, each base is asked
+    ``_polynomial_witness`` up front, and a candidate is asked it first and
+    searched only if it has none; a refuted candidate keeps no cycle, so
+    the graphs found are the same.  A
     candidate is asked with the ``skip`` its parent passes on
     (``_steps_failed``), so every graph found was asked, or none was.  A
     witness is what ``non_hamiltonicity_witness`` would give the graph's
@@ -723,22 +721,27 @@ def _orbit_graphs(
 ):
     """The graphs in the orbits of the climb's ``found`` under the prefixes
     ``owned`` (as ``_shard_prefixes`` gives them), by ascending subset id,
-    as (graph, witness or None), given the climb's ``witnesses``.  A graph
-    the climb did not keep is asked ``_polynomial_witness`` with the steps
-    its climbed member failed, if that one was asked."""
-    skips = _orbit_closure(
-        {sid: _steps_failed(witnesses[sid]) if sid in witnesses else None for sid in found},
-        tables,
-    )
+    as (graph, witness or None, orbit), given the climb's ``witnesses``;
+    ``orbit`` is the (graph, witness or None) of the orbit's seed
+    (``_orbit_closure``).  If the seed was asked for a certificate, so is a
+    graph the climb did not keep, with the steps the seed failed, and a
+    graph asked in vain is given its exhaustive search."""
+    orbit_of = _orbit_closure(found, tables)
     suffix_bits, prefixes = owned
     part_of = blocks_partition(n, k)
-    for sid in sorted(sid for sid in skips if sid >> suffix_bits in prefixes):
-        adj = found.get(sid)
-        if adj is not None:
-            yield KPartiteGraph(part_of, adj), witnesses.get(sid)
-            continue
-        g, skip = KPartiteGraph(part_of, _rows(sid, tables)), skips[sid]
-        yield g, None if skip is None else _polynomial_witness(g, skip)
+    orbits = {}
+    for sid in sorted(sid for sid in orbit_of if sid >> suffix_bits in prefixes):
+        seed = orbit_of[sid]
+        if seed not in orbits:
+            orbits[seed] = KPartiteGraph(part_of, found[seed]), witnesses.get(seed)
+        asked = seed in witnesses
+        g = KPartiteGraph(part_of, found.get(sid) or _rows(sid, tables))
+        witness = witnesses.get(sid)
+        if asked and sid not in found:
+            witness = _polynomial_witness(g, _steps_failed(orbits[seed][1]))
+        if asked and witness is None:
+            witness = ExhaustiveSearch(_decide_hamiltonian(g)[1])
+        yield g, witness, orbits[seed]
 
 
 def _shard_prefixes(pairs: int, shards: int, shard_id: int) -> tuple[int, range]:
@@ -760,8 +763,7 @@ def _run_exhaustive_shard(args, tables: _SweepTables | None = None) -> dict:
     rows), by descending subset id.  The walk covers the whole space up to
     symmetry, whatever the shard, and searches the lex-leaders only, a kept
     cycle deciding those that hold it without a search (see
-    ``_enumerate_minimal``).  The finish step climbs from the leaders and
-    expands the orbits of what the climb lists.  ``tables`` are the run's
+    ``_enumerate_minimal``).  ``tables`` are the run's
     ``_sweep_tables(n, k)``, derived here if None."""
     n, k, floor, shards, shard_id = args
     tables = tables or _sweep_tables(n, k)
@@ -803,17 +805,19 @@ def _finish_sweep(
 ) -> VerificationReport:
     """The report of a sweep whose non-Hamiltonian graphs, in report order,
     are ``non_hamiltonian``, as (graph, its witness or None if not yet
-    known); ``counters`` holds the sweep's own counts and gains
-    ``hamiltonian_found`` and ``witnesses_found``.
+    known, its orbit or None); ``counters`` holds the sweep's own counts and
+    gains ``hamiltonian_found`` and ``witnesses_found``.
 
     Each graph's entry carries its witness.  In an exception regime at the
     theorem's floor the entries are ``exceptional`` and carry the family
-    classification read with the witness (None off n = 2k or beyond
-    recognition's reach); anywhere else they are counterexamples."""
+    classification (None off n = 2k or beyond recognition's reach), read
+    once an orbit from the orbit's (graph, witness), a graph with no orbit
+    its own; anywhere else they are counterexamples."""
     characterize = is_exception(n, k) and floor == theorem_threshold(n, k)
     classify = characterize and n == 2 * k and n <= RECOGNIZE_SIZE_LIMIT
     entries = []
-    for g, witness in non_hamiltonian:
+    classes = {}
+    for g, witness, orbit in non_hamiltonian:
         if witness is None:
             witness = non_hamiltonicity_witness(g)
         entry = {
@@ -821,7 +825,10 @@ def _finish_sweep(
             "witness": witness_to_payload(witness) if witness else None,
         }
         if characterize:
-            entry["classification"] = _recognize(g, witness) if classify else None
+            orbit = orbit or (g, witness)
+            if classify and orbit not in classes:
+                classes[orbit] = _recognize(*orbit)
+            entry["classification"] = classes.get(orbit)
         entries.append(entry)
     counters["hamiltonian_found"] = counters["graphs_above_threshold"] - len(entries)
     counters["witnesses_found"] = sum(entry["witness"] is not None for entry in entries)
@@ -855,11 +862,9 @@ def _finish_exhaustive(
     tables: _SweepTables,
 ) -> VerificationReport:
     """The report of a run whose walk returned ``result``: the climb from
-    its non-Hamiltonian lex-leaders, a kept cycle deciding a candidate
-    without a search (see ``_climb``), then ``_finish_sweep`` over the
-    graphs of the climbed orbits that the run owns (``_orbit_graphs``).  A
-    whole run owns every graph, shard ``shard_id`` those under its
-    prefixes."""
+    its non-Hamiltonian lex-leaders, then ``_finish_sweep`` over the graphs
+    of the climbed orbits that the run owns (``_orbit_graphs``).  A whole
+    run owns every graph, shard ``shard_id`` those under its prefixes."""
     counters = {
         "graphs_enumerated": result["space"],
         "graphs_above_threshold": result["meeting_floor"],
@@ -1012,7 +1017,7 @@ def sample_verify(
         counters["graphs_above_threshold"] += 1
         g = KPartiteGraph(part_of, adj)
         if find_hamiltonian_cycle(g) is None:
-            non_ham.append((g, None))
+            non_ham.append((g, None, None))
     return _finish_sweep(
         "sample", n, k, floor, counters, non_ham, started, seed=seed, trials=trials
     )

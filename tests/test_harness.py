@@ -12,7 +12,13 @@ from itertools import permutations
 import pytest
 
 from hamparts import harness, solver
-from hamparts.families import build_F2, build_family_F, build_family_F1, build_family_F3
+from hamparts.families import (
+    build_F2,
+    build_family_F,
+    build_family_F1,
+    build_family_F3,
+    recognize,
+)
 from hamparts.conditions import check_domcycle_lemma
 from hamparts.graphs import (
     KPartiteGraph,
@@ -31,7 +37,12 @@ from hamparts.harness import (
     sample_verify,
     tightness_scan,
 )
-from hamparts.solver import find_hamiltonian_cycle, non_hamiltonicity_witness, witness_to_payload
+from hamparts.solver import (
+    ExhaustiveSearch,
+    find_hamiltonian_cycle,
+    non_hamiltonicity_witness,
+    witness_to_payload,
+)
 from hamparts.thresholds import (
     check_appendix_facts,
     required_degree,
@@ -300,7 +311,7 @@ def _closure(graphs, tables):
     """The subset ids of the orbits of ``graphs``, (subset id, rows) or
     subset ids, by descending subset id."""
     sids = [graph[0] if isinstance(graph, tuple) else graph for graph in graphs]
-    return sorted(harness._orbit_closure(dict.fromkeys(sids), tables), reverse=True)
+    return sorted(harness._orbit_closure(sids, tables), reverse=True)
 
 
 def _minimal_sweep(n, k, floor):
@@ -316,15 +327,20 @@ def _minimal_sweep(n, k, floor):
 def test_floor_count_matches_enumeration():
     # The DP against the recursion that visits every floor-meeting graph, at
     # every floor up to one above the cross degree, whole and per prefix.
+    # One memo serves every floor and prefix of an (n, k): its key, (pair
+    # index, unmet degrees), depends on neither.
     for n, k in ((6, 3), (8, 2)):
+        tables = harness._sweep_tables(n, k)
         for floor in range(6):
             visited = harness._enumerate_shard(n, k, floor, 1, 0, lambda sid, adj: None)[1]
-            assert harness._count_meeting_floor(n, k, floor, 1, 0) == visited, (n, k, floor)
+            counted = harness._count_meeting_floor(n, k, floor, 1, 0, tables)
+            assert counted == visited, (n, k, floor)
+    tables = harness._sweep_tables(6, 3)
     for floor in range(6):
         for units in (2, 8, 64, 4096):
             for unit in range(units):
                 visited = harness._enumerate_shard(6, 3, floor, units, unit, lambda s, a: None)[1]
-                counted = harness._count_meeting_floor(6, 3, floor, units, unit)
+                counted = harness._count_meeting_floor(6, 3, floor, units, unit, tables)
                 assert counted == visited, (floor, units, unit)
 
 
@@ -607,10 +623,14 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
 # labelled climb from every non-Hamiltonian minimal graph.
 ORBIT_CLIMB_CASES = [(6, 3, floor) for floor in range(6)]
 ORBIT_CLIMB_CASES += [(8, 2, 2), (8, 2, 3), (7, 7, 3), (6, 6, 2), (8, 4, 3)]
-# The listed graphs of a sweep by (n, k, floor), as (graphs the climb found,
-# graphs its orbits add and a transported certificate refutes, graphs left
-# to non_hamiltonicity_witness); the others leave every graph to it.
-ORBIT_WITNESSES = {(8, 4, 3): (129, 2_151, 32), (7, 7, 3): (17, 333, 0)}
+# The listed graphs of a sweep by (n, k, floor), as (graphs the climb found
+# and refuted by a certificate, graphs its orbits add and a transported
+# certificate refutes, graphs asked in vain and refuted by a search, graphs
+# left to non_hamiltonicity_witness); the others leave every graph to it.
+ORBIT_WITNESSES = {(8, 4, 3): (129, 2_151, 32, 0), (7, 7, 3): (17, 333, 0, 0)}
+# The orbits of the listed graphs by (n, k, floor), one seed of the climb's
+# each.
+ORBITS = {(6, 3, 2): 10, (8, 2, 2): 8, (7, 7, 3): 5, (8, 4, 3): 17}
 
 
 def test_climb_up_to_symmetry_lists_every_labelled_non_hamiltonian_graph():
@@ -618,7 +638,9 @@ def test_climb_up_to_symmetry_lists_every_labelled_non_hamiltonian_graph():
     # lex-leaders finds are exactly the graphs a labelled climb from every
     # non-Hamiltonian minimal graph finds.  Each listed graph, built once
     # from its subset id, carries the witness the solver gives that graph
-    # built afresh, or none, which the finish step computes.
+    # built afresh, or none, which the finish step computes.  It also
+    # carries its orbit: a graph the climb found, with the climb's witness
+    # or none, whose closure is exactly the listed graphs carrying it.
     for n, k, floor in ORBIT_CLIMB_CASES:
         case = (n, k, floor)
         tables = harness._sweep_tables(n, k)
@@ -628,15 +650,30 @@ def test_climb_up_to_symmetry_lists_every_labelled_non_hamiltonian_graph():
         assert _closure(found, tables) == sorted(reference, reverse=True), case
         whole = harness._shard_prefixes(len(tables.pairs), 1, 0)
         listed = list(harness._orbit_graphs(n, k, found, witnesses, whole, tables))
-        assert [g.adj for g, _ in listed] == [reference[sid] for sid in sorted(reference)], case
+        rows = [g.adj for g, _, _ in listed]
+        assert rows == [reference[sid] for sid in sorted(reference)], case
         part_of = blocks_partition(n, k)
         sources = Counter()
-        for sid, (g, witness) in zip(sorted(reference), listed):
+        members = {}
+        seeds = {rows: sid for sid, rows in found.items()}
+        for sid, (g, witness, orbit) in zip(sorted(reference), listed):
             fresh = non_hamiltonicity_witness(KPartiteGraph(part_of, reference[sid]))
             assert (witness or non_hamiltonicity_witness(g)) == fresh, (case, sid)
-            sources["climbed" if witness and sid in found else "orbit" if witness else "none"] += 1
+            if not witness:
+                sources["none"] += 1
+            elif isinstance(witness, ExhaustiveSearch):
+                sources["search"] += 1
+            else:
+                sources["climbed" if sid in found else "orbit"] += 1
+            seed = seeds[orbit[0].adj]
+            assert orbit[1] == witnesses.get(seed), (case, sid)
+            members.setdefault(id(orbit), (seed, set()))[1].add(sid)
+        for seed, sids in members.values():
+            assert set(harness._orbit_closure([seed], tables)) == sids, (case, seed)
+        if case in ORBITS:
+            assert len(members) == ORBITS[case], case
         if case in ORBIT_WITNESSES:
-            expected = dict(zip(("climbed", "orbit", "none"), ORBIT_WITNESSES[case]))
+            expected = dict(zip(("climbed", "orbit", "search", "none"), ORBIT_WITNESSES[case]))
             assert sources == Counter(expected), case
         else:
             assert set(sources) <= {"none"}, case
@@ -1122,6 +1159,26 @@ def test_characterization_8_4_single_shard():
     assert report.ok and report.self_check_ok
 
 
+def test_each_orbit_is_classified_once_and_every_member_alike(monkeypatch):
+    # The finish step classifies one climbed graph an orbit and gives its
+    # class to every member: a whole (8, 4) floor-3 run recognizes 17
+    # graphs for its 2,312 entries.  Each entry's class, in the whole run,
+    # in each of its 8 shard runs and at (4, 2) at D, is the one recognize
+    # gives the entry's own graph.
+    calls = []
+    classify = harness._recognize
+    monkeypatch.setattr(
+        harness, "_recognize", lambda g, witness=None: calls.append(g) or classify(g, witness)
+    )
+    whole = exhaustive_verify(8, 4, 3)
+    assert len(calls) == 17 and len(whole.exceptional) == 2_312
+    shards = [exhaustive_verify(8, 4, 3, shards=8, shard_id=i) for i in range(8)]
+    for report in [whole, *shards, exhaustive_verify(4, 2, theorem_threshold(4, 2))]:
+        assert report.exceptional and report.self_check_ok
+        for entry in report.exceptional:
+            assert entry["classification"] == recognize(decode(entry["graph"])), entry
+
+
 def test_self_check_certifies_exhaustive_witnesses(monkeypatch):
     # F2's recorded witness is an exhaustive search; the self-check accepts it
     # only while the second decider refutes the graph too.
@@ -1208,7 +1265,7 @@ def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
 
     def finish_spy(kind, n, k, floor, counters, non_hamiltonian, *args, **kwargs):
         # The graphs the finish step lists, after the climb, each with the
-        # witness a climb certificate gave it, if any.
+        # witness a climb certificate gave it, if any, and its orbit.
         entries.extend(non_hamiltonian)
         return finish(kind, n, k, floor, counters, entries, *args, **kwargs)
 
@@ -1226,10 +1283,10 @@ def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
     report = exhaustive_verify(8, 2, 2)
     assert report.self_check_ok
     assert len(entries) == 750
-    assert [encode(g) for g, _ in entries] == [entry["graph"] for entry in report.exceptional]
+    assert [encode(g) for g, _, _ in entries] == [entry["graph"] for entry in report.exceptional]
     # The climb asks no certificate at (8, 2) floor 2, so every witness is
     # the finish step's own.
-    assert all(witness is None for _, witness in entries)
+    assert all(witness is None for _, witness, _ in entries)
     kinds = Counter(entry["witness"]["type"] for entry in report.exceptional)
     assert kinds == {"exhaustive_search": 444, "small_cut": 306}
     assert witness_searches == {"ExhaustiveSearch": 444, "SmallCut": 0}

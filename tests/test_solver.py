@@ -932,7 +932,7 @@ def _forced_edge_populations():
     harness._enumerate_minimal(8, 4, 3, lambda sid, adj: leaders.append(sid), tables)
     minimal = [
         KPartiteGraph(part_of, harness._rows(sid, tables))
-        for sid in sorted(harness._orbit_closure(dict.fromkeys(leaders), tables), reverse=True)
+        for sid in sorted(harness._orbit_closure(leaders, tables), reverse=True)
     ]
     rng = random.Random(31)
     return {
