@@ -48,7 +48,8 @@ generators generate the group, so closing the kept graphs under them
 (``_orbit_closure``) gives every non-Hamiltonian floor-meeting graph, and
 the orbit of each.  Each one the climb did not keep is built once, from its
 subset id (``_orbit_graphs``), and every graph is given the witness of its
-own labels.  Only three facts travel along an orbit: that the graph is
+own labels: the first certificate that applies, or else its exhaustive
+search.  Only three facts travel along an orbit: that the graph is
 2-connected, that it has no independent set on more than n/2 vertices, and
 its family class, since ``recognize`` classifies up to part-respecting
 isomorphism and every group element respects parts.  So the finish step
@@ -64,15 +65,17 @@ completion is Hamiltonian.  A climb candidate's parent is non-Hamiltonian,
 so its cycles use the pair just added, and only that pair's masks are
 tested.  A ``_CycleStore`` packs a bucket's newest ``CYCLE_BUCKET_CAP``
 masks in one int, so one zero-lane test (Warren, Hacker's Delight, section
-6-1) checks them all.  Where it pays, the climb asks the solver's
-search-free witnesses about a graph before it searches, and keeps each for
-the report; a refuted candidate yields no cycle.  So reuse and certificates
-change which graphs are searched, never which are listed.  A candidate
-skips the cut and independent-set steps its parent failed: a 2-connected
-graph stays 2-connected when a pair is added, and its independence number
-cannot grow.  The bipartite step always runs, since an added pair can
-change the part unions it grows greedily.  A graph asked in vain goes
-straight to the search.
+6-1) checks them all.  The climb asks the solver's search-free
+certificates (``_polynomial_witness``) about each base, and about each
+candidate no kept cycle decides, before it searches, and keeps what they
+give for the report; a refuted candidate yields no cycle.  So reuse and
+certificates change which graphs are searched, never which are listed.  A
+candidate skips the cut and independent-set steps its parent failed: a
+2-connected graph stays 2-connected when a pair is added, and its
+independence number cannot grow.  A graph of a climbed orbit skips those
+its climbed member failed.  The bipartite step always runs, since an added
+pair can change the part unions it grows greedily.  A graph asked in vain
+goes straight to the search, so no graph is asked twice.
 
 The climb from a base M keeps every non-Hamiltonian graph G that contains
 M.  Add the pairs of G missing from M one at a time: each graph on the way
@@ -92,13 +95,13 @@ expansion builds and finishes only the graphs it owns.  Everything runs in
 one process.
 
 The exhaustive and the sampled sweep both hand their non-Hamiltonian graphs,
-in report order, to ``_finish_sweep``, which builds each entry (an
-exceptional one at the floor of an exception regime, a counterexample
-anywhere else) and the sweep params.  Every report builder ends in
-``_finish_report``, which runs the self-check (``_self_check``) and stamps
-the wall time.  Reports serialize to JSON with a schema version; apart from
-``wall_time_seconds`` they are byte-identical across repeat runs with equal
-parameters and seed.
+in report order and each with its witness, to ``_finish_sweep``, which
+builds each entry (an exceptional one at the floor of an exception regime,
+a counterexample anywhere else) and the sweep params.  Every report builder
+ends in ``_finish_report``, which runs the self-check (``_self_check``) and
+stamps the wall time.  Reports serialize to JSON with a schema version;
+apart from ``wall_time_seconds`` they are byte-identical across repeat runs
+with equal parameters and seed.
 """
 
 from __future__ import annotations
@@ -225,12 +228,14 @@ def _enumerate_shard(
     units: int,
     unit: int,
     visit,
+    tables: _SweepTables | None = None,
 ) -> tuple[int, int]:
     """Run ``visit(subset_id, adj)`` for every floor-satisfying graph whose
     first log2(``units``) pairs, read as a number, equal ``unit``; ``units``
     is a power of two no larger than the subset space.  Returns (edge subsets
-    covered, graphs visited)."""
-    tables = _sweep_tables(n, k)
+    covered, graphs visited).  ``tables`` are ``_sweep_tables(n, k)``,
+    derived here if None."""
+    tables = tables or _sweep_tables(n, k)
     rows = tables.rows
     prefix_bits, first, adj, slack = _apply_prefix(tables, floor, units, unit)
     suffix_bits = len(rows) - prefix_bits
@@ -636,26 +641,22 @@ def _enumerate_minimal(
     return visited
 
 
-def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> tuple[dict, dict]:
+def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> dict:
     """Every non-Hamiltonian graph reached from ``bases``, (subset id, rows)
     of non-Hamiltonian floor-meeting graphs, by adding one absent pair at a
-    time, highest bit first, as {subset id: rows}, the bases included, and
-    {subset id: witness or None} for those asked for a certificate.
+    time, highest bit first, as {subset id: witness or None}, the bases
+    included.
 
     A candidate's parent is non-Hamiltonian, so any Hamiltonian cycle of the
     candidate uses the pair just added.  The call keeps the pair mask of each
     cycle its searches find under each of the cycle's pairs (a
     ``_CycleStore`` bucket); a candidate that holds a mask kept under its
-    new pair is Hamiltonian without a search.  Where refuting searches cost
-    more than the certificates, from n = 7 on and with every base of
-    minimum degree at least n/2 - 1, each base is asked
-    ``_polynomial_witness`` up front, and a candidate is asked it first and
-    searched only if it has none; a refuted candidate keeps no cycle, so
-    the graphs found are the same.  A
-    candidate is asked with the ``skip`` its parent passes on
-    (``_steps_failed``), so every graph found was asked, or none was.  A
-    witness is what ``non_hamiltonicity_witness`` would give the graph's
-    rows."""
+    new pair is Hamiltonian without a search.  Each base is asked
+    ``_polynomial_witness`` up front, and each candidate no kept mask
+    decides is asked it first, with the ``skip`` its parent passes on
+    (``_steps_failed``), and searched only if it has none; a refuted
+    candidate keeps no cycle, so the graphs found are the same.  A witness is the one ``_polynomial_witness``
+    gives the graph's rows with no step skipped."""
     tables = tables or _sweep_tables(n, k)
     rows, part_masks, pair_bit = tables.rows, tables.part_masks, tables.pair_bit
     part_of = blocks_partition(n, k)
@@ -665,19 +666,13 @@ def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> tuple[d
     store = _CycleStore(total, total)
     packed, filled, full = store.packed, store.filled, store.full
     spread, floors, tops = store.spread, store.floors, store.tops
-    found = dict(bases)
-    witnesses = {}
-    # Every candidate's minimum degree is at least the bases' least.
-    least = min((min(map(int.bit_count, adj)) for adj in found.values()), default=0)
-    certify = n >= 7 and 2 * least >= n - 2
-    seen = set(found)
+    found = {}
     # (subset id, rows, the monotone certificate steps the graph fails).
     stack = []
-    for sid, adj in found.items():
-        witness = None
-        if certify:
-            witness = witnesses[sid] = _polynomial_witness(KPartiteGraph(part_of, adj))
+    for sid, adj in bases:
+        witness = found[sid] = _polynomial_witness(KPartiteGraph(part_of, adj))
         stack.append((sid, adj, _steps_failed(witness)))
+    seen = set(found)
     while stack:
         sid, adj, skip = stack.pop()
         rest = every ^ sid
@@ -698,34 +693,28 @@ def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> tuple[d
                 grown = list(adj)
                 grown[u] |= vbit
                 grown[v] |= ubit
-                witness = None
-                if certify:
-                    witness = _polynomial_witness(KPartiteGraph(part_of, grown), skip)
+                witness = _polynomial_witness(KPartiteGraph(part_of, grown), skip)
                 order = None if witness else _ham_search(n, grown, part_masks)[0]
                 if order is None:
-                    found[up] = grown = tuple(grown)
+                    found[up] = witness
                     stack.append((up, grown, _steps_failed(witness)))
-                    if certify:
-                        witnesses[up] = witness
                     continue
                 mask = cycle = _cycle_mask(order, up, pair_bit)
                 while cycle:
                     low = cycle & -cycle
                     cycle ^= low
                     store.keep(total - low.bit_length(), mask)
-    return found, witnesses
+    return found
 
 
-def _orbit_graphs(
-    n: int, k: int, found: dict, witnesses: dict, owned: tuple, tables: _SweepTables
-):
+def _orbit_graphs(n: int, k: int, found: dict, owned: tuple, tables: _SweepTables):
     """The graphs in the orbits of the climb's ``found`` under the prefixes
     ``owned`` (as ``_shard_prefixes`` gives them), by ascending subset id,
-    as (graph, witness or None, orbit), given the climb's ``witnesses``;
-    ``orbit`` is the (graph, witness or None) of the orbit's seed
-    (``_orbit_closure``).  If the seed was asked for a certificate, so is a
-    graph the climb did not keep, with the steps the seed failed, and a
-    graph asked in vain is given its exhaustive search."""
+    as (graph, witness, orbit); ``orbit`` is the (graph, witness or None) of
+    the orbit's seed (``_orbit_closure``) as the climb left it.  A graph the
+    climb kept has the climb's witness.  Any other is asked
+    ``_polynomial_witness`` with the steps its seed failed, which relabelling
+    keeps.  A graph left with none is given its exhaustive search."""
     orbit_of = _orbit_closure(found, tables)
     suffix_bits, prefixes = owned
     part_of = blocks_partition(n, k)
@@ -733,13 +722,13 @@ def _orbit_graphs(
     for sid in sorted(sid for sid in orbit_of if sid >> suffix_bits in prefixes):
         seed = orbit_of[sid]
         if seed not in orbits:
-            orbits[seed] = KPartiteGraph(part_of, found[seed]), witnesses.get(seed)
-        asked = seed in witnesses
-        g = KPartiteGraph(part_of, found.get(sid) or _rows(sid, tables))
-        witness = witnesses.get(sid)
-        if asked and sid not in found:
-            witness = _polynomial_witness(g, _steps_failed(orbits[seed][1]))
-        if asked and witness is None:
+            orbits[seed] = KPartiteGraph(part_of, _rows(seed, tables)), found[seed]
+        g = KPartiteGraph(part_of, _rows(sid, tables))
+        if sid in found:
+            witness = found[sid]
+        else:
+            witness = _polynomial_witness(g, _steps_failed(found[seed]))
+        if witness is None:
             witness = ExhaustiveSearch(_decide_hamiltonian(g)[1])
         yield g, witness, orbits[seed]
 
@@ -804,22 +793,21 @@ def _finish_sweep(
     trials: int | None = None,
 ) -> VerificationReport:
     """The report of a sweep whose non-Hamiltonian graphs, in report order,
-    are ``non_hamiltonian``, as (graph, its witness or None if not yet
-    known, its orbit or None); ``counters`` holds the sweep's own counts and
-    gains ``hamiltonian_found`` and ``witnesses_found``.
+    are ``non_hamiltonian``, as (graph, its witness or None, its orbit or
+    None); ``counters`` holds the sweep's own counts and gains
+    ``hamiltonian_found`` and ``witnesses_found``.
 
-    Each graph's entry carries its witness.  In an exception regime at the
-    theorem's floor the entries are ``exceptional`` and carry the family
-    classification (None off n = 2k or beyond recognition's reach), read
-    once an orbit from the orbit's (graph, witness), a graph with no orbit
-    its own; anywhere else they are counterexamples."""
+    Each graph's entry carries the witness it came with; this step computes
+    none.  In an exception regime at the theorem's floor the entries are
+    ``exceptional`` and carry the family classification (None off n = 2k or
+    beyond recognition's reach), read once an orbit from the orbit's
+    (graph, witness), a graph with no orbit its own; anywhere else they are
+    counterexamples."""
     characterize = is_exception(n, k) and floor == theorem_threshold(n, k)
     classify = characterize and n == 2 * k and n <= RECOGNIZE_SIZE_LIMIT
     entries = []
     classes = {}
     for g, witness, orbit in non_hamiltonian:
-        if witness is None:
-            witness = non_hamiltonicity_witness(g)
         entry = {
             "graph": encode(g),
             "witness": witness_to_payload(witness) if witness else None,
@@ -869,10 +857,10 @@ def _finish_exhaustive(
         "graphs_enumerated": result["space"],
         "graphs_above_threshold": result["meeting_floor"],
     }
-    found, witnesses = _climb(n, k, result["non_hamiltonian"], tables)
+    found = _climb(n, k, result["non_hamiltonian"], tables)
     walk = (1, 0) if shard_id is None else (shards, shard_id)
     owned = _shard_prefixes(len(tables.rows), *walk)
-    graphs = _orbit_graphs(n, k, found, witnesses, owned, tables)
+    graphs = _orbit_graphs(n, k, found, owned, tables)
     return _finish_sweep(
         kind, n, k, floor, counters, graphs, started, shards=shards, shard_id=shard_id
     )
@@ -941,6 +929,8 @@ def exhaustive_verify(
     if shard_id is not None and not 0 <= shard_id < shards:
         raise ValueError(f"shard_id must lie in [0, {shards}), got {shard_id}")
     floor = required_degree(n, k) if degree_floor is None else degree_floor
+    if floor < 0:
+        raise ValueError(f"degree floor must be non-negative, got {floor}")
     tables = _sweep_tables(n, k)
     # A whole run is shard 0 of 1, so ``shards`` only names the count.
     walk = (1, 0) if shard_id is None else (shards, shard_id)
@@ -990,6 +980,8 @@ def sample_verify(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     floor = required_degree(n, k) if degree_floor is None else degree_floor
+    if floor < 0:
+        raise ValueError(f"degree floor must be non-negative, got {floor}")
     part_of = blocks_partition(n, k)
     pairs = cross_pairs(n, k)
     m = n // k
@@ -1017,7 +1009,7 @@ def sample_verify(
         counters["graphs_above_threshold"] += 1
         g = KPartiteGraph(part_of, adj)
         if find_hamiltonian_cycle(g) is None:
-            non_ham.append((g, None, None))
+            non_ham.append((g, non_hamiltonicity_witness(g), None))
     return _finish_sweep(
         "sample", n, k, floor, counters, non_ham, started, seed=seed, trials=trials
     )

@@ -222,6 +222,28 @@ def test_verify_below_threshold_fails(capsys, tmp_path):
     assert payload["counterexamples"]
 
 
+def test_verify_refuses_a_negative_floor(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    for mode in (("--exhaustive",), ("--sample", "10")):
+        code, _, err = run_cli(
+            capsys, "verify", "--n", "6", "--k", "3", "--floor", "-3", *mode,
+            "--out", str(out_path),
+        )
+        assert code == 2, mode
+        assert "degree floor must be non-negative, got -3" in err, mode
+        assert not out_path.exists(), mode
+    # Floor 0 stays valid: every graph meets it, and the non-Hamiltonian
+    # ones are listed.
+    code, _, _ = run_cli(
+        capsys, "verify", "--n", "6", "--k", "3", "--floor", "0", "--exhaustive",
+        "--out", str(out_path),
+    )
+    assert code == 1
+    payload = json.loads(out_path.read_text())
+    assert payload["params"]["degree_floor"] == 0
+    assert len(payload["counterexamples"]) == 3_511
+
+
 def test_verify_sample(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

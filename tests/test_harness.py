@@ -316,11 +316,15 @@ def _closure(graphs, tables):
 
 def _minimal_sweep(n, k, floor):
     """The whole-run sweep, shard 0 of 1: (the walk's result, the orbits of
-    the climb's non-Hamiltonian graphs, as {subset id: rows})."""
+    the climb's non-Hamiltonian graphs, as {subset id: rows}).  Each graph
+    the climb keeps carries the certificate its own rows give."""
     tables = harness._sweep_tables(n, k)
     walk = harness._run_exhaustive_shard((n, k, floor, 1, 0), tables)
-    found, _ = harness._climb(n, k, walk["non_hamiltonian"], tables)
-    assert all(list(rows) == harness._rows(sid, tables) for sid, rows in found.items())
+    found = harness._climb(n, k, walk["non_hamiltonian"], tables)
+    part_of = blocks_partition(n, k)
+    for sid, witness in found.items():
+        g = KPartiteGraph(part_of, harness._rows(sid, tables))
+        assert witness == solver._polynomial_witness(g), (n, k, floor, sid)
     return walk, {sid: tuple(harness._rows(sid, tables)) for sid in _closure(found, tables)}
 
 
@@ -328,18 +332,22 @@ def test_floor_count_matches_enumeration():
     # The DP against the recursion that visits every floor-meeting graph, at
     # every floor up to one above the cross degree, whole and per prefix.
     # One memo serves every floor and prefix of an (n, k): its key, (pair
-    # index, unmet degrees), depends on neither.
+    # index, unmet degrees), depends on neither.  The enumeration reads the
+    # same tables.
+    def visit(sid, adj):
+        return None
+
     for n, k in ((6, 3), (8, 2)):
         tables = harness._sweep_tables(n, k)
         for floor in range(6):
-            visited = harness._enumerate_shard(n, k, floor, 1, 0, lambda sid, adj: None)[1]
+            visited = harness._enumerate_shard(n, k, floor, 1, 0, visit, tables)[1]
             counted = harness._count_meeting_floor(n, k, floor, 1, 0, tables)
             assert counted == visited, (n, k, floor)
     tables = harness._sweep_tables(6, 3)
     for floor in range(6):
         for units in (2, 8, 64, 4096):
             for unit in range(units):
-                visited = harness._enumerate_shard(6, 3, floor, units, unit, lambda s, a: None)[1]
+                visited = harness._enumerate_shard(6, 3, floor, units, unit, visit, tables)[1]
                 counted = harness._count_meeting_floor(6, 3, floor, units, unit, tables)
                 assert counted == visited, (floor, units, unit)
 
@@ -543,6 +551,18 @@ CLIMB_WITNESSES_8_4 = (
     {"SmallCut": 50, "BipartiteDegreeOne": 65},
     {"SmallCut": 3, "BipartiteDegreeOne": 11, "NoneType": 1},
 )
+# The same for two sweeps of few vertices whose certificates leave some
+# candidates to the search, by (n, k, floor, 1): the candidates refuted by a
+# certificate, the witness kinds of the non-Hamiltonian candidates, and the
+# bases' witness kinds.
+CLIMB_WITNESSES_SMALL = {
+    (6, 3, 2, 1): (
+        13,
+        {"SmallCut": 13, "NoneType": 9},
+        {"SmallCut": 2, "IndependentSetTooLarge": 1, "NoneType": 3},
+    ),
+    (8, 2, 2, 1): (16, {"SmallCut": 16, "NoneType": 16}, {"SmallCut": 1, "NoneType": 2}),
+}
 
 
 def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
@@ -571,42 +591,31 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
         base_rows = {rows for _, rows in bases}
         case = (n, k, floor, order)
         reference = _search_only_climb(n, k, bases)
-        asked = n >= 7 and 2 * floor >= n - 2
         # The same climb without certificates, then with them.
         monkeypatch.setattr(harness, "_polynomial_witness", lambda g, skip=0: None)
         searches.clear()
-        found, witnesses = harness._climb(n, k, bases)
-        assert found == reference and not any(witnesses.values()), case
+        found = harness._climb(n, k, bases)
+        assert found == dict.fromkeys(reference), case
         without = len(searches)
         monkeypatch.setattr(harness, "_polynomial_witness", certify_spy)
         searches.clear()
         refuted.clear()
         base_witnesses.clear()
-        found, witnesses = harness._climb(n, k, bases)
-        assert found == reference, case
+        found = harness._climb(n, k, bases)
+        assert found.keys() == reference.keys(), case
         assert without - len(searches) == sum(refuted), case
-        # Every graph found was asked, or none was.  A refuted candidate keeps
-        # its witness, and so does a base that has one; it is the one the
-        # solver gives a graph built afresh from its rows.
-        assert witnesses.keys() == (found.keys() if asked else set()), case
+        # Each base is asked once, and every candidate no kept cycle decides.
+        # Every graph found carries what it was asked, the witness or None
+        # the solver's certificates give a graph built afresh from its rows.
+        assert len(base_witnesses) == len(dict(bases)), case
         kept = [witness for witness in base_witnesses if witness]
-        assert sum(map(bool, witnesses.values())) == sum(refuted) + len(kept), case
-        assert Counter(kept) == Counter(
-            witnesses[sid] for sid in dict(bases) if witnesses.get(sid)
-        ), case
+        assert sum(map(bool, found.values())) == sum(refuted) + len(kept), case
+        assert Counter(kept) == Counter(found[sid] for sid in dict(bases) if found[sid]), case
         part_of = blocks_partition(n, k)
-        for sid, witness in witnesses.items():
-            if witness:
-                fresh = non_hamiltonicity_witness(KPartiteGraph(part_of, found[sid]))
-                assert witness == fresh, (case, sid)
-        if not asked:
-            # Refuting searches cost less than the certificates there.
-            assert not refuted and not base_witnesses, case
-        else:
-            # Each base is asked once.
-            assert len(base_witnesses) == len(dict(bases)), case
+        for sid, witness in found.items():
+            assert witness == certify(KPartiteGraph(part_of, reference[sid])), (case, sid)
         base_kinds = Counter(type(witness).__name__ for witness in base_witnesses)
-        kinds = Counter(type(witnesses[sid]).__name__ for sid in witnesses.keys() - dict(bases))
+        kinds = Counter(type(found[sid]).__name__ for sid in found.keys() - dict(bases))
         if (n, k) == (8, 4):
             # Every non-Hamiltonian climb candidate is refuted by a certificate.
             climbed, expected_kinds, expected_base_kinds = CLIMB_WITNESSES_8_4
@@ -617,6 +626,8 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
             assert sum(refuted) == len(reference) - len(bases) == 14
             assert kinds == {"IndependentSetTooLarge": 14}
             assert base_kinds == {"SmallCut": 1, "IndependentSetTooLarge": 2}
+        if case in CLIMB_WITNESSES_SMALL:
+            assert (sum(refuted), kinds, base_kinds) == CLIMB_WITNESSES_SMALL[case], case
 
 
 # (n, k, floor) of the sweeps whose climb up to symmetry is checked against a
@@ -625,9 +636,18 @@ ORBIT_CLIMB_CASES = [(6, 3, floor) for floor in range(6)]
 ORBIT_CLIMB_CASES += [(8, 2, 2), (8, 2, 3), (7, 7, 3), (6, 6, 2), (8, 4, 3)]
 # The listed graphs of a sweep by (n, k, floor), as (graphs the climb found
 # and refuted by a certificate, graphs its orbits add and a transported
-# certificate refutes, graphs asked in vain and refuted by a search, graphs
-# left to non_hamiltonicity_witness); the others leave every graph to it.
-ORBIT_WITNESSES = {(8, 4, 3): (129, 2_151, 32, 0), (7, 7, 3): (17, 333, 0, 0)}
+# certificate refutes, graphs refuted by a search).
+ORBIT_WITNESSES = {(6, 3, floor): (0, 0, 0) for floor in range(3, 6)}
+ORBIT_WITNESSES.update({
+    (6, 3, 0): (3_403, 0, 108),
+    (6, 3, 1): (545, 1_664, 108),
+    (6, 3, 2): (16, 63, 108),
+    (8, 2, 2): (17, 289, 444),
+    (8, 2, 3): (0, 0, 0),
+    (7, 7, 3): (17, 333, 0),
+    (6, 6, 2): (118, 1_872, 0),
+    (8, 4, 3): (129, 2_151, 32),
+})
 # The orbits of the listed graphs by (n, k, floor), one seed of the climb's
 # each.
 ORBITS = {(6, 3, 2): 10, (8, 2, 2): 8, (7, 7, 3): 5, (8, 4, 3): 17}
@@ -638,45 +658,40 @@ def test_climb_up_to_symmetry_lists_every_labelled_non_hamiltonian_graph():
     # lex-leaders finds are exactly the graphs a labelled climb from every
     # non-Hamiltonian minimal graph finds.  Each listed graph, built once
     # from its subset id, carries the witness the solver gives that graph
-    # built afresh, or none, which the finish step computes.  It also
-    # carries its orbit: a graph the climb found, with the climb's witness
-    # or none, whose closure is exactly the listed graphs carrying it.
+    # built afresh.  It also carries its orbit: a graph the climb found,
+    # with the climb's witness or none, whose closure is exactly the listed
+    # graphs carrying it.
     for n, k, floor in ORBIT_CLIMB_CASES:
         case = (n, k, floor)
         tables = harness._sweep_tables(n, k)
         walk = harness._run_exhaustive_shard((n, k, floor, 1, 0), tables)
-        found, witnesses = harness._climb(n, k, walk["non_hamiltonian"], tables)
+        found = harness._climb(n, k, walk["non_hamiltonian"], tables)
         reference = _search_only_climb(n, k, _minimal_reference(n, k, floor))
         assert _closure(found, tables) == sorted(reference, reverse=True), case
         whole = harness._shard_prefixes(len(tables.pairs), 1, 0)
-        listed = list(harness._orbit_graphs(n, k, found, witnesses, whole, tables))
+        listed = list(harness._orbit_graphs(n, k, found, whole, tables))
         rows = [g.adj for g, _, _ in listed]
         assert rows == [reference[sid] for sid in sorted(reference)], case
         part_of = blocks_partition(n, k)
         sources = Counter()
         members = {}
-        seeds = {rows: sid for sid, rows in found.items()}
+        seeds = {tuple(harness._rows(sid, tables)): sid for sid in found}
         for sid, (g, witness, orbit) in zip(sorted(reference), listed):
             fresh = non_hamiltonicity_witness(KPartiteGraph(part_of, reference[sid]))
-            assert (witness or non_hamiltonicity_witness(g)) == fresh, (case, sid)
-            if not witness:
-                sources["none"] += 1
-            elif isinstance(witness, ExhaustiveSearch):
+            assert witness == fresh, (case, sid)
+            if isinstance(witness, ExhaustiveSearch):
                 sources["search"] += 1
             else:
                 sources["climbed" if sid in found else "orbit"] += 1
             seed = seeds[orbit[0].adj]
-            assert orbit[1] == witnesses.get(seed), (case, sid)
+            assert orbit[1] == found[seed], (case, sid)
             members.setdefault(id(orbit), (seed, set()))[1].add(sid)
         for seed, sids in members.values():
             assert set(harness._orbit_closure([seed], tables)) == sids, (case, seed)
         if case in ORBITS:
             assert len(members) == ORBITS[case], case
-        if case in ORBIT_WITNESSES:
-            expected = dict(zip(("climbed", "orbit", "search", "none"), ORBIT_WITNESSES[case]))
-            assert sources == Counter(expected), case
-        else:
-            assert set(sources) <= {"none"}, case
+        expected = dict(zip(("climbed", "orbit", "search"), ORBIT_WITNESSES[case]))
+        assert sources == Counter(expected), case
 
 
 def test_byte_tables_map_subset_ids_as_the_pair_loops_do():
@@ -785,8 +800,8 @@ def test_cycle_mask_refuses_a_cycle_its_graph_does_not_hold():
 SWEEP_SEARCHES = {1: 181, 8: 181, 2**16: 181}
 # The same for the other sweeps whose search counts reuse moves, by (n, k,
 # floor): the (7, 7) floor-3 sweep, where k = n, and the (8, 2) exception
-# floor.
-OTHER_SWEEP_SEARCHES = {(8, 2, 2): 59, (7, 7, 3): 35}
+# floor, where the climb's certificates refute 16 candidates.
+OTHER_SWEEP_SEARCHES = {(8, 2, 2): 43, (7, 7, 3): 35}
 
 
 def _counting_searches(monkeypatch):
@@ -1094,6 +1109,25 @@ def test_exhaustive_guards_and_validation(monkeypatch):
             characterization_check(8, 4, jobs=jobs)
 
 
+def test_sweeps_refuse_a_negative_degree_floor(monkeypatch):
+    # Floor 0 is the least floor: every graph meets it.
+    assert exhaustive_verify(6, 3, 0).counters["graphs_above_threshold"] == 1 << 12
+    assert sample_verify(6, 3, 10, 0, degree_floor=0).params["degree_floor"] == 0
+
+    def refuse(args):
+        raise AssertionError(f"sweep {args} with a negative floor started enumerating")
+
+    monkeypatch.setattr(harness, "_run_exhaustive_shard", refuse)
+    for floor in (-1, -3):
+        message = rf"^degree floor must be non-negative, got {floor}$"
+        with pytest.raises(ValueError, match=message):
+            exhaustive_verify(6, 3, floor)
+        with pytest.raises(ValueError, match=message):
+            exhaustive_verify(6, 3, floor, shards=3, shard_id=1)
+        with pytest.raises(ValueError, match=message):
+            sample_verify(6, 3, 10, 0, degree_floor=floor)
+
+
 def test_sample_verify_size_guard():
     with pytest.raises(SizeGuardError, match="sampling guarded at n <= 40"):
         sample_verify(44, 4, 1, 0)
@@ -1247,7 +1281,7 @@ def test_self_check_reproduces_search_nodes():
 
 
 def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
-    # The sweep's own searches only filter, so the witness step searches each
+    # The sweep's own searches only filter, so the expansion searches each
     # graph whose witness is an exhaustive search once, through the solver,
     # and a graph with a small cut never.  The self-check re-solves every
     # listed graph with the second decider, and runs the path search again
@@ -1261,37 +1295,49 @@ def test_sweep_witnesses_search_only_exhaustive_entries(monkeypatch):
         solver, "_forced_edge_search", lambda *args: re_solves.append(1) or second(*args)
     )
     entries = []
+    expansion = []
     finish = harness._finish_sweep
 
     def finish_spy(kind, n, k, floor, counters, non_hamiltonian, *args, **kwargs):
         # The graphs the finish step lists, after the climb, each with the
-        # witness a climb certificate gave it, if any, and its orbit.
+        # witness the climb or the expansion gave it, and its orbit.
         entries.extend(non_hamiltonian)
+        expansion.append(len(searches))
         return finish(kind, n, k, floor, counters, entries, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_finish_sweep", finish_spy)
-    witness_searches = Counter()
-    witness = harness.non_hamiltonicity_witness
-
-    def witness_spy(g):
-        before = len(searches)
-        found = witness(g)
-        witness_searches[type(found).__name__] += len(searches) - before
-        return found
-
-    monkeypatch.setattr(harness, "non_hamiltonicity_witness", witness_spy)
     report = exhaustive_verify(8, 2, 2)
     assert report.self_check_ok
     assert len(entries) == 750
     assert [encode(g) for g, _, _ in entries] == [entry["graph"] for entry in report.exceptional]
-    # The climb asks no certificate at (8, 2) floor 2, so every witness is
-    # the finish step's own.
-    assert all(witness is None for _, witness, _ in entries)
-    kinds = Counter(entry["witness"]["type"] for entry in report.exceptional)
-    assert kinds == {"exhaustive_search": 444, "small_cut": 306}
-    assert witness_searches == {"ExhaustiveSearch": 444, "SmallCut": 0}
+    # Every graph reaches the finish step with its witness, which the
+    # report records as it is.
+    witnesses = [witness_to_payload(witness) for _, witness, _ in entries]
+    assert witnesses == [entry["witness"] for entry in report.exceptional]
+    kinds = Counter(type(witness).__name__ for _, witness, _ in entries)
+    assert kinds == {"ExhaustiveSearch": 444, "SmallCut": 306}
+    assert expansion == [444]
     assert len(searches) == 444 + 444
     assert len(re_solves) == 750
+
+
+def test_exhaustive_sweeps_never_ask_the_full_witness(monkeypatch):
+    # An exhaustive sweep gives every listed graph its witness from the
+    # climb's certificates, the certificates of its orbit, or its search:
+    # it never runs the whole witness chain again.
+    def refuse(g):
+        raise AssertionError(f"non_hamiltonicity_witness asked of {encode(g)}")
+
+    monkeypatch.setattr(harness, "non_hamiltonicity_witness", refuse)
+    for run in (
+        lambda: exhaustive_verify(8, 2, 2),
+        lambda: exhaustive_verify(6, 3, 0),
+        lambda: exhaustive_verify(7, 7, 3, shards=4, shard_id=1),
+        lambda: exhaustive_verify(4, 2, theorem_threshold(4, 2)),
+        lambda: characterization_check(8, 4),
+    ):
+        report = run()
+        assert report.exceptional + report.counterexamples and report.self_check_ok
 
 
 def test_characterization_validation():
