@@ -25,17 +25,14 @@ degree-one witness.  An anchor is confirmed only by rebuilding the member
 is a vertex order that names g's vertex order[i] i.  g's rows are renamed
 by whole-int work (``graphs._relabelled_rows``: rows reordered, the packed
 matrix transposed, rows reordered again); the member's arguments are read
-off the renamed rows, and every row and part is compared.  A sweep
-has the solver's witness for each graph already and classifies from it
-(``_recognize``): a cut vertex is tried as F1's hub first, a witness that
-the solver gives only to graphs with no cut vertex skips the F1 sweep, and a
-bipartite degree-one witness is F3's anchor.
+off the renamed rows, and every row and part is compared.  Recognition
+reads g alone, so a graph's class is its whole orbit's under
+part-respecting relabelling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from operator import itemgetter
 
 from .graphs import (
@@ -48,12 +45,7 @@ from .graphs import (
     build_graph,
     connected_components,
 )
-from .solver import (
-    BipartiteDegreeOne,
-    ExhaustiveSearch,
-    SmallCut,
-    _bipartite_degree_one_witness,
-)
+from .solver import _bipartite_degree_one_witness
 from .thresholds import _ceil_div
 
 RECOGNIZE_SIZE_LIMIT = 16
@@ -447,11 +439,8 @@ def _carries(g: KPartiteGraph, order, rows: tuple[int, ...], h: KPartiteGraph) -
     return rows == h.adj and len(set(zip(parts, h.part_of))) == g.k
 
 
-@lru_cache(maxsize=128)
 def _member(builder, *args) -> KPartiteGraph | None:
-    """``builder(*args)``, or None where it refuses them.  Memoised, since a
-    sweep's recognition rebuilds few distinct members (34 for the 2,280
-    builds at (8, 4)); a memo graph is only compared, never handed out."""
+    """``builder(*args)``, or None where it refuses them."""
     try:
         return builder(*args)
     except GraphError:
@@ -489,19 +478,16 @@ def _confirm_f1(g: KPartiteGraph, c: int, clique: int) -> bool:
     return built is not None and _carries(g, order, rows, built)
 
 
-def _f1_at(g: KPartiteGraph, c: int) -> bool:
-    """Anchor F1 on hub c: the rest of its clique is a (k-1)-vertex
-    component of g - c.  The other side need not stay connected."""
+def _is_f1(g: KPartiteGraph) -> bool:
+    """Anchor F1 on each vertex c in turn as its hub: the rest of its
+    clique is a (k-1)-vertex component of g - c.  The other side need not
+    stay connected."""
     return any(
         _confirm_f1(g, c, piece | 1 << c)
+        for c in range(g.n)
         for piece in connected_components(g, removed=1 << c)
         if piece.bit_count() == g.k - 1
     )
-
-
-def _is_f1(g: KPartiteGraph) -> bool:
-    """The F1 sweep: anchor F1 on every vertex in turn."""
-    return any(_f1_at(g, c) for c in range(g.n))
 
 
 def _confirm_f3(
@@ -547,10 +533,11 @@ def _confirm_f3(
     return built is not None and _carries(g, order, rows, built)
 
 
-def _is_f3(g: KPartiteGraph, witness: BipartiteDegreeOne | None) -> bool:
-    """Anchor F3 on g's bipartite degree-one witness, ``witness``: in every
-    member, X is the only independent union of k/2 parts and y' the only
-    vertex outside it with at most one X-neighbour."""
+def _is_f3(g: KPartiteGraph) -> bool:
+    """Anchor F3 on g's bipartite degree-one witness: in every member, X is
+    the only independent union of k/2 parts and y' the only vertex outside
+    it with at most one X-neighbour."""
+    witness = _bipartite_degree_one_witness(g)
     if witness is None:
         return False
     y1 = witness.vertex
@@ -592,31 +579,6 @@ def _is_f2(g: KPartiteGraph) -> bool:
     return _relabelled_equal(g, _F2, order)
 
 
-def _recognize(g: KPartiteGraph, witness=None) -> str | None:
-    """:func:`recognize` for a graph of its regime and size, given the
-    witness ``non_hamiltonicity_witness(g)`` returns, or None.
-
-    The solver returns a bipartite degree-one or an exhaustive-search
-    witness only for a graph with no cut vertex, and every F1 member has
-    one, its hub, so such a witness skips the F1 sweep.  A small cut of one
-    vertex is tried as F1's hub first, and the sweep runs only if it fails.
-    A bipartite degree-one witness is ``_bipartite_degree_one_witness(g)``
-    itself, so it anchors F3, and its independent half of n/2 = 4 vertices
-    at n = 8 rules out F2, whose independence number is 3.  Any other
-    witness, or none, leaves every step to g."""
-    bipartite = isinstance(witness, BipartiteDegreeOne)
-    hub = witness.vertices if isinstance(witness, SmallCut) else ()
-    if any(_f1_at(g, c) for c in hub):
-        return "F1"
-    if not (bipartite or isinstance(witness, ExhaustiveSearch)) and _is_f1(g):
-        return "F1"
-    if g.n == 8 and not bipartite and _is_f2(g):
-        return "F2"
-    if _is_f3(g, witness if bipartite else _bipartite_degree_one_witness(g)):
-        return "F3"
-    return None
-
-
 def recognize(g: KPartiteGraph) -> str | None:
     """Classify g as a member of F1, F2, or F3 (up to part-respecting
     isomorphism), or None.  Only defined in the n = 2k, 4 | n regime, and
@@ -626,4 +588,10 @@ def recognize(g: KPartiteGraph) -> str | None:
         raise GraphError(f"recognizer requires n = 2k with 4 | n, got n={n} k={k}")
     if n > RECOGNIZE_SIZE_LIMIT:
         raise SizeGuardError(f"recognizer guarded at n <= {RECOGNIZE_SIZE_LIMIT}, got {n}")
-    return _recognize(g)
+    if _is_f1(g):
+        return "F1"
+    if n == 8 and _is_f2(g):
+        return "F2"
+    if _is_f3(g):
+        return "F3"
+    return None

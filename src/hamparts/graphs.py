@@ -697,23 +697,28 @@ def _graph6_stream(text: str) -> tuple[int, int]:
     """Parse graph6 text into (n, stream): bit t of ``stream`` is the body's
     t-th bit, so column j, the pairs (i, j) for i < j, is the j bits from
     j * (j - 1) / 2 on, pair (i, j) at bit i.  Raises GraphError on
-    malformed text."""
+    malformed text: every size byte lies in 63-126, a one-byte size in
+    63-125, since 126 opens the four-byte form."""
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<"):]
-    raw = data.encode("ascii")
+    try:
+        raw = data.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise GraphError("graph6 text must be ASCII") from exc
     if not raw:
         raise GraphError("empty graph6 string")
     if raw[0] == 126:
         if len(raw) < 4 or raw[1] == 126:
             raise GraphError("unsupported or truncated graph6 size header")
-        n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
-        body = raw[4:]
+        size, body = raw[1:4], raw[4:]
     else:
-        n = raw[0] - 63
-        body = raw[1:]
-    if n < 0:
+        size, body = raw[:1], raw[1:]
+    if size.translate(None, _G6_BYTES):
         raise GraphError("invalid graph6 size header")
+    n = 0
+    for byte in size:
+        n = n << 6 | byte - 63
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError(f"graph6 body has {len(body)} bytes, expected {need}")

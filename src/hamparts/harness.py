@@ -52,10 +52,11 @@ own labels: the first certificate that applies, or else its exhaustive
 search.  Only three facts travel along an orbit: that the graph is
 2-connected, that it has no independent set on more than n/2 vertices, and
 its family class, since ``recognize`` classifies up to part-respecting
-isomorphism and every group element respects parts.  So the finish step
-classifies one climbed graph an orbit.  A lowest cut vertex, a search's
-node count and the part unions the bipartite step grows depend on the
-labels.
+isomorphism and every group element respects parts.  So each listed graph
+carries its orbit's seed subset id, and the finish step classifies the
+first listed member of each orbit, from that graph alone.  A lowest cut
+vertex, a search's node count and the part unions the bipartite step grows
+depend on the labels.
 
 Both searching steps reuse the Hamiltonian cycles their searches find,
 each kept as its pair mask (``_cycle_mask``): a graph that holds one is
@@ -113,8 +114,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 from . import __version__
-from .families import RECOGNIZE_SIZE_LIMIT, _recognize, build_family_F
-from .families import recognize  # noqa: F401  (the benchmark traces it)
+from .families import RECOGNIZE_SIZE_LIMIT, build_family_F, recognize
 from .graphs import (
     GraphError,
     KPartiteGraph,
@@ -710,19 +710,16 @@ def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> dict:
 def _orbit_graphs(n: int, k: int, found: dict, owned: tuple, tables: _SweepTables):
     """The graphs in the orbits of the climb's ``found`` under the prefixes
     ``owned`` (as ``_shard_prefixes`` gives them), by ascending subset id,
-    as (graph, witness, orbit); ``orbit`` is the (graph, witness or None) of
-    the orbit's seed (``_orbit_closure``) as the climb left it.  A graph the
-    climb kept has the climb's witness.  Any other is asked
-    ``_polynomial_witness`` with the steps its seed failed, which relabelling
-    keeps.  A graph left with none is given its exhaustive search."""
+    as (graph, witness, seed); ``seed`` is the subset id of the orbit's
+    seed (``_orbit_closure``), a graph the climb kept.  A graph the climb
+    kept has the climb's witness.  Any other is asked ``_polynomial_witness``
+    with the steps its seed failed, which relabelling keeps.  A graph left
+    with none is given its exhaustive search."""
     orbit_of = _orbit_closure(found, tables)
     suffix_bits, prefixes = owned
     part_of = blocks_partition(n, k)
-    orbits = {}
     for sid in sorted(sid for sid in orbit_of if sid >> suffix_bits in prefixes):
         seed = orbit_of[sid]
-        if seed not in orbits:
-            orbits[seed] = KPartiteGraph(part_of, _rows(seed, tables)), found[seed]
         g = KPartiteGraph(part_of, _rows(sid, tables))
         if sid in found:
             witness = found[sid]
@@ -730,7 +727,7 @@ def _orbit_graphs(n: int, k: int, found: dict, owned: tuple, tables: _SweepTable
             witness = _polynomial_witness(g, _steps_failed(found[seed]))
         if witness is None:
             witness = ExhaustiveSearch(_decide_hamiltonian(g)[1])
-        yield g, witness, orbits[seed]
+        yield g, witness, seed
 
 
 def _shard_prefixes(pairs: int, shards: int, shard_id: int) -> tuple[int, range]:
@@ -793,15 +790,17 @@ def _finish_sweep(
     trials: int | None = None,
 ) -> VerificationReport:
     """The report of a sweep whose non-Hamiltonian graphs, in report order,
-    are ``non_hamiltonian``, as (graph, its witness or None, its orbit or
-    None); ``counters`` holds the sweep's own counts and gains
-    ``hamiltonian_found`` and ``witnesses_found``.
+    are ``non_hamiltonian``, as (graph, its witness or None, its orbit's
+    seed subset id or None); ``counters`` holds the sweep's own counts and
+    gains ``hamiltonian_found`` and ``witnesses_found``.
 
     Each graph's entry carries the witness it came with; this step computes
     none.  In an exception regime at the theorem's floor the entries are
     ``exceptional`` and carry the family classification (None off n = 2k or
-    beyond recognition's reach), read once an orbit from the orbit's
-    (graph, witness), a graph with no orbit its own; anywhere else they are
+    beyond recognition's reach).  ``recognize`` reads it from the first
+    listed member of each orbit, a graph with no orbit being its own, and
+    every member shares it, since families are defined up to
+    part-respecting isomorphism.  Anywhere else the entries are
     counterexamples."""
     characterize = is_exception(n, k) and floor == theorem_threshold(n, k)
     classify = characterize and n == 2 * k and n <= RECOGNIZE_SIZE_LIMIT
@@ -813,9 +812,9 @@ def _finish_sweep(
             "witness": witness_to_payload(witness) if witness else None,
         }
         if characterize:
-            orbit = orbit or (g, witness)
+            orbit = g if orbit is None else orbit
             if classify and orbit not in classes:
-                classes[orbit] = _recognize(*orbit)
+                classes[orbit] = recognize(g)
             entry["classification"] = classes.get(orbit)
         entries.append(entry)
     counters["hamiltonian_found"] = counters["graphs_above_threshold"] - len(entries)

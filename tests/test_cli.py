@@ -180,6 +180,16 @@ def test_check_names_the_flag_of_a_malformed_list(capsys, tmp_path):
         assert (code, out, err) == (2, "", f"error: {message}\n"), flags
 
 
+def test_check_refuses_a_graph6_size_byte_of_127(capsys, tmp_path):
+    # Byte 127 once read as 64 vertices, and ``check --alpha`` printed
+    # ``alpha: 64`` and exited 0.
+    path = tmp_path / "k64.kpart"
+    header = "kpart 64: " + ", ".join(map(str, range(64)))
+    path.write_text(f"{header}\n{chr(127)}{'?' * 336}\n")
+    code, out, err = run_cli(capsys, "check", "--in", str(path), "--alpha")
+    assert (code, out, err) == (2, "", "error: invalid graph6 size header\n")
+
+
 def test_check_chvatal(capsys, tmp_path):
     from hamparts.graphs import complete_kpartite
 

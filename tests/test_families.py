@@ -35,7 +35,7 @@ from hamparts.graphs import (
     vertex_connectivity,
 )
 from hamparts.harness import exhaustive_verify
-from hamparts.solver import find_hamiltonian_cycle, non_hamiltonicity_witness
+from hamparts.solver import find_hamiltonian_cycle
 from hamparts.thresholds import theorem_threshold
 from _util import perm_oracle_hamiltonian, random_kpartite
 
@@ -543,86 +543,16 @@ def test_relabelled_equality_matches_brute_force():
     assert outcomes["swapped", False] > 700
 
 
-def test_recognition_tally_holds_with_the_member_memo_cold_and_warm():
-    # The (8, 4) characterization's non-Hamiltonian graphs, recognized with
-    # the member memo cleared and then warm: 2,280 members are built, 34 of
-    # them distinct.
+def test_recognition_tally_over_the_8_4_characterization():
+    # The (8, 4) characterization's non-Hamiltonian graphs, each recognized
+    # on its own; the public builders hand out a fresh graph each call.
     report = exhaustive_verify(8, 4, 3)
     graphs = [decode(entry["graph"]) for entry in report.exceptional]
     assert len(graphs) == 2_312
-    families._member.cache_clear()
-    cold = Counter(recognize(g) for g in graphs)
-    info = families._member.cache_info()
-    assert info.hits + info.misses == 2_280 and info.misses == 34
-    warm = Counter(recognize(g) for g in graphs)
-    assert cold == warm == {"F1": 744, "F2": 32, "F3": 1_536}
-    # The public builders hand out a fresh graph each call, never a memo's.
-    kept = families._member(build_family_F1, 4, (), ())
-    built = [build_family_F1(4), build_family_F1(4)]
-    assert built[0] == built[1] == kept
-    assert built[0] is not built[1] and all(g is not kept for g in built)
-    kept = families._member(build_family_F3, 4, 6, 4, 0, (), False)
-    built = [build_family_F3(4), build_family_F3(4)]
-    assert built[0] == built[1] == kept
-    assert built[0] is not built[1] and all(g is not kept for g in built)
-
-
-def test_recognition_from_the_solvers_witness_matches_recognize(monkeypatch):
-    # A sweep classifies each graph from the witness the solver gave it: a
-    # small cut of one vertex is tried as F1's hub before any F1 sweep, a
-    # bipartite degree-one or exhaustive-search witness skips the F1 sweep,
-    # and a bipartite one anchors F3.  Every class must equal recognize(g):
-    # on the (8, 4) characterization's graphs, the F1 and F3 variant sets
-    # and each of them with one and with two cross pairs toggled, F2 under
-    # every part permutation and its 2-switches, and F(4, 2).
-    report = exhaustive_verify(8, 4, 3)
-    graphs = [decode(entry["graph"]) for entry in report.exceptional]
-    assert len(graphs) == 2_312
-    rng = random.Random(29)
-    f1s, f3s = _f1_variants(), _f3_variants()
-    for g in f1s + f3s:
-        graphs += [g, _toggled(rng, g, 1), _toggled(rng, g, 2)]
-    f2 = build_F2()
-    for tau in itertools.permutations(range(f2.k)):
-        graphs.append(KPartiteGraph([tau[p] for p in f2.part_of], f2.adj))
-    graphs += _f2_two_switches(f2)
-    # F(4, 2) keeps its designated independent set, which the solver offers
-    # first; that witness says nothing about cut vertices.
-    member_f = build_family_F(4, 2)
-    designated = frozenset(member_f.meta["independent_set"])
-    assert non_hamiltonicity_witness(member_f).vertices == designated
-    graphs.append(member_f)
-    f1_sweeps = []
-    is_f1 = families._is_f1
-    monkeypatch.setattr(families, "_is_f1", lambda g: f1_sweeps.append(g) or is_f1(g))
-    kinds = Counter()
-    anchored = 0
-    for g in graphs:
-        expected = recognize(g)
-        witness = non_hamiltonicity_witness(g)
-        kind = type(witness).__name__
-        kinds[kind, expected] += 1
-        f1_sweeps.clear()
-        assert families._recognize(g, witness) == expected, (encode(g), kind)
-        # An F1 member's cut vertex is its hub, so the witness anchors it.
-        hub = expected == "F1" and kind == "SmallCut" and len(witness.vertices) == 1
-        anchored += hub
-        skips = hub or kind in ("BipartiteDegreeOne", "ExhaustiveSearch")
-        assert len(f1_sweeps) == (not skips), (encode(g), kind)
-    # Every F1 graph but the disconnected ones, whose cut is empty: 8 of the
-    # 744 (8, 4) graphs and 1 of the 13 variants.
-    assert len(f1s) == 13 and anchored == 736 + 12 + 5
-    # Toggled graphs that are Hamiltonian have no witness; the F3 anchor
-    # turns down 18 graphs with a bipartite degree-one witness.
-    assert kinds == {
-        ("SmallCut", "F1"): 744 + len(f1s) + 5,
-        ("SmallCut", None): 13,
-        ("BipartiteDegreeOne", "F3"): 1_536 + len(f3s) + 5,
-        ("BipartiteDegreeOne", None): 18,
-        ("ExhaustiveSearch", "F2"): 32 + 24 + 3,
-        ("IndependentSetTooLarge", None): 2 + 1,
-        ("NoneType", None): 23,
-    }
+    assert Counter(recognize(g) for g in graphs) == {"F1": 744, "F2": 32, "F3": 1_536}
+    for build in (build_family_F1, build_family_F3):
+        built = [build(4), build(4)]
+        assert built[0] == built[1] and built[0] is not built[1]
 
 
 # -- specs ---------------------------------------------------------------

@@ -534,6 +534,28 @@ def test_graph6_decode_round_trip():
         assert set(edges) == {tuple(sorted(e)) for e in g.edges()}
 
 
+def _empty_graph6(n):
+    """The graph6 body of the edgeless graph on n vertices."""
+    return "?" * ((n * (n - 1) // 2 + 5) // 6)
+
+
+def test_graph6_size_bytes_lie_in_63_to_126():
+    # A one-byte size is 63-125, as 126 opens the four-byte form, and each of
+    # that form's three bytes is 63-126.  Byte 127 once read as 64 vertices,
+    # which ``encode`` writes as a four-byte size, so the text did not
+    # round-trip.  Non-ASCII text is malformed graph6 too.
+    assert graph6_decode("}" + _empty_graph6(62)) == (62, [])
+    assert graph6_decode("~??~" + _empty_graph6(63)) == (63, [])
+    assert graph6_decode("~?~~" + _empty_graph6(4095)) == (4095, [])
+    for text in (chr(127) + _empty_graph6(64), ">", "~" + chr(127) + "??", "~?" + chr(127) + "?",
+                 "~??" + chr(127), "~?>?", "~??>"):
+        with pytest.raises(GraphError, match="^invalid graph6 size header$"):
+            graph6_decode(text)
+    for text in ("Aé", "é", "~??é"):
+        with pytest.raises(GraphError, match="^graph6 text must be ASCII$"):
+            graph6_decode(text)
+
+
 def test_encode_decode_round_trip():
     rng = random.Random(9)
     for trial in range(40):
@@ -642,7 +664,10 @@ def test_decode_rejects_malformed():
 # the block (8, 4) header with graph6 bodies of 6 and 10 vertices, a
 # truncated body, a bad byte and an edge inside part 0.
 _H84 = "kpart 4: 0 1, 2 3, 4 5, 6 7"
+_H64 = "kpart 64: " + ", ".join(map(str, range(64)))
 DECODE_ERRORS = [
+    (_H64 + "\n" + chr(127) + "?" * 336, "invalid graph6 size header"),
+    ("kpart 2: 0, 1\nAé", "graph6 text must be ASCII"),
     ("nonsense", "expected a partition header line and a graph6 line"),
     ("kpart 2: 0 1, 2 3\n", "expected a partition header line and a graph6 line"),
     ("kpart 2: 0 1\nA?", "header declares 2 parts but lists 1"),

@@ -658,9 +658,8 @@ def test_climb_up_to_symmetry_lists_every_labelled_non_hamiltonian_graph():
     # lex-leaders finds are exactly the graphs a labelled climb from every
     # non-Hamiltonian minimal graph finds.  Each listed graph, built once
     # from its subset id, carries the witness the solver gives that graph
-    # built afresh.  It also carries its orbit: a graph the climb found,
-    # with the climb's witness or none, whose closure is exactly the listed
-    # graphs carrying it.
+    # built afresh.  It also carries its orbit: the subset id of a graph the
+    # climb found, whose closure is exactly the listed graphs carrying it.
     for n, k, floor in ORBIT_CLIMB_CASES:
         case = (n, k, floor)
         tables = harness._sweep_tables(n, k)
@@ -675,7 +674,6 @@ def test_climb_up_to_symmetry_lists_every_labelled_non_hamiltonian_graph():
         part_of = blocks_partition(n, k)
         sources = Counter()
         members = {}
-        seeds = {tuple(harness._rows(sid, tables)): sid for sid in found}
         for sid, (g, witness, orbit) in zip(sorted(reference), listed):
             fresh = non_hamiltonicity_witness(KPartiteGraph(part_of, reference[sid]))
             assert witness == fresh, (case, sid)
@@ -683,10 +681,9 @@ def test_climb_up_to_symmetry_lists_every_labelled_non_hamiltonian_graph():
                 sources["search"] += 1
             else:
                 sources["climbed" if sid in found else "orbit"] += 1
-            seed = seeds[orbit[0].adj]
-            assert orbit[1] == found[seed], (case, sid)
-            members.setdefault(id(orbit), (seed, set()))[1].add(sid)
-        for seed, sids in members.values():
+            assert orbit in found, (case, sid)
+            members.setdefault(orbit, set()).add(sid)
+        for seed, sids in members.items():
             assert set(harness._orbit_closure([seed], tables)) == sids, (case, seed)
         if case in ORBITS:
             assert len(members) == ORBITS[case], case
@@ -1194,16 +1191,14 @@ def test_characterization_8_4_single_shard():
 
 
 def test_each_orbit_is_classified_once_and_every_member_alike(monkeypatch):
-    # The finish step classifies one climbed graph an orbit and gives its
-    # class to every member: a whole (8, 4) floor-3 run recognizes 17
-    # graphs for its 2,312 entries.  Each entry's class, in the whole run,
+    # The finish step classifies the first listed member of each orbit and
+    # gives its class to every member: a whole (8, 4) floor-3 run recognizes
+    # 17 graphs for its 2,312 entries.  Each entry's class, in the whole run,
     # in each of its 8 shard runs and at (4, 2) at D, is the one recognize
     # gives the entry's own graph.
     calls = []
-    classify = harness._recognize
-    monkeypatch.setattr(
-        harness, "_recognize", lambda g, witness=None: calls.append(g) or classify(g, witness)
-    )
+    classify = harness.recognize
+    monkeypatch.setattr(harness, "recognize", lambda g: calls.append(g) or classify(g))
     whole = exhaustive_verify(8, 4, 3)
     assert len(calls) == 17 and len(whole.exceptional) == 2_312
     shards = [exhaustive_verify(8, 4, 3, shards=8, shard_id=i) for i in range(8)]
