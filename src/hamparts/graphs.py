@@ -698,7 +698,8 @@ def _graph6_stream(text: str) -> tuple[int, int]:
     t-th bit, so column j, the pairs (i, j) for i < j, is the j bits from
     j * (j - 1) / 2 on, pair (i, j) at bit i.  Raises GraphError on
     malformed text: every size byte lies in 63-126, a one-byte size in
-    63-125, since 126 opens the four-byte form."""
+    63-125, since 126 opens the four-byte form, and a four-byte size is at
+    least 63, as graph6 writes a smaller one in one byte."""
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<"):]
@@ -719,6 +720,8 @@ def _graph6_stream(text: str) -> tuple[int, int]:
     n = 0
     for byte in size:
         n = n << 6 | byte - 63
+    if len(size) > 1 and n < 63:
+        raise GraphError(f"graph6 size {n} takes a one-byte header")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError(f"graph6 body has {len(body)} bytes, expected {need}")
@@ -769,13 +772,13 @@ def decode(text: str) -> KPartiteGraph:
         raise GraphError("partition header must start with 'kpart'")
     try:
         count_text, parts_text = header[len("kpart "):].split(":", 1)
-        k = int(count_text.strip())
+        k = _ascii_number(count_text.strip())
     except ValueError as exc:
         raise GraphError(f"malformed partition header: {header!r}") from exc
     part_lists = []
     for chunk in parts_text.split(","):
         try:
-            part_lists.append(list(map(int, chunk.split())))
+            part_lists.append(list(map(_ascii_number, chunk.split())))
         except ValueError as exc:
             raise GraphError(f"malformed part list: {chunk!r}") from exc
     if len(part_lists) != k:
@@ -794,6 +797,14 @@ def decode(text: str) -> KPartiteGraph:
     if -1 in part_of:
         raise GraphError("partition does not cover all vertices")
     return _from_stream(_layout(tuple(part_of)), stream)
+
+
+def _ascii_number(text: str) -> int:
+    """``text`` as a number of ASCII digits 0-9 alone, where ``int`` also
+    takes a sign, an underscore or another script's digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
 
 
 def _from_stream(layout: tuple, stream: int) -> KPartiteGraph:

@@ -12,8 +12,9 @@ every edge has an endpoint whose degree is exactly the floor.  Deleting an
 edge whose endpoints both lie above the floor keeps the floor, so every
 floor-meeting graph contains a minimal one.  A sweep has four steps:
 
-- Count.  A DP over (pair index, each vertex's unmet degree capped at the
-  floor), memoised within the run, counts the floor-meeting graphs.
+- Count.  A forward DP over the pairs, whose layer maps each vertex's unmet
+  degree capped at the floor to its number of ways, counts the
+  floor-meeting graphs.
 - Enumerate.  A recursion lists the minimal graphs up to symmetry, and
   each is searched.  It prunes a branch as soon as an edge joins two
   vertices above the floor, since degrees only grow along a branch.
@@ -91,9 +92,10 @@ their counters merge by addition.  Those bits are a subset id's prefix, and
 a shard owns at most two prefixes (``_shard_prefixes``).  A whole run is
 shard 0 of 1, whatever the shard count.  Every run makes the same walk and
 climb, over the whole space up to symmetry, since an orbit crosses
-prefixes.  The DP counts the graphs under each prefix the run owns, and the
-expansion builds and finishes only the graphs it owns.  Everything runs in
-one process.
+prefixes.  One DP pass counts the graphs under all the prefixes the run
+owns, and the expansion builds and finishes only the graphs it owns.  Every
+step reads the run's one ``_SweepTables``.  Everything runs in one
+process.
 
 The exhaustive and the sampled sweep both hand their non-Hamiltonian graphs,
 in report order and each with its witness, to ``_finish_sweep``, which
@@ -277,37 +279,28 @@ def _enumerate_shard(
     return 1 << suffix_bits, visited
 
 
-def _part_masks(n: int, k: int) -> list[int]:
-    """The parts' vertex masks, distinct and ascending on the block
-    partition.  Parts are independent sets whichever edges are present, so
-    they feed the search's cardinality prune with no per-graph cost."""
-    masks = [0] * k
-    for v, p in enumerate(blocks_partition(n, k)):
-        masks[p] |= 1 << v
-    return masks
-
-
 @dataclass(frozen=True)
 class _SweepTables:
     """The tables every step of one (n, k) sweep reads, derived once a run.
 
-    ``pairs``: the cross pairs in subset-id order.  ``rows[i]``: pair i as
-    (u, v, 1 << u, 1 << v, its bit in a subset id).  ``part_masks``: see
-    ``_part_masks``.  ``left[i][v]``: the pairs from index i on that contain
-    v, so ``left[0]`` is each vertex's cross degree.  ``pair_bit[u][v]``: the
+    ``n``, ``k``: the sweep's order and part count.  ``part_of``: the block
+    partition.  ``pairs``: the cross pairs in subset-id order.  ``rows[i]``:
+    pair i as (u, v, 1 << u, 1 << v, its bit in a subset id).
+    ``part_masks``: the parts' vertex masks, ascending; parts are
+    independent sets whichever edges are present, so they feed the search's
+    cardinality prune with no per-graph cost.  ``pair_bit[u][v]``: the
     subset-id bit of pair (u, v), 0 for two vertices of one part.
-    ``swaps``: see ``_generator_swaps``.  ``counts``: the floor count's memo,
-    filled as the run's prefixes count; a count from (pair index, unmet
-    degrees) depends on neither the prefix nor the floor.  The byte tables
-    of ``flips`` and ``row_bytes`` are built on first use."""
+    ``swaps``: see ``_generator_swaps``.  The byte tables of ``flips`` and
+    ``row_bytes`` are built on first use."""
 
+    n: int
+    k: int
+    part_of: tuple
     pairs: list
     rows: list
     part_masks: list
-    left: list
     pair_bit: list
     swaps: list
-    counts: dict = field(default_factory=dict)
 
     @cached_property
     def flips(self) -> list[list[list[int]]]:
@@ -327,26 +320,23 @@ class _SweepTables:
     def row_bytes(self) -> list[list[int]]:
         """The byte tables that map a subset id to its graph's rows packed in
         one int, row v at bit n * v (``_rows``)."""
-        n = len(self.left[0])
+        n = self.n
         return _byte_tables([1 << n * u + v | 1 << n * v + u for u, v in reversed(self.pairs)])
 
 
 def _sweep_tables(n: int, k: int) -> _SweepTables:
+    part_of = blocks_partition(n, k)
+    part_masks = [0] * k
+    for v, p in enumerate(part_of):
+        part_masks[p] |= 1 << v
     pairs = cross_pairs(n, k)
     top = len(pairs) - 1
     rows = [(u, v, 1 << u, 1 << v, 1 << (top - i)) for i, (u, v) in enumerate(pairs)]
-    left = [[0] * n]
-    for u, v in reversed(pairs):
-        row = left[-1][:]
-        row[u] += 1
-        row[v] += 1
-        left.append(row)
-    left.reverse()
     pair_bit = [[0] * n for _ in range(n)]
     for u, v, _, _, bit in rows:
         pair_bit[u][v] = pair_bit[v][u] = bit
     swaps = _generator_swaps(n, k, pairs)
-    return _SweepTables(pairs, rows, _part_masks(n, k), left, pair_bit, swaps)
+    return _SweepTables(n, k, part_of, pairs, rows, part_masks, pair_bit, swaps)
 
 
 def _byte_tables(images: list[int]) -> list[list[int]]:
@@ -373,7 +363,7 @@ def _through(tables: list[list[int]], sid: int) -> int:
 
 def _rows(sid: int, tables: _SweepTables) -> list[int]:
     """The rows of graph ``sid``: its adjacency bitmask of each vertex."""
-    n = len(tables.left[0])
+    n = tables.n
     packed, full = _through(tables.row_bytes, sid), (1 << n) - 1
     return [packed >> shift & full for shift in range(0, n * n, n)]
 
@@ -452,11 +442,12 @@ def _apply_prefix(
     its present pairs, each vertex's slack: its present degree plus its
     undecided pairs, minus the floor).  Some slack is negative exactly when
     no completion of the prefix meets the floor."""
-    rows = tables.rows
+    n, rows = tables.n, tables.rows
     prefix_bits = (units - 1).bit_length()
     first = unit << (len(rows) - prefix_bits)
-    adj = [0] * len(tables.left[0])
-    slack = [have - floor for have in tables.left[0]]
+    adj = [0] * n
+    # Every vertex of the block partition has n - n/k cross pairs.
+    slack = [n - n // tables.k - floor] * n
     for u, v, ubit, vbit, bit in rows[:prefix_bits]:
         if first & bit:
             adj[u] |= vbit
@@ -510,46 +501,44 @@ class _CycleStore:
         return lanes & self.tops[c] != self.tops[c]
 
 
-def _count_meeting_floor(
-    n: int, k: int, floor: int, units: int, unit: int, tables: _SweepTables | None = None
-) -> int:
+def _count_meeting_floor(tables: _SweepTables, floor: int, units: int, owned) -> int:
     """The number of floor-meeting graphs whose first log2(``units``) pairs,
-    read as a number, equal ``unit``: a DP over (pair index, each vertex's
-    unmet degree capped at the floor), memoised in ``tables``."""
-    tables = tables or _sweep_tables(n, k)
-    pairs, left = tables.pairs, tables.left
-    total = len(pairs)
-    prefix_bits, _, adj, slack = _apply_prefix(tables, floor, units, unit)
-    if min(slack) < 0:
-        return 0
-    memo = tables.counts
+    read as a number, are one of ``owned``: a forward DP over the undecided
+    pairs in subset-id order, from every owned prefix at once.  A layer maps
+    each vertex's unmet degree, capped at the floor and packed in one int,
+    to the number of ways to reach it.  Deciding a pair present lowers its
+    endpoints' unmet degrees; deciding it absent drops the state if an
+    endpoint's unmet degree then exceeds its undecided pairs.  Every state
+    of the last layer meets the floor."""
+    n, width, prefix_bits = tables.n, max(floor.bit_length(), 1), (units - 1).bit_length()
+    mask = (1 << width) - 1
+    layer: dict[int, int] = {}
+    for unit in owned:
+        _, _, adj, slack = _apply_prefix(tables, floor, units, unit)
+        if min(slack) >= 0:
+            state = sum(max(floor - row.bit_count(), 0) << width * v for v, row in enumerate(adj))
+            layer[state] = layer.get(state, 0) + 1
+    # left[v]: v's undecided pairs once the pair at hand is decided.
+    left = [n - n // tables.k] * n
+    for i, (u, v, *_) in enumerate(tables.rows):
+        left[u] -= 1
+        left[v] -= 1
+        if i < prefix_bits:
+            continue
+        shift_u, shift_v, room_u, room_v = width * u, width * v, left[u], left[v]
+        grown: dict[int, int] = {}
+        get = grown.get
+        for state, ways in layer.items():
+            unmet_u, unmet_v = state >> shift_u & mask, state >> shift_v & mask
+            up = state - ((unmet_u > 0) << shift_u) - ((unmet_v > 0) << shift_v)
+            grown[up] = get(up, 0) + ways
+            if unmet_u <= room_u and unmet_v <= room_v:
+                grown[state] = get(state, 0) + ways
+        layer = grown
+    return sum(layer.values())
 
-    def count(i: int, unmet: tuple[int, ...]) -> int:
-        # On entry every vertex's unmet degree fits in its undecided pairs.
-        if i == total:
-            return 1
-        key = (i, unmet)
-        known = memo.get(key)
-        if known is not None:
-            return known
-        u, v = pairs[i]
-        present = list(unmet)
-        present[u] -= present[u] > 0
-        present[v] -= present[v] > 0
-        found = count(i + 1, tuple(present))
-        if unmet[u] <= left[i + 1][u] and unmet[v] <= left[i + 1][v]:
-            found += count(i + 1, unmet)
-        memo[key] = found
-        return found
 
-    meeting = count(prefix_bits, tuple(max(floor - row.bit_count(), 0) for row in adj))
-    count = None  # see _enumerate_shard
-    return meeting
-
-
-def _enumerate_minimal(
-    n: int, k: int, floor: int, visit, tables: _SweepTables | None = None
-) -> int:
+def _enumerate_minimal(tables: _SweepTables, floor: int, visit) -> int:
     """Run ``visit(subset_id, adj)`` for the minimal floor-meeting graphs,
     ones where every edge has an endpoint of degree exactly the floor, that
     are lex-leaders: no generator of the part-preserving group maps one to a
@@ -563,11 +552,10 @@ def _enumerate_minimal(
     and skips each branch that sets present the highest pair of a kept mask
     it holds: every graph in it is Hamiltonian.  With no mask kept it visits
     every lex-leader."""
-    tables = tables or _sweep_tables(n, k)
-    rows = tables.rows
+    n, rows = tables.n, tables.rows
     adj = [0] * n
     # slack[v]: v's present degree plus its undecided pairs, minus the floor.
-    slack = [have - floor for have in tables.left[0]]
+    slack = [n - n // tables.k - floor] * n
     if min(slack) < 0:
         return 0
     # Bucket i keeps the cycle masks whose highest pair is pair i.
@@ -641,11 +629,11 @@ def _enumerate_minimal(
     return visited
 
 
-def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> dict:
-    """Every non-Hamiltonian graph reached from ``bases``, (subset id, rows)
-    of non-Hamiltonian floor-meeting graphs, by adding one absent pair at a
-    time, highest bit first, as {subset id: witness or None}, the bases
-    included.
+def _climb(tables: _SweepTables, bases) -> dict:
+    """Every non-Hamiltonian graph reached from ``bases``, the subset ids of
+    non-Hamiltonian floor-meeting graphs, whose rows it reads with
+    ``_rows``, by adding one absent pair at a time, highest bit first, as
+    {subset id: witness or None}, the bases included.
 
     A candidate's parent is non-Hamiltonian, so any Hamiltonian cycle of the
     candidate uses the pair just added.  The call keeps the pair mask of each
@@ -655,11 +643,11 @@ def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> dict:
     ``_polynomial_witness`` up front, and each candidate no kept mask
     decides is asked it first, with the ``skip`` its parent passes on
     (``_steps_failed``), and searched only if it has none; a refuted
-    candidate keeps no cycle, so the graphs found are the same.  A witness is the one ``_polynomial_witness``
-    gives the graph's rows with no step skipped."""
-    tables = tables or _sweep_tables(n, k)
-    rows, part_masks, pair_bit = tables.rows, tables.part_masks, tables.pair_bit
-    part_of = blocks_partition(n, k)
+    candidate keeps no cycle, so the graphs found are the same.  A witness
+    is the one ``_polynomial_witness`` gives the graph's rows with no step
+    skipped."""
+    n, part_of, rows = tables.n, tables.part_of, tables.rows
+    part_masks, pair_bit = tables.part_masks, tables.pair_bit
     total = len(rows)
     every = (1 << total) - 1
     # Bucket i keeps the cycle masks that use pair i.
@@ -669,7 +657,8 @@ def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> dict:
     found = {}
     # (subset id, rows, the monotone certificate steps the graph fails).
     stack = []
-    for sid, adj in bases:
+    for sid in bases:
+        adj = _rows(sid, tables)
         witness = found[sid] = _polynomial_witness(KPartiteGraph(part_of, adj))
         stack.append((sid, adj, _steps_failed(witness)))
     seen = set(found)
@@ -707,7 +696,7 @@ def _climb(n: int, k: int, bases, tables: _SweepTables | None = None) -> dict:
     return found
 
 
-def _orbit_graphs(n: int, k: int, found: dict, owned: tuple, tables: _SweepTables):
+def _orbit_graphs(tables: _SweepTables, found: dict, owned: tuple):
     """The graphs in the orbits of the climb's ``found`` under the prefixes
     ``owned`` (as ``_shard_prefixes`` gives them), by ascending subset id,
     as (graph, witness, seed); ``seed`` is the subset id of the orbit's
@@ -717,10 +706,9 @@ def _orbit_graphs(n: int, k: int, found: dict, owned: tuple, tables: _SweepTable
     with none is given its exhaustive search."""
     orbit_of = _orbit_closure(found, tables)
     suffix_bits, prefixes = owned
-    part_of = blocks_partition(n, k)
     for sid in sorted(sid for sid in orbit_of if sid >> suffix_bits in prefixes):
         seed = orbit_of[sid]
-        g = KPartiteGraph(part_of, _rows(sid, tables))
+        g = KPartiteGraph(tables.part_of, _rows(sid, tables))
         if sid in found:
             witness = found[sid]
         else:
@@ -744,33 +732,30 @@ def _run_exhaustive_shard(args, tables: _SweepTables | None = None) -> dict:
     """Worker: the walk of shard ``args[4]`` of ``args[3]``, which owns at
     least one prefix; a whole run is shard 0 of 1.  Returns the subsets the
     shard owns (``space``), the floor-meeting graphs it owns
-    (``meeting_floor``, the DP's count summed over its prefixes), and the
-    non-Hamiltonian lex-leaders among the minimal graphs, as (subset id,
-    rows), by descending subset id.  The walk covers the whole space up to
-    symmetry, whatever the shard, and searches the lex-leaders only, a kept
-    cycle deciding those that hold it without a search (see
-    ``_enumerate_minimal``).  ``tables`` are the run's
+    (``meeting_floor``, one DP pass from all of its prefixes), and the
+    subset ids of the non-Hamiltonian lex-leaders among the minimal graphs,
+    descending.  The walk covers the whole space up to symmetry, whatever
+    the shard, and searches the lex-leaders only, a kept cycle deciding
+    those that hold it without a search (see ``_enumerate_minimal``).  ``tables`` are the run's
     ``_sweep_tables(n, k)``, derived here if None."""
     n, k, floor, shards, shard_id = args
     tables = tables or _sweep_tables(n, k)
     suffix_bits, prefixes = _shard_prefixes(len(tables.rows), shards, shard_id)
     part_masks, pair_bit = tables.part_masks, tables.pair_bit
-    leaders: list[tuple[int, tuple]] = []
+    leaders: list[int] = []
 
     def visit(sid: int, adj: list[int]) -> int | None:
         order = _ham_search(n, adj, part_masks)[0]
         if order is None:
-            leaders.append((sid, tuple(adj)))
+            leaders.append(sid)
             return None
         return _cycle_mask(order, sid, pair_bit)
 
-    _enumerate_minimal(n, k, floor, visit, tables)
-    count = 1 << (len(tables.rows) - suffix_bits)
+    _enumerate_minimal(tables, floor, visit)
+    units = 1 << (len(tables.rows) - suffix_bits)
     return {
         "space": len(prefixes) << suffix_bits,
-        "meeting_floor": sum(
-            _count_meeting_floor(n, k, floor, count, prefix, tables) for prefix in prefixes
-        ),
+        "meeting_floor": _count_meeting_floor(tables, floor, units, prefixes),
         "non_hamiltonian": leaders,
     }
 
@@ -838,28 +823,27 @@ def _finish_sweep(
 
 
 def _finish_exhaustive(
-    n: int,
-    k: int,
+    tables: _SweepTables,
     floor: int,
+    owned: tuple,
     shards: int,
     shard_id: int | None,
     result: dict,
     kind: str,
     started: float,
-    tables: _SweepTables,
 ) -> VerificationReport:
     """The report of a run whose walk returned ``result``: the climb from
     its non-Hamiltonian lex-leaders, then ``_finish_sweep`` over the graphs
-    of the climbed orbits that the run owns (``_orbit_graphs``).  A whole
-    run owns every graph, shard ``shard_id`` those under its prefixes."""
+    of the climbed orbits under the prefixes ``owned`` (``_orbit_graphs``).
+    A whole run owns every graph, shard ``shard_id`` those under its
+    prefixes."""
     counters = {
         "graphs_enumerated": result["space"],
         "graphs_above_threshold": result["meeting_floor"],
     }
-    found = _climb(n, k, result["non_hamiltonian"], tables)
-    walk = (1, 0) if shard_id is None else (shards, shard_id)
-    owned = _shard_prefixes(len(tables.rows), *walk)
-    graphs = _orbit_graphs(n, k, found, owned, tables)
+    found = _climb(tables, result["non_hamiltonian"])
+    graphs = _orbit_graphs(tables, found, owned)
+    n, k = tables.n, tables.k
     return _finish_sweep(
         kind, n, k, floor, counters, graphs, started, shards=shards, shard_id=shard_id
     )
@@ -933,12 +917,13 @@ def exhaustive_verify(
     tables = _sweep_tables(n, k)
     # A whole run is shard 0 of 1, so ``shards`` only names the count.
     walk = (1, 0) if shard_id is None else (shards, shard_id)
-    if _shard_prefixes(pairs, *walk)[1]:
+    owned = _shard_prefixes(pairs, *walk)
+    if owned[1]:
         result = _run_exhaustive_shard((n, k, floor, *walk), tables)
     else:
         # The shard owns no prefix, so no subset and no graph.
         result = {"space": 0, "meeting_floor": 0, "non_hamiltonian": []}
-    return _finish_exhaustive(n, k, floor, shards, shard_id, result, _kind, started, tables)
+    return _finish_exhaustive(tables, floor, owned, shards, shard_id, result, _kind, started)
 
 
 def characterization_check(

@@ -190,6 +190,23 @@ def test_check_refuses_a_graph6_size_byte_of_127(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: invalid graph6 size header\n")
 
 
+def test_check_refuses_text_that_encode_writes_otherwise(capsys, tmp_path):
+    # A four-byte graph6 size below 63, and a vertex written with a sign or
+    # an underscore, once decoded to the graph ``encode`` writes as
+    # "kpart 2: 0, 1\nA_", and ``check --alpha`` printed ``alpha: 1`` and
+    # exited 0.
+    cases = [
+        ("kpart 2: 0, 1\n~??A_", "graph6 size 2 takes a one-byte header"),
+        ("kpart 2: 0, +1\nA_", "malformed part list: ' +1'"),
+        ("kpart 2: 0, 0_1\nA_", "malformed part list: ' 0_1'"),
+    ]
+    path = tmp_path / "k11.kpart"
+    for text, message in cases:
+        path.write_text(text + "\n")
+        code, out, err = run_cli(capsys, "check", "--in", str(path), "--alpha")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), text
+
+
 def test_check_chvatal(capsys, tmp_path):
     from hamparts.graphs import complete_kpartite
 

@@ -554,6 +554,11 @@ def test_graph6_size_bytes_lie_in_63_to_126():
     for text in ("Aé", "é", "~??é"):
         with pytest.raises(GraphError, match="^graph6 text must be ASCII$"):
             graph6_decode(text)
+    # A four-byte size is at least 63, as graph6 writes a smaller one in one
+    # byte.  "~??A_" once read as the 2-vertex graph written "A_".
+    for n in (0, 2, 8, 62):
+        with pytest.raises(GraphError, match=f"^graph6 size {n} takes a one-byte header$"):
+            graph6_decode("~??" + chr(63 + n) + _empty_graph6(n))
 
 
 def test_encode_decode_round_trip():
@@ -686,7 +691,16 @@ DECODE_ERRORS = [
     (_H84 + "\nG", "graph6 body has 0 bytes, expected 5"),
     (_H84 + "\nG????\x7f", "invalid graph6 byte 127"),
     (_H84 + "\nG_????", "intra-part edge (0, 1) in decoded graph"),
-    ("\n" + _H84 + "\n\n~??G_????", "intra-part edge (0, 1) in decoded graph"),
+    ("\n" + _H84 + "\n\nG_????", "intra-part edge (0, 1) in decoded graph"),
+    # Text whose decoded graph ``encode`` writes otherwise: a four-byte size
+    # below 63, and numbers that ``int`` reads but are not ASCII digits.
+    ("\n" + _H84 + "\n\n~??G_????", "graph6 size 8 takes a one-byte header"),
+    ("kpart 2: 0, 1\n~??A_", "graph6 size 2 takes a one-byte header"),
+    ("kpart 2: 0, +1\nA_", "malformed part list: ' +1'"),
+    ("kpart 2: 0, 0_1\nA_", "malformed part list: ' 0_1'"),
+    ("kpart 2: 0, \u0661\nA_", "malformed part list: ' \u0661'"),
+    ("kpart +2: 0, 1\nA_", "malformed partition header: 'kpart +2: 0, 1'"),
+    ("kpart \u0662: 0, 1\nA_", "malformed partition header: 'kpart \u0662: 0, 1'"),
 ]
 
 

@@ -232,7 +232,7 @@ def test_shard_prefixes_cover_each_subset_once():
 def _full_sweep(n, k, floor):
     """Reference: search every floor-meeting graph.  Returns their number and
     the non-Hamiltonian ones as {subset id: rows}."""
-    part_masks = harness._part_masks(n, k)
+    part_masks = harness._sweep_tables(n, k).part_masks
     non_ham = {}
 
     def visit(sid, adj):
@@ -307,10 +307,8 @@ def test_lex_comparisons_wait_for_the_prefix_maximum():
             assert late, (n, k)
 
 
-def _closure(graphs, tables):
-    """The subset ids of the orbits of ``graphs``, (subset id, rows) or
-    subset ids, by descending subset id."""
-    sids = [graph[0] if isinstance(graph, tuple) else graph for graph in graphs]
+def _closure(sids, tables):
+    """The subset ids of the orbits of the graphs ``sids``, descending."""
     return sorted(harness._orbit_closure(sids, tables), reverse=True)
 
 
@@ -320,7 +318,7 @@ def _minimal_sweep(n, k, floor):
     the climb keeps carries the certificate its own rows give."""
     tables = harness._sweep_tables(n, k)
     walk = harness._run_exhaustive_shard((n, k, floor, 1, 0), tables)
-    found = harness._climb(n, k, walk["non_hamiltonian"], tables)
+    found = harness._climb(tables, walk["non_hamiltonian"])
     part_of = blocks_partition(n, k)
     for sid, witness in found.items():
         g = KPartiteGraph(part_of, harness._rows(sid, tables))
@@ -331,9 +329,8 @@ def _minimal_sweep(n, k, floor):
 def test_floor_count_matches_enumeration():
     # The DP against the recursion that visits every floor-meeting graph, at
     # every floor up to one above the cross degree, whole and per prefix.
-    # One memo serves every floor and prefix of an (n, k): its key, (pair
-    # index, unmet degrees), depends on neither.  The enumeration reads the
-    # same tables.
+    # The enumeration reads the same tables.  The prefixes a shard owns,
+    # counted in one pass, give the sum of their counts one by one.
     def visit(sid, adj):
         return None
 
@@ -341,15 +338,45 @@ def test_floor_count_matches_enumeration():
         tables = harness._sweep_tables(n, k)
         for floor in range(6):
             visited = harness._enumerate_shard(n, k, floor, 1, 0, visit, tables)[1]
-            counted = harness._count_meeting_floor(n, k, floor, 1, 0, tables)
+            counted = harness._count_meeting_floor(tables, floor, 1, [0])
             assert counted == visited, (n, k, floor)
     tables = harness._sweep_tables(6, 3)
+    total = len(tables.pairs)
     for floor in range(6):
-        for units in (2, 8, 64, 4096):
+        each = {}
+        # 3, 5 and 20 shards split the space into 4, 8 and 32 prefixes.
+        for units in (2, 4, 8, 32, 64, 4096):
             for unit in range(units):
                 visited = harness._enumerate_shard(6, 3, floor, units, unit, visit, tables)[1]
-                counted = harness._count_meeting_floor(6, 3, floor, units, unit, tables)
+                counted = harness._count_meeting_floor(tables, floor, units, [unit])
                 assert counted == visited, (floor, units, unit)
+                each[units, unit] = counted
+        for shards in (3, 5, 20):
+            for shard_id in range(shards):
+                suffix_bits, prefixes = harness._shard_prefixes(total, shards, shard_id)
+                units = 1 << (total - suffix_bits)
+                counted = harness._count_meeting_floor(tables, floor, units, prefixes)
+                assert counted == sum(each[units, unit] for unit in prefixes), (floor, shards)
+
+
+# Floor-meeting graphs at D over the whole space, by (n, k, D); the pair
+# guard refuses all but (10, 2) as a sweep, so the DP is called directly.
+FLOOR_COUNTS_AT_D = {
+    (10, 2, 3): 304_186,
+    (9, 3, 4): 255_241,
+    (8, 8, 4): 5_651_384,
+    (9, 9, 5): 160_054_952,
+    (10, 5, 5): 1_312_298_150,
+    (10, 10, 5): 275_322_712_826,
+    (12, 2, 3): 1_709_852_332,
+}
+
+
+def test_floor_counts_at_d_are_frozen():
+    for (n, k, floor), expected in FLOOR_COUNTS_AT_D.items():
+        assert theorem_threshold(n, k) == floor, (n, k)
+        tables = harness._sweep_tables(n, k)
+        assert harness._count_meeting_floor(tables, floor, 1, [0]) == expected, (n, k)
 
 
 def test_minimal_sweep_matches_full_enumeration():
@@ -375,7 +402,8 @@ MINIMAL_COUNTS = {
 def _leaders(n, k, floor):
     """The subset ids the walk visits with no cycle kept, in visit order."""
     leaders = []
-    harness._enumerate_minimal(n, k, floor, lambda sid, adj: leaders.append(sid))
+    tables = harness._sweep_tables(n, k)
+    harness._enumerate_minimal(tables, floor, lambda sid, adj: leaders.append(sid))
     return leaders
 
 
@@ -435,7 +463,7 @@ def _labelled_minimal(n, k, floor):
 def _minimal_reference(n, k, floor):
     """Reference: the non-Hamiltonian graphs of ``_labelled_minimal``, each
     searched.  Returns them as (subset id, rows), in its order."""
-    part_masks = harness._part_masks(n, k)
+    part_masks = harness._sweep_tables(n, k).part_masks
     return [
         (sid, rows)
         for sid, rows in _labelled_minimal(n, k, floor)
@@ -470,9 +498,12 @@ def test_walk_up_to_symmetry_lists_every_labelled_minimal_graph():
         reference = _minimal_reference(n, k, floor)
         assert _closure(listed, tables) == [sid for sid, _ in reference], (n, k, floor)
         # Kept cycles skip only Hamiltonian graphs: the walk lists each
-        # non-Hamiltonian lex-leader, with its rows, in visit order.
+        # non-Hamiltonian lex-leader's subset id, in visit order, and the
+        # byte tables give each one's rows.
         non_ham = dict(reference)
-        assert listed == [(sid, non_ham[sid]) for sid in leaders if sid in non_ham], (n, k, floor)
+        assert listed == [sid for sid in leaders if sid in non_ham], (n, k, floor)
+        for sid in listed:
+            assert tuple(harness._rows(sid, tables)) == non_ham[sid], (n, k, floor, sid)
 
 
 def _pair_mask(n, k, order):
@@ -507,7 +538,7 @@ def test_cycle_reuse_drops_no_non_hamiltonian_graph(monkeypatch):
         # The climb keeps cycles too; its completeness is checked against
         # full enumeration in test_minimal_sweep_matches_full_enumeration.
         climbing = True
-        harness._climb(n, k, listed, tables)
+        harness._climb(tables, listed)
         climbing = False
         for order, sid, mask, climbed in kept:
             assert len(order) == n and sorted(order) == list(range(n)), (n, k, floor, order)
@@ -518,9 +549,10 @@ def test_cycle_reuse_drops_no_non_hamiltonian_graph(monkeypatch):
 
 
 def _search_only_climb(n, k, bases):
-    """Reference: the climb searching every candidate, with no certificate
-    and no kept cycle.  Returns {subset id: rows}, the bases included."""
-    part_masks = harness._part_masks(n, k)
+    """Reference: the climb from ``bases``, (subset id, rows), searching
+    every candidate, with no certificate and no kept cycle.  Returns
+    {subset id: rows}, the bases included."""
+    part_masks = harness._sweep_tables(n, k).part_masks
     pairs = cross_pairs(n, k)
     found = dict(bases)
     seen = set(found)
@@ -586,36 +618,38 @@ def test_certificate_first_climb_matches_a_search_only_climb(monkeypatch):
     cases = [(6, 3, floor, 1) for floor in range(6)]
     cases += [(8, 2, 2, 1), (8, 2, 3, 1), (7, 7, 3, 1), (8, 4, 3, 1), (8, 4, 3, -1)]
     for n, k, floor, order in cases:
-        walk = harness._run_exhaustive_shard((n, k, floor, 1, 0))
+        tables = harness._sweep_tables(n, k)
+        walk = harness._run_exhaustive_shard((n, k, floor, 1, 0), tables)
         bases = walk["non_hamiltonian"][::order]
-        base_rows = {rows for _, rows in bases}
+        base_graphs = [(sid, tuple(harness._rows(sid, tables))) for sid in bases]
+        base_rows = {rows for _, rows in base_graphs}
         case = (n, k, floor, order)
-        reference = _search_only_climb(n, k, bases)
+        reference = _search_only_climb(n, k, base_graphs)
         # The same climb without certificates, then with them.
         monkeypatch.setattr(harness, "_polynomial_witness", lambda g, skip=0: None)
         searches.clear()
-        found = harness._climb(n, k, bases)
+        found = harness._climb(tables, bases)
         assert found == dict.fromkeys(reference), case
         without = len(searches)
         monkeypatch.setattr(harness, "_polynomial_witness", certify_spy)
         searches.clear()
         refuted.clear()
         base_witnesses.clear()
-        found = harness._climb(n, k, bases)
+        found = harness._climb(tables, bases)
         assert found.keys() == reference.keys(), case
         assert without - len(searches) == sum(refuted), case
         # Each base is asked once, and every candidate no kept cycle decides.
         # Every graph found carries what it was asked, the witness or None
         # the solver's certificates give a graph built afresh from its rows.
-        assert len(base_witnesses) == len(dict(bases)), case
+        assert len(base_witnesses) == len(bases), case
         kept = [witness for witness in base_witnesses if witness]
         assert sum(map(bool, found.values())) == sum(refuted) + len(kept), case
-        assert Counter(kept) == Counter(found[sid] for sid in dict(bases) if found[sid]), case
+        assert Counter(kept) == Counter(found[sid] for sid in bases if found[sid]), case
         part_of = blocks_partition(n, k)
         for sid, witness in found.items():
             assert witness == certify(KPartiteGraph(part_of, reference[sid])), (case, sid)
         base_kinds = Counter(type(witness).__name__ for witness in base_witnesses)
-        kinds = Counter(type(found[sid]).__name__ for sid in found.keys() - dict(bases))
+        kinds = Counter(type(found[sid]).__name__ for sid in found.keys() - set(bases))
         if (n, k) == (8, 4):
             # Every non-Hamiltonian climb candidate is refuted by a certificate.
             climbed, expected_kinds, expected_base_kinds = CLIMB_WITNESSES_8_4
@@ -664,11 +698,11 @@ def test_climb_up_to_symmetry_lists_every_labelled_non_hamiltonian_graph():
         case = (n, k, floor)
         tables = harness._sweep_tables(n, k)
         walk = harness._run_exhaustive_shard((n, k, floor, 1, 0), tables)
-        found = harness._climb(n, k, walk["non_hamiltonian"], tables)
+        found = harness._climb(tables, walk["non_hamiltonian"])
         reference = _search_only_climb(n, k, _minimal_reference(n, k, floor))
         assert _closure(found, tables) == sorted(reference, reverse=True), case
         whole = harness._shard_prefixes(len(tables.pairs), 1, 0)
-        listed = list(harness._orbit_graphs(n, k, found, whole, tables))
+        listed = list(harness._orbit_graphs(tables, found, whole))
         rows = [g.adj for g, _, _ in listed]
         assert rows == [reference[sid] for sid in sorted(reference)], case
         part_of = blocks_partition(n, k)
@@ -888,7 +922,7 @@ def _minimal_visit_lines():
                 order = harness._ham_search(n, adj, tables.part_masks)[0] if reuse else None
                 return None if order is None else harness._cycle_mask(order, sid, tables.pair_bit)
 
-            harness._enumerate_minimal(n, k, floor, visit, tables)
+            harness._enumerate_minimal(tables, floor, visit)
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

@@ -929,7 +929,7 @@ def _forced_edge_populations():
     part_of = blocks_partition(8, 4)
     tables = harness._sweep_tables(8, 4)
     leaders = []
-    harness._enumerate_minimal(8, 4, 3, lambda sid, adj: leaders.append(sid), tables)
+    harness._enumerate_minimal(tables, 3, lambda sid, adj: leaders.append(sid))
     minimal = [
         KPartiteGraph(part_of, harness._rows(sid, tables))
         for sid in sorted(harness._orbit_closure(leaders, tables), reverse=True)
